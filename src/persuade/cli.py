@@ -4,8 +4,9 @@ pipeline, and report aggregation into reproducible experiments.
 Commands: gen, exact, learn, reduce, report.  Every command writes a
 manifest next to its output; re-running with the same flags reproduces the
 outputs bit-identically (the manifest's timestamp aside).  Exit codes:
-0 success, 1 usage, 2 invalid spec/precondition, 3 I/O failure, and 10
-when `exact verify` refutes the profile.
+0 success, 1 usage, 2 invalid spec/precondition, 3 I/O failure, 4 when
+the LP solver fails (pivot cap or a failed certification), and 10 when
+`exact verify` refutes the profile.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .io import (
     load_or_sample_dataset,
 )
 from .learning import EgConfig, TrainConfig, find_local_ne
+from .lp import LpFailure
 from .neural import save_params
 from .reductions import (
     BimatrixGame,
@@ -61,6 +63,7 @@ from .scenarios import (
 EXIT_USAGE = 1
 EXIT_SPEC = 2
 EXIT_IO = 3
+EXIT_SOLVER = 4
 EXIT_REFUTED = 10
 
 
@@ -466,6 +469,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except LpFailure as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     return code
 
 

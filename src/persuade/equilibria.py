@@ -28,9 +28,12 @@ from .game import (
     FixedMap,
     GameInstance,
     TieRule,
+    batch_rows,
     best_actions,
     ex_ante_utilities,
+    ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
+    fixed_map_table,
     induced_action_map,
     joint_signal_index,
     joint_signals,
@@ -150,7 +153,7 @@ def incentive_rows(game: GameInstance, joint_conditional: np.ndarray, interp: Fi
     cond = np.asarray(joint_conditional, dtype=float)
     if cond.shape != (game.n_joint_signals, game.states):
         raise ValueError("joint conditional must be (S^n, states)")
-    table = np.asarray(interp.table, dtype=int)
+    table = fixed_map_table(game, interp)
     q = cond * game.prior[None, :]
     V = game.receiver_utility
     rows = np.empty((game.n_joint_signals, game.actions))
@@ -470,9 +473,7 @@ def best_response_fixed_interpretation(
     others = [validate_policy(game, p) for p in others]
     if len(others) != game.n_senders - 1:
         raise ValueError(f"expected {game.n_senders - 1} opponent policies")
-    table = np.asarray(interp.table, dtype=int)
-    if table.shape != (game.n_joint_signals,):
-        raise ValueError("interpretation must cover every joint signal")
+    table = fixed_map_table(game, interp)
 
     ctx, W = _context_weights(game, others)
     relevant = np.nonzero(W.max(axis=1) > 0)[0]
@@ -664,14 +665,27 @@ def local_ne_sample_count(game: GameInstance, cap: int = 10000, per_dim: int = 1
 
 
 def perturb_policy(policy: np.ndarray, eps: float, rng) -> np.ndarray:
-    """Uniform entrywise perturbation of size eps, clamped and row-renormalized."""
+    """Uniform entrywise perturbation of size eps, clamped and row-renormalized.
+
+    `policy` may carry leading axes: a (K, states, signals) stack draws its
+    K perturbations in one call, with the same numbers as K calls on the
+    (states, signals) slices in turn.  A row clamped to all zeros becomes
+    uniform.
+    """
     p = np.clip(policy + rng.uniform(-eps, eps, size=policy.shape), 0.0, 1.0)
-    sums = p.sum(axis=1, keepdims=True)
-    bad = sums[:, 0] <= 1e-12
+    sums = p.sum(axis=-1, keepdims=True)
+    bad = sums[..., 0] <= 1e-12
     if np.any(bad):
-        p[bad] = 1.0 / policy.shape[1]
-        sums = p.sum(axis=1, keepdims=True)
+        p[bad] = 1.0 / policy.shape[-1]
+        sums = p.sum(axis=-1, keepdims=True)
     return p / sums
+
+
+# Slack, relative to the size of a sender's utilities, within which a
+# batched gap may differ from the single-profile one (the two sum the same
+# terms in different orders).  Deviations whose batched gap comes this
+# close to the best one are re-scored on the single-profile path.
+BATCH_GAP_SLACK = 1e-12
 
 
 def local_ne_verify(
@@ -687,34 +701,52 @@ def local_ne_verify(
     """Sampled check that no sender can gain inside an eps-ball of deviations.
 
     Draws K deviations per sender in the infinity-ball (clamped back onto
-    the simplex rows), recomputes the deviator's true ex-ante utility for
-    each, and refutes on the first improvement above 1e-9.
+    the simplex rows) and scores the deviator's true ex-ante utility for
+    each.  The report carries the largest gain over all senders and
+    deviations; the profile is refuted when it exceeds `IMPROVE_TOL`, and
+    the witness is the first deviation (senders in turn) that reaches it.
+
+    Each sender's deviations are drawn and scored by the batched kernel in
+    blocks of one kernel pass, so memory does not grow with K.  Only the
+    deviations whose batched gain comes within `BATCH_GAP_SLACK` of the
+    best one so far (and of `IMPROVE_TOL`) are scored again on the
+    single-profile path, which decides the witness and the reported gain,
+    so the report does not depend on the batch's rounding or block size.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     policy = validate_joint_policy(game, policy)
     K = local_ne_sample_count(game) if samples is None else int(samples)
-    if isinstance(tie, FixedMap):
-        base = ex_ante_utilities_fixed_interpretation(game, policy, tie, term_cap)
-    else:
-        base = ex_ante_utilities(game, policy, tie, term_cap)[0]
+    fixed = isinstance(tie, FixedMap)
 
+    def utilities(prof):
+        if fixed:
+            return ex_ante_utilities_fixed_interpretation(game, prof, tie, term_cap)
+        return ex_ante_utilities(game, prof, tie, term_cap)[0]
+
+    base = utilities(policy)
+    step = batch_rows(game)
     worst_gap = 0.0
     witness = None
     for j in range(game.n_senders):
         rng = substream(seed, f"deviation:{j}")
-        for _ in range(K):
-            dev = perturb_policy(policy[j], eps, rng)
-            prof = policy.copy()
-            prof[j] = dev
-            if isinstance(tie, FixedMap):
-                val = float(ex_ante_utilities_fixed_interpretation(game, prof, tie, term_cap)[j])
-            else:
-                val = float(ex_ante_utilities(game, prof, tie, term_cap)[0][j])
-            gap = val - base[j]
-            if gap > max(IMPROVE_TOL, worst_gap):
-                worst_gap = gap
-                witness = (j, dev)
+        slack = BATCH_GAP_SLACK * max(1.0, float(np.max(np.abs(game.sender_utilities[j]))))
+        best = -np.inf
+        for start in range(0, K, step):
+            m = min(step, K - start)
+            devs = perturb_policy(np.broadcast_to(policy[j], (m, *policy[j].shape)), eps, rng)
+            profiles = np.broadcast_to(policy, (m, *policy.shape)).copy()
+            profiles[:, j] = devs
+            gaps = ex_ante_utilities_batch(game, profiles, tie, term_cap, senders=(j,))[:, 0] - base[j]
+            best = max(best, float(gaps.max()))
+            floor = max(IMPROVE_TOL, worst_gap, best) - slack
+            for k in np.flatnonzero(gaps >= floor):
+                prof = policy.copy()
+                prof[j] = devs[k]
+                gap = float(utilities(prof)[j]) - base[j]
+                if gap > max(IMPROVE_TOL, worst_gap):
+                    worst_gap = gap
+                    witness = (j, devs[k].copy())
 
     if witness is None:
         return EquilibriumReport(

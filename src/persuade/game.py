@@ -15,6 +15,7 @@ and are flattened to a single index with sender 0 most significant:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,7 +288,7 @@ def induced_action_map(game: GameInstance, policy, tie: TieRule, term_cap: int =
     """
     policy = validate_joint_policy(game, policy)
     if isinstance(tie, FixedMap):
-        return np.asarray(tie.table, dtype=int)
+        return fixed_map_table(game, tie)
     q = signal_weights(game, policy, term_cap)
     marg = q.sum(axis=1)
     live = marg > 0
@@ -309,7 +310,7 @@ def ex_ante_utilities(
     policy = validate_joint_policy(game, policy)
     if isinstance(tie, FixedMap):
         return ex_ante_utilities_fixed_interpretation(game, policy, tie, term_cap), _receiver_value(
-            game, policy, np.asarray(tie.table, dtype=int), term_cap
+            game, policy, fixed_map_table(game, tie), term_cap
         )
     q = signal_weights(game, policy, term_cap)
     marg = q.sum(axis=1)
@@ -330,32 +331,80 @@ def _receiver_value(game, policy, table, term_cap):
     return float(np.sum(q * game.receiver_utility[:, table].T))
 
 
+def fixed_map_table(game: GameInstance, interp: FixedMap) -> np.ndarray:
+    """The committed interpretation as an int array, checked against the game.
+
+    It must name one action in range for every joint signal; a negative or
+    too-large action would otherwise index some other action silently.
+    """
+    table = np.asarray(interp.table, dtype=int)
+    if table.shape != (game.n_joint_signals,):
+        raise ValueError(f"interpretation covers {table.size} joint signals, need {game.n_joint_signals}")
+    if np.any(table < 0) or np.any(table >= game.actions):
+        raise ValueError("interpretation contains out-of-range actions")
+    return table
+
+
+# Profiles per pass of the batched kernel.  A pass holds a few arrays of
+# rows x states x joint signals floats, so games with many joint signals
+# take fewer rows per pass and memory stays bounded for any batch size.
+# At 2^18 cells (2 MB per array) the eps-ball check on 7-firm quality-ads
+# and 4x4 ride-hailing ran about 1.4x faster than at 2^20 on a 2-vCPU
+# machine; 2^16 was no faster.  Games of up to 128 states x joint signals
+# still take 2048 rows.
+BATCH_ROWS = 2048
+BATCH_CELLS = 1 << 18
+
+
+def batch_rows(game: GameInstance) -> int:
+    """Profiles per pass of :func:`ex_ante_utilities_batch` on this game."""
+    return max(1, min(BATCH_ROWS, BATCH_CELLS // (game.states * game.n_joint_signals)))
+
+
 def ex_ante_utilities_batch(
-    game: GameInstance, profiles: np.ndarray, tie: TieRule, term_cap: int = DEFAULT_TERM_CAP
+    game: GameInstance,
+    profiles: np.ndarray,
+    tie: TieRule,
+    term_cap: int = DEFAULT_TERM_CAP,
+    *,
+    senders: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Per-sender ex-ante utilities for a batch of joint policies.
 
-    `profiles` is (B, n, states, signals); returns (B, n).  Same exact sum
-    as :func:`ex_ante_utilities`, vectorized across the batch.
+    `profiles` is (B, n, states, signals); returns (B, n), or (B, len(senders))
+    with the columns of just the listed senders.  Same exact sum as
+    :func:`ex_ante_utilities`, vectorized across the batch and run in passes
+    of at most `BATCH_ROWS` profiles.
     """
     profiles = np.asarray(profiles, dtype=float)
-    B = profiles.shape[0]
     check_term_cap(game, term_cap)
+    table = fixed_map_table(game, tie) if isinstance(tie, FixedMap) else None
+    senders = range(game.n_senders) if senders is None else [int(j) for j in senders]
+    B = profiles.shape[0]
+    step = batch_rows(game)
+    out = np.empty((B, len(senders)))
+    for i in range(0, B, step):
+        out[i : i + step] = _batch_pass(game, profiles[i : i + step], tie, table, senders)
+    return out
+
+
+def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, table, senders) -> np.ndarray:
+    B = profiles.shape[0]
     q = np.broadcast_to(game.prior, (B, 1, game.states)).copy()
     for j in range(game.n_senders):
         pj = np.swapaxes(profiles[:, j], 1, 2)          # (B, S, states)
         q = (q[:, :, None, :] * pj[:, None, :, :]).reshape(B, -1, game.states)
     marg = q.sum(axis=2)
     live = marg > 0
-    out = np.zeros((B, game.n_senders))
-    if isinstance(tie, FixedMap):
-        actions = np.broadcast_to(np.asarray(tie.table, dtype=int), (B, game.n_joint_signals))
+    out = np.zeros((B, len(senders)))
+    if table is not None:
+        actions = np.broadcast_to(table, (B, game.n_joint_signals))
     else:
         mu = np.where(live[..., None], q / np.maximum(marg[..., None], 1e-300), 0.0)
         actions = best_actions(game, mu.reshape(-1, game.states), tie).reshape(B, -1)
-    for j, u in enumerate(game.sender_utilities):
-        vals = u.T[actions]                             # (B, S^n, states)
-        out[:, j] = np.sum(np.where(live[..., None], q * vals, 0.0), axis=(1, 2))
+    for col, j in enumerate(senders):
+        vals = game.sender_utilities[j].T[actions]      # (B, S^n, states)
+        out[:, col] = np.sum(np.where(live[..., None], q * vals, 0.0), axis=(1, 2))
     return out
 
 
@@ -368,11 +417,7 @@ def ex_ante_utilities_fixed_interpretation(
     joint signal is read from the map instead of the posterior argmax.
     """
     policy = validate_joint_policy(game, policy)
-    table = np.asarray(interp.table, dtype=int)
-    if table.shape != (game.n_joint_signals,):
-        raise ValueError(f"interpretation covers {table.size} joint signals, need {game.n_joint_signals}")
-    if np.any(table < 0) or np.any(table >= game.actions):
-        raise ValueError("interpretation contains out-of-range actions")
+    table = fixed_map_table(game, interp)
     q = signal_weights(game, policy, term_cap)
     return np.array([float(np.sum(q * u[:, table].T)) for u in game.sender_utilities])
 
@@ -386,7 +431,7 @@ def sample_playthrough(game: GameInstance, policy, tie: TieRule, rng) -> Playthr
     state = int(gen.choice(game.states, p=game.prior))
     signal = tuple(int(gen.choice(game.signals, p=policy[j, state])) for j in range(game.n_senders))
     if isinstance(tie, FixedMap):
-        action = int(np.asarray(tie.table, dtype=int)[joint_signal_index(signal, game.signals)])
+        action = int(fixed_map_table(game, tie)[joint_signal_index(signal, game.signals)])
     else:
         action = receiver_best_action(game, posterior(game, policy, signal), tie)
     return Playthrough(

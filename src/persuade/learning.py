@@ -78,9 +78,7 @@ class UtilityDataset:
         return self.inputs.reshape(-1, g.n_senders, g.states, g.signals)
 
 
-def sample_dataset(
-    game: GameInstance, count: int, tie: TieRule, seed: int, *, chunk: int = 2048
-) -> UtilityDataset:
+def sample_dataset(game: GameInstance, count: int, tie: TieRule, seed: int) -> UtilityDataset:
     """Uniformly sampled joint policies labeled with exact ex-ante utilities.
 
     Rows are flat-Dirichlet draws (normalized unit exponentials), so every
@@ -91,9 +89,7 @@ def sample_dataset(
     rng = substream(seed, "dataset")
     draws = rng.exponential(1.0, size=(count, game.n_senders, game.states, game.signals))
     draws /= draws.sum(axis=3, keepdims=True)
-    labels = np.empty((count, game.n_senders))
-    for i in range(0, count, chunk):
-        labels[i : i + chunk] = ex_ante_utilities_batch(game, draws[i : i + chunk], tie)
+    labels = ex_ante_utilities_batch(game, draws, tie)
     return UtilityDataset(
         inputs=draws.reshape(count, -1), utilities=labels, seed=seed, game=game
     )

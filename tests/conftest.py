@@ -7,7 +7,15 @@ import itertools
 import numpy as np
 import pytest
 
-from persuade.game import GameInstance, ex_ante_utilities_batch
+from persuade.equilibria import EPSILON_LOCAL, IMPROVE_TOL, REFUTED, EquilibriumReport, local_ne_sample_count
+from persuade.game import (
+    FixedMap,
+    GameInstance,
+    ex_ante_utilities,
+    ex_ante_utilities_batch,
+    ex_ante_utilities_fixed_interpretation,
+    validate_joint_policy,
+)
 from persuade.rng import substream
 
 
@@ -46,7 +54,7 @@ def unique_optimum_game(seed, n_choices=(2, 3), dim_cap=4, scale=1.0) -> GameIns
             return g
 
 
-def grid_best_response(game: GameInstance, sender, others, tie, step=0.01, chunk=20000):
+def grid_best_response(game: GameInstance, sender, others, tie, step=0.01):
     """Brute-force oracle: best true utility of `sender` over a grid of its
     policies at the given step (binary signal alphabets only)."""
     assert game.signals == 2, "grid oracle enumerates the 2-signal simplex product"
@@ -64,10 +72,49 @@ def grid_best_response(game: GameInstance, sender, others, tie, step=0.01, chunk
         else:
             profiles[:, j] = others[k][None]
             k += 1
-    best = -np.inf
-    for i in range(0, pts.shape[0], chunk):
-        best = max(best, float(ex_ante_utilities_batch(game, profiles[i : i + chunk], tie)[:, sender].max()))
-    return best
+    return float(ex_ante_utilities_batch(game, profiles, tie)[:, sender].max())
+
+
+def reference_perturb(policy, eps, rng):
+    """One (states, signals) deviation: uniform entrywise noise, clamped,
+    all-zero rows made uniform, rows renormalized."""
+    p = np.clip(policy + rng.uniform(-eps, eps, size=policy.shape), 0.0, 1.0)
+    sums = p.sum(axis=1, keepdims=True)
+    bad = sums[:, 0] <= 1e-12
+    if np.any(bad):
+        p[bad] = 1.0 / policy.shape[1]
+        sums = p.sum(axis=1, keepdims=True)
+    return p / sums
+
+
+def reference_local_ne_verify(game: GameInstance, policy, tie, eps, seed, *, samples=None):
+    """Per-deviation oracle for the eps-ball check: one perturbation and one
+    single-profile exact evaluation per deviation, senders in turn, the
+    first strictly larger gain wins."""
+    policy = validate_joint_policy(game, policy)
+    K = local_ne_sample_count(game) if samples is None else int(samples)
+
+    def utilities(prof):
+        if isinstance(tie, FixedMap):
+            return ex_ante_utilities_fixed_interpretation(game, prof, tie)
+        return ex_ante_utilities(game, prof, tie)[0]
+
+    base = utilities(policy)
+    worst_gap = 0.0
+    witness = None
+    for j in range(game.n_senders):
+        rng = substream(seed, f"deviation:{j}")
+        for _ in range(K):
+            dev = reference_perturb(policy[j], eps, rng)
+            prof = policy.copy()
+            prof[j] = dev
+            gap = float(utilities(prof)[j]) - base[j]
+            if gap > max(IMPROVE_TOL, worst_gap):
+                worst_gap = gap
+                witness = (j, dev)
+    if witness is None:
+        return EquilibriumReport(EPSILON_LOCAL, base, worst_gap, samples=K, eps=eps)
+    return EquilibriumReport(REFUTED, base, worst_gap, witness[0], witness[1], samples=K, eps=eps)
 
 
 def enumerate_basic_optima(c, A_ub, b_ub):

@@ -15,6 +15,7 @@ from persuade.equilibria import (
     joint_conditional,
     local_ne_sample_count,
     local_ne_verify,
+    perturb_policy,
     verify_nash,
 )
 from persuade.game import (
@@ -29,8 +30,16 @@ from persuade.game import (
 from persuade.reference import didactic_game, two_block_equilibrium_policies, two_block_game
 from persuade.reductions import BimatrixGame, bimatrix_to_persuasion
 from persuade.rng import substream
+from persuade.scenarios import SyntheticSpec, product_ads_instance, quality_ads_instance, synthetic_instance
 
-from conftest import grid_best_response, random_game, random_profile, unique_optimum_game
+from conftest import (
+    grid_best_response,
+    random_game,
+    random_profile,
+    reference_local_ne_verify,
+    reference_perturb,
+    unique_optimum_game,
+)
 
 SF = SenderFavoring()
 LEX = Lexicographic()
@@ -258,6 +267,123 @@ class TestLocalVerify:
         a = local_ne_verify(g, pol, LEX, eps=0.01, seed=42, samples=50)
         b = local_ne_verify(g, pol, LEX, eps=0.01, seed=42, samples=50)
         assert a.verdict == b.verdict and a.max_improvement == b.max_improvement
+
+
+def assert_same_report(got, want):
+    assert got.verdict == want.verdict
+    assert got.max_improvement == want.max_improvement
+    assert got.witness_sender == want.witness_sender
+    if want.witness_policy is None:
+        assert got.witness_policy is None
+    else:
+        assert np.array_equal(got.witness_policy, want.witness_policy)
+    assert np.array_equal(got.utilities, want.utilities)
+    assert (got.samples, got.eps) == (want.samples, want.eps)
+
+
+LOCAL_FAMILIES = [
+    ("two-block", lambda s: two_block_game()),
+    ("synthetic(3,3,2,3)", lambda s: synthetic_instance(SyntheticSpec(3, 3, 2, 3, s))),
+    ("quality-ads(3)", lambda s: quality_ads_instance(3, s)),
+    ("product-ads(2)", lambda s: product_ads_instance(2, s)),
+    ("synthetic(2,4,3,4)", lambda s: synthetic_instance(SyntheticSpec(2, 4, 3, 4, s))),
+]
+
+
+class TestLocalVerifyMatchesPerDeviationLoop:
+    """The batched eps-ball check reports exactly what scoring one deviation
+    at a time on the single-profile path reports."""
+
+    @pytest.mark.parametrize("family,make", LOCAL_FAMILIES, ids=[f for f, _ in LOCAL_FAMILIES])
+    @pytest.mark.parametrize("tie", [LEX, SF], ids=["lex", "sf"])
+    @pytest.mark.parametrize("eps", [0.005, 0.05])
+    def test_random_profiles(self, family, make, tie, eps):
+        rng = substream(7, f"local-diff:{family}")
+        for k in range(2):
+            g = make(int(rng.integers(1000)))
+            prof = random_profile(g, rng)
+            if k:
+                # sharpen toward a deterministic profile: rows on the simplex
+                # boundary, where clamping and ties bite
+                prof = prof**8 / (prof**8).sum(axis=2, keepdims=True)
+            seed = int(rng.integers(2**31))
+            got = local_ne_verify(g, prof, tie, eps, seed, samples=60)
+            assert_same_report(got, reference_local_ne_verify(g, prof, tie, eps, seed, samples=60))
+
+    @pytest.mark.parametrize("eps", [0.005, 0.05])
+    def test_equilibria_stay_epsilon_local(self, eps):
+        cases = [(two_block_game(), two_block_equilibrium_policies(), SF)]
+        cases += [(g, full_revelation_profile(g)[0], LEX) for g in (unique_optimum_game(seed=960 + k) for k in range(2))]
+        for g, prof, tie in cases:
+            got = local_ne_verify(g, prof, tie, eps, 3, samples=100)
+            assert_same_report(got, reference_local_ne_verify(g, prof, tie, eps, 3, samples=100))
+            assert got.verdict == EPSILON_LOCAL
+
+    @pytest.mark.parametrize("eps", [0.005, 0.05])
+    def test_fixed_map_from_bimatrix_reduction(self, eps):
+        rng = substream(8, "local-diff:bimatrix")
+        for _ in range(3):
+            g, amap = bimatrix_to_persuasion(BimatrixGame(u1=rng.integers(0, 2, (3, 3)), u2=rng.integers(0, 2, (3, 3))))
+            prof = random_profile(g, rng)
+            got = local_ne_verify(g, prof, amap, eps, 5, samples=100)
+            assert_same_report(got, reference_local_ne_verify(g, prof, amap, eps, 5, samples=100))
+
+    def test_default_budget(self):
+        g = didactic_game()
+        pol = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9]]])
+        got = local_ne_verify(g, pol, LEX, 0.005, 1)
+        assert got.samples == local_ne_sample_count(g)
+        assert_same_report(got, reference_local_ne_verify(g, pol, LEX, 0.005, 1))
+
+    def test_wide_ball_clamps_whole_rows(self):
+        # at eps 0.6 both entries of a (0.5, 0.5) row can clamp to zero;
+        # such rows become uniform
+        g = didactic_game()
+        pol = np.full((2, 2, 2), 0.5)
+        devs = perturb_policy(np.broadcast_to(pol[0], (300, 2, 2)), 0.6, substream(4, "deviation:0"))
+        clamped = np.all(devs == 0.5, axis=2)
+        assert clamped.any()
+        for tie in (LEX, SF):
+            got = local_ne_verify(g, pol, tie, 0.6, 4, samples=300)
+            assert_same_report(got, reference_local_ne_verify(g, pol, tie, 0.6, 4, samples=300))
+
+    def test_blocks_of_any_size_give_the_same_report(self, monkeypatch):
+        # deviations are drawn and scored one kernel pass at a time; the
+        # block size must not change the report, and no kernel call may
+        # take more rows than one pass
+        import persuade.equilibria
+        import persuade.game
+
+        g = synthetic_instance(SyntheticSpec(2, 4, 3, 4, 1))
+        rng = np.random.default_rng(12)
+        profiles = [random_profile(g, rng) for _ in range(3)]
+        whole = [local_ne_verify(g, prof, SF, 0.05, 6, samples=150) for prof in profiles]
+        assert any(r.verdict == REFUTED for r in whole)
+        seen = []
+
+        def recording_batch(game, profs, *args, **kwargs):
+            seen.append(len(profs))
+            return persuade.game.ex_ante_utilities_batch(game, profs, *args, **kwargs)
+
+        monkeypatch.setattr(persuade.equilibria, "ex_ante_utilities_batch", recording_batch)
+        # blocks of 16 rows (bound by rows), of 5 rows (bound by cells), of 1 row
+        for rows, cells in ((16, 1 << 20), (2048, 5 * g.states * g.n_joint_signals), (1, 1 << 20)):
+            monkeypatch.setattr(persuade.game, "BATCH_ROWS", rows)
+            monkeypatch.setattr(persuade.game, "BATCH_CELLS", cells)
+            seen.clear()
+            for prof, ref in zip(profiles, whole):
+                assert_same_report(local_ne_verify(g, prof, SF, 0.05, 6, samples=150), ref)
+            assert max(seen) == persuade.game.batch_rows(g)
+        for prof, ref in zip(profiles, whole):
+            assert_same_report(ref, reference_local_ne_verify(g, prof, SF, 0.05, 6, samples=150))
+
+    def test_stacked_perturbation_draws_the_same_deviations(self):
+        g = synthetic_instance(SyntheticSpec(2, 4, 3, 4, 1))
+        pol = random_profile(g, np.random.default_rng(2))[0]
+        stack = perturb_policy(np.broadcast_to(pol, (50, *pol.shape)), 0.3, substream(9, "x"))
+        rng = substream(9, "x")
+        for dev in stack:
+            assert np.array_equal(dev, reference_perturb(pol, 0.3, rng))
 
 
 class TestIncentiveSetConvexity:

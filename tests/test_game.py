@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persuade.equilibria import incentive_rows, joint_conditional
 from persuade.game import (
     CapError,
     FixedMap,
@@ -10,6 +11,7 @@ from persuade.game import (
     Lexicographic,
     SenderFavoring,
     ex_ante_utilities,
+    ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
     exact_payoff_variance,
     induced_action_map,
@@ -128,6 +130,22 @@ class TestExAnteUtilities:
         with pytest.raises(CapError):
             ex_ante_utilities(g, random_profile(g, np.random.default_rng(1)), LEX)
 
+    def test_batch_passes_do_not_change_results(self, rng, monkeypatch):
+        import persuade.game
+
+        g = random_game(3, 3, 2, 3, rng)
+        profiles = np.stack([random_profile(g, rng) for _ in range(11)])
+        whole = ex_ante_utilities_batch(g, profiles, SF)
+        # passes of 4 rows (bound by rows), then of 3 rows (bound by cells)
+        for rows, cells in ((4, 1 << 20), (2048, 3 * g.states * g.n_joint_signals)):
+            monkeypatch.setattr(persuade.game, "BATCH_ROWS", rows)
+            monkeypatch.setattr(persuade.game, "BATCH_CELLS", cells)
+            assert np.array_equal(ex_ante_utilities_batch(g, profiles, SF), whole)
+        for cols in ((2,), (1, 0)):
+            assert np.array_equal(ex_ante_utilities_batch(g, profiles, SF, senders=cols), whole[:, cols])
+        for prof, got in zip(profiles, whole):
+            assert np.allclose(got, ex_ante_utilities(g, prof, SF)[0], atol=1e-12)
+
 
 class TestFixedInterpretation:
     def test_matches_argmax_when_interp_agrees(self, rng):
@@ -154,6 +172,22 @@ class TestFixedInterpretation:
         g = didactic_game()
         with pytest.raises(ValueError):
             ex_ante_utilities_fixed_interpretation(g, one_hot_profile(g), FixedMap(table=(0, 1)))
+
+    @pytest.mark.parametrize("table", [(-1,) * 16, (4,) * 16, (0, 1)], ids=["negative", "too-large", "short"])
+    def test_bad_table_rejected_on_every_path(self, table):
+        g = two_block_game()
+        pol = two_block_equilibrium_policies()
+        with pytest.raises(ValueError, match="interpretation"):
+            ex_ante_utilities_fixed_interpretation(g, pol, FixedMap(table))
+        with pytest.raises(ValueError, match="interpretation"):
+            ex_ante_utilities_batch(g, pol[None], FixedMap(table))
+        for other in (ex_ante_utilities, induced_action_map, exact_payoff_variance):
+            with pytest.raises(ValueError, match="interpretation"):
+                other(g, pol, FixedMap(table))
+        with pytest.raises(ValueError, match="interpretation"):
+            incentive_rows(g, joint_conditional(g, pol), FixedMap(table))
+        with pytest.raises(ValueError, match="interpretation"):
+            sample_playthrough(g, pol, FixedMap(table), rng=0)
 
 
 class TestSampling:

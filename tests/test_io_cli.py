@@ -137,6 +137,25 @@ class TestCliCommands:
         assert run_cli(["exact", "verify", "--game", tmp_path / "absent.json",
                         "--policy", tmp_path / "nope.json", "--out", tmp_path / "r.json"]) == 3
 
+    def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        import persuade.cli
+        import persuade.equilibria
+        from persuade.lp import LpFailure
+
+        def fail(*args, **kwargs):
+            raise LpFailure("pivot cap reached")
+
+        monkeypatch.setattr(persuade.equilibria, "best_response_exact", fail)
+        monkeypatch.setattr(persuade.cli, "best_response_exact", fail)
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        write_game(game_path, two_block_game(), tie=SenderFavoring())
+        write_policies(pol_path, two_block_equilibrium_policies())
+        for what, extra in (("verify", []), ("best-response", ["--sender", 0])):
+            code = run_cli(["exact", what, "--game", game_path, "--policy", pol_path,
+                            "--out", tmp_path / f"{what}.json", *extra])
+            assert code == 4
+            assert "solver error: pivot cap reached" in capsys.readouterr().err
+
     def test_missing_config_field_names_it(self, tmp_path, capsys):
         game_path = tmp_path / "g.json"
         write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))

@@ -1,0 +1,24 @@
+"""Smoke run of the committed benchmark harness against the package."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_evaluate_local_smoke_run(trace):
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", "evaluate-local",
+         "--smoke", "--seed", "1", "--seconds", "1", "--trace", str(trace)],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
