@@ -87,7 +87,6 @@ def _require(doc: dict, field: str):
 def _common_flags(p):
     p.add_argument("--seed", type=int, default=None, help="root seed; named sub-streams derive from it")
     p.add_argument("--out", required=True, help="output file or directory")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (recorded; execution is sequential)")
     p.add_argument("--eps", type=float, default=None, help="local-equilibrium neighborhood radius")
     p.add_argument("--tie", default="lex", choices=["lex", "sender-favoring"], help="receiver tie rule")
 

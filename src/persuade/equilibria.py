@@ -37,6 +37,7 @@ from .game import (
     induced_action_map,
     joint_signal_index,
     joint_signals,
+    product_weights,
     validate_joint_policy,
     validate_policy,
 )
@@ -110,14 +111,10 @@ def _context_weights(game: GameInstance, others: list) -> tuple[np.ndarray, np.n
     Returns (contexts, W) with contexts an ((S)^(n-1), n-1) int array in
     flat order (first opponent most significant).
     """
-    n_others = len(others)
-    if n_others == 0:
-        return np.zeros((1, 0), dtype=int), game.prior[None, :].copy()
-    ctx = joint_signals(n_others, game.signals)
-    W = game.prior[None, :].copy()
-    for pol in others:
-        W = (W[:, None, :] * pol.T[None, :, :]).reshape(-1, game.states)
-    return ctx, W
+    W = product_weights(game.prior, np.reshape(others, (len(others), game.states, game.signals)))
+    if not others:
+        return np.zeros((1, 0), dtype=int), W
+    return joint_signals(len(others), game.signals), W
 
 
 def _insert_signal(ctx_row, sender: int, sig: int) -> tuple:
@@ -164,11 +161,7 @@ def incentive_rows(game: GameInstance, joint_conditional: np.ndarray, interp: Fi
 
 def joint_conditional(game: GameInstance, policy) -> np.ndarray:
     """(S^n, states) conditional joint-signal table of a product profile."""
-    policy = validate_joint_policy(game, policy)
-    cond = np.ones((1, game.states))
-    for j in range(game.n_senders):
-        cond = (cond[:, None, :] * policy[j].T[None, :, :]).reshape(-1, game.states)
-    return cond
+    return product_weights(np.ones(game.states), validate_joint_policy(game, policy))
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +547,7 @@ def verify_nash(
     tie rules are verified against the fixed-interpretation best response.
     """
     policy = validate_joint_policy(game, policy)
-    if isinstance(tie, FixedMap):
-        base = ex_ante_utilities_fixed_interpretation(game, policy, tie, term_cap)
-    else:
-        base = ex_ante_utilities(game, policy, tie, term_cap)[0]
+    base = ex_ante_utilities(game, policy, tie, term_cap)[0]
 
     worst_gap = 0.0
     witness = None
@@ -681,13 +671,6 @@ def perturb_policy(policy: np.ndarray, eps: float, rng) -> np.ndarray:
     return p / sums
 
 
-# Slack, relative to the size of a sender's utilities, within which a
-# batched gap may differ from the single-profile one (the two sum the same
-# terms in different orders).  Deviations whose batched gap comes this
-# close to the best one are re-scored on the single-profile path.
-BATCH_GAP_SLACK = 1e-12
-
-
 def local_ne_verify(
     game: GameInstance,
     policy,
@@ -706,47 +689,34 @@ def local_ne_verify(
     deviations; the profile is refuted when it exceeds `IMPROVE_TOL`, and
     the witness is the first deviation (senders in turn) that reaches it.
 
-    Each sender's deviations are drawn and scored by the batched kernel in
-    blocks of one kernel pass, so memory does not grow with K.  Only the
-    deviations whose batched gain comes within `BATCH_GAP_SLACK` of the
-    best one so far (and of `IMPROVE_TOL`) are scored again on the
-    single-profile path, which decides the witness and the reported gain,
-    so the report does not depend on the batch's rounding or block size.
+    Each sender's deviations are drawn and scored in blocks of one pass of
+    the batched kernel, so memory does not grow with K.  A kernel row does
+    not depend on the pass it runs in, and :func:`ex_ante_utilities` is a
+    one-row pass, so each block's gains are the single-profile gains bit
+    for bit.  Taking the block's first largest gain, and replacing the
+    witness only on a strictly larger one, therefore reports exactly what
+    scoring the deviations one at a time would, for any block size.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     policy = validate_joint_policy(game, policy)
     K = local_ne_sample_count(game) if samples is None else int(samples)
-    fixed = isinstance(tie, FixedMap)
-
-    def utilities(prof):
-        if fixed:
-            return ex_ante_utilities_fixed_interpretation(game, prof, tie, term_cap)
-        return ex_ante_utilities(game, prof, tie, term_cap)[0]
-
-    base = utilities(policy)
+    base = ex_ante_utilities(game, policy, tie, term_cap)[0]
     step = batch_rows(game)
     worst_gap = 0.0
     witness = None
     for j in range(game.n_senders):
         rng = substream(seed, f"deviation:{j}")
-        slack = BATCH_GAP_SLACK * max(1.0, float(np.max(np.abs(game.sender_utilities[j]))))
-        best = -np.inf
         for start in range(0, K, step):
             m = min(step, K - start)
             devs = perturb_policy(np.broadcast_to(policy[j], (m, *policy[j].shape)), eps, rng)
             profiles = np.broadcast_to(policy, (m, *policy.shape)).copy()
             profiles[:, j] = devs
             gaps = ex_ante_utilities_batch(game, profiles, tie, term_cap, senders=(j,))[:, 0] - base[j]
-            best = max(best, float(gaps.max()))
-            floor = max(IMPROVE_TOL, worst_gap, best) - slack
-            for k in np.flatnonzero(gaps >= floor):
-                prof = policy.copy()
-                prof[j] = devs[k]
-                gap = float(utilities(prof)[j]) - base[j]
-                if gap > max(IMPROVE_TOL, worst_gap):
-                    worst_gap = gap
-                    witness = (j, devs[k].copy())
+            k = int(np.argmax(gaps))
+            if gaps[k] > max(IMPROVE_TOL, worst_gap):
+                worst_gap = float(gaps[k])
+                witness = (j, devs[k].copy())
 
     if witness is None:
         return EquilibriumReport(

@@ -187,6 +187,22 @@ def check_term_cap(game: GameInstance, term_cap: int = DEFAULT_TERM_CAP) -> None
         raise CapError(f"exact enumeration needs {terms} terms, above the cap of {term_cap}")
 
 
+def product_weights(prior: np.ndarray, policies: np.ndarray) -> np.ndarray:
+    """Kronecker product of a prior with the policies on axis -3.
+
+    `policies` is (..., m, states, signals); returns (..., S^m, states) with
+    q[..., s, w] = prior(w) * prod_j policies[..., j, w, s_j] and joint
+    signals in flat order (policy 0 most significant).
+    """
+    *lead, m, states, _ = policies.shape
+    q = np.array(prior[None, :])
+    for j in range(m):
+        pj = policies[..., j, None, :, :].swapaxes(-1, -2)        # (..., 1, S, states)
+        # (..., k, states) -> (..., k*S, states), new signal index varying fastest
+        q = (q[..., :, None, :] * pj).reshape(*lead, -1, states)
+    return q
+
+
 def signal_weights(game: GameInstance, policy: np.ndarray, term_cap: int = DEFAULT_TERM_CAP) -> np.ndarray:
     """Unnormalized posterior weights q[s, w] = prior(w) * prod_j pi_j(s_j | w).
 
@@ -194,11 +210,7 @@ def signal_weights(game: GameInstance, policy: np.ndarray, term_cap: int = DEFAU
     whole array sums to 1.
     """
     check_term_cap(game, term_cap)
-    q = game.prior[None, :].copy()              # (1, states)
-    for j in range(game.n_senders):
-        # (k, states) -> (k*S, states), new signal index varying fastest
-        q = (q[:, None, :] * policy[j].T[None, :, :]).reshape(-1, game.states)
-    return q
+    return product_weights(game.prior, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +240,8 @@ def best_actions(game: GameInstance, posteriors: np.ndarray, tie: TieRule, tol: 
         w = tie.weights if tie.weights is not None else (1.0,) * game.n_senders
         if len(w) != game.n_senders:
             raise ValueError("need one weight per sender")
-        score = sum(float(wj) * (mu @ uj) for wj, uj in zip(w, game.sender_utilities))
-        score = np.where(tied, score, -np.inf)
+        weighted = sum(float(wj) * uj for wj, uj in zip(w, game.sender_utilities))
+        score = np.where(tied, mu @ weighted, -np.inf)
         best = score >= score.max(axis=1, keepdims=True) - tol
         mass = mu @ _expost_optimal(game, tol)
         mass = np.where(best, mass, -np.inf)
@@ -280,6 +292,23 @@ def receiver_best_action(game: GameInstance, post: Posterior | np.ndarray, tie: 
     return int(best_actions(game, mu[None, :], tie)[0])
 
 
+def _receiver_actions(game: GameInstance, q: np.ndarray, tie: TieRule, table=None) -> tuple[np.ndarray, np.ndarray]:
+    """The receiver's action at every joint signal of the weights `q`.
+
+    `q` is (..., S^n, states) as from :func:`product_weights`.  Returns
+    ``(actions, live)``, both shaped like the joint-signal marginals; `live`
+    marks the joint signals with positive probability.  A FixedMap's
+    `table` supplies the actions directly.  A dead joint signal has the zero
+    posterior, which ties every action, so every tie rule gives it action 0.
+    """
+    marg = q.sum(axis=-1)
+    live = marg > 0
+    if table is not None:
+        return np.broadcast_to(table, marg.shape), live
+    mu = np.where(live[..., None], q / np.maximum(marg[..., None], 1e-300), 0.0)
+    return best_actions(game, mu.reshape(-1, game.states), tie).reshape(marg.shape), live
+
+
 def induced_action_map(game: GameInstance, policy, tie: TieRule, term_cap: int = DEFAULT_TERM_CAP) -> np.ndarray:
     """The receiver's action at every joint signal under the given profile.
 
@@ -289,13 +318,7 @@ def induced_action_map(game: GameInstance, policy, tie: TieRule, term_cap: int =
     policy = validate_joint_policy(game, policy)
     if isinstance(tie, FixedMap):
         return fixed_map_table(game, tie)
-    q = signal_weights(game, policy, term_cap)
-    marg = q.sum(axis=1)
-    live = marg > 0
-    actions = np.zeros(q.shape[0], dtype=int)
-    if np.any(live):
-        actions[live] = best_actions(game, q[live] / marg[live, None], tie)
-    return actions
+    return _receiver_actions(game, signal_weights(game, policy, term_cap), tie)[0]
 
 
 def ex_ante_utilities(
@@ -305,30 +328,15 @@ def ex_ante_utilities(
 
     Sums over all states and joint signals: each signal contributes its
     unnormalized posterior weight times the utility of the receiver's
-    induced action.  Returns ``(sender_utilities, receiver_utility)``.
+    induced action (read from the table for a FixedMap).  Returns
+    ``(sender_utilities, receiver_utility)``.  This is a one-row pass of the
+    batched kernel, so it equals the matching row of
+    :func:`ex_ante_utilities_batch` bit for bit.
     """
     policy = validate_joint_policy(game, policy)
-    if isinstance(tie, FixedMap):
-        return ex_ante_utilities_fixed_interpretation(game, policy, tie, term_cap), _receiver_value(
-            game, policy, fixed_map_table(game, tie), term_cap
-        )
-    q = signal_weights(game, policy, term_cap)
-    marg = q.sum(axis=1)
-    live = marg > 0
-    senders = np.zeros(game.n_senders)
-    receiver = 0.0
-    if np.any(live):
-        actions = best_actions(game, q[live] / marg[live, None], tie)
-        ql = q[live]
-        for j, u in enumerate(game.sender_utilities):
-            senders[j] = float(np.sum(ql * u[:, actions].T))
-        receiver = float(np.sum(ql * game.receiver_utility[:, actions].T))
-    return senders, receiver
-
-
-def _receiver_value(game, policy, table, term_cap):
-    q = signal_weights(game, policy, term_cap)
-    return float(np.sum(q * game.receiver_utility[:, table].T))
+    table = _kernel_table(game, tie, term_cap)
+    row = _batch_pass(game, policy[None], tie, table, (*game.sender_utilities, game.receiver_utility))[0]
+    return row[:-1], float(row[-1])
 
 
 def fixed_map_table(game: GameInstance, interp: FixedMap) -> np.ndarray:
@@ -356,6 +364,12 @@ BATCH_ROWS = 2048
 BATCH_CELLS = 1 << 18
 
 
+def _kernel_table(game: GameInstance, tie: TieRule, term_cap: int):
+    """Check the term cap; the FixedMap table, or None for a posterior rule."""
+    check_term_cap(game, term_cap)
+    return fixed_map_table(game, tie) if isinstance(tie, FixedMap) else None
+
+
 def batch_rows(game: GameInstance) -> int:
     """Profiles per pass of :func:`ex_ante_utilities_batch` on this game."""
     return max(1, min(BATCH_ROWS, BATCH_CELLS // (game.states * game.n_joint_signals)))
@@ -377,49 +391,37 @@ def ex_ante_utilities_batch(
     of at most `BATCH_ROWS` profiles.
     """
     profiles = np.asarray(profiles, dtype=float)
-    check_term_cap(game, term_cap)
-    table = fixed_map_table(game, tie) if isinstance(tie, FixedMap) else None
+    table = _kernel_table(game, tie, term_cap)
     senders = range(game.n_senders) if senders is None else [int(j) for j in senders]
+    utilities = [game.sender_utilities[j] for j in senders]
     B = profiles.shape[0]
     step = batch_rows(game)
-    out = np.empty((B, len(senders)))
+    out = np.empty((B, len(utilities)))
     for i in range(0, B, step):
-        out[i : i + step] = _batch_pass(game, profiles[i : i + step], tie, table, senders)
+        out[i : i + step] = _batch_pass(game, profiles[i : i + step], tie, table, utilities)
     return out
 
 
-def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, table, senders) -> np.ndarray:
-    B = profiles.shape[0]
-    q = np.broadcast_to(game.prior, (B, 1, game.states)).copy()
-    for j in range(game.n_senders):
-        pj = np.swapaxes(profiles[:, j], 1, 2)          # (B, S, states)
-        q = (q[:, :, None, :] * pj[:, None, :, :]).reshape(B, -1, game.states)
-    marg = q.sum(axis=2)
-    live = marg > 0
-    out = np.zeros((B, len(senders)))
-    if table is not None:
-        actions = np.broadcast_to(table, (B, game.n_joint_signals))
-    else:
-        mu = np.where(live[..., None], q / np.maximum(marg[..., None], 1e-300), 0.0)
-        actions = best_actions(game, mu.reshape(-1, game.states), tie).reshape(B, -1)
-    for col, j in enumerate(senders):
-        vals = game.sender_utilities[j].T[actions]      # (B, S^n, states)
-        out[:, col] = np.sum(np.where(live[..., None], q * vals, 0.0), axis=(1, 2))
+def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, table, utilities) -> np.ndarray:
+    """(B, len(utilities)): sum over states and live joint signals of q * u[state, action].
+
+    Each column is summed on its own, so a column's value does not depend
+    on which other columns are asked for, nor on the other rows of the pass.
+    """
+    q = product_weights(game.prior, profiles)                  # (B, S^n, states)
+    actions, live = _receiver_actions(game, q, tie, table)
+    q = np.where(live[..., None], q, 0.0)
+    out = np.empty((q.shape[0], len(utilities)))
+    for col, u in enumerate(utilities):
+        out[:, col] = np.sum(q * u.T[actions], axis=(1, 2))   # u.T[actions]: (B, S^n, states)
     return out
 
 
 def ex_ante_utilities_fixed_interpretation(
     game: GameInstance, policy, interp: FixedMap, term_cap: int = DEFAULT_TERM_CAP
 ) -> np.ndarray:
-    """Expected sender payoffs when the receiver plays a committed signal map.
-
-    Same exact sum as :func:`ex_ante_utilities`, but the action at each
-    joint signal is read from the map instead of the posterior argmax.
-    """
-    policy = validate_joint_policy(game, policy)
-    table = fixed_map_table(game, interp)
-    q = signal_weights(game, policy, term_cap)
-    return np.array([float(np.sum(q * u[:, table].T)) for u in game.sender_utilities])
+    """Expected sender payoffs when the receiver plays the committed signal map `interp`."""
+    return ex_ante_utilities(game, policy, interp, term_cap)[0]
 
 
 def sample_playthrough(game: GameInstance, policy, tie: TieRule, rng) -> Playthrough:
@@ -465,11 +467,8 @@ def simulate_mean_payoffs(game: GameInstance, policy, tie: TieRule, count: int, 
 def exact_payoff_variance(game: GameInstance, policy, tie: TieRule) -> np.ndarray:
     """Exact per-sender variance of the one-round payoff distribution."""
     policy = validate_joint_policy(game, policy)
-    q = signal_weights(game, policy)
-    table = induced_action_map(game, policy, tie)
-    out = np.zeros(game.n_senders)
-    for j, u in enumerate(game.sender_utilities):
-        vals = u[:, table].T            # (S^n, states)
-        mean = float(np.sum(q * vals))
-        out[j] = float(np.sum(q * vals**2)) - mean**2
-    return out
+    table = _kernel_table(game, tie, DEFAULT_TERM_CAP)
+    utilities = (*game.sender_utilities, *(u**2 for u in game.sender_utilities))
+    row = _batch_pass(game, policy[None], tie, table, utilities)[0]
+    mean, square = row[: game.n_senders], row[game.n_senders :]
+    return square - mean**2

@@ -14,6 +14,9 @@ from persuade.game import (
     ex_ante_utilities,
     ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
+    joint_signals,
+    posterior,
+    receiver_best_action,
     validate_joint_policy,
 )
 from persuade.rng import substream
@@ -52,6 +55,25 @@ def unique_optimum_game(seed, n_choices=(2, 3), dim_cap=4, scale=1.0) -> GameIns
         used = len(set(int(a) for a in V.argmax(axis=1)))
         if signals ** (n - 1) >= used:
             return g
+
+
+def reference_ex_ante(game: GameInstance, policy, tie):
+    """Per-joint-signal oracle for the exact sum: the posterior and the
+    receiver's action (read from the table for a FixedMap) one joint signal
+    at a time, unreachable joint signals skipped.  Returns
+    ``(sender_utilities, receiver_utility)``."""
+    policy = validate_joint_policy(game, policy)
+    senders = np.zeros(game.n_senders)
+    receiver = 0.0
+    for k, signal in enumerate(joint_signals(game.n_senders, game.signals)):
+        post = posterior(game, policy, signal)
+        if post.is_null:
+            continue
+        a = tie.table[k] if isinstance(tie, FixedMap) else receiver_best_action(game, post, tie)
+        weights = post.marginal * post.mu
+        senders += [weights @ u[:, a] for u in game.sender_utilities]
+        receiver += weights @ game.receiver_utility[:, a]
+    return senders, receiver
 
 
 def grid_best_response(game: GameInstance, sender, others, tie, step=0.01):

@@ -377,6 +377,23 @@ class TestLocalVerifyMatchesPerDeviationLoop:
         for prof, ref in zip(profiles, whole):
             assert_same_report(ref, reference_local_ne_verify(g, prof, SF, 0.05, 6, samples=150))
 
+    def test_deviations_are_scored_only_in_kernel_passes(self, monkeypatch):
+        # the base profile is the one single-profile evaluation; a refuting
+        # deviation is not scored again outside its kernel pass
+        import persuade.equilibria
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return ex_ante_utilities(*args, **kwargs)
+
+        monkeypatch.setattr(persuade.equilibria, "ex_ante_utilities", counting)
+        g = synthetic_instance(SyntheticSpec(2, 4, 3, 4, 1))
+        prof = random_profile(g, np.random.default_rng(12))
+        assert local_ne_verify(g, prof, SF, 0.05, 6, samples=150).verdict == REFUTED
+        assert len(calls) == 1
+
     def test_stacked_perturbation_draws_the_same_deviations(self):
         g = synthetic_instance(SyntheticSpec(2, 4, 3, 4, 1))
         pol = random_profile(g, np.random.default_rng(2))[0]

@@ -26,7 +26,7 @@ from persuade.game import (
 )
 from persuade.reference import didactic_game, two_block_equilibrium_policies, two_block_game
 
-from conftest import random_game, random_profile
+from conftest import random_game, random_profile, reference_ex_ante
 
 SF = SenderFavoring()
 LEX = Lexicographic()
@@ -135,16 +135,30 @@ class TestExAnteUtilities:
 
         g = random_game(3, 3, 2, 3, rng)
         profiles = np.stack([random_profile(g, rng) for _ in range(11)])
-        whole = ex_ante_utilities_batch(g, profiles, SF)
-        # passes of 4 rows (bound by rows), then of 3 rows (bound by cells)
-        for rows, cells in ((4, 1 << 20), (2048, 3 * g.states * g.n_joint_signals)):
-            monkeypatch.setattr(persuade.game, "BATCH_ROWS", rows)
-            monkeypatch.setattr(persuade.game, "BATCH_CELLS", cells)
-            assert np.array_equal(ex_ante_utilities_batch(g, profiles, SF), whole)
-        for cols in ((2,), (1, 0)):
-            assert np.array_equal(ex_ante_utilities_batch(g, profiles, SF, senders=cols), whole[:, cols])
-        for prof, got in zip(profiles, whole):
-            assert np.allclose(got, ex_ante_utilities(g, prof, SF)[0], atol=1e-12)
+        # zero the small entries of every other profile, so some joint
+        # signals are unreachable there
+        sparse = np.where(profiles < 0.3, 0.0, profiles)
+        profiles[::2] = (sparse / sparse.sum(axis=3, keepdims=True))[::2]
+        assert any(np.any(signal_weights(g, p).sum(axis=1) == 0) for p in profiles)
+        # a table that changes when the senders are reordered, so the
+        # joint-signal order is checked too
+        fixed = FixedMap(tuple(k // 3 % g.actions for k in range(g.n_joint_signals)))
+        for tie in (LEX, SF, fixed):
+            whole = ex_ante_utilities_batch(g, profiles, tie)
+            # passes of 4 rows (bound by rows), then of 3 rows (bound by cells)
+            for rows, cells in ((4, 1 << 20), (2048, 3 * g.states * g.n_joint_signals)):
+                monkeypatch.setattr(persuade.game, "BATCH_ROWS", rows)
+                monkeypatch.setattr(persuade.game, "BATCH_CELLS", cells)
+                assert np.array_equal(ex_ante_utilities_batch(g, profiles, tie), whole)
+            monkeypatch.undo()
+            for cols in ((2,), (1, 0)):
+                assert np.array_equal(ex_ante_utilities_batch(g, profiles, tie, senders=cols), whole[:, cols])
+            for prof, got in zip(profiles, whole):
+                senders, receiver = ex_ante_utilities(g, prof, tie)
+                assert np.array_equal(got, senders)
+                want_senders, want_receiver = reference_ex_ante(g, prof, tie)
+                assert np.allclose(senders, want_senders, atol=1e-12)
+                assert receiver == pytest.approx(want_receiver, abs=1e-12)
 
 
 class TestFixedInterpretation:

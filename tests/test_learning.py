@@ -21,6 +21,8 @@ from persuade.learning import _ascent_direction
 from persuade.reference import didactic_game, two_block_game, two_block_equilibrium_policies
 from persuade.rng import substream
 
+from conftest import reference_ex_ante
+
 LEX = Lexicographic()
 
 
@@ -31,11 +33,13 @@ class TestDataset:
 
     def test_labels_reproducible_from_game(self):
         g = didactic_game()
-        ds = sample_dataset(g, 300, LEX, seed=2)
-        again = ex_ante_utilities_batch(g, ds.policies(), LEX)
-        assert np.allclose(again, ds.utilities, atol=1e-12)
-        single = np.array([ex_ante_utilities(g, p, LEX)[0] for p in ds.policies()[:40]])
-        assert np.allclose(single, ds.utilities[:40], atol=1e-12)
+        for tie in (LEX, SenderFavoring()):
+            ds = sample_dataset(g, 300, tie, seed=2)
+            assert np.array_equal(ex_ante_utilities_batch(g, ds.policies(), tie), ds.utilities)
+            single = np.array([ex_ante_utilities(g, p, tie)[0] for p in ds.policies()[:40]])
+            assert np.array_equal(single, ds.utilities[:40])
+            oracle = np.array([reference_ex_ante(g, p, tie)[0] for p in ds.policies()[:40]])
+            assert np.allclose(oracle, ds.utilities[:40], atol=1e-12)
 
     def test_flat_dirichlet_mean(self):
         ds = sample_dataset(didactic_game(), 10_000, LEX, seed=3)
