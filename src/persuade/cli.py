@@ -332,6 +332,7 @@ def cmd_learn(args) -> int:
                 "welfare": float(res.report.utilities.sum()),
                 "utilities": res.report.utilities.tolist(),
                 "validation_mse": res.validation_mse,
+                "losses": res.losses,
                 "eps": eps,
                 "restarts_csv": table_path,
                 "policy": policy_path,

@@ -160,11 +160,27 @@ def validate_policy(game: GameInstance, policy: np.ndarray) -> np.ndarray:
 
 
 def validate_joint_policy(game: GameInstance, policies) -> np.ndarray:
-    """Stack and check one policy per sender; returns an (n, states, signals) array."""
-    policies = list(policies)
-    if len(policies) != game.n_senders:
-        raise ValueError(f"expected {game.n_senders} policies, got {len(policies)}")
-    return np.stack([validate_policy(game, p) for p in policies])
+    """Stack and check one policy per sender; returns a new (n, states, signals) array.
+
+    A well-shaped stack is checked in one pass; the error names the problem
+    of the first sender that has one, as `validate_policy` would.
+    """
+    try:
+        p = np.array(policies, dtype=float)
+    except (TypeError, ValueError):
+        p = None
+    if p is None or p.shape != (game.n_senders, game.states, game.signals):
+        policies = list(policies)
+        if len(policies) != game.n_senders:
+            raise ValueError(f"expected {game.n_senders} policies, got {len(policies)}")
+        return np.stack([validate_policy(game, q) for q in policies])
+    out_of_range = np.any((p < -1e-12) | (p > 1 + 1e-12), axis=(1, 2))
+    bad = out_of_range | np.any(np.abs(p.sum(axis=2) - 1.0) > 1e-9, axis=1)
+    if np.any(bad):
+        if out_of_range[np.argmax(bad)]:
+            raise ValueError("policy entries must lie in [0, 1]")
+        raise ValueError("policy rows must sum to 1 within 1e-9")
+    return p
 
 
 def joint_signals(n_senders: int, n_signals: int) -> np.ndarray:

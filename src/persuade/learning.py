@@ -18,6 +18,7 @@ import numpy as np
 from .equilibria import EPSILON_LOCAL, EquilibriumReport, local_ne_verify
 from .game import GameInstance, TieRule, ex_ante_utilities, ex_ante_utilities_batch
 from .neural import (
+    _param_views,
     backward,
     flatten_params,
     forward,
@@ -25,7 +26,6 @@ from .neural import (
     init_dnl,
     init_relu,
     input_dim,
-    unflatten_params,
 )
 from .rng import substream
 
@@ -145,6 +145,12 @@ def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int | No
     `sender` selects which utility column to fit when the network has a
     scalar output; a multi-output network fits the whole utility vector.
     Deterministic given ``cfg.seed``.  Aborts if the epoch loss exceeds 1e6.
+
+    The parameters are trained in place in one flat buffer: the network is
+    bound once to views of it, and each step takes its prediction and its
+    gradient from one `backward` call, then updates the buffer and the Adam
+    moments in place.  The caller's `params` are copied first and never
+    modified; the returned parameters are views of the trained buffer.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -154,6 +160,7 @@ def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int | No
     y = dataset.utilities if sender is None else dataset.utilities[:, [sender]]
 
     flat = flatten_params(params)
+    current = _param_views(params, flat)
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     t = 0
@@ -164,18 +171,17 @@ def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int | No
         for start in range(0, len(dataset), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             xb, yb = X[idx], y[idx]
-            current = unflatten_params(params, flat)
-            pred = np.atleast_2d(forward(current, xb))
-            err = pred - yb
-            epoch_sq += float(np.sum(err**2))
-            upstream = 2.0 * err / err.size
-            grad = flatten_params(backward(current, xb, upstream).params)
+            step = backward(current, xb, lambda pred: 2.0 * (pred - yb) / pred.size)
+            epoch_sq += float(np.sum((step.output - yb) ** 2))
+            grad = flatten_params(step.params)
             t += 1
-            m = cfg.beta1 * m + (1 - cfg.beta1) * grad
-            v = cfg.beta2 * v + (1 - cfg.beta2) * grad**2
+            m *= cfg.beta1
+            m += (1 - cfg.beta1) * grad
+            v *= cfg.beta2
+            v += (1 - cfg.beta2) * grad**2
             m_hat = m / (1 - cfg.beta1**t)
             v_hat = v / (1 - cfg.beta2**t)
-            flat = flat - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
+            flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
         loss = epoch_sq / y.size
         losses.append(loss)
         if not np.isfinite(loss) or loss > DIVERGENCE_GUARD:
@@ -183,7 +189,7 @@ def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int | No
                 f"training diverged at epoch {epoch}: loss {loss:.3g} "
                 f"(lr {cfg.learning_rate}, batch {cfg.batch_size})"
             )
-    return unflatten_params(params, flat), losses
+    return current, losses
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +268,7 @@ class PipelineResult:
     restarts: list
     validation_mse: float
     surrogates: list = field(repr=False)
+    losses: list = field(repr=False)      # per sender, the per-epoch training losses
 
 
 def find_local_ne(
@@ -292,10 +299,12 @@ def find_local_ne(
 
     in_dim = game.n_senders * game.states * game.signals
     surrogates = []
+    losses = []
     val_mse = 0.0
     for j in range(game.n_senders):
         params = make_surrogate_params(arch, in_dim, substream(train_cfg.seed, f"init:sender:{j}"), **arch_kwargs)
-        params, _ = train(params, train_split, train_cfg, sender=j)
+        params, curve = train(params, train_split, train_cfg, sender=j)
+        losses.append(curve)
         if len(val_split):
             val_mse += mse(params, val_split.inputs, val_split.utilities[:, [j]])
         surrogates.append(UtilitySurrogate(params))
@@ -333,4 +342,5 @@ def find_local_ne(
         restarts=outcomes,
         validation_mse=val_mse,
         surrogates=surrogates,
+        losses=losses,
     )

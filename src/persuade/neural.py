@@ -14,7 +14,9 @@ Three architectures share one parameter container:
 A pre-activation of exactly zero counts as active (bit 1); gradients treat
 the activation pattern as locally constant, i.e. they are the gradients of
 the piece containing the input.  All forward/backward functions accept a
-single vector or a batch (leading axis).
+single vector or a batch (leading axis).  `backward` also returns the
+network output, and takes the upstream gradient either as an array or as
+a function of that output, so a training step needs one forward pass.
 """
 
 from __future__ import annotations
@@ -73,10 +75,13 @@ class DnlParams:
 
 @dataclass
 class Gradients:
-    """Same container type and shapes as the differentiated parameters."""
+    """Parameter gradients (same container type and shapes as the
+    differentiated parameters), the input gradient, and the network output
+    of the forward pass they came from."""
 
     params: MlpParams | DeluParams | DnlParams
     input: np.ndarray
+    output: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +168,19 @@ def _stack_backward(params: MlpParams, pres, inputs, d_out, relu_last: bool):
     return MlpParams(gws, gbs), d
 
 
+def _upstream_batch(upstream, out, single):
+    """The upstream gradient as a batch; a callable gets the network output."""
+    if callable(upstream):
+        upstream = upstream(out[0] if single else out)
+    return _as_batch(upstream)[0]
+
+
+def _gradients(grads, d_in, out, single) -> Gradients:
+    if single:
+        return Gradients(params=grads, input=d_in[0], output=out[0])
+    return Gradients(params=grads, input=d_in, output=out)
+
+
 def _pattern(pres):
     return np.concatenate([(h >= 0.0).astype(float) for h in pres], axis=-1)
 
@@ -198,10 +216,10 @@ def linear_piece(params: MlpParams, pattern):
 
 def backward_relu(params: MlpParams, x, upstream) -> Gradients:
     xb, single = _as_batch(x)
-    ub, _ = _as_batch(upstream)
-    _, pres, inputs = _stack_forward(params, xb, relu_last=False)
+    o, pres, inputs = _stack_forward(params, xb, relu_last=False)
+    ub = _upstream_batch(upstream, o, single)
     grads, d_in = _stack_backward(params, pres, inputs, ub, relu_last=False)
-    return Gradients(params=grads, input=d_in[0] if single else d_in)
+    return _gradients(grads, d_in, o, single)
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +239,18 @@ def forward_delu(params: DeluParams, x):
 
 def backward_delu(params: DeluParams, x, upstream) -> Gradients:
     xb, single = _as_batch(x)
-    ub, _ = _as_batch(upstream)
     bb = params.backbone
-    _, pres, inputs = _stack_forward(bb, xb, relu_last=False)
+    o, pres, inputs = _stack_forward(bb, xb, relu_last=False)
     r = _pattern(pres[:-1])
-    _, aux_pres, aux_inputs = _stack_forward(params.aux, r, relu_last=False)
+    bias, aux_pres, aux_inputs = _stack_forward(params.aux, r, relu_last=False)
+    y = o - bb.biases[-1] + bias
+    ub = _upstream_batch(upstream, y, single)
 
     bb_grads, d_in = _stack_backward(bb, pres, inputs, ub, relu_last=False)
     bb_grads.biases[-1] = np.zeros_like(bb.biases[-1])       # static bias is unused
     aux_grads, _ = _stack_backward(params.aux, aux_pres, aux_inputs, ub, relu_last=False)
     # pattern bits are locally constant: nothing flows from aux back to x
-    return Gradients(params=DeluParams(bb_grads, aux_grads), input=d_in[0] if single else d_in)
+    return _gradients(DeluParams(bb_grads, aux_grads), d_in, y, single)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +287,6 @@ def forward_dnl(params: DnlParams, x):
 
 def backward_dnl(params: DnlParams, x, upstream) -> Gradients:
     xb, single = _as_batch(x)
-    ub, _ = _as_batch(upstream)
     o, pres, inputs = _stack_forward(params.lower, xb, relu_last=True)
     r = _pattern(pres)
     flat, hyper_pres, hyper_inputs = _stack_forward(params.hyper, r, relu_last=False)
@@ -280,9 +298,10 @@ def backward_dnl(params: DnlParams, x, upstream) -> Gradients:
         h = np.einsum("boi,bi->bo", ws[l], os[-1]) + bs[l]
         hs.append(h)
         os.append(np.maximum(h, 0.0) if l < n - 1 else h)
+    out = os[-1]
 
     # backward through the generated layers, collecting per-sample param grads
-    d = ub
+    d = _upstream_batch(upstream, out, single)
     d_flat_parts = []
     for l in range(n - 1, -1, -1):
         if l < n - 1:
@@ -295,10 +314,8 @@ def backward_dnl(params: DnlParams, x, upstream) -> Gradients:
 
     hyper_grads, _ = _stack_backward(params.hyper, hyper_pres, hyper_inputs, d_flat, relu_last=False)
     lower_grads, d_in = _stack_backward(params.lower, pres, inputs, d, relu_last=True)
-    return Gradients(
-        params=DnlParams(lower_grads, hyper_grads, tuple(params.higher_dims)),
-        input=d_in[0] if single else d_in,
-    )
+    grads = DnlParams(lower_grads, hyper_grads, tuple(params.higher_dims))
+    return _gradients(grads, d_in, out, single)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +334,13 @@ def forward(params, x):
 
 
 def backward(params, x, upstream) -> Gradients:
-    """Exact reverse-mode gradients; the activation pattern is held fixed."""
+    """Exact reverse-mode gradients; the activation pattern is held fixed.
+
+    `upstream` is d(loss)/d(output), either as an array shaped like the
+    output or as a function ``output -> d(loss)/d(output)``; the second form
+    lets a training step take its prediction and its gradient from one
+    forward pass.  The output is returned as ``Gradients.output``.
+    """
     if isinstance(params, MlpParams):
         return backward_relu(params, x, upstream)
     if isinstance(params, DeluParams):
@@ -363,15 +386,34 @@ def flatten_params(params) -> np.ndarray:
     return np.concatenate([a.ravel() for a in param_arrays(params)])
 
 
+def _mlp_views(p: MlpParams, flat, off):
+    ws, bs = [], []
+    for w, b in zip(p.weights, p.biases):
+        ws.append(flat[off : off + w.size].reshape(w.shape))
+        off += w.size
+        bs.append(flat[off : off + b.size])
+        off += b.size
+    return MlpParams(ws, bs), off
+
+
+def _param_views(template, flat: np.ndarray):
+    """A container shaped like `template` whose arrays are views of `flat`,
+    in `flatten_params` order: writing to `flat` updates the network."""
+    size = sum(a.size for a in param_arrays(template))
+    if flat.size != size:
+        raise ValueError(f"flat vector has {flat.size} entries, template needs {size}")
+    if isinstance(template, MlpParams):
+        return _mlp_views(template, flat, 0)[0]
+    if isinstance(template, DeluParams):
+        backbone, off = _mlp_views(template.backbone, flat, 0)
+        return DeluParams(backbone, _mlp_views(template.aux, flat, off)[0])
+    lower, off = _mlp_views(template.lower, flat, 0)
+    return DnlParams(lower, _mlp_views(template.hyper, flat, off)[0], tuple(template.higher_dims))
+
+
 def unflatten_params(template, flat) -> object:
-    out = template.copy()
-    off = 0
-    for a in param_arrays(out):
-        a[...] = np.asarray(flat[off : off + a.size]).reshape(a.shape)
-        off += a.size
-    if off != np.asarray(flat).size:
-        raise ValueError(f"flat vector has {np.asarray(flat).size} entries, template needs {off}")
-    return out
+    """Parameters shaped like `template`, holding a copy of `flat`."""
+    return _param_views(template, np.array(flat, dtype=float).ravel())
 
 
 def _arch_spec(params) -> dict:

@@ -19,6 +19,8 @@ from persuade.game import (
     receiver_best_action,
     validate_joint_policy,
 )
+from persuade.learning import TrainConfig, UtilityDataset
+from persuade.neural import backward, flatten_params, forward, unflatten_params
 from persuade.rng import substream
 
 
@@ -74,6 +76,40 @@ def reference_ex_ante(game: GameInstance, policy, tie):
         senders += [weights @ u[:, a] for u in game.sender_utilities]
         receiver += weights @ game.receiver_utility[:, a]
     return senders, receiver
+
+
+def reference_train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender=None):
+    """Per-step oracle for `train`: each minibatch step unflattens a fresh
+    copy of the parameters, runs `forward` for the loss and `backward` for
+    the gradient, flattens that gradient, and takes one Adam step on new
+    arrays.  Returns ``(trained params, per-epoch losses)``."""
+    X = dataset.inputs
+    y = dataset.utilities if sender is None else dataset.utilities[:, [sender]]
+    flat = flatten_params(params)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    t = 0
+    losses = []
+    for epoch in range(cfg.epochs):
+        perm = substream(cfg.seed, f"shuffle:{epoch}").permutation(len(dataset))
+        epoch_sq = 0.0
+        for start in range(0, len(dataset), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            xb, yb = X[idx], y[idx]
+            current = unflatten_params(params, flat)
+            pred = np.atleast_2d(forward(current, xb))
+            err = pred - yb
+            epoch_sq += float(np.sum(err**2))
+            upstream = 2.0 * err / err.size
+            grad = flatten_params(backward(current, xb, upstream).params)
+            t += 1
+            m = cfg.beta1 * m + (1 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1 - cfg.beta2) * grad**2
+            m_hat = m / (1 - cfg.beta1**t)
+            v_hat = v / (1 - cfg.beta2**t)
+            flat = flat - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
+        losses.append(epoch_sq / y.size)
+    return unflatten_params(params, flat), losses
 
 
 def grid_best_response(game: GameInstance, sender, others, tie, step=0.01):

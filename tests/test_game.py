@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from persuade.game import (
     sample_playthrough,
     signal_weights,
     simulate_mean_payoffs,
+    validate_joint_policy,
     validate_policy,
 )
 from persuade.reference import didactic_game, two_block_equilibrium_policies, two_block_game
@@ -317,6 +320,35 @@ class TestValidation:
             validate_policy(g, np.ones((2, 3)))
         with pytest.raises(ValueError):
             validate_policy(g, np.array([[0.7, 0.7], [0.5, 0.5]]))
+
+    def test_joint_policy_errors_match_per_sender_checks(self, rng):
+        def per_sender(game, policies):
+            policies = list(policies)
+            if len(policies) != game.n_senders:
+                raise ValueError(f"expected {game.n_senders} policies, got {len(policies)}")
+            return np.stack([validate_policy(game, p) for p in policies])
+
+        g = random_game(3, 3, 2, 2, rng)
+        good = random_profile(g, rng)
+        wide = np.full((3, 2), 0.5)
+        wide[0] = [1.5, -0.5]
+        off = np.full((3, 2), 0.4)
+        cases = [good, list(good), good[:2], [good[0], good[1], np.ones((2, 3)) / 3],
+                 [good[0], good[1], good[2], good[0]]]
+        for j, k in [(0, 1), (1, 0), (2, 2), (1, 2)]:      # first bad sender decides the message
+            bad = good.copy()
+            bad[j], bad[k] = wide, off
+            cases.append(bad)
+        for case in cases:
+            try:
+                expected = per_sender(g, case)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    validate_joint_policy(g, case)
+            else:
+                out = validate_joint_policy(g, case)
+                assert np.array_equal(out, expected)
+                assert not any(np.shares_memory(out, p) for p in (good, *case))
 
     def test_prior_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -199,6 +199,34 @@ class TestLearnAndReport:
         assert lines[0].startswith("n_senders,states,signals,actions,arch")
         assert len(lines) == 2
 
+    def test_learn_writes_loss_curves(self, tmp_path, monkeypatch):
+        from persuade.learning import EgConfig, TrainConfig, find_local_ne
+
+        monkeypatch.delenv("PERSUADE_CACHE", raising=False)
+        game = synthetic_instance(SyntheticSpec(2, 2, 2, 2, 4))
+        game_path = tmp_path / "g.json"
+        write_game(game_path, game, tie=Lexicographic())
+        cfg = {
+            "architectures": ["relu", "dnl"],
+            "sample_count": 400,
+            "train": {"epochs": 3, "batch_size": 64, "seed": 7},
+            "eg": {"steps": 3, "restarts": 2, "seed": 8},
+            "hidden": [6, 6, 6],
+            "hyper_hidden": [4],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run_dir = tmp_path / "run"
+        assert run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", run_dir]) == 0
+        rows = json.loads((run_dir / "results.json").read_text())["rows"]
+        assert [r["arch"] for r in rows] == ["relu", "dnl"]
+        for row in rows:
+            res = find_local_ne(game, TrainConfig(**cfg["train"]), EgConfig(**cfg["eg"]), Lexicographic(),
+                                arch=row["arch"], sample_count=400, hidden=(6, 6, 6), hyper_hidden=(4,))
+            assert len(row["losses"]) == game.n_senders
+            assert all(len(curve) == 3 for curve in row["losses"])
+            assert row["losses"] == res.losses
+
     def test_three_architecture_comparison_on_didactic_game(self, tmp_path):
         from persuade.reference import didactic_game
 

@@ -18,10 +18,12 @@ from persuade.learning import (
     train,
 )
 from persuade.learning import _ascent_direction
+from persuade import neural
+from persuade.neural import flatten_params
 from persuade.reference import didactic_game, two_block_game, two_block_equilibrium_policies
 from persuade.rng import substream
 
-from conftest import reference_ex_ante
+from conftest import reference_ex_ante, reference_train
 
 LEX = Lexicographic()
 
@@ -107,6 +109,55 @@ class TestTrain:
         params = make_surrogate_params("relu", 8, substream(11, "init"), hidden=(8,))
         with pytest.raises(ValueError):
             train(params, empty, TrainConfig(seed=11), sender=0)
+
+
+def _surrogate(arch, sender, seed):
+    """A small net of each architecture; multi-output when `sender` is None."""
+    out_dim = 1 if sender is not None else 2
+    return make_surrogate_params(arch, 8, substream(seed, "init"), hidden=(8, 8, 8),
+                                 hyper_hidden=(6,), aux_hidden=(6,), out_dim=out_dim)
+
+
+class TestTrainMatchesReference:
+    """`train` against the per-step unflatten/forward/backward/flatten loop."""
+
+    @pytest.mark.parametrize("arch", ["relu", "delu", "dnl"])
+    @pytest.mark.parametrize("sender", [1, None], ids=["scalar", "multi"])
+    def test_bit_identical_params_and_losses(self, arch, sender):
+        ds = sample_dataset(didactic_game(), 300, LEX, seed=13)
+        cfg = TrainConfig(epochs=3, batch_size=64, learning_rate=0.02, seed=13)   # 300 = 4 * 64 + 44
+        trained, losses = train(_surrogate(arch, sender, 13), ds, cfg, sender=sender)
+        ref, ref_losses = reference_train(_surrogate(arch, sender, 13), ds, cfg, sender=sender)
+        assert np.array_equal(flatten_params(trained), flatten_params(ref))
+        assert losses == ref_losses
+        assert len(losses) == cfg.epochs
+
+    @pytest.mark.parametrize("arch, stacks", [("relu", 1), ("delu", 2), ("dnl", 2)])
+    def test_one_forward_pass_per_step(self, arch, stacks, monkeypatch):
+        calls = []
+        orig = neural._stack_forward
+
+        def counted(params, x, relu_last):
+            calls.append(x.shape[0])
+            return orig(params, x, relu_last)
+
+        monkeypatch.setattr(neural, "_stack_forward", counted)
+        ds = sample_dataset(didactic_game(), 100, LEX, seed=14)
+        train(_surrogate(arch, 0, 14), ds, TrainConfig(epochs=2, batch_size=64, seed=14), sender=0)
+        steps = 2 * 2                               # 2 epochs of a 64-row and a 36-row batch
+        assert len(calls) == stacks * steps
+        assert sorted(set(calls)) == [36, 64]
+
+    @pytest.mark.parametrize("arch", ["relu", "delu", "dnl"])
+    def test_caller_params_untouched(self, arch):
+        ds = sample_dataset(didactic_game(), 200, LEX, seed=15)
+        params = _surrogate(arch, 0, 15)
+        before = flatten_params(params)
+        trained, _ = train(params, ds, TrainConfig(epochs=2, batch_size=64, seed=15), sender=0)
+        assert np.array_equal(flatten_params(params), before)
+        assert not np.array_equal(flatten_params(trained), before)
+        for a in neural.param_arrays(params):
+            assert not any(np.shares_memory(a, b) for b in neural.param_arrays(trained))
 
 
 class _Constant:

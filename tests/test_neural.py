@@ -138,6 +138,40 @@ class TestGradients:
         assert np.allclose(flatten_params(total.params), acc, atol=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: init_relu([5, 8, 8, 2], rng),
+            lambda rng: init_delu([5, 8, 8, 2], (6,), rng),
+            lambda rng: init_dnl([5, 8, 8, 8, 2], 1, (6, 6), rng),
+        ],
+        ids=["relu", "delu", "dnl"],
+    )
+    def test_upstream_array_or_function_of_output(self, make, rng):
+        params = make(rng)
+        for x in (rng.normal(size=5), rng.normal(size=(7, 5))):
+            up = rng.normal(size=(2,) if x.ndim == 1 else (7, 2))
+            given = backward(params, x, up)
+            seen = []
+            computed = backward(params, x, lambda out: seen.append(out) or up)
+            assert np.array_equal(seen[0], forward(params, x))
+            for g in (given, computed):
+                assert np.array_equal(g.output, forward(params, x))
+                assert g.input.shape == x.shape
+            assert np.array_equal(flatten_params(given.params), flatten_params(computed.params))
+            assert np.array_equal(given.input, computed.input)
+
+    def test_array_upstream_unchanged(self, rng):
+        # a linear layer's gradients in closed form: d/dW = up^T x, d/db = sum(up), d/dx = up W
+        W, b = rng.normal(size=(3, 4)), rng.normal(size=3)
+        X, up = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+        g = backward(MlpParams([W], [b]), X, up)
+        assert np.array_equal(g.params.weights[0], up.T @ X)
+        assert np.array_equal(g.params.biases[0], up.sum(axis=0))
+        assert np.array_equal(g.input, up @ W)
+        assert np.array_equal(g.output, X @ W.T + b)
+
+
 class TestDelu:
     def test_constant_aux_equals_relu_with_that_bias(self, rng):
         p = init_delu([4, 6, 1], (), rng)

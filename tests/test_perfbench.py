@@ -1,4 +1,4 @@
-"""Smoke run of the committed benchmark harness against the package."""
+"""Smoke runs of the committed benchmark harness against the package."""
 
 import json
 import os
@@ -10,10 +10,9 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_evaluate_local_smoke_run(trace):
+def smoke_run(workload, trace):
     out = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", "evaluate-local",
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
          "--smoke", "--seed", "1", "--seconds", "1", "--trace", str(trace)],
         capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
@@ -22,3 +21,14 @@ def test_evaluate_local_smoke_run(trace):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_evaluate_local_smoke_run(trace):
+    smoke_run("evaluate-local", trace)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_learn_smoke_run(trace):
+    # every op's check re-evaluates each results.json row against the true game
+    smoke_run("learn", trace)
