@@ -84,6 +84,42 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
+# Generator kind -> (builder, required int fields, optional fields with
+# their defaults); the builder takes the required fields and the seed
+# positionally, then the optional ones by keyword.  `gen <kind>` takes each
+# field as a flag (`shock_std` as `--shock-std`) and a learn config's
+# `generator` entry as a key of the same name.  The lambdas look the
+# scenario functions up when called, so wrappers installed on the module
+# attributes (the benchmark's traced run) see these calls too.
+GENERATORS = {
+    "synthetic": (lambda *a: synthetic_instance(SyntheticSpec(*a)), ("n", "states", "signals", "actions"), {}),
+    "quality-ads": (lambda *a, **kw: quality_ads_instance(*a, **kw), ("firms",), {"signals": 2, "shock_std": 1.0}),
+    "product-ads": (
+        lambda *a, **kw: product_ads_instance(*a, **kw),
+        ("firms",),
+        {"signals": 3, "quality_levels": 3, "shock_std": 1.0},
+    ),
+    "ride-hailing": (
+        lambda *a, **kw: ride_hailing_instance(*a, **kw),
+        ("m", "n"),
+        {"cost_levels": 2, "payment_based": False},
+    ),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _generate(kind: str, fields: dict, seed: int):
+    """Build a game of a registered kind from its fields; missing optional fields take their defaults."""
+    if kind not in GENERATORS:
+        raise SpecError(f"unknown generator kind {kind!r}")
+    build, required, defaults = GENERATORS[kind]
+    args = [_require(fields, name) for name in required]
+    return build(*args, seed, **{name: fields.get(name, default) for name, default in defaults.items()})
+
+
 def _common_flags(p):
     p.add_argument("--seed", type=int, default=None, help="root seed; named sub-streams derive from it")
     p.add_argument("--out", required=True, help="output file or directory")
@@ -98,27 +134,16 @@ def build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="generate a game instance")
     gsub = gen.add_subparsers(dest="kind", required=True)
-    g_syn = gsub.add_parser("synthetic")
-    g_syn.add_argument("--n", type=int, required=True)
-    g_syn.add_argument("--states", type=int, required=True)
-    g_syn.add_argument("--signals", type=int, required=True)
-    g_syn.add_argument("--actions", type=int, required=True)
-    g_qa = gsub.add_parser("quality-ads")
-    g_qa.add_argument("--firms", type=int, required=True)
-    g_qa.add_argument("--signals", type=int, default=2)
-    g_qa.add_argument("--shock-std", type=float, default=1.0)
-    g_pa = gsub.add_parser("product-ads")
-    g_pa.add_argument("--firms", type=int, required=True)
-    g_pa.add_argument("--signals", type=int, default=3)
-    g_pa.add_argument("--quality-levels", type=int, default=3)
-    g_pa.add_argument("--shock-std", type=float, default=1.0)
-    g_rh = gsub.add_parser("ride-hailing")
-    g_rh.add_argument("--m", type=int, required=True)
-    g_rh.add_argument("--n", type=int, required=True)
-    g_rh.add_argument("--cost-levels", type=int, default=2)
-    g_rh.add_argument("--payment-based", action="store_true")
-    for p in (g_syn, g_qa, g_pa, g_rh):
-        _common_flags(p)
+    for kind, (_, required, defaults) in GENERATORS.items():
+        g = gsub.add_parser(kind)
+        for name in required:
+            g.add_argument(_flag(name), type=int, required=True)
+        for name, default in defaults.items():
+            if isinstance(default, bool):
+                g.add_argument(_flag(name), action="store_true")
+            else:
+                g.add_argument(_flag(name), type=type(default), default=default)
+        _common_flags(g)
 
     exact = sub.add_parser("exact", help="exact solvers and checks")
     esub = exact.add_subparsers(dest="what", required=True)
@@ -176,19 +201,7 @@ def _manifest(args, outputs=None):
 
 
 def cmd_gen(args) -> int:
-    seed = 0 if args.seed is None else args.seed
-    if args.kind == "synthetic":
-        game = synthetic_instance(SyntheticSpec(args.n, args.states, args.signals, args.actions, seed))
-    elif args.kind == "quality-ads":
-        game = quality_ads_instance(args.firms, seed, signals=args.signals, shock_std=args.shock_std)
-    elif args.kind == "product-ads":
-        game = product_ads_instance(
-            args.firms, seed, signals=args.signals, quality_levels=args.quality_levels, shock_std=args.shock_std
-        )
-    else:
-        game = ride_hailing_instance(
-            args.m, args.n, seed, cost_levels=args.cost_levels, payment_based=args.payment_based
-        )
+    game = _generate(args.kind, vars(args), 0 if args.seed is None else args.seed)
     write_game(args.out, game, tie=parse_tie_flag(args.tie))
     write_sidecar(f"{args.out}.sidecar.json", game.meta or {})
     _manifest(args)
@@ -250,41 +263,17 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def _game_from_config(cfg: dict, seed):
-    """The config may point at a game file or carry a generator spec inline."""
-    if "game" in cfg:
-        return read_game(cfg["game"]), cfg["game"]
-    gen = _require(cfg, "generator")
-    kind = _require(gen, "kind")
-    gseed = gen.get("seed", 0 if seed is None else seed)
-    if kind == "synthetic":
-        game = synthetic_instance(
-            SyntheticSpec(gen["n"], gen["states"], gen["signals"], gen["actions"], gseed)
-        )
-    elif kind == "quality-ads":
-        game = quality_ads_instance(gen["firms"], gseed, signals=gen.get("signals", 2),
-                                    shock_std=gen.get("shock_std", 1.0))
-    elif kind == "product-ads":
-        game = product_ads_instance(gen["firms"], gseed, signals=gen.get("signals", 3),
-                                    quality_levels=gen.get("quality_levels", 3),
-                                    shock_std=gen.get("shock_std", 1.0))
-    elif kind == "ride-hailing":
-        game = ride_hailing_instance(gen["m"], gen["n"], gseed,
-                                     cost_levels=gen.get("cost_levels", 2),
-                                     payment_based=gen.get("payment_based", False))
-    else:
-        raise SpecError(f"unknown generator kind {kind!r}")
-    return (game, None), f"generator:{kind}"
-
-
 def cmd_learn(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    if args.game is not None:
-        game, file_tie = read_game(args.game)
-        game_label = args.game
+    game_label = args.game if args.game is not None else cfg.get("game")
+    if game_label is not None:
+        game, file_tie = read_game(game_label)
     else:
-        (game, file_tie), game_label = _game_from_config(cfg, args.seed)
+        spec = _require(cfg, "generator")
+        kind = _require(spec, "kind")
+        game = _generate(kind, spec, spec.get("seed", 0 if args.seed is None else args.seed))
+        file_tie, game_label = None, f"generator:{kind}"
     train_doc = dict(_require(cfg, "train"))
     eg_doc = dict(_require(cfg, "eg"))
     if args.seed is not None:

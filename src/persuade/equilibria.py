@@ -35,7 +35,6 @@ from .game import (
     ex_ante_utilities_fixed_interpretation,
     fixed_map_table,
     induced_action_map,
-    joint_signal_index,
     joint_signals,
     product_weights,
     validate_joint_policy,
@@ -105,63 +104,126 @@ class RevelationCertificate:
 # shared helpers
 
 
-def _context_weights(game: GameInstance, others: list) -> tuple[np.ndarray, np.ndarray]:
-    """Joint weights of the opponents: W[ctx, w] = prior(w) * prod_j pi_j(ctx_j | w).
+def _opponent_contexts(game: GameInstance, sender: int, others) -> tuple[list, np.ndarray, np.ndarray]:
+    """Check `sender` and its opponents; the opponents' reachable contexts.
 
-    Returns (contexts, W) with contexts an ((S)^(n-1), n-1) int array in
-    flat order (first opponent most significant).
+    Returns ``(others, W, joint)``: the validated opponent policies,
+    ``W[r, w] = prior(w) * prod_j pi_j(ctx_j | w)`` over the opponent
+    contexts of positive weight (flat order, first opponent most
+    significant), and ``joint[r, s]``, the flat joint-signal index of
+    context r with the sender's own signal s.
     """
+    if not 0 <= sender < game.n_senders:
+        raise ValueError(f"sender {sender} out of range")
+    others = [validate_policy(game, p) for p in others]
+    if len(others) != game.n_senders - 1:
+        raise ValueError(f"expected {game.n_senders - 1} opponent policies")
     W = product_weights(game.prior, np.reshape(others, (len(others), game.states, game.signals)))
-    if not others:
-        return np.zeros((1, 0), dtype=int), W
-    return joint_signals(len(others), game.signals), W
+    relevant = np.nonzero(W.max(axis=1) > 0)[0]
+    ctx = joint_signals(len(others), game.signals) if others else np.zeros((1, 0), dtype=int)
+    place = game.signals ** np.arange(game.n_senders - 1, -1, -1)
+    joint = (ctx[relevant] @ np.delete(place, sender))[:, None] + place[sender] * np.arange(game.signals)
+    return others, W[relevant], joint
 
 
-def _insert_signal(ctx_row, sender: int, sig: int) -> tuple:
-    row = list(int(s) for s in ctx_row)
-    row.insert(sender, int(sig))
-    return tuple(row)
+def _profile_with(others, sender, pi):
+    return np.stack([*others[:sender], pi, *others[sender:]])
 
 
-def _full_table(game: GameInstance, sender: int, rel_ctx_rows, per_ctx_actions, own_assignment) -> np.ndarray:
+def _full_table(game: GameInstance, joint: np.ndarray, combos, assignment) -> np.ndarray:
     """Assemble a total joint-signal -> action table from per-context choices.
 
-    ``own_assignment[sig]`` indexes into the per-context action tuples.
-    Unreachable joint signals are filled with action 0.
+    Own signal s plays the combo ``combos[assignment[s]]``, one action per
+    reachable context.  Unreachable joint signals are filled with action 0.
     """
     table = np.zeros(game.n_joint_signals, dtype=int)
-    for sig in range(game.signals):
-        actions = per_ctx_actions[own_assignment[sig]]
-        for row, a in zip(rel_ctx_rows, actions):
-            table[joint_signal_index(_insert_signal(row, sender, sig), game.signals)] = a
+    for sig, k in enumerate(assignment):
+        table[joint[:, sig]] = combos[k]
     return table
 
 
-def incentive_rows(game: GameInstance, joint_conditional: np.ndarray, interp: FixedMap) -> np.ndarray:
-    """Incentive-compatibility row values for a committed interpretation.
+class _IcLp:
+    """The incentive-compatibility LP over one sender's policy.
 
-    ``joint_conditional`` is the (S^n, states) table of joint-signal
-    probabilities conditioned on the state (product policies are a special
-    case; any correlated scheme is accepted).  Row (s, b) is
-    ``sum_w prior(w) * cond[s, w] * (V[w, map(s)] - V[w, b])``; the map is
-    incentive compatible iff every row is >= 0.  Rows are linear in the
-    conditional table, so the IC set is convex in it.
+    A combo names one receiver action per reachable opponent context (the
+    rows of `W`); an assignment gives each own signal a combo.  For an
+    assignment, :meth:`lp` maximizes the sender's utility when the receiver
+    plays the assigned actions, subject to each of them staying a receiver
+    best response at its joint signal (the revelation-principle LP).  With
+    the strictness slack it instead maximizes the smallest IC margin.  The
+    objective, IC rows and `fragile` flag of a combo are built once, however
+    many assignments use it; rows run signal-major, then context, then
+    action.
     """
-    cond = np.asarray(joint_conditional, dtype=float)
-    if cond.shape != (game.n_joint_signals, game.states):
-        raise ValueError("joint conditional must be (S^n, states)")
-    table = fixed_map_table(game, interp)
-    q = cond * game.prior[None, :]
-    V = game.receiver_utility
-    rows = np.empty((game.n_joint_signals, game.actions))
-    for s in range(game.n_joint_signals):
-        rows[s] = q[s] @ (V[:, table[s]][:, None] - V)
-    return rows
 
+    def __init__(self, game: GameInstance, sender: int, W: np.ndarray, combos):
+        u_i = game.sender_utilities[sender]
+        V = game.receiver_utility
+        self.shape = (game.states, game.signals)
+        self.nvar = game.states * game.signals
+        self.slack_cap = 10.0 + 10.0 * np.max(np.abs(V))
 
-def joint_conditional(game: GameInstance, policy) -> np.ndarray:
-    """(S^n, states) conditional joint-signal table of a product profile."""
-    return product_weights(np.ones(game.states), validate_joint_policy(game, policy))
+        # A combo is "fragile" if some declared action is permanently tied
+        # with another action on a multi-state face: there the tie rule's
+        # pick can vary over the face, so the LP value cannot be trusted
+        # without re-evaluation.
+        face_sizes = np.count_nonzero(W > 0, axis=1)
+        obj, self.rows, self.fragile = [], [], []
+        for combo in combos:
+            o = np.zeros(game.states)
+            rows = []
+            fragile = False
+            for r, a in enumerate(combo):
+                o += W[r] * u_i[:, a]
+                diffs = V[:, a][:, None] - V
+                for b in range(game.actions):
+                    if b == a:
+                        continue
+                    vec = W[r] * diffs[:, b]
+                    if np.max(np.abs(vec)) > 1e-14:
+                        rows.append(vec)
+                    elif face_sizes[r] > 1:
+                        fragile = True
+            obj.append(o)
+            self.rows.append(np.array(rows).reshape(-1, game.states))
+            self.fragile.append(fragile)
+        self.obj = np.array(obj)
+
+        self.A_eq = np.zeros((game.states, self.nvar))
+        for w in range(game.states):
+            self.A_eq[w, w * game.signals : (w + 1) * game.signals] = 1.0
+        self.b_eq = np.ones(game.states)
+
+    def lp(self, assignment, with_slack: bool = False) -> lpmod.LinearProgram:
+        nvar, n_sig = self.nvar, self.shape[1]
+        extra = 1 if with_slack else 0
+        c = np.zeros(nvar + extra)
+        n_rows = sum(self.rows[k].shape[0] for k in assignment) + extra
+        A_ub = np.zeros((n_rows, nvar + extra))
+        r0 = 0
+        for sig, k in enumerate(assignment):
+            block = self.rows[k]
+            if block.shape[0]:
+                A_ub[r0 : r0 + block.shape[0], sig : nvar : n_sig] = -block
+                if with_slack:
+                    A_ub[r0 : r0 + block.shape[0], -1] = 1.0
+                r0 += block.shape[0]
+            if not with_slack:
+                c[sig:nvar:n_sig] += self.obj[k]
+        Ae = np.zeros((self.A_eq.shape[0], nvar + extra))
+        Ae[:, :nvar] = self.A_eq
+        b_ub = np.zeros(n_rows)
+        if with_slack:
+            c[-1] = 1.0
+            A_ub[-1, -1] = 1.0
+            b_ub[-1] = self.slack_cap
+        return lpmod.LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=Ae, b_eq=self.b_eq)
+
+    def policy(self, x: np.ndarray) -> np.ndarray:
+        """The policy of an LP solution, LP round-off clamped so it passes
+        strict policy validation."""
+        p = np.clip(x[: self.nvar].reshape(self.shape), 0.0, None)
+        return p / p.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +316,8 @@ def _face_mu(game, face, q_face):
     return mu
 
 
-def _sanitize_policy(p: np.ndarray) -> np.ndarray:
-    """Clamp LP round-off so the matrix passes strict policy validation."""
-    p = np.clip(p, 0.0, None)
-    return p / p.sum(axis=1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # exact best response
-
-
-def _profile_with(policy_stack, others, sender, pi):
-    prof = []
-    it = iter(others)
-    for j in range(policy_stack):
-        prof.append(pi if j == sender else next(it))
-    return np.stack(prof)
 
 
 def best_response_exact(
@@ -293,92 +341,21 @@ def best_response_exact(
     """
     if isinstance(tie, FixedMap):
         raise ValueError("use best_response_fixed_interpretation for committed interpretations")
-    if not 0 <= sender < game.n_senders:
-        raise ValueError(f"sender {sender} out of range")
-    others = [validate_policy(game, p) for p in others]
-    if len(others) != game.n_senders - 1:
-        raise ValueError(f"expected {game.n_senders - 1} opponent policies")
+    others, W, joint = _opponent_contexts(game, sender, others)
 
     def true_utility(pi):
-        prof = _profile_with(game.n_senders, others, sender, pi)
+        prof = _profile_with(others, sender, pi)
         return float(ex_ante_utilities(game, prof, tie, term_cap)[0][sender]), prof
 
-    ctx, W = _context_weights(game, others)
-    relevant = np.nonzero(W.max(axis=1) > 0)[0]
-    rel_rows = [tuple(ctx[r]) for r in relevant]
-    Wrel = W[relevant]
-
-    cands = [_producible_actions(game, Wrel[r], tie) for r in range(len(relevant))]
-
-    n_combos = math.prod(len(c) for c in cands) if cands else 1
+    cands = [_producible_actions(game, row, tie) for row in W]
+    n_combos = math.prod(len(c) for c in cands)
     if n_combos > map_cap:
         raise CapError(f"{n_combos} per-column assignments exceed the map cap of {map_cap}")
-    combos = list(itertools.product(*cands)) if cands else [()]
+    combos = list(itertools.product(*cands))
     n_multisets = math.comb(len(combos) + game.signals - 1, game.signals)
     if n_multisets > map_cap:
         raise CapError(f"{n_multisets} action maps exceed the map cap of {map_cap}")
-
-    u_i = game.sender_utilities[sender]
-    V = game.receiver_utility
-    n_states, n_sig = game.states, game.signals
-
-    # Per-combo objective vectors and IC rows over the states axis.  A combo
-    # is "fragile" if some declared action is permanently tied with another
-    # action on a multi-state face: there the tie rule's pick can vary over
-    # the face, so the LP value cannot be trusted without re-evaluation.
-    face_sizes = [int(np.count_nonzero(Wrel[r] > 0)) for r in range(len(relevant))]
-    combo_obj = []
-    combo_rows = []
-    combo_fragile = []
-    for combo in combos:
-        obj = np.zeros(n_states)
-        rows = []
-        fragile = False
-        for r, a in enumerate(combo):
-            obj += Wrel[r] * u_i[:, a]
-            diffs = V[:, a][:, None] - V
-            for b in range(game.actions):
-                if b == a:
-                    continue
-                vec = Wrel[r] * diffs[:, b]
-                if np.max(np.abs(vec)) > 1e-14:
-                    rows.append(vec)
-                elif face_sizes[r] > 1:
-                    fragile = True
-        combo_obj.append(obj)
-        combo_rows.append(np.array(rows).reshape(-1, n_states))
-        combo_fragile.append(fragile)
-
-    nvar = n_states * n_sig
-    A_eq = np.zeros((n_states, nvar))
-    for w in range(n_states):
-        A_eq[w, w * n_sig : (w + 1) * n_sig] = 1.0
-    b_eq = np.ones(n_states)
-
-    def build(assignment, with_slack):
-        extra = 1 if with_slack else 0
-        c = np.zeros(nvar + extra)
-        n_rows = sum(combo_rows[k].shape[0] for k in assignment) + extra
-        A_ub = np.zeros((n_rows, nvar + extra))
-        r0 = 0
-        for sig, k in enumerate(assignment):
-            block = combo_rows[k]
-            if block.shape[0]:
-                A_ub[r0 : r0 + block.shape[0], sig : nvar : n_sig] = -block
-                if with_slack:
-                    A_ub[r0 : r0 + block.shape[0], -1] = 1.0
-                r0 += block.shape[0]
-            if not with_slack:
-                c[sig:nvar:n_sig] += combo_obj[k]
-        Ae = np.zeros((n_states, nvar + extra))
-        Ae[:, :nvar] = A_eq
-        if with_slack:
-            c[-1] = 1.0
-            A_ub[-1, -1] = 1.0
-        b_ub = np.zeros(n_rows)
-        if with_slack:
-            b_ub[-1] = 10.0 + 10.0 * np.max(np.abs(V))
-        return lpmod.LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=Ae, b_eq=b_eq)
+    ic = _IcLp(game, sender, W, combos)
 
     best_value = -np.inf
     best_policy = None
@@ -391,11 +368,10 @@ def best_response_exact(
         best_table = induced_action_map(game, prof, tie, term_cap)
 
     # best-first over a cheap IC-free bound so most LPs are skipped
-    multisets = list(itertools.combinations_with_replacement(range(len(combos)), n_sig))
-    objs = np.array(combo_obj)
+    multisets = list(itertools.combinations_with_replacement(range(len(combos)), game.signals))
 
     def bound(assignment):
-        return float(np.maximum.reduce([objs[k] for k in assignment]).sum())
+        return float(np.maximum.reduce([ic.obj[k] for k in assignment]).sum())
 
     multisets.sort(key=bound, reverse=True)
 
@@ -403,22 +379,22 @@ def best_response_exact(
     for assignment in multisets:
         if bound(assignment) <= best_value + 1e-12:
             break
-        res = lpmod.solve_lp(build(assignment, with_slack=False))
+        res = lpmod.solve_lp(ic.lp(assignment))
         if res.status != lpmod.OPTIMAL:
             continue
         feasible_count += 1
         if res.value <= best_value + 1e-12:
             continue
-        pi_star = _sanitize_policy(res.x.reshape(n_states, n_sig))
-        slack = lpmod.solve_lp(build(assignment, with_slack=True))
+        pi_star = ic.policy(res.x)
+        slack = lpmod.solve_lp(ic.lp(assignment, with_slack=True))
         strict = (
             slack.status == lpmod.OPTIMAL
             and slack.value > TIE_TOL
-            and not any(combo_fragile[k] for k in assignment)
+            and not any(ic.fragile[k] for k in assignment)
         )
         if strict:
-            table = _full_table(game, sender, rel_rows, combos, assignment)
-            prof = _profile_with(game.n_senders, others, sender, pi_star)
+            table = _full_table(game, joint, combos, assignment)
+            prof = _profile_with(others, sender, pi_star)
             value = float(
                 ex_ante_utilities_fixed_interpretation(game, prof, FixedMap(tuple(table)), term_cap)[sender]
             )
@@ -426,11 +402,11 @@ def best_response_exact(
                 best_value = value
                 best_policy = pi_star
                 best_table = table
-                best_strict = _sanitize_policy(slack.x[:nvar].reshape(n_states, n_sig))
+                best_strict = ic.policy(slack.x)
         else:
             cands_to_try = [pi_star]
             if slack.status == lpmod.OPTIMAL:
-                cands_to_try.append(_sanitize_policy(slack.x[:nvar].reshape(n_states, n_sig)))
+                cands_to_try.append(ic.policy(slack.x))
             for cand in cands_to_try:
                 val, prof = true_utility(cand)
                 if val > best_value:
@@ -455,57 +431,22 @@ def best_response_fixed_interpretation(
 ) -> BestResponseResult:
     """Best response when the receiver commits to the interpretation `interp`.
 
-    One LP over the sender's policy: maximize the fixed-interpretation
-    utility subject to the interpretation staying incentive compatible at
-    every reachable joint signal.  Infeasibility is a legal outcome (no
-    policy of this sender keeps the interpretation credible) and is
-    reported via ``feasible=False``.
+    The single-assignment case of the exact best response: own signal s
+    plays the actions the table gives its joint signals, and one LP
+    maximizes the fixed-interpretation utility subject to the
+    interpretation staying incentive compatible at every reachable joint
+    signal.  Infeasibility is a legal outcome (no policy of this sender
+    keeps the interpretation credible) and is reported via
+    ``feasible=False``.
     """
-    if not 0 <= sender < game.n_senders:
-        raise ValueError(f"sender {sender} out of range")
-    others = [validate_policy(game, p) for p in others]
-    if len(others) != game.n_senders - 1:
-        raise ValueError(f"expected {game.n_senders - 1} opponent policies")
+    others, W, joint = _opponent_contexts(game, sender, others)
     table = fixed_map_table(game, interp)
-
-    ctx, W = _context_weights(game, others)
-    relevant = np.nonzero(W.max(axis=1) > 0)[0]
-    u_i = game.sender_utilities[sender]
-    V = game.receiver_utility
-    n_states, n_sig = game.states, game.signals
-    nvar = n_states * n_sig
-
-    c = np.zeros(nvar)
-    rows = []
-    for r in relevant:
-        for sig in range(n_sig):
-            a = int(table[joint_signal_index(_insert_signal(ctx[r], sender, sig), n_sig)])
-            c[sig:nvar:n_sig] += W[r] * u_i[:, a]
-            diffs = V[:, a][:, None] - V
-            for b in range(game.actions):
-                if b == a:
-                    continue
-                vec = W[r] * diffs[:, b]
-                if np.max(np.abs(vec)) > 1e-14:
-                    row = np.zeros(nvar)
-                    row[sig:nvar:n_sig] = -vec
-                    rows.append(row)
-    A_eq = np.zeros((n_states, nvar))
-    for w in range(n_states):
-        A_eq[w, w * n_sig : (w + 1) * n_sig] = 1.0
-    res = lpmod.solve_lp(
-        lpmod.LinearProgram(
-            c=c,
-            A_ub=np.array(rows).reshape(-1, nvar) if rows else None,
-            b_ub=np.zeros(len(rows)) if rows else None,
-            A_eq=A_eq,
-            b_eq=np.ones(n_states),
-        )
-    )
+    ic = _IcLp(game, sender, W, [tuple(col) for col in table[joint].T])
+    res = lpmod.solve_lp(ic.lp(range(game.signals)))
     if res.status != lpmod.OPTIMAL:
         return BestResponseResult(policy=None, utility=-np.inf, action_map=table, feasible_maps=0, feasible=False)
-    pol = _sanitize_policy(res.x.reshape(n_states, n_sig))
-    prof = _profile_with(game.n_senders, others, sender, pol)
+    pol = ic.policy(res.x)
+    prof = _profile_with(others, sender, pol)
     value = float(ex_ante_utilities_fixed_interpretation(game, prof, interp, term_cap)[sender])
     return BestResponseResult(policy=pol, utility=value, action_map=table, feasible_maps=1)
 
@@ -524,7 +465,7 @@ def _actual_witness(game, sender, others, tie, br: BestResponseResult, baseline,
             candidates.append((1 - t) * br.policy + t * br.strict_point)
     best = (None, 0.0)
     for cand in candidates:
-        prof = _profile_with(game.n_senders, others, sender, cand)
+        prof = _profile_with(others, sender, cand)
         val = float(ex_ante_utilities(game, prof, tie, term_cap)[0][sender])
         if val - baseline > max(tol, best[1]):
             best = (cand, val - baseline)
@@ -555,21 +496,15 @@ def verify_nash(
         others = [policy[k] for k in range(game.n_senders) if k != j]
         if isinstance(tie, FixedMap):
             br = best_response_fixed_interpretation(game, j, others, tie, term_cap=term_cap)
-            if not br.feasible:
-                continue
-            gap = br.utility - base[j]
-            if gap > max(tol, worst_gap):
-                worst_gap = gap
-                witness = (j, br.policy)
         else:
             br = best_response_exact(
                 game, j, others, tie, incumbent=policy[j], map_cap=map_cap, term_cap=term_cap
             )
-            if br.utility - base[j] > tol:
-                cand, gap = _actual_witness(game, j, others, tie, br, base[j], tol, term_cap)
-                if cand is not None and gap > worst_gap:
-                    worst_gap = gap
-                    witness = (j, cand)
+        if br.utility - base[j] > tol:
+            cand, gap = _actual_witness(game, j, others, tie, br, base[j], tol, term_cap)
+            if cand is not None and gap > worst_gap:
+                worst_gap = gap
+                witness = (j, cand)
 
     if witness is None:
         return EquilibriumReport(verdict=EXACT, utilities=base, max_improvement=worst_gap)

@@ -96,7 +96,7 @@ class GameInstance:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.prior.shape != (self.states,):
             raise ValueError(f"prior shape {self.prior.shape} != ({self.states},)")
-        if np.any(self.prior < 0) or abs(self.prior.sum() - 1.0) > 1e-12:
+        if not (np.all(self.prior >= 0) and abs(self.prior.sum() - 1.0) <= 1e-12):
             raise ValueError("prior must be nonnegative and sum to 1 within 1e-12")
         if self.receiver_utility.shape != (self.states, self.actions):
             raise ValueError("receiver_utility shape mismatch")
@@ -152,9 +152,10 @@ def validate_policy(game: GameInstance, policy: np.ndarray) -> np.ndarray:
     p = np.asarray(policy, dtype=float)
     if p.shape != (game.states, game.signals):
         raise ValueError(f"policy shape {p.shape} != ({game.states}, {game.signals})")
-    if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
+    # phrased so that NaN fails every check
+    if not np.all((p >= -1e-12) & (p <= 1 + 1e-12)):
         raise ValueError("policy entries must lie in [0, 1]")
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+    if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-9):
         raise ValueError("policy rows must sum to 1 within 1e-9")
     return p
 
@@ -163,7 +164,8 @@ def validate_joint_policy(game: GameInstance, policies) -> np.ndarray:
     """Stack and check one policy per sender; returns a new (n, states, signals) array.
 
     A well-shaped stack is checked in one pass; the error names the problem
-    of the first sender that has one, as `validate_policy` would.
+    of the first sender that has one, as `validate_policy` would, and NaN
+    fails the checks there as here.
     """
     try:
         p = np.array(policies, dtype=float)
@@ -174,8 +176,8 @@ def validate_joint_policy(game: GameInstance, policies) -> np.ndarray:
         if len(policies) != game.n_senders:
             raise ValueError(f"expected {game.n_senders} policies, got {len(policies)}")
         return np.stack([validate_policy(game, q) for q in policies])
-    out_of_range = np.any((p < -1e-12) | (p > 1 + 1e-12), axis=(1, 2))
-    bad = out_of_range | np.any(np.abs(p.sum(axis=2) - 1.0) > 1e-9, axis=1)
+    out_of_range = ~np.all((p >= -1e-12) & (p <= 1 + 1e-12), axis=(1, 2))
+    bad = out_of_range | ~np.all(np.abs(p.sum(axis=2) - 1.0) <= 1e-9, axis=1)
     if np.any(bad):
         if out_of_range[np.argmax(bad)]:
             raise ValueError("policy entries must lie in [0, 1]")

@@ -57,7 +57,6 @@ class LpResult:
     status: str
     x: np.ndarray | None = None
     value: float | None = None
-    dual: np.ndarray | None = None    # one multiplier per row, ub rows first
 
 
 def _pivot(T, basis, row, col):
@@ -170,21 +169,4 @@ def solve_lp(lp: LinearProgram, max_pivots: int = MAX_PIVOTS) -> LpResult:
     if np.any(x < -CERT_TOL):
         raise LpFailure("negative variable beyond certified tolerance")
 
-    # duals from the final basis: solve B^T y = c_B over standard-form columns
-    # (A's rows are already sign-flipped; un-flip the multipliers at the end)
-    cols = np.zeros((m, m))
-    cb = np.zeros(m)
-    dual = None
-    try:
-        for i, b in enumerate(basis):
-            if b < n + m_ub:
-                cols[:, i] = A[:, b]
-                cb[i] = phase2_cost[b]
-            else:
-                cols[b - art_start, i] = 1.0
-        y = np.linalg.solve(cols.T, cb)
-        dual = np.where(flip, -y, y)
-    except np.linalg.LinAlgError:
-        pass
-
-    return LpResult(status=OPTIMAL, x=x, value=value, dual=dual)
+    return LpResult(status=OPTIMAL, x=x, value=value)

@@ -7,17 +7,29 @@ import itertools
 import numpy as np
 import pytest
 
-from persuade.equilibria import EPSILON_LOCAL, IMPROVE_TOL, REFUTED, EquilibriumReport, local_ne_sample_count
+from persuade import lp as lpmod
+from persuade.equilibria import (
+    EPSILON_LOCAL,
+    IMPROVE_TOL,
+    REFUTED,
+    BestResponseResult,
+    EquilibriumReport,
+    local_ne_sample_count,
+)
 from persuade.game import (
     FixedMap,
     GameInstance,
     ex_ante_utilities,
     ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
+    fixed_map_table,
+    joint_signal_index,
     joint_signals,
     posterior,
+    product_weights,
     receiver_best_action,
     validate_joint_policy,
+    validate_policy,
 )
 from persuade.learning import TrainConfig, UtilityDataset
 from persuade.neural import backward, flatten_params, forward, unflatten_params
@@ -131,6 +143,46 @@ def grid_best_response(game: GameInstance, sender, others, tie, step=0.01):
             profiles[:, j] = others[k][None]
             k += 1
     return float(ex_ante_utilities_batch(game, profiles, tie)[:, sender].max())
+
+
+def reference_best_response_fixed_interpretation(game: GameInstance, sender, others, interp: FixedMap):
+    """Loop oracle for the fixed-interpretation best response: one LP whose
+    objective and IC rows are emitted context by context, own signal by own
+    signal, action by action, each joint signal's action read from the table
+    through its tuple.  Returns a `BestResponseResult` (`feasible=False`
+    when no policy keeps the interpretation incentive compatible)."""
+    others = [validate_policy(game, p) for p in others]
+    table = fixed_map_table(game, interp)
+    W = product_weights(game.prior, np.reshape(others, (len(others), game.states, game.signals)))
+    ctx = joint_signals(len(others), game.signals) if others else np.zeros((1, 0), dtype=int)
+    u_i = game.sender_utilities[sender]
+    V = game.receiver_utility
+    n_states, n_sig = game.states, game.signals
+    nvar = n_states * n_sig
+    c = np.zeros(nvar)
+    rows = []
+    for r in np.nonzero(W.max(axis=1) > 0)[0]:
+        for sig in range(n_sig):
+            signal = [int(s) for s in ctx[r]]
+            signal.insert(sender, sig)
+            a = int(table[joint_signal_index(signal, n_sig)])
+            c[sig:nvar:n_sig] += W[r] * u_i[:, a]
+            for b in range(game.actions):
+                vec = W[r] * (V[:, a] - V[:, b])
+                if b != a and np.max(np.abs(vec)) > 1e-14:
+                    row = np.zeros(nvar)
+                    row[sig:nvar:n_sig] = -vec
+                    rows.append(row)
+    A_eq = np.kron(np.eye(n_states), np.ones(n_sig))
+    res = lpmod.solve_lp(lpmod.LinearProgram(c=c, A_ub=np.array(rows).reshape(-1, nvar),
+                                             b_ub=np.zeros(len(rows)), A_eq=A_eq, b_eq=np.ones(n_states)))
+    if res.status != lpmod.OPTIMAL:
+        return BestResponseResult(policy=None, utility=-np.inf, action_map=table, feasible_maps=0, feasible=False)
+    pol = np.clip(res.x.reshape(n_states, n_sig), 0.0, None)
+    pol /= pol.sum(axis=1, keepdims=True)
+    profile = np.stack([*others[:sender], pol, *others[sender:]])
+    value = float(ex_ante_utilities_fixed_interpretation(game, profile, interp)[sender])
+    return BestResponseResult(policy=pol, utility=value, action_map=table, feasible_maps=1)
 
 
 def reference_perturb(policy, eps, rng):

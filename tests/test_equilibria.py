@@ -11,8 +11,6 @@ from persuade.equilibria import (
     best_response_exact,
     best_response_fixed_interpretation,
     full_revelation_profile,
-    incentive_rows,
-    joint_conditional,
     local_ne_sample_count,
     local_ne_verify,
     perturb_policy,
@@ -36,6 +34,7 @@ from conftest import (
     grid_best_response,
     random_game,
     random_profile,
+    reference_best_response_fixed_interpretation,
     reference_local_ne_verify,
     reference_perturb,
     unique_optimum_game,
@@ -403,31 +402,45 @@ class TestLocalVerifyMatchesPerDeviationLoop:
             assert np.array_equal(dev, reference_perturb(pol, 0.3, rng))
 
 
-class TestIncentiveSetConvexity:
-    def test_convex_combinations_stay_incentive_compatible(self):
-        # two revealing profiles routed through different codewords are both
-        # incentive compatible; their joint-conditional blends must stay so
-        for k in range(100):
-            rng = substream(k, "ic-convexity")
-            g = random_game(2, 2, 2, 3, rng)
-            f = g.receiver_utility.argmax(axis=1)
-            table = (int(f[0]), int(f[0]), int(f[1]), int(f[1]))   # (0,0),(0,1),(1,0),(1,1)
-            amap = FixedMap(table)
-            det1 = np.zeros((2, 2, 2))
-            det1[:, 0, 0] = 1.0
-            det1[:, 1, 1] = 1.0
-            det2 = det1.copy()
-            det2[1, 0] = [0.0, 1.0]
-            det2[1, 1] = [1.0, 0.0]
-            conds = [joint_conditional(g, det1), joint_conditional(g, det2)]
-            # mix in random profiles that happen to be incentive compatible
-            for cand in (random_profile(g, rng) for _ in range(10)):
-                rows = incentive_rows(g, joint_conditional(g, cand), amap)
-                if np.all(rows >= -1e-12):
-                    conds.append(joint_conditional(g, cand))
-            for cond in conds:
-                assert np.all(incentive_rows(g, cond, amap) >= -1e-12)
-            for a, b in itertools.combinations(range(len(conds)), 2):
-                for lam in (0.25, 0.5, 0.75):
-                    blend = lam * conds[a] + (1 - lam) * conds[b]
-                    assert np.all(incentive_rows(g, blend, amap) >= -1e-12)
+class TestFixedInterpretationAgainstReference:
+    def test_matches_loop_oracle_on_random_games_and_maps(self):
+        # random tables are mostly infeasible; a profile's own induced map is
+        # feasible at that profile, so both outcomes are exercised
+        feasible = infeasible = 0
+        for k in range(60):
+            rng = substream(k, "fixed-interp-differential")
+            n, states, signals, actions = (int(rng.integers(1, 4)), int(rng.integers(2, 4)),
+                                           int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+            g = random_game(n, states, signals, actions, rng)
+            prof = random_profile(g, rng)
+            if k % 2:
+                interp = FixedMap(tuple(int(a) for a in rng.integers(0, actions, g.n_joint_signals)))
+            else:
+                interp = FixedMap(tuple(int(a) for a in induced_action_map(g, prof, LEX)))
+            for j in range(n):
+                others = [prof[i] for i in range(n) if i != j]
+                got = best_response_fixed_interpretation(g, j, others, interp)
+                ref = reference_best_response_fixed_interpretation(g, j, others, interp)
+                assert got.feasible == ref.feasible
+                assert np.array_equal(got.action_map, ref.action_map)
+                if ref.feasible:
+                    assert got.utility == pytest.approx(ref.utility, abs=1e-9)
+                    feasible += 1
+                else:
+                    assert got.policy is None and got.utility == -np.inf
+                    infeasible += 1
+        assert feasible > 20 and infeasible > 20
+
+    def test_matches_loop_oracle_on_bimatrix_reductions(self):
+        for k in range(20):
+            rng = substream(k, "fixed-interp-bimatrix")
+            m = 2 + k % 3
+            bim = BimatrixGame(rng.integers(0, 2, (m, m)).astype(float), rng.integers(0, 2, (m, m)).astype(float))
+            g, amap = bimatrix_to_persuasion(bim)
+            prof = random_profile(g, rng)
+            for j in range(2):
+                others = [prof[1 - j]]
+                got = best_response_fixed_interpretation(g, j, others, amap)
+                ref = reference_best_response_fixed_interpretation(g, j, others, amap)
+                assert got.feasible and ref.feasible
+                assert got.utility == pytest.approx(ref.utility, abs=1e-9)

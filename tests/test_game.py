@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persuade.equilibria import incentive_rows, joint_conditional
+from persuade.equilibria import best_response_fixed_interpretation, verify_nash
 from persuade.game import (
     CapError,
     FixedMap,
@@ -202,7 +202,9 @@ class TestFixedInterpretation:
             with pytest.raises(ValueError, match="interpretation"):
                 other(g, pol, FixedMap(table))
         with pytest.raises(ValueError, match="interpretation"):
-            incentive_rows(g, joint_conditional(g, pol), FixedMap(table))
+            best_response_fixed_interpretation(g, 0, [pol[1]], FixedMap(table))
+        with pytest.raises(ValueError, match="interpretation"):
+            verify_nash(g, pol, FixedMap(table))
         with pytest.raises(ValueError, match="interpretation"):
             sample_playthrough(g, pol, FixedMap(table), rng=0)
 
@@ -353,6 +355,25 @@ class TestValidation:
     def test_prior_must_sum_to_one(self):
         with pytest.raises(ValueError):
             GameInstance(1, 2, 2, 2, [0.6, 0.6], np.eye(2), (np.eye(2),))
+
+    @pytest.mark.parametrize("prior", [[np.nan, 1.0], [np.nan, np.nan]])
+    def test_nan_prior_rejected(self, prior):
+        with pytest.raises(ValueError, match="prior"):
+            GameInstance(2, 2, 2, 2, prior, np.eye(2), (np.eye(2), np.eye(2)))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
+    def test_nan_policy_rejected(self, entry):
+        # NaN fails every comparison, so each check must be phrased to fail on it
+        g = didactic_game()
+        pol = one_hot_profile(g)
+        pol[entry[0], entry[1]] = [np.nan, 1.0]
+        with pytest.raises(ValueError, match="entries"):
+            validate_policy(g, pol[entry[0]])
+        for stack in (pol, list(pol)):
+            with pytest.raises(ValueError, match="entries"):
+                validate_joint_policy(g, stack)
+        with pytest.raises(ValueError, match="entries"):
+            ex_ante_utilities(g, pol, LEX)
 
     def test_shapes_must_match_dims(self):
         with pytest.raises(ValueError):

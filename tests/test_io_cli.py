@@ -165,6 +165,29 @@ class TestCliCommands:
         assert code == 2
         assert "eg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("local", [False, True], ids=["exact", "local"])
+    def test_nan_policy_is_spec_error(self, tmp_path, capsys, local):
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        write_game(game_path, two_block_game(), tie=SenderFavoring())
+        pol = two_block_equilibrium_policies()
+        pol[1, 2] = [np.nan, 1.0, 0.0, 0.0]
+        write_policies(pol_path, pol)
+        code = run_cli(["exact", "verify", "--game", game_path, "--policy", pol_path,
+                        "--out", tmp_path / "r.json", *(["--local"] if local else [])])
+        assert code == 2
+        assert "policy entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "lottery"}, "unknown generator kind"),
+        ({"kind": "quality-ads", "signals": 2}, "missing config field: firms"),
+        ({"n": 2}, "missing config field: kind"),
+    ])
+    def test_bad_inline_generator_is_spec_error(self, tmp_path, capsys, spec, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generator": spec, "train": {"epochs": 1}, "eg": {"steps": 1}}))
+        assert run_cli(["learn", "--config", cfg, "--out", tmp_path / "run"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_console_script_installed(self):
         out = subprocess.run([sys.executable, "-m", "persuade.cli", "--version"],
                              capture_output=True, text=True)
@@ -296,3 +319,35 @@ class TestLearnAndReport:
         assert np.array_equal(d1.inputs, d2.inputs)
         assert np.array_equal(d1.utilities, d2.utilities)
         assert os.listdir(tmp_path / "cache") == files
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("synthetic", {"n": 2, "states": 2, "signals": 2, "actions": 2}),
+        ("quality-ads", {"firms": 2, "shock_std": 0.5}),
+    ])
+    def test_inline_generator_matches_gen_then_learn(self, tmp_path, monkeypatch, kind, fields):
+        # the config's generator entry and the gen flags name the same fields
+        monkeypatch.delenv("PERSUADE_CACHE", raising=False)
+        cfg = {
+            "architectures": ["relu"],
+            "sample_count": 300,
+            "train": {"epochs": 2, "batch_size": 64, "seed": 3},
+            "eg": {"steps": 3, "restarts": 2, "seed": 4},
+            "hidden": [6],
+        }
+        flags = [x for name, value in fields.items() for x in (f"--{name.replace('_', '-')}", value)]
+        game_path = tmp_path / "g.json"
+        assert run_cli(["gen", kind, *flags, "--seed", 11, "--out", game_path]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", tmp_path / "a"]) == 0
+        inline_path = tmp_path / "inline.json"
+        inline_path.write_text(json.dumps({**cfg, "generator": {"kind": kind, "seed": 11, **fields}}))
+        assert run_cli(["learn", "--config", inline_path, "--out", tmp_path / "b"]) == 0
+
+        for name in ("policy-relu.json", "restarts-relu.csv", "net-relu-sender0.json", "net-relu-sender1.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        a, b = (json.loads((tmp_path / d / "results.json").read_text()) for d in "ab")
+        assert a["game"] == str(game_path) and b["game"] == f"generator:{kind}"
+        paths = ("policy", "restarts_csv")
+        assert [{k: v for k, v in row.items() if k not in paths} for row in a["rows"]] == \
+            [{k: v for k, v in row.items() if k not in paths} for row in b["rows"]]

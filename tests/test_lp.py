@@ -66,19 +66,6 @@ class TestAgainstVertexEnumeration:
             assert np.all(res.x >= -1e-7)
 
 
-class TestDuality:
-    def test_weak_duality_from_final_basis(self, rng):
-        for _ in range(50):
-            lp = random_lp(rng)
-            res = solve_lp(lp)
-            assert res.status == OPTIMAL and res.dual is not None
-            y = res.dual
-            # dual feasibility for max c x, Ax <= b, x >= 0: y >= 0, A^T y >= c
-            assert np.all(y >= -1e-8)
-            assert np.all(lp.A_ub.T @ y >= lp.c - 1e-6)
-            assert res.value <= float(lp.b_ub @ y) + 1e-6
-
-
 class TestDegeneracy:
     def test_highly_degenerate_does_not_cycle(self):
         # many redundant ties at the origin; Bland's rule must terminate

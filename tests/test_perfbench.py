@@ -32,3 +32,10 @@ def test_evaluate_local_smoke_run(trace):
 def test_learn_smoke_run(trace):
     # every op's check re-evaluates each results.json row against the true game
     smoke_run("learn", trace)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_exact_smoke_run(trace):
+    # drives both best responses through the CLI (bimatrix-fixedmap and
+    # public-best-response families) and, traced, their wrappers
+    smoke_run("exact", trace)
