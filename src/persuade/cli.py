@@ -26,10 +26,11 @@ from .equilibria import (
     REFUTED,
     PreconditionError,
     best_response_exact,
+    best_response_fixed_interpretation,
     full_revelation_profile,
     verify_nash,
 )
-from .game import CapError, ex_ante_utilities
+from .game import CapError, FixedMap, ex_ante_utilities
 from .io import (
     parse_tie_flag,
     read_game,
@@ -216,19 +217,26 @@ def cmd_exact(args) -> int:
     if args.what == "best-response":
         policy = read_policies(args.policy)
         others = [policy[k] for k in range(game.n_senders) if k != args.sender]
-        br = best_response_exact(game, args.sender, others, tie, incumbent=policy[args.sender])
+        if isinstance(tie, FixedMap):
+            br = best_response_fixed_interpretation(game, args.sender, others, tie)
+        else:
+            br = best_response_exact(game, args.sender, others, tie, incumbent=policy[args.sender])
         doc = {
             "format": "persuade-best-response",
             "sender": args.sender,
-            "utility": br.utility,
+            "feasible": br.feasible,
+            "utility": br.utility if br.feasible else None,
             "feasible_maps": br.feasible_maps,
-            "policy": br.policy.ravel().tolist(),
+            "policy": br.policy.ravel().tolist() if br.feasible else None,
             "action_map": br.action_map.tolist(),
         }
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
         _manifest(args)
-        print(f"best response for sender {args.sender}: utility {br.utility:.12g}")
+        if br.feasible:
+            print(f"best response for sender {args.sender}: utility {br.utility:.12g}")
+        else:
+            print(f"sender {args.sender} has no policy that keeps the committed interpretation incentive compatible")
         return 0
     if args.what == "verify":
         policy = read_policies(args.policy)

@@ -3,8 +3,10 @@ optimal-action-revealing profile, fixed-interpretation best response, and
 sampled local-equilibrium checks.
 
 The exact best response enumerates receiver action maps (joint signal ->
-action), solves one LP per map over the responding sender's policy, and
-ranks candidates against the receiver's true tie-broken behavior.  A map's
+action) as subsets of live combos (one receiver action per opponent
+context, whose incentive cone holds a nonzero own-signal column), solves
+one LP per subset over the responding sender's policy, and ranks
+candidates against the receiver's true tie-broken behavior.  A map's
 LP value is trusted only when the map's incentive region has a strictly
 incentive-compatible interior; there the LP optimum is the supremum of the
 truly attainable utilities.  Boundary-only maps (the receiver is exactly
@@ -63,7 +65,10 @@ class BestResponseResult:
     ``(policy, action_map)``.  When the winning map has a strictly
     incentive-compatible interior the value is the supremum of truly
     attainable utilities (approached by shrinking toward `strict_point`);
-    otherwise it is attained exactly at `policy`.
+    otherwise it is attained exactly at `policy`.  `feasible_maps` counts
+    the candidate action maps whose incentive-compatibility LP was feasible
+    (subsets of live combos for the exact best response; liveness LPs are
+    not counted).
     """
 
     policy: np.ndarray | None
@@ -134,7 +139,8 @@ def _full_table(game: GameInstance, joint: np.ndarray, combos, assignment) -> np
     """Assemble a total joint-signal -> action table from per-context choices.
 
     Own signal s plays the combo ``combos[assignment[s]]``, one action per
-    reachable context.  Unreachable joint signals are filled with action 0.
+    reachable context.  Unreachable joint signals, and those of the own
+    signals the assignment leaves over, are filled with action 0.
     """
     table = np.zeros(game.n_joint_signals, dtype=int)
     for sig, k in enumerate(assignment):
@@ -146,21 +152,21 @@ class _IcLp:
     """The incentive-compatibility LP over one sender's policy.
 
     A combo names one receiver action per reachable opponent context (the
-    rows of `W`); an assignment gives each own signal a combo.  For an
-    assignment, :meth:`lp` maximizes the sender's utility when the receiver
-    plays the assigned actions, subject to each of them staying a receiver
-    best response at its joint signal (the revelation-principle LP).  With
-    the strictness slack it instead maximizes the smallest IC margin.  The
-    objective, IC rows and `fragile` flag of a combo are built once, however
-    many assignments use it; rows run signal-major, then context, then
-    action.
+    rows of `W`); an assignment gives each of the first ``len(assignment)``
+    own signals a combo, and the own signals it leaves over are never sent
+    (their columns are not in the LP).  For an assignment, :meth:`lp`
+    maximizes the sender's utility when the receiver plays the assigned
+    actions, subject to each of them staying a receiver best response at
+    its joint signal (the revelation-principle LP).  With the strictness
+    slack it instead maximizes the smallest IC margin.  The objective, IC
+    rows and `fragile` flag of a combo are built once, however many
+    assignments use it; rows run signal-major, then context, then action.
     """
 
     def __init__(self, game: GameInstance, sender: int, W: np.ndarray, combos):
         u_i = game.sender_utilities[sender]
         V = game.receiver_utility
         self.shape = (game.states, game.signals)
-        self.nvar = game.states * game.signals
         self.slack_cap = 10.0 + 10.0 * np.max(np.abs(V))
 
         # A combo is "fragile" if some declared action is permanently tied
@@ -189,13 +195,9 @@ class _IcLp:
             self.fragile.append(fragile)
         self.obj = np.array(obj)
 
-        self.A_eq = np.zeros((game.states, self.nvar))
-        for w in range(game.states):
-            self.A_eq[w, w * game.signals : (w + 1) * game.signals] = 1.0
-        self.b_eq = np.ones(game.states)
-
     def lp(self, assignment, with_slack: bool = False) -> lpmod.LinearProgram:
-        nvar, n_sig = self.nvar, self.shape[1]
+        n_states, n_cols = self.shape[0], len(assignment)
+        nvar = n_states * n_cols
         extra = 1 if with_slack else 0
         c = np.zeros(nvar + extra)
         n_rows = sum(self.rows[k].shape[0] for k in assignment) + extra
@@ -204,25 +206,46 @@ class _IcLp:
         for sig, k in enumerate(assignment):
             block = self.rows[k]
             if block.shape[0]:
-                A_ub[r0 : r0 + block.shape[0], sig : nvar : n_sig] = -block
+                A_ub[r0 : r0 + block.shape[0], sig:nvar:n_cols] = -block
                 if with_slack:
                     A_ub[r0 : r0 + block.shape[0], -1] = 1.0
                 r0 += block.shape[0]
             if not with_slack:
-                c[sig:nvar:n_sig] += self.obj[k]
-        Ae = np.zeros((self.A_eq.shape[0], nvar + extra))
-        Ae[:, :nvar] = self.A_eq
+                c[sig:nvar:n_cols] += self.obj[k]
+        A_eq = np.zeros((n_states, nvar + extra))
+        A_eq[np.arange(nvar) // n_cols, np.arange(nvar)] = 1.0
         b_ub = np.zeros(n_rows)
         if with_slack:
             c[-1] = 1.0
             A_ub[-1, -1] = 1.0
             b_ub[-1] = self.slack_cap
-        return lpmod.LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=Ae, b_eq=self.b_eq)
+        return lpmod.LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(n_states))
 
-    def policy(self, x: np.ndarray) -> np.ndarray:
-        """The policy of an LP solution, LP round-off clamped so it passes
-        strict policy validation."""
-        p = np.clip(x[: self.nvar].reshape(self.shape), 0.0, None)
+    def live(self, k: int) -> bool:
+        """Whether combo `k`'s cone of own-signal columns holds a nonzero
+        point: one feasibility LP over a column scaled to total mass one.
+
+        A dead combo can never carry mass, so no assignment needs it.  An LP
+        that fails keeps the combo, which costs LPs but never an answer.
+        """
+        rows = self.rows[k]
+        cone = lpmod.LinearProgram(
+            c=np.zeros(self.shape[0]),
+            A_ub=-rows,
+            b_ub=np.zeros(rows.shape[0]),
+            A_eq=np.ones((1, self.shape[0])),
+            b_eq=np.ones(1),
+        )
+        try:
+            return lpmod.solve_lp(cone).status == lpmod.OPTIMAL
+        except lpmod.LpFailure:
+            return True
+
+    def policy(self, x: np.ndarray, n_cols: int) -> np.ndarray:
+        """The policy of an LP solution over the first `n_cols` own signals,
+        LP round-off clamped so it passes strict policy validation."""
+        p = np.zeros(self.shape)
+        p[:, :n_cols] = np.clip(x[: self.shape[0] * n_cols].reshape(self.shape[0], n_cols), 0.0, None)
         return p / p.sum(axis=1, keepdims=True)
 
 
@@ -332,12 +355,17 @@ def best_response_exact(
 ) -> BestResponseResult:
     """Exact best response of `sender` against the fixed `others`.
 
-    Enumerates candidate action maps column-by-column over the sender's own
-    signals (own signal labels are interchangeable, so maps are enumerated
-    as multisets of per-column assignments), solves the incentive-
-    compatibility LP for each, and returns the best value the receiver's
-    actual behavior supports.  `others` are the remaining senders' policies
-    in ascending sender order.
+    A combo names one receiver action per reachable opponent context.  For
+    a fixed combo the incentive constraints on an own-signal column are
+    homogeneous, so the columns it can carry form a cone: own signals that
+    share a combo merge into one, and a combo whose cone is {0} (dead, by
+    one feasibility LP each) never carries mass.  Candidate action maps are
+    therefore the subsets of one to ``min(signals, live combos)`` live
+    combos, one own signal each, the remaining own signals never sent.  The
+    incentive-compatibility LP is solved for each subset, best-first by an
+    IC-free bound, and the best value the receiver's actual behavior
+    supports is returned.  `others` are the remaining senders' policies in
+    ascending sender order.
     """
     if isinstance(tie, FixedMap):
         raise ValueError("use best_response_fixed_interpretation for committed interpretations")
@@ -352,9 +380,6 @@ def best_response_exact(
     if n_combos > map_cap:
         raise CapError(f"{n_combos} per-column assignments exceed the map cap of {map_cap}")
     combos = list(itertools.product(*cands))
-    n_multisets = math.comb(len(combos) + game.signals - 1, game.signals)
-    if n_multisets > map_cap:
-        raise CapError(f"{n_multisets} action maps exceed the map cap of {map_cap}")
     ic = _IcLp(game, sender, W, combos)
 
     best_value = -np.inf
@@ -367,16 +392,25 @@ def best_response_exact(
         best_value, best_policy = val, inc
         best_table = induced_action_map(game, prof, tie, term_cap)
 
-    # best-first over a cheap IC-free bound so most LPs are skipped
-    multisets = list(itertools.combinations_with_replacement(range(len(combos)), game.signals))
+    # best-first over a cheap IC-free bound so most LPs are skipped; when no
+    # subset's bound can beat the incumbent, not even liveness is needed
+    if ic.obj.max(axis=0).sum() > best_value + 1e-12:
+        live = [k for k in range(len(combos)) if ic.live(k)]
+    else:
+        live = []
+    sizes = range(1, min(game.signals, len(live)) + 1)
+    n_subsets = sum(math.comb(len(live), r) for r in sizes)
+    if n_subsets > map_cap:
+        raise CapError(f"{n_subsets} subsets of {len(live)} live combos exceed the map cap of {map_cap}")
+    subsets = [s for r in sizes for s in itertools.combinations(live, r)]
 
     def bound(assignment):
         return float(np.maximum.reduce([ic.obj[k] for k in assignment]).sum())
 
-    multisets.sort(key=bound, reverse=True)
+    subsets.sort(key=bound, reverse=True)
 
     feasible_count = 0
-    for assignment in multisets:
+    for assignment in subsets:
         if bound(assignment) <= best_value + 1e-12:
             break
         res = lpmod.solve_lp(ic.lp(assignment))
@@ -385,7 +419,7 @@ def best_response_exact(
         feasible_count += 1
         if res.value <= best_value + 1e-12:
             continue
-        pi_star = ic.policy(res.x)
+        pi_star = ic.policy(res.x, len(assignment))
         slack = lpmod.solve_lp(ic.lp(assignment, with_slack=True))
         strict = (
             slack.status == lpmod.OPTIMAL
@@ -402,11 +436,11 @@ def best_response_exact(
                 best_value = value
                 best_policy = pi_star
                 best_table = table
-                best_strict = ic.policy(slack.x)
+                best_strict = ic.policy(slack.x, len(assignment))
         else:
             cands_to_try = [pi_star]
             if slack.status == lpmod.OPTIMAL:
-                cands_to_try.append(ic.policy(slack.x))
+                cands_to_try.append(ic.policy(slack.x, len(assignment)))
             for cand in cands_to_try:
                 val, prof = true_utility(cand)
                 if val > best_value:
@@ -445,7 +479,7 @@ def best_response_fixed_interpretation(
     res = lpmod.solve_lp(ic.lp(range(game.signals)))
     if res.status != lpmod.OPTIMAL:
         return BestResponseResult(policy=None, utility=-np.inf, action_map=table, feasible_maps=0, feasible=False)
-    pol = ic.policy(res.x)
+    pol = ic.policy(res.x, game.signals)
     prof = _profile_with(others, sender, pol)
     value = float(ex_ante_utilities_fixed_interpretation(game, prof, interp, term_cap)[sender])
     return BestResponseResult(policy=pol, utility=value, action_map=table, feasible_maps=1)

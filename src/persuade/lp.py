@@ -61,9 +61,13 @@ class LpResult:
 
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
+    # a negative pivot turns a zero right-hand side into -0.0; clear it as a
+    # full-tableau update would, so x never holds -0.0
+    T[row, -1] += 0.0
+    # rows with a zero in the pivot column would only subtract a zero
+    rows = T[:, col].nonzero()[0]
+    rows = rows[rows != row]
+    T[rows] -= T[rows, col, None] * T[row]
     # keep the pivot column numerically exact
     T[:, col] = 0.0
     T[row, col] = 1.0
@@ -76,25 +80,25 @@ def _run_simplex(T, basis, cost, allowed, budget):
     `allowed` marks columns permitted to enter.  Returns (status, pivots).
     """
     m = basis.size
+    blocked = ~allowed
     pivots = 0
     while True:
         # reduced costs relative to the current basis
         z = cost.copy()
         z -= cost[basis] @ T[:m, :-1]
-        z[~allowed] = 0.0
+        z[blocked] = 0.0
         z[basis] = 0.0
-        cand = np.nonzero(z > PIVOT_TOL)[0]
-        if cand.size == 0:
+        eligible = z > PIVOT_TOL
+        col = int(eligible.argmax())              # Bland: lowest eligible index
+        if not eligible[col]:
             return OPTIMAL, pivots
-        col = int(cand[0])                        # Bland: lowest eligible index
         colvals = T[:m, col]
-        pos = np.nonzero(colvals > PIVOT_TOL)[0]
+        pos = (colvals > PIVOT_TOL).nonzero()[0]
         if pos.size == 0:
             return UNBOUNDED, pivots
         ratios = T[pos, -1] / colvals[pos]
-        best = ratios.min()
-        ties = pos[ratios <= best + 1e-12]
-        row = int(ties[np.argmin(basis[ties])])   # Bland: lowest basis index leaves
+        ties = pos[ratios <= ratios.min() + 1e-12]
+        row = int(ties[basis[ties].argmin()])     # Bland: lowest basis index leaves
         _pivot(T, basis, row, col)
         pivots += 1
         if pivots > budget:
@@ -118,16 +122,16 @@ def solve_lp(lp: LinearProgram, max_pivots: int = MAX_PIVOTS) -> LpResult:
     A[flip] *= -1
     rhs = np.abs(rhs)
 
-    # artificials for every row; slack columns start the basis where they survived the flip
+    # artificials for every row; slack columns start the basis where they
+    # survived the flip (each is a unit vector, so no pivot is needed)
     n_total = n + m_ub + m
     T = np.zeros((m, n_total + 1))
     T[:, : n + m_ub] = A
     T[:, n + m_ub : n_total] = np.eye(m)
     T[:, -1] = rhs
     basis = np.arange(n + m_ub, n_total)
-    for i in range(m_ub):
-        if not flip[i]:
-            _pivot(T, basis, i, n + i)
+    slack_rows = (~flip[:m_ub]).nonzero()[0]
+    basis[slack_rows] = n + slack_rows
 
     budget = max_pivots
     phase1_cost = np.zeros(n_total)

@@ -43,17 +43,17 @@ class PublicPersuasionInstance:
         states = self.prior.size
         if self.k < 1:
             raise ValueError("need at least one receiver")
-        if abs(self.prior.sum() - 1.0) > 1e-12 or np.any(self.prior < 0):
+        # every check is phrased so that NaN fails it
+        if not (abs(self.prior.sum() - 1.0) <= 1e-12 and np.all(self.prior >= 0)):
             raise ValueError("prior must be a distribution")
         for name in ("gaps", "u_plus", "u_minus"):
             if getattr(self, name).shape != (self.k, states):
                 raise ValueError(f"{name} must be (k, states)")
-        if np.any(np.abs(self.gaps) > 1 + 1e-12):
+        if not np.all(np.abs(self.gaps) <= 1 + 1e-12):
             raise ValueError("utility gaps must lie in [-1, 1]")
-        if np.any((self.u_plus < -1e-12) | (self.u_plus > 1 + 1e-12)) or np.any(
-            (self.u_minus < -1e-12) | (self.u_minus > 1 + 1e-12)
-        ):
-            raise ValueError("sender utilities must lie in [0, 1]")
+        for u in (self.u_plus, self.u_minus):
+            if not np.all((u >= -1e-12) & (u <= 1 + 1e-12)):
+                raise ValueError("sender utilities must lie in [0, 1]")
 
     @property
     def states(self) -> int:
@@ -207,7 +207,7 @@ def pub_sender_utility(pub: PublicPersuasionInstance, scheme: np.ndarray) -> flo
     scheme = np.asarray(scheme, dtype=float)
     if scheme.shape[0] != pub.states:
         raise ValueError("scheme must have one row per state")
-    if np.any(scheme < -1e-12) or np.any(np.abs(scheme.sum(axis=1) - 1.0) > 1e-9):
+    if not (np.all(scheme >= -1e-12) and np.all(np.abs(scheme.sum(axis=1) - 1.0) <= 1e-9)):
         raise ValueError("scheme rows must be distributions")
     total = 0.0
     for s in range(scheme.shape[1]):

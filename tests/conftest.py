@@ -14,15 +14,23 @@ from persuade.equilibria import (
     REFUTED,
     BestResponseResult,
     EquilibriumReport,
+    _full_table,
+    _IcLp,
+    _opponent_contexts,
+    _producible_actions,
+    _profile_with,
     local_ne_sample_count,
 )
 from persuade.game import (
+    DEFAULT_TERM_CAP,
+    TIE_TOL,
     FixedMap,
     GameInstance,
     ex_ante_utilities,
     ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
     fixed_map_table,
+    induced_action_map,
     joint_signal_index,
     joint_signals,
     posterior,
@@ -183,6 +191,164 @@ def reference_best_response_fixed_interpretation(game: GameInstance, sender, oth
     profile = np.stack([*others[:sender], pol, *others[sender:]])
     value = float(ex_ante_utilities_fixed_interpretation(game, profile, interp)[sender])
     return BestResponseResult(policy=pol, utility=value, action_map=table, feasible_maps=1)
+
+
+def reference_best_response_exact(game: GameInstance, sender, others, tie, *, incumbent=None,
+                                  term_cap=DEFAULT_TERM_CAP):
+    """Multiset oracle for the exact best response: every multiset of
+    `signals` combos (dead ones included) is an assignment of one combo per
+    own signal, and each gets its IC LP, best-first by the IC-free bound,
+    through the same strictness, `fragile` and tie-rule re-evaluation steps
+    as `best_response_exact`."""
+    others, W, joint = _opponent_contexts(game, sender, others)
+
+    def true_utility(pi):
+        prof = _profile_with(others, sender, pi)
+        return float(ex_ante_utilities(game, prof, tie, term_cap)[0][sender]), prof
+
+    combos = list(itertools.product(*[_producible_actions(game, row, tie) for row in W]))
+    ic = _IcLp(game, sender, W, combos)
+    best_value, best_policy, best_table, best_strict = -np.inf, None, None, None
+    if incumbent is not None:
+        inc = validate_policy(game, incumbent)
+        best_value, prof = true_utility(inc)
+        best_policy = inc
+        best_table = induced_action_map(game, prof, tie, term_cap)
+
+    def bound(assignment):
+        return float(np.maximum.reduce([ic.obj[k] for k in assignment]).sum())
+
+    multisets = sorted(itertools.combinations_with_replacement(range(len(combos)), game.signals),
+                       key=bound, reverse=True)
+    feasible_count = 0
+    for assignment in multisets:
+        if bound(assignment) <= best_value + 1e-12:
+            break
+        res = lpmod.solve_lp(ic.lp(assignment))
+        if res.status != lpmod.OPTIMAL:
+            continue
+        feasible_count += 1
+        if res.value <= best_value + 1e-12:
+            continue
+        pi_star = ic.policy(res.x, game.signals)
+        slack = lpmod.solve_lp(ic.lp(assignment, with_slack=True))
+        strict = (slack.status == lpmod.OPTIMAL and slack.value > TIE_TOL
+                  and not any(ic.fragile[k] for k in assignment))
+        if strict:
+            table = _full_table(game, joint, combos, assignment)
+            prof = _profile_with(others, sender, pi_star)
+            value = float(ex_ante_utilities_fixed_interpretation(game, prof, FixedMap(tuple(table)), term_cap)[sender])
+            if value > best_value:
+                best_value, best_policy, best_table = value, pi_star, table
+                best_strict = ic.policy(slack.x, game.signals)
+        else:
+            cands = [pi_star]
+            if slack.status == lpmod.OPTIMAL:
+                cands.append(ic.policy(slack.x, game.signals))
+            for cand in cands:
+                val, prof = true_utility(cand)
+                if val > best_value:
+                    best_value, best_policy = val, cand
+                    best_table = induced_action_map(game, prof, tie, term_cap)
+                    best_strict = None
+    return BestResponseResult(policy=best_policy, utility=float(best_value), action_map=best_table,
+                              feasible_maps=feasible_count, strict_point=best_strict)
+
+
+def _reference_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= np.outer(colvals, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+def _reference_run_simplex(T, basis, cost, allowed, budget):
+    m = basis.size
+    pivots = 0
+    while True:
+        z = cost.copy()
+        z -= cost[basis] @ T[:m, :-1]
+        z[~allowed] = 0.0
+        z[basis] = 0.0
+        cand = np.nonzero(z > lpmod.PIVOT_TOL)[0]
+        if cand.size == 0:
+            return lpmod.OPTIMAL, pivots
+        col = int(cand[0])
+        colvals = T[:m, col]
+        pos = np.nonzero(colvals > lpmod.PIVOT_TOL)[0]
+        if pos.size == 0:
+            return lpmod.UNBOUNDED, pivots
+        ratios = T[pos, -1] / colvals[pos]
+        best = ratios.min()
+        ties = pos[ratios <= best + 1e-12]
+        row = int(ties[np.argmin(basis[ties])])
+        _reference_pivot(T, basis, row, col)
+        pivots += 1
+        if pivots > budget:
+            raise lpmod.LpFailure(f"simplex exceeded {budget} pivots")
+
+
+def reference_solve_lp(lp: lpmod.LinearProgram, max_pivots: int = lpmod.MAX_PIVOTS) -> lpmod.LpResult:
+    """Two-phase tableau simplex with an explicit set-up pivot onto every
+    unflipped slack column and full-tableau rank-one updates: the oracle
+    for `solve_lp`, which must return the same status, `x` bytes, value
+    and failure message."""
+    c, A_ub, b_ub, A_eq, b_eq = lp.normalized()
+    n = c.size
+    m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
+    m = m_ub + m_eq
+    A = np.zeros((m, n + m_ub))
+    rhs = np.concatenate([b_ub, b_eq])
+    A[:m_ub, :n] = A_ub
+    A[:m_ub, n : n + m_ub] = np.eye(m_ub)
+    A[m_ub:, :n] = A_eq
+    flip = rhs < 0
+    A[flip] *= -1
+    rhs = np.abs(rhs)
+    n_total = n + m_ub + m
+    T = np.zeros((m, n_total + 1))
+    T[:, : n + m_ub] = A
+    T[:, n + m_ub : n_total] = np.eye(m)
+    T[:, -1] = rhs
+    basis = np.arange(n + m_ub, n_total)
+    for i in range(m_ub):
+        if not flip[i]:
+            _reference_pivot(T, basis, i, n + i)
+    budget = max_pivots
+    phase1_cost = np.zeros(n_total)
+    phase1_cost[n + m_ub :] = -1.0
+    status, used = _reference_run_simplex(T, basis, phase1_cost, np.ones(n_total, dtype=bool), budget)
+    budget -= used
+    if -float(phase1_cost[basis] @ T[:m, -1]) > lpmod.FEAS_TOL:
+        return lpmod.LpResult(status=lpmod.INFEASIBLE)
+    art_start = n + m_ub
+    for i in range(m):
+        if basis[i] >= art_start:
+            row_cands = np.nonzero(np.abs(T[i, :art_start]) > lpmod.PIVOT_TOL)[0]
+            if row_cands.size:
+                _reference_pivot(T, basis, i, int(row_cands[0]))
+    phase2_cost = np.zeros(n_total)
+    phase2_cost[:n] = c
+    allowed = np.ones(n_total, dtype=bool)
+    allowed[art_start:] = False
+    status, used = _reference_run_simplex(T, basis, phase2_cost, allowed, budget - 1)
+    if status == lpmod.UNBOUNDED:
+        return lpmod.LpResult(status=lpmod.UNBOUNDED)
+    x_full = np.zeros(n_total)
+    keep = basis < n_total
+    x_full[basis[keep]] = T[:m, -1][keep]
+    x = x_full[:n]
+    value = float(c @ x)
+    if m_ub and np.any(A_ub @ x - b_ub > lpmod.CERT_TOL):
+        raise lpmod.LpFailure("inequality violated beyond certified tolerance")
+    if m_eq and np.any(np.abs(A_eq @ x - b_eq) > lpmod.CERT_TOL):
+        raise lpmod.LpFailure("equality violated beyond certified tolerance")
+    if np.any(x < -lpmod.CERT_TOL):
+        raise lpmod.LpFailure("negative variable beyond certified tolerance")
+    return lpmod.LpResult(status=lpmod.OPTIMAL, x=x, value=value)
 
 
 def reference_perturb(policy, eps, rng):

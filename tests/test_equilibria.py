@@ -1,8 +1,12 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
 
+import persuade.equilibria
+from persuade import lp as lpmod
 from persuade.equilibria import (
     EPSILON_LOCAL,
     EXACT,
@@ -17,6 +21,7 @@ from persuade.equilibria import (
     verify_nash,
 )
 from persuade.game import (
+    CapError,
     FixedMap,
     GameInstance,
     Lexicographic,
@@ -34,6 +39,7 @@ from conftest import (
     grid_best_response,
     random_game,
     random_profile,
+    reference_best_response_exact,
     reference_best_response_fixed_interpretation,
     reference_local_ne_verify,
     reference_perturb,
@@ -94,6 +100,112 @@ class TestBestResponseExact:
         g = didactic_game()
         with pytest.raises(ValueError):
             best_response_exact(g, 0, [np.full((2, 2), 0.5)], FixedMap(table=(0,) * 4))
+
+
+def _count_lps(monkeypatch):
+    """Count `solve_lp` calls from here on: all of them, and the liveness
+    LPs among them."""
+    counts = {"all": 0, "liveness": 0}
+    solve = lpmod.solve_lp
+
+    def counted(lp, max_pivots=lpmod.MAX_PIVOTS):
+        counts["all"] += 1
+        counts["liveness"] += _is_liveness_lp(lp)
+        return solve(lp, max_pivots)
+
+    monkeypatch.setattr(lpmod, "solve_lp", counted)
+    return counts
+
+
+def _is_liveness_lp(lp):
+    # one combo's cone: a zero objective and the single row "total mass one"
+    return lp.A_eq is not None and np.shape(lp.A_eq)[0] == 1 and not np.any(lp.c)
+
+
+class TestBestResponseMatchesMultisetReference:
+    """Subsets of live combos give the multiset enumeration's best response."""
+
+    SHAPES = ((2, 2, 2, 2), (2, 3, 2, 3), (3, 3, 2, 3), (2, 3, 3, 3))
+
+    def test_agrees_with_reference(self, monkeypatch):
+        for shape in self.SHAPES:
+            rng = substream(sum(shape), "subset-enumeration")
+            for tie in (LEX, SF):
+                g = random_game(*shape, rng)
+                prof = random_profile(g, rng)
+                refs = {}
+
+                def reference_br(game, j, others, tie, *, incumbent=None, map_cap=None, term_cap=None):
+                    key = (j, incumbent is None)
+                    if key not in refs:
+                        refs[key] = reference_best_response_exact(game, j, others, tie, incumbent=incumbent)
+                    return refs[key]
+
+                others = list(prof[1:])
+                for incumbent in (None, prof[0]):
+                    got = best_response_exact(g, 0, others, tie, incumbent=incumbent)
+                    ref = reference_br(g, 0, others, tie, incumbent=incumbent)
+                    assert got.utility == pytest.approx(ref.utility, abs=1e-9)
+                    achieved = ex_ante_utilities_fixed_interpretation(
+                        g, np.stack([got.policy, *others]), FixedMap(tuple(got.action_map)))[0]
+                    assert achieved == pytest.approx(got.utility, abs=1e-9)
+                rep = verify_nash(g, prof, tie)
+                monkeypatch.setattr(persuade.equilibria, "best_response_exact", reference_br)
+                assert verify_nash(g, prof, tie).verdict == rep.verdict
+                monkeypatch.undo()
+
+    def test_heavy_best_response_solves_fewer_lps(self, monkeypatch):
+        g = synthetic_instance(SyntheticSpec(3, 3, 2, 3, 6))
+        prof = random_profile(g, substream(6, "heavy-best-response"))
+        counts = _count_lps(monkeypatch)
+        ref = reference_best_response_exact(g, 0, list(prof[1:]), LEX, incumbent=prof[0])
+        ref_lps = counts["all"]
+        counts["all"] = 0
+        got = best_response_exact(g, 0, list(prof[1:]), LEX, incumbent=prof[0])
+        assert got.utility == pytest.approx(ref.utility, abs=1e-9)
+        assert ref_lps > 200
+        assert counts["all"] < ref_lps / 2
+
+    def test_map_cap_counts_subsets_of_live_combos(self, monkeypatch):
+        g = synthetic_instance(SyntheticSpec(3, 3, 2, 3, 6))
+        prof = random_profile(g, substream(6, "heavy-best-response"))
+        others = list(prof[1:])
+        n_combos = 3 ** 4                              # every action producible in each of 4 contexts
+        with pytest.raises(CapError, match=r"subsets of \d+ live combos") as exc:
+            best_response_exact(g, 0, others, LEX, map_cap=n_combos)
+        n_subsets, n_live = map(int, re.match(r"(\d+) subsets of (\d+) live", str(exc.value)).groups())
+        assert n_subsets == sum(math.comb(n_live, r) for r in range(1, min(g.signals, n_live) + 1))
+        counts = _count_lps(monkeypatch)
+        best_response_exact(g, 0, others, LEX, map_cap=n_subsets)
+        assert counts["liveness"] == n_combos
+        assert n_live < n_combos                     # some combos are dead and not counted
+        assert counts["all"] - counts["liveness"] <= 2 * n_subsets
+        with pytest.raises(CapError):
+            best_response_exact(g, 0, others, LEX, map_cap=n_subsets - 1)
+
+    def test_failed_liveness_lp_keeps_the_combo(self, monkeypatch):
+        g = synthetic_instance(SyntheticSpec(3, 3, 2, 3, 6))
+        prof = random_profile(g, substream(6, "heavy-best-response"))
+        others = list(prof[1:])
+        counts = _count_lps(monkeypatch)
+        expect = best_response_exact(g, 0, others, LEX, incumbent=prof[0])
+        normal = dict(counts)
+        solve = lpmod.solve_lp
+        failed = []
+
+        def fail_liveness(lp, max_pivots=lpmod.MAX_PIVOTS):
+            if _is_liveness_lp(lp):
+                failed.append(lp)
+                raise lpmod.LpFailure("simplex exceeded 0 pivots")
+            return solve(lp, max_pivots)
+
+        monkeypatch.setattr(lpmod, "solve_lp", fail_liveness)
+        counts.update(all=0, liveness=0)
+        got = best_response_exact(g, 0, others, LEX, incumbent=prof[0])
+        assert got.utility == pytest.approx(expect.utility, abs=1e-9)
+        assert len(failed) == normal["liveness"] > 0
+        # every combo kept, dead ones too: more subset LPs, the same answer
+        assert counts["all"] > normal["all"] - normal["liveness"]
 
 
 class TestBestResponseFixedInterpretation:

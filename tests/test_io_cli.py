@@ -8,7 +8,7 @@ import pytest
 
 from persuade.cli import main
 from persuade.equilibria import EquilibriumReport
-from persuade.game import FixedMap, Lexicographic, SenderFavoring
+from persuade.game import FixedMap, GameInstance, Lexicographic, SenderFavoring
 from persuade.io import (
     load_or_sample_dataset,
     read_game,
@@ -127,6 +127,38 @@ class TestCliCommands:
         doc = json.loads(out.read_text())
         lib = best_response_exact(g, 0, [pol[1]], SenderFavoring(), incumbent=pol[0])
         assert doc["utility"] == pytest.approx(lib.utility, abs=1e-12)
+
+    def test_best_response_on_reduced_bimatrix_game(self, tmp_path):
+        from persuade.equilibria import best_response_fixed_interpretation
+
+        src, game_path, pol_path, out = (tmp_path / n for n in ("bim.json", "g.json", "p.json", "br.json"))
+        src.write_text(json.dumps({"u1": [[1, 0], [0, 1]], "u2": [[0, 1], [1, 1]]}))
+        assert run_cli(["reduce", "bimatrix", "--source", src, "--out", game_path]) == 0
+        g, tie = read_game(game_path)
+        assert isinstance(tie, FixedMap)
+        pol = np.array([[[0.5, 0.5], [0.3, 0.7]], [[0.5, 0.5], [0.6, 0.4]]])
+        write_policies(pol_path, pol)
+        assert run_cli(["exact", "best-response", "--game", game_path, "--policy", pol_path,
+                        "--sender", 1, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        lib = best_response_fixed_interpretation(g, 1, [pol[0]], tie)
+        assert doc["feasible"] is True
+        assert doc["utility"] == pytest.approx(lib.utility, abs=1e-12)
+        assert np.allclose(doc["policy"], lib.policy.ravel(), atol=1e-12)
+        assert doc["action_map"] == list(tie.table)
+
+    def test_best_response_infeasible_interpretation(self, tmp_path):
+        # state 0 is more likely, so no policy keeps "always action 1" credible
+        g = GameInstance(1, 2, 2, 2, [0.7, 0.3], np.eye(2), (np.ones((2, 2)),))
+        game_path, pol_path, out = tmp_path / "g.json", tmp_path / "p.json", tmp_path / "br.json"
+        write_game(game_path, g, tie=FixedMap(table=(1, 1)))
+        write_policies(pol_path, np.full((1, 2, 2), 0.5))
+        assert run_cli(["exact", "best-response", "--game", game_path, "--policy", pol_path,
+                        "--sender", 0, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["feasible"] is False
+        assert doc["policy"] is None and doc["utility"] is None
+        assert doc["action_map"] == [1, 1]
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

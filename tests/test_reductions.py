@@ -67,7 +67,21 @@ class TestPublicReduction:
         assert np.allclose(game.prior[3:], 1 / 4)
 
 
+    @pytest.mark.parametrize("field", ["prior", "gaps", "u_plus", "u_minus"])
+    def test_nan_rejected(self, rng, field):
+        pub = random_pub(2, 3, rng)
+        fields = {name: np.array(getattr(pub, name)) for name in ("prior", "gaps", "u_plus", "u_minus")}
+        fields[field].flat[0] = np.nan
+        with pytest.raises(ValueError):
+            PublicPersuasionInstance(k=2, **fields)
+
+
 class TestPubSenderUtility:
+    def test_nan_scheme_rejected(self, rng):
+        pub = random_pub(2, 2, rng)
+        with pytest.raises(ValueError, match="distributions"):
+            pub_sender_utility(pub, np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
     def test_uninformative_all_plus(self, rng):
         k, states = 3, 4
         pub = PublicPersuasionInstance(
