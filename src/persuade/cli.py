@@ -194,11 +194,10 @@ def _effective_tie(args, file_tie):
     return parse_tie_flag(args.tie)
 
 
-def _manifest(args, outputs=None):
+def _manifest(args, path=None):
+    """Record the command's arguments as given, by default in `<out>.manifest.json`."""
     doc = {k: v for k, v in vars(args).items() if k != "func"}
-    if outputs:
-        doc["outputs"] = outputs
-    write_manifest(f"{args.out}.manifest.json", args.command, doc, args.seed)
+    write_manifest(path or f"{args.out}.manifest.json", args.command, doc, args.seed)
 
 
 def cmd_gen(args) -> int:
@@ -346,10 +345,7 @@ def cmd_learn(args) -> int:
               f"validation mse {res.validation_mse:.6g}")
     with open(os.path.join(args.out, "results.json"), "w") as fh:
         json.dump({"format": "persuade-results", "game": game_label, "rows": rows_out}, fh, indent=1)
-    args_out = args.out
-    args.out = os.path.join(args_out, "run")
-    _manifest(args)
-    args.out = args_out
+    _manifest(args, os.path.join(args.out, "run.manifest.json"))
     return 0
 
 

@@ -17,16 +17,7 @@ import numpy as np
 
 from .equilibria import EPSILON_LOCAL, EquilibriumReport, local_ne_verify
 from .game import GameInstance, TieRule, ex_ante_utilities, ex_ante_utilities_batch
-from .neural import (
-    _param_views,
-    backward,
-    flatten_params,
-    forward,
-    init_delu,
-    init_dnl,
-    init_relu,
-    input_dim,
-)
+from .neural import _param_views, backward, flatten_params, forward, init_params, input_dim
 from .rng import substream
 
 DIVERGENCE_GUARD = 1e6
@@ -119,14 +110,10 @@ def make_surrogate_params(
     out_dim: int = 1,
 ):
     """Fresh parameters for one of the three supported architectures."""
-    dims = [in_dim, *hidden, out_dim]
-    if arch == "relu":
-        return init_relu(dims, rng)
-    if arch == "delu":
-        return init_delu(dims, aux_hidden, rng)
-    if arch == "dnl":
-        return init_dnl(dims, lower_layers, hyper_hidden, rng)
-    raise ValueError(f"unknown architecture {arch!r}; expected relu, delu, or dnl")
+    return init_params(
+        arch, [in_dim, *hidden, out_dim], rng,
+        lower_layers=lower_layers, hyper_hidden=hyper_hidden, aux_hidden=aux_hidden,
+    )
 
 
 def mse(params, X, y, chunk: int = 8192) -> float:
@@ -197,13 +184,10 @@ def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int | No
 
 
 class UtilitySurrogate:
-    """Scalar network wrapped with the two calls extra-gradient needs."""
+    """Scalar network wrapped with the input gradient extra-gradient needs."""
 
     def __init__(self, params):
         self.params = params
-
-    def value(self, x) -> float:
-        return float(np.asarray(forward(self.params, np.asarray(x, dtype=float))).ravel()[0])
 
     def input_gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -282,7 +266,6 @@ def find_local_ne(
     sample_count: int = 50_000,
     dataset: UtilityDataset | None = None,
     val_fraction: float = 0.1,
-    verify_samples: int | None = None,
     **arch_kwargs,
 ) -> PipelineResult:
     """Sample, train one surrogate per sender, restart extra-gradient, verify.
@@ -327,7 +310,7 @@ def find_local_ne(
     chosen_report = None
     chosen = None
     for outcome in order:
-        report = local_ne_verify(game, outcome.policy, tie, eps, eg_cfg.seed, samples=verify_samples)
+        report = local_ne_verify(game, outcome.policy, tie, eps, eg_cfg.seed)
         outcome.verified = report.verdict == EPSILON_LOCAL
         if chosen_report is None:
             chosen_report, chosen = report, outcome     # best welfare, possibly refuted

@@ -248,6 +248,9 @@ class TestLearnAndReport:
         assert row["eps"] == 0.01
         assert os.path.exists(row["policy"])
         assert os.path.exists(row["restarts_csv"])
+        manifest = json.loads((run_dir / "run.manifest.json").read_text())
+        assert manifest["command"] == "learn"
+        assert manifest["args"]["out"] == str(run_dir)     # --out as given: a re-run writes to the same place
         agg = tmp_path / "agg.csv"
         assert run_cli(["report", "--glob", str(run_dir / "results.json"), "--out", agg]) == 0
         lines = agg.read_text().strip().splitlines()

@@ -161,9 +161,6 @@ class TestTrainMatchesReference:
 
 
 class _Constant:
-    def value(self, x):
-        return 1.0
-
     def input_gradient(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -173,9 +170,6 @@ class _Bilinear:
 
     def __init__(self, sign):
         self.sign = sign
-
-    def value(self, x):
-        return self.sign * (x[0] - 0.5) * (x[2] - 0.5)
 
     def input_gradient(self, x):
         g = np.zeros(4)
@@ -232,9 +226,6 @@ class TestExtragradient:
 
     def test_nonfinite_gradient_aborts(self):
         class Broken:
-            def value(self, x):
-                return np.nan
-
             def input_gradient(self, x):
                 return np.full_like(np.asarray(x, dtype=float), np.nan)
 

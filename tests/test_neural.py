@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from persuade import neural
 from persuade.neural import (
     DeluParams,
     DnlParams,
@@ -28,13 +31,17 @@ def pattern_margin(params, x):
     if isinstance(params, DnlParams):
         _, pres, _ = _stack_forward(params.lower, xb, relu_last=True)
     elif isinstance(params, DeluParams):
-        _, pres, _ = _stack_forward(params.backbone, xb, relu_last=False)
-        pres = pres[:-1]
+        _, pres, _ = _stack_forward(params.hidden, xb, relu_last=True)
     else:
         _, pres, _ = _stack_forward(params, xb, relu_last=False)
         pres = pres[:-1]
     vals = [np.abs(p).min() for p in pres if p.size]
     return min(vals) if vals else np.inf
+
+
+def backbone(p: DeluParams, bias=0.0) -> MlpParams:
+    """The ReLU net of a DeLU's hidden stack and head with a constant output bias."""
+    return MlpParams(p.hidden.weights + [p.head], p.hidden.biases + [np.full(p.head.shape[0], bias)])
 
 
 def stable_point(params, dim, rng, margin):
@@ -177,10 +184,40 @@ class TestDelu:
         p = init_delu([4, 6, 1], (), rng)
         p.aux.weights[0][:] = 0.0
         p.aux.biases[0][:] = 0.37
-        base = p.backbone.copy()
-        base.biases[-1][:] = 0.37
         X = rng.normal(size=(20, 4))
-        assert np.allclose(forward_delu(p, X), forward_relu(base, X)[0], atol=1e-14)
+        assert np.allclose(forward_delu(p, X), forward_relu(backbone(p, 0.37), X)[0], atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "dims, aux_hidden", [([8, 16, 16, 16, 1], (16, 16)), ([5, 8, 8, 2], (6,)), ([3, 4, 1], ())]
+    )
+    def test_matches_relu_backbone_with_generated_bias(self, dims, aux_hidden):
+        # the layout that kept a dead backbone output bias, built from ReLU
+        # pieces: on one stream the backbone is drawn first, then the aux net
+        for seed in range(20):
+            p = init_delu(dims, aux_hidden, np.random.default_rng(seed))
+            stream = np.random.default_rng(seed)
+            bb = init_relu(dims, stream)
+            aux = init_relu([sum(dims[1:-1]), *aux_hidden, dims[-1]], stream)
+            bb.biases[-1][:] = 0.0
+            kept = neural.param_arrays(bb)[:-1] + neural.param_arrays(aux)
+            assert np.array_equal(flatten_params(p), np.concatenate([a.ravel() for a in kept]))
+            data = np.random.default_rng(1000 + seed)
+            for x in (data.normal(size=(128, dims[0])), data.normal(size=dims[0])):
+                up = data.normal(size=x.shape[:-1] + (dims[-1],))
+                o, r = forward_relu(bb, x)
+                y = o - bb.biases[-1] + forward_relu(aux, r)[0]
+                assert np.array_equal(forward_delu(p, x), y)
+                g, g_bb, g_aux = backward(p, x, up), backward(bb, x, up), backward(aux, r, up)
+                assert np.array_equal(g.output, y)
+                assert np.array_equal(g.input, g_bb.input)
+                expected = neural.param_arrays(g_bb.params)[:-1] + neural.param_arrays(g_aux.params)
+                got = neural.param_arrays(g.params)
+                assert len(got) == len(expected)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_needs_a_hidden_layer(self, rng):
+        with pytest.raises(ValueError, match="hidden layer"):
+            init_delu([4, 1], (3,), rng)
 
     def test_affine_within_a_piece(self, rng):
         p = init_delu([4, 10, 10, 1], (8,), rng)
@@ -188,13 +225,13 @@ class TestDelu:
             x = rng.normal(size=4)
             d = rng.normal(size=4)
             d /= np.linalg.norm(d)
-            step = 0.45 * pattern_margin(p.backbone, x) / 10.0
+            step = 0.45 * pattern_margin(p, x) / 10.0
             a, b = x - step * d, x + step * d
             pts = [a, (a + b) / 2, b]
             pats = []
             for q in pts:
-                _, pres, _ = _stack_forward(p.backbone, q[None], relu_last=False)
-                pats.append(tuple((np.concatenate([h.ravel() for h in pres[:-1]]) >= 0).tolist()))
+                _, pres, _ = _stack_forward(p.hidden, q[None], relu_last=True)
+                pats.append(tuple((np.concatenate([h.ravel() for h in pres]) >= 0).tolist()))
             if len(set(pats)) != 1:
                 continue
             ys = [float(forward_delu(p, q)[0]) for q in pts]
@@ -207,26 +244,27 @@ class TestDelu:
         # boundary between patterns: as the bracket shrinks, the output jump
         # approaches the auxiliary bias difference (the backbone is continuous)
         p = init_delu([3, 8, 8, 1], (6,), rng)
+        bb = backbone(p)
         for _ in range(200):
             a, b = rng.normal(size=3), rng.normal(size=3)
-            _, ra = forward_relu(p.backbone, a)
-            _, rb = forward_relu(p.backbone, b)
+            _, ra = forward_relu(bb, a)
+            _, rb = forward_relu(bb, b)
             if not np.array_equal(ra, rb):
                 break
         lo, hi = a, b
         for _ in range(80):
             mid = (lo + hi) / 2
-            _, rm = forward_relu(p.backbone, mid)
+            _, rm = forward_relu(bb, mid)
             if np.array_equal(rm, ra):
                 lo = mid
             else:
                 hi = mid
-        _, r_lo = forward_relu(p.backbone, lo)
-        _, r_hi = forward_relu(p.backbone, hi)
+        _, r_lo = forward_relu(bb, lo)
+        _, r_hi = forward_relu(bb, hi)
         aux_lo, _, _ = _stack_forward(p.aux, r_lo[None], relu_last=False)
         aux_hi, _, _ = _stack_forward(p.aux, r_hi[None], relu_last=False)
         jump = float(forward_delu(p, hi)[0]) - float(forward_delu(p, lo)[0])
-        backbone_change = float((forward_relu(p.backbone, hi)[0] - forward_relu(p.backbone, lo)[0])[0])
+        backbone_change = float((forward_relu(bb, hi)[0] - forward_relu(bb, lo)[0])[0])
         assert jump == pytest.approx(float((aux_hi - aux_lo)[0, 0]) + backbone_change, abs=1e-9)
 
 
@@ -366,4 +404,16 @@ class TestCheckpoints:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
+            load_params(path)
+
+    def test_rejects_version_1_delu_layout(self, rng, tmp_path):
+        # version 1 stored a DeLU with its dead backbone output bias
+        dims, aux_dims = [4, 6, 6, 2], [12, 5, 2]
+        bb, aux = init_relu(dims, rng), init_relu(aux_dims, rng)
+        bb.biases[-1][:] = 0.0
+        doc = {"format": "persuade-checkpoint", "version": 1, "arch": "delu", "dims": dims, "aux_dims": aux_dims,
+               "params": np.concatenate([flatten_params(bb), flatten_params(aux)]).tolist()}
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="version 1 found, version 2 expected"):
             load_params(path)
