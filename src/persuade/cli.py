@@ -26,13 +26,11 @@ from .equilibria import (
     REFUTED,
     PreconditionError,
     best_response_exact,
-    best_response_fixed_interpretation,
     full_revelation_profile,
     verify_nash,
 )
-from .game import CapError, FixedMap, ex_ante_utilities
+from .game import TIE_RULES, CapError, Lexicographic, TieRule, ex_ante_utilities
 from .io import (
-    parse_tie_flag,
     read_game,
     read_policies,
     report_to_dict,
@@ -108,15 +106,26 @@ GENERATORS = {
 }
 
 
+TIE_FLAGS = {rule.flag: rule for rule in TIE_RULES.values() if rule.flag is not None}
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _reject_unknown(doc: dict, known, where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise SpecError(f"unknown {where} field: {', '.join(unknown)}")
+
+
 def _generate(kind: str, fields: dict, seed: int):
-    """Build a game of a registered kind from its fields; missing optional fields take their defaults."""
+    """Build a game of a registered kind from its fields; missing optional fields take their
+    defaults, and a field the kind does not take (besides `kind` and `seed`) is an error."""
     if kind not in GENERATORS:
         raise SpecError(f"unknown generator kind {kind!r}")
     build, required, defaults = GENERATORS[kind]
+    _reject_unknown(fields, ("kind", "seed", *required, *defaults), f"{kind} generator")
     args = [_require(fields, name) for name in required]
     return build(*args, seed, **{name: fields.get(name, default) for name, default in defaults.items()})
 
@@ -125,7 +134,7 @@ def _common_flags(p):
     p.add_argument("--seed", type=int, default=None, help="root seed; named sub-streams derive from it")
     p.add_argument("--out", required=True, help="output file or directory")
     p.add_argument("--eps", type=float, default=None, help="local-equilibrium neighborhood radius")
-    p.add_argument("--tie", default="lex", choices=["lex", "sender-favoring"], help="receiver tie rule")
+    p.add_argument("--tie", choices=list(TIE_FLAGS), help="receiver tie rule; beats the config's and the game file's")
 
 
 def build_parser() -> _Parser:
@@ -134,6 +143,7 @@ def build_parser() -> _Parser:
     sub = root.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a game instance")
+    gen.set_defaults(func=cmd_gen)
     gsub = gen.add_subparsers(dest="kind", required=True)
     for kind, (_, required, defaults) in GENERATORS.items():
         g = gsub.add_parser(kind)
@@ -147,6 +157,7 @@ def build_parser() -> _Parser:
         _common_flags(g)
 
     exact = sub.add_parser("exact", help="exact solvers and checks")
+    exact.set_defaults(func=cmd_exact)
     esub = exact.add_subparsers(dest="what", required=True)
     e_br = esub.add_parser("best-response")
     e_br.add_argument("--game", required=True)
@@ -162,11 +173,13 @@ def build_parser() -> _Parser:
         _common_flags(p)
 
     learn = sub.add_parser("learn", help="surrogate training + extra-gradient local-equilibrium search")
+    learn.set_defaults(func=cmd_learn)
     learn.add_argument("--game", default=None, help="game file; defaults to the config's game/generator entry")
     learn.add_argument("--config", required=True)
     _common_flags(learn)
 
     reduce = sub.add_parser("reduce", help="build persuasion instances from hard source problems")
+    reduce.set_defaults(func=cmd_reduce)
     rsub = reduce.add_subparsers(dest="kind", required=True)
     r_pub = rsub.add_parser("public")
     r_pub.add_argument("--source", required=True, help="public-persuasion JSON (k, prior, gaps, u_plus, u_minus)")
@@ -179,6 +192,7 @@ def build_parser() -> _Parser:
         _common_flags(p)
 
     report = sub.add_parser("report", help="aggregate learn results into plot-ready CSVs")
+    report.set_defaults(func=cmd_report)
     report.add_argument("--glob", required=True, dest="pattern")
     _common_flags(report)
     return root
@@ -188,10 +202,14 @@ def build_parser() -> _Parser:
 # command bodies
 
 
-def _effective_tie(args, file_tie):
-    if file_tie is not None:
-        return file_tie
-    return parse_tie_flag(args.tie)
+def _tie_rule(args, file_tie: TieRule | None = None, config_tie: str | None = None) -> TieRule:
+    """`--tie`, else the learn config's `"tie"`, else the game file's rule, else lexicographic."""
+    flag = args.tie if args.tie is not None else config_tie
+    if flag is None:
+        return file_tie if file_tie is not None else Lexicographic()
+    if flag not in TIE_FLAGS:
+        raise SpecError(f"unknown tie rule {flag!r}; expected one of {', '.join(TIE_FLAGS)}")
+    return TIE_FLAGS[flag]()
 
 
 def _manifest(args, path=None):
@@ -201,8 +219,10 @@ def _manifest(args, path=None):
 
 
 def cmd_gen(args) -> int:
-    game = _generate(args.kind, vars(args), 0 if args.seed is None else args.seed)
-    write_game(args.out, game, tie=parse_tie_flag(args.tie))
+    _, required, defaults = GENERATORS[args.kind]
+    fields = {k: v for k, v in vars(args).items() if k in (*required, *defaults)}
+    game = _generate(args.kind, fields, 0 if args.seed is None else args.seed)
+    write_game(args.out, game, tie=_tie_rule(args))
     write_sidecar(f"{args.out}.sidecar.json", game.meta or {})
     _manifest(args)
     print(f"wrote {args.out}: {game.n_senders} senders, {game.states} states, "
@@ -212,14 +232,15 @@ def cmd_gen(args) -> int:
 
 def cmd_exact(args) -> int:
     game, file_tie = read_game(args.game)
-    tie = _effective_tie(args, file_tie)
+    tie = _tie_rule(args, file_tie)
     if args.what == "best-response":
         policy = read_policies(args.policy)
+        if len(policy) != game.n_senders:
+            raise SpecError(f"policy file has {len(policy)} senders, the game has {game.n_senders}")
+        if not 0 <= args.sender < game.n_senders:
+            raise SpecError(f"sender {args.sender} out of range")
         others = [policy[k] for k in range(game.n_senders) if k != args.sender]
-        if isinstance(tie, FixedMap):
-            br = best_response_fixed_interpretation(game, args.sender, others, tie)
-        else:
-            br = best_response_exact(game, args.sender, others, tie, incumbent=policy[args.sender])
+        br = best_response_exact(game, args.sender, others, tie, incumbent=policy[args.sender])
         doc = {
             "format": "persuade-best-response",
             "sender": args.sender,
@@ -270,9 +291,17 @@ def cmd_exact(args) -> int:
     return 0
 
 
+# a results row's game dimensions, which `report` groups by
+DIMS = ("n_senders", "states", "signals", "actions")
+# the fields a learn config may hold; the surrogate widths go to `find_local_ne`
+ARCH_FIELDS = ("hidden", "lower_layers", "hyper_hidden", "aux_hidden")
+LEARN_FIELDS = ("game", "generator", "train", "eg", "tie", "eps", "sample_count", "architectures", *ARCH_FIELDS)
+
+
 def cmd_learn(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    _reject_unknown(cfg, LEARN_FIELDS, "config")
     game_label = args.game if args.game is not None else cfg.get("game")
     if game_label is not None:
         game, file_tie = read_game(game_label)
@@ -288,17 +317,11 @@ def cmd_learn(args) -> int:
         eg_doc["seed"] = args.seed
     train_cfg = TrainConfig(**train_doc)
     eg_cfg = EgConfig(**eg_doc)
-    tie = _effective_tie(args, file_tie)
-    if "tie" in cfg:
-        tie = parse_tie_flag(cfg["tie"])
+    tie = _tie_rule(args, file_tie, cfg.get("tie"))
     eps = args.eps if args.eps is not None else float(cfg.get("eps", 0.005))
     sample_count = int(cfg.get("sample_count", 50_000))
     archs = cfg.get("architectures", ["dnl"])
-    arch_kwargs = {
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in cfg.items()
-        if k in ("hidden", "lower_layers", "hyper_hidden", "aux_hidden")
-    }
+    arch_kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items() if k in ARCH_FIELDS}
 
     os.makedirs(args.out, exist_ok=True)
     dataset = load_or_sample_dataset(game, sample_count, tie, train_cfg.seed)
@@ -333,12 +356,7 @@ def cmd_learn(args) -> int:
                 "restarts_csv": table_path,
                 "policy": policy_path,
                 "report": report_to_dict(res.report),
-                "dims": {
-                    "n_senders": game.n_senders,
-                    "states": game.states,
-                    "signals": game.signals,
-                    "actions": game.actions,
-                },
+                "dims": {k: getattr(game, k) for k in DIMS},
             }
         )
         print(f"{arch}: verdict {res.report.verdict}, welfare {rows_out[-1]['welfare']:.6g}, "
@@ -407,36 +425,23 @@ def cmd_report(args) -> int:
     if not rows:
         raise SpecError("matched files contain no result rows")
 
-    def write_groups(path, keyfunc, keynames):
+    def write_groups(path, dims):
+        """One CSV row per (dims..., arch) group."""
         groups: dict = {}
         for row in rows:
-            groups.setdefault(keyfunc(row), []).append(row)
+            groups.setdefault((*(row["dims"][d] for d in dims), row["arch"]), []).append(row)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(list(keynames) + ["count", "mse_mean", "mse_ci95", "welfare_mean", "welfare_ci95"])
+            w.writerow([*dims, "arch", "count", "mse_mean", "mse_ci95", "welfare_mean", "welfare_ci95"])
             for key in sorted(groups):
                 grp = groups[key]
                 mse_m, mse_c = _ci95([g["validation_mse"] for g in grp])
                 wf_m, wf_c = _ci95([g["welfare"] for g in grp])
                 w.writerow(list(key) + [len(grp), repr(mse_m), repr(mse_c), repr(wf_m), repr(wf_c)])
 
-    write_groups(
-        args.out,
-        lambda r: (
-            r["dims"]["n_senders"],
-            r["dims"]["states"],
-            r["dims"]["signals"],
-            r["dims"]["actions"],
-            r["arch"],
-        ),
-        ["n_senders", "states", "signals", "actions", "arch"],
-    )
-    for axis in ("states", "signals", "actions"):
-        write_groups(
-            f"{args.out}.by-{axis}.csv",
-            lambda r, a=axis: (r["dims"][a], r["arch"]),
-            [axis, "arch"],
-        )
+    write_groups(args.out, DIMS)
+    for axis in DIMS[1:]:
+        write_groups(f"{args.out}.by-{axis}.csv", (axis,))
     _manifest(args)
     print(f"aggregated {len(rows)} rows from {len(paths)} files into {args.out}")
     return 0
@@ -446,16 +451,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            code = cmd_gen(args)
-        elif args.command == "exact":
-            code = cmd_exact(args)
-        elif args.command == "learn":
-            code = cmd_learn(args)
-        elif args.command == "reduce":
-            code = cmd_reduce(args)
-        else:
-            code = cmd_report(args)
+        code = args.func(args)
     except (SpecError, PreconditionError, CapError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

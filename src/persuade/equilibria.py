@@ -31,11 +31,9 @@ from .game import (
     GameInstance,
     TieRule,
     batch_rows,
-    best_actions,
     ex_ante_utilities,
     ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
-    fixed_map_table,
     induced_action_map,
     joint_signals,
     product_weights,
@@ -276,7 +274,7 @@ def _producible_actions(game: GameInstance, weight_row: np.ndarray, tie: TieRule
         if top.size == 1:
             out.add(int(top[0]))
         else:
-            out.add(int(best_actions(game, mu[None, :], tie)[0]))
+            out.add(int(tie.best_actions(game, mu[None, :])[0]))
 
     if face.size == 1:
         probe(np.ones(1))
@@ -308,7 +306,7 @@ def _producible_actions(game: GameInstance, weight_row: np.ndarray, tie: TieRule
         diffs = Vf[:, a][:, None] - Vf          # (k, actions)
         cols = [b for b in range(game.actions) if np.max(np.abs(diffs[:, b])) > 1e-14]
         if not cols:
-            out.add(int(best_actions(game, _face_mu(game, face, centroid)[None, :], tie)[0]))
+            probe(centroid)
             continue
         # max delta  s.t.  q in simplex(face), diffs[:, b] @ q >= delta
         c = np.zeros(k + 1)
@@ -331,12 +329,6 @@ def _producible_actions(game: GameInstance, weight_row: np.ndarray, tie: TieRule
         elif delta >= -TIE_TOL:
             probe(res.x[:k])
     return tuple(sorted(out))
-
-
-def _face_mu(game, face, q_face):
-    mu = np.zeros(game.states)
-    mu[face] = q_face
-    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +357,12 @@ def best_response_exact(
     incentive-compatibility LP is solved for each subset, best-first by an
     IC-free bound, and the best value the receiver's actual behavior
     supports is returned.  `others` are the remaining senders' policies in
-    ascending sender order.
+    ascending sender order.  Under a FixedMap the result is that of
+    :func:`best_response_fixed_interpretation`; `incumbent` and `map_cap`
+    play no part there.
     """
-    if isinstance(tie, FixedMap):
-        raise ValueError("use best_response_fixed_interpretation for committed interpretations")
+    if tie.check(game) is not None:
+        return _fixed_interpretation_response(game, sender, others, tie, term_cap)
     others, W, joint = _opponent_contexts(game, sender, others)
 
     def true_utility(pi):
@@ -473,8 +467,13 @@ def best_response_fixed_interpretation(
     keeps the interpretation credible) and is reported via
     ``feasible=False``.
     """
+    return _fixed_interpretation_response(game, sender, others, interp, term_cap)
+
+
+def _fixed_interpretation_response(game, sender, others, interp: FixedMap, term_cap) -> BestResponseResult:
+    """Shared by both public best responses, so each call is one best response."""
     others, W, joint = _opponent_contexts(game, sender, others)
-    table = fixed_map_table(game, interp)
+    table = interp.check(game).copy()    # the result owns its action_map
     ic = _IcLp(game, sender, W, [tuple(col) for col in table[joint].T])
     res = lpmod.solve_lp(ic.lp(range(game.signals)))
     if res.status != lpmod.OPTIMAL:
@@ -528,12 +527,7 @@ def verify_nash(
     witness = None
     for j in range(game.n_senders):
         others = [policy[k] for k in range(game.n_senders) if k != j]
-        if isinstance(tie, FixedMap):
-            br = best_response_fixed_interpretation(game, j, others, tie, term_cap=term_cap)
-        else:
-            br = best_response_exact(
-                game, j, others, tie, incumbent=policy[j], map_cap=map_cap, term_cap=term_cap
-            )
+        br = best_response_exact(game, j, others, tie, incumbent=policy[j], map_cap=map_cap, term_cap=term_cap)
         if br.utility - base[j] > tol:
             cand, gap = _actual_witness(game, j, others, tie, br, base[j], tol, term_cap)
             if cand is not None and gap > worst_gap:

@@ -4,9 +4,10 @@ A game has a finite state space, one receiver with a utility matrix over
 (state, action), and n senders who each commit to a row-stochastic
 signaling policy (states x signals).  The receiver sees the joint signal,
 forms the Bayes posterior, and takes an expected-utility-maximizing
-action, with a deterministic tie-breaking rule.  Everything here is an
-exact sum over states and joint signals; nothing is sampled except
-:func:`sample_playthrough`.
+action, with a deterministic tie-breaking rule (under a :class:`FixedMap`
+it reads a committed joint-signal -> action table instead).  Everything
+here is an exact sum over states and joint signals; nothing is sampled
+except :func:`sample_playthrough`.
 
 Joint signals are tuples ``(s_1, ..., s_n)`` of per-sender signal indices
 and are flattened to a single index with sender 0 most significant:
@@ -15,8 +16,10 @@ and are flattened to a single index with sender 0 most significant:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,16 +34,54 @@ class CapError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tie-breaking rules
+# tie-breaking rules: each class holds its file `kind`, JSON form, `--tie` `flag`,
+# `check` against a game, and `actions` at every joint signal of the weights `q`
+
+
+class _PosteriorRule:
+    """The receiver takes an action optimal at the posterior; `_break_ties` picks one."""
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        return cls()
+
+    def check(self, game: GameInstance) -> None:
+        """Raise ValueError unless the rule fits `game`.  Only a FixedMap returns something: its table."""
+
+    def actions(self, game: GameInstance, q: np.ndarray, joint=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """``(actions, live)`` at the joint signals of `q`, (..., S^n, states) from :func:`product_weights`
+        or its rows at the flat indices `joint`; `live` marks those of positive probability.  A dead
+        joint signal has the zero posterior, which ties every action, so it gets action 0."""
+        marg = q.sum(axis=-1)
+        live = marg > 0
+        mu = np.where(live[..., None], q / np.maximum(marg[..., None], 1e-300), 0.0)
+        return self.best_actions(game, mu.reshape(-1, game.states)).reshape(marg.shape), live
+
+    def best_actions(self, game: GameInstance, posteriors: np.ndarray, tol: float = TIE_TOL) -> np.ndarray:
+        """Receiver-optimal action (within `tol` of the best) for each row of the (M, states)
+        normalized `posteriors`, tie-broken by the rule."""
+        mu = np.atleast_2d(np.asarray(posteriors, dtype=float))
+        exp_v = mu @ game.receiver_utility
+        tied = exp_v >= exp_v.max(axis=1, keepdims=True) - tol
+        return self._break_ties(game, mu, tied, tol)
 
 
 @dataclass(frozen=True)
-class Lexicographic:
+class Lexicographic(_PosteriorRule):
     """Among receiver-optimal actions, pick the lowest index."""
 
+    kind: ClassVar[str] = "lexicographic"
+    flag: ClassVar[str] = "lex"
+
+    def _break_ties(self, game, mu, tied, tol):
+        return np.argmax(tied, axis=1)
+
 
 @dataclass(frozen=True)
-class SenderFavoring:
+class SenderFavoring(_PosteriorRule):
     """Among receiver-optimal actions, favor the senders.
 
     Tied actions are scored by the weighted sum of expected sender
@@ -52,6 +93,36 @@ class SenderFavoring:
     """
 
     weights: tuple[float, ...] | None = None
+    kind: ClassVar[str] = "sender_favoring"
+    flag: ClassVar[str] = "sender-favoring"
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind} if self.weights is None else {"kind": self.kind, "weights": list(self.weights)}
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        w = doc.get("weights")
+        # an int is checked for size before anything converts it to float
+        finite = lambda x: (type(x) is float and math.isfinite(x)) or (type(x) is int and abs(x) < 2**1023)
+        if w is not None and not (isinstance(w, list) and all(finite(x) for x in w)):
+            raise ValueError(f"tie_rule.weights must be a list of finite numbers, got {w!r}")
+        return cls(weights=None if w is None else tuple(w))
+
+    def check(self, game: GameInstance) -> None:
+        if self.weights is not None and len(self.weights) != game.n_senders:
+            raise ValueError("need one weight per sender")
+
+    def _break_ties(self, game, mu, tied, tol):
+        self.check(game)
+        w = self.weights if self.weights is not None else (1.0,) * game.n_senders
+        weighted = sum(float(wj) * uj for wj, uj in zip(w, game.sender_utilities))
+        score = np.where(tied, mu @ weighted, -np.inf)
+        best = score >= score.max(axis=1, keepdims=True) - tol
+        v = game.receiver_utility    # the actions optimal at each point-mass belief
+        mass = mu @ (v >= v.max(axis=1, keepdims=True) - tol).astype(float)
+        mass = np.where(best, mass, -np.inf)
+        final = mass >= mass.max(axis=1, keepdims=True) - tol
+        return np.argmax(final, axis=1)
 
 
 @dataclass(frozen=True)
@@ -63,9 +134,42 @@ class FixedMap:
     """
 
     table: tuple[int, ...]
+    kind: ClassVar[str] = "fixed_map"
+    flag: ClassVar[str | None] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "_table", np.asarray(self.table, dtype=int))
+        self._table.flags.writeable = False
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "table": list(self.table)}
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        t = doc.get("table")
+        ok = isinstance(t, list) and all(type(a) in (int, float) and abs(a) < 2**62 for a in t)
+        if not ok or not all(float(a).is_integer() for a in t):
+            raise ValueError("tie_rule.table must be a list of integer actions")
+        return cls(table=tuple(int(a) for a in t))
+
+    def check(self, game: GameInstance) -> np.ndarray:
+        """The read-only table, after checking that it names one in-range action per joint signal."""
+        if self._table.shape != (game.n_joint_signals,):
+            raise ValueError(f"interpretation covers {self._table.size} joint signals, need {game.n_joint_signals}")
+        if np.any(self._table < 0) or np.any(self._table >= game.actions):
+            raise ValueError("interpretation contains out-of-range actions")
+        return self._table
+
+    def actions(self, game: GameInstance, q: np.ndarray, joint=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        marg = q.sum(axis=-1)
+        return np.broadcast_to(self._table[joint], marg.shape), marg > 0
+
+    def best_actions(self, game, posteriors, tol=TIE_TOL):
+        raise ValueError("FixedMap interprets joint signals directly; it cannot rank posteriors")
 
 
 TieRule = Lexicographic | SenderFavoring | FixedMap
+TIE_RULES = {rule.kind: rule for rule in (Lexicographic, SenderFavoring, FixedMap)}   # file kind -> class
 
 
 # ---------------------------------------------------------------------------
@@ -232,43 +336,6 @@ def signal_weights(game: GameInstance, policy: np.ndarray, term_cap: int = DEFAU
 
 
 # ---------------------------------------------------------------------------
-# receiver behavior
-
-
-def _expost_optimal(game: GameInstance, tol: float = TIE_TOL) -> np.ndarray:
-    """Indicator (states x actions) of actions optimal at each point-mass belief."""
-    v = game.receiver_utility
-    return (v >= v.max(axis=1, keepdims=True) - tol).astype(float)
-
-
-def best_actions(game: GameInstance, posteriors: np.ndarray, tie: TieRule, tol: float = TIE_TOL) -> np.ndarray:
-    """Receiver-optimal action for each posterior row, tie-broken by `tie`.
-
-    `posteriors` is (M, states) of normalized beliefs.  FixedMap rules do
-    not look at posteriors and are rejected here.
-    """
-    if isinstance(tie, FixedMap):
-        raise ValueError("FixedMap interprets joint signals directly; it cannot rank posteriors")
-    mu = np.atleast_2d(np.asarray(posteriors, dtype=float))
-    exp_v = mu @ game.receiver_utility
-    tied = exp_v >= exp_v.max(axis=1, keepdims=True) - tol
-    if isinstance(tie, Lexicographic):
-        return np.argmax(tied, axis=1)
-    if isinstance(tie, SenderFavoring):
-        w = tie.weights if tie.weights is not None else (1.0,) * game.n_senders
-        if len(w) != game.n_senders:
-            raise ValueError("need one weight per sender")
-        weighted = sum(float(wj) * uj for wj, uj in zip(w, game.sender_utilities))
-        score = np.where(tied, mu @ weighted, -np.inf)
-        best = score >= score.max(axis=1, keepdims=True) - tol
-        mass = mu @ _expost_optimal(game, tol)
-        mass = np.where(best, mass, -np.inf)
-        final = mass >= mass.max(axis=1, keepdims=True) - tol
-        return np.argmax(final, axis=1)
-    raise TypeError(f"unknown tie rule {tie!r}")
-
-
-# ---------------------------------------------------------------------------
 # operations
 
 
@@ -299,44 +366,24 @@ def posterior(game: GameInstance, policy, signal) -> Posterior:
 
 
 def receiver_best_action(game: GameInstance, post: Posterior | np.ndarray, tie: TieRule) -> int:
-    """Action maximizing expected receiver utility under the posterior.
-
-    Ties within 1e-9 of the maximum are resolved by the tie rule; see
-    :class:`SenderFavoring` for the sender-favoring order.
-    """
-    mu = post.mu if isinstance(post, Posterior) else np.asarray(post, dtype=float)
+    """Action maximizing expected receiver utility under the posterior, ties within 1e-9 broken by `tie`."""
     if isinstance(post, Posterior) and post.is_null:
         raise ValueError("cannot pick an action for a zero-probability posterior")
-    return int(best_actions(game, mu[None, :], tie)[0])
-
-
-def _receiver_actions(game: GameInstance, q: np.ndarray, tie: TieRule, table=None) -> tuple[np.ndarray, np.ndarray]:
-    """The receiver's action at every joint signal of the weights `q`.
-
-    `q` is (..., S^n, states) as from :func:`product_weights`.  Returns
-    ``(actions, live)``, both shaped like the joint-signal marginals; `live`
-    marks the joint signals with positive probability.  A FixedMap's
-    `table` supplies the actions directly.  A dead joint signal has the zero
-    posterior, which ties every action, so every tie rule gives it action 0.
-    """
-    marg = q.sum(axis=-1)
-    live = marg > 0
-    if table is not None:
-        return np.broadcast_to(table, marg.shape), live
-    mu = np.where(live[..., None], q / np.maximum(marg[..., None], 1e-300), 0.0)
-    return best_actions(game, mu.reshape(-1, game.states), tie).reshape(marg.shape), live
+    mu = post.mu if isinstance(post, Posterior) else np.asarray(post, dtype=float)
+    return int(tie.best_actions(game, mu[None, :])[0])
 
 
 def induced_action_map(game: GameInstance, policy, tie: TieRule, term_cap: int = DEFAULT_TERM_CAP) -> np.ndarray:
     """The receiver's action at every joint signal under the given profile.
 
-    Zero-probability joint signals never reach the receiver; their entries
-    are filled with action 0.
+    Zero-probability joint signals never reach the receiver; a posterior
+    rule gives them action 0.
     """
     policy = validate_joint_policy(game, policy)
-    if isinstance(tie, FixedMap):
-        return fixed_map_table(game, tie)
-    return _receiver_actions(game, signal_weights(game, policy, term_cap), tie)[0]
+    table = tie.check(game)
+    if table is not None:    # a FixedMap's actions do not depend on the profile
+        return table.copy()
+    return tie.actions(game, signal_weights(game, policy, term_cap))[0]
 
 
 def ex_ante_utilities(
@@ -352,23 +399,10 @@ def ex_ante_utilities(
     :func:`ex_ante_utilities_batch` bit for bit.
     """
     policy = validate_joint_policy(game, policy)
-    table = _kernel_table(game, tie, term_cap)
-    row = _batch_pass(game, policy[None], tie, table, (*game.sender_utilities, game.receiver_utility))[0]
+    check_term_cap(game, term_cap)
+    tie.check(game)
+    row = _batch_pass(game, policy[None], tie, (*game.sender_utilities, game.receiver_utility))[0]
     return row[:-1], float(row[-1])
-
-
-def fixed_map_table(game: GameInstance, interp: FixedMap) -> np.ndarray:
-    """The committed interpretation as an int array, checked against the game.
-
-    It must name one action in range for every joint signal; a negative or
-    too-large action would otherwise index some other action silently.
-    """
-    table = np.asarray(interp.table, dtype=int)
-    if table.shape != (game.n_joint_signals,):
-        raise ValueError(f"interpretation covers {table.size} joint signals, need {game.n_joint_signals}")
-    if np.any(table < 0) or np.any(table >= game.actions):
-        raise ValueError("interpretation contains out-of-range actions")
-    return table
 
 
 # Profiles per pass of the batched kernel.  A pass holds a few arrays of
@@ -380,12 +414,6 @@ def fixed_map_table(game: GameInstance, interp: FixedMap) -> np.ndarray:
 # still take 2048 rows.
 BATCH_ROWS = 2048
 BATCH_CELLS = 1 << 18
-
-
-def _kernel_table(game: GameInstance, tie: TieRule, term_cap: int):
-    """Check the term cap; the FixedMap table, or None for a posterior rule."""
-    check_term_cap(game, term_cap)
-    return fixed_map_table(game, tie) if isinstance(tie, FixedMap) else None
 
 
 def batch_rows(game: GameInstance) -> int:
@@ -409,25 +437,26 @@ def ex_ante_utilities_batch(
     of at most `BATCH_ROWS` profiles.
     """
     profiles = np.asarray(profiles, dtype=float)
-    table = _kernel_table(game, tie, term_cap)
+    check_term_cap(game, term_cap)
+    tie.check(game)
     senders = range(game.n_senders) if senders is None else [int(j) for j in senders]
     utilities = [game.sender_utilities[j] for j in senders]
     B = profiles.shape[0]
     step = batch_rows(game)
     out = np.empty((B, len(utilities)))
     for i in range(0, B, step):
-        out[i : i + step] = _batch_pass(game, profiles[i : i + step], tie, table, utilities)
+        out[i : i + step] = _batch_pass(game, profiles[i : i + step], tie, utilities)
     return out
 
 
-def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, table, utilities) -> np.ndarray:
+def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, utilities) -> np.ndarray:
     """(B, len(utilities)): sum over states and live joint signals of q * u[state, action].
 
     Each column is summed on its own, so a column's value does not depend
     on which other columns are asked for, nor on the other rows of the pass.
     """
     q = product_weights(game.prior, profiles)                  # (B, S^n, states)
-    actions, live = _receiver_actions(game, q, tie, table)
+    actions, live = tie.actions(game, q)
     q = np.where(live[..., None], q, 0.0)
     out = np.empty((q.shape[0], len(utilities)))
     for col, u in enumerate(utilities):
@@ -447,13 +476,13 @@ def sample_playthrough(game: GameInstance, policy, tie: TieRule, rng) -> Playthr
     from .rng import as_generator
 
     policy = validate_joint_policy(game, policy)
+    tie.check(game)
     gen = as_generator(rng)
     state = int(gen.choice(game.states, p=game.prior))
     signal = tuple(int(gen.choice(game.signals, p=policy[j, state])) for j in range(game.n_senders))
-    if isinstance(tie, FixedMap):
-        action = int(fixed_map_table(game, tie)[joint_signal_index(signal, game.signals)])
-    else:
-        action = receiver_best_action(game, posterior(game, policy, signal), tie)
+    # the sampled joint signal's weights, (1, states); its flat index picks a FixedMap entry
+    q = product_weights(game.prior, policy[np.arange(game.n_senders), :, list(signal)][..., None])
+    action = int(tie.actions(game, q, [joint_signal_index(signal, game.signals)])[0][0])
     return Playthrough(
         state=state,
         signal=signal,
@@ -485,8 +514,9 @@ def simulate_mean_payoffs(game: GameInstance, policy, tie: TieRule, count: int, 
 def exact_payoff_variance(game: GameInstance, policy, tie: TieRule) -> np.ndarray:
     """Exact per-sender variance of the one-round payoff distribution."""
     policy = validate_joint_policy(game, policy)
-    table = _kernel_table(game, tie, DEFAULT_TERM_CAP)
+    check_term_cap(game)
+    tie.check(game)
     utilities = (*game.sender_utilities, *(u**2 for u in game.sender_utilities))
-    row = _batch_pass(game, policy[None], tie, table, utilities)[0]
+    row = _batch_pass(game, policy[None], tie, utilities)[0]
     mean, square = row[: game.n_senders], row[game.n_senders :]
     return square - mean**2

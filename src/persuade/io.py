@@ -4,6 +4,9 @@ Everything is JSON with full-precision floats (Python's shortest
 round-tripping repr), so values written by the generators read back
 bit-identically.  Matrices are stored as row-major flat lists next to
 their dimensions.
+A game file's optional `tie_rule` object is read by the class that
+`game.TIE_RULES` maps its `kind` to; a rule that is malformed or does not
+fit the game is a ValueError.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .game import FixedMap, GameInstance, Lexicographic, SenderFavoring, TieRule
+from .game import TIE_RULES, GameInstance, TieRule
 from .equilibria import EquilibriumReport
 
 GAME_FORMAT = "persuade-game"
@@ -39,38 +42,12 @@ def _load(path) -> dict:
 # tie rules
 
 
-def tie_rule_to_dict(tie: TieRule) -> dict:
-    if isinstance(tie, Lexicographic):
-        return {"kind": "lexicographic"}
-    if isinstance(tie, SenderFavoring):
-        doc = {"kind": "sender_favoring"}
-        if tie.weights is not None:
-            doc["weights"] = list(tie.weights)
-        return doc
-    if isinstance(tie, FixedMap):
-        return {"kind": "fixed_map", "table": list(tie.table)}
-    raise TypeError(f"unknown tie rule {tie!r}")
-
-
 def tie_rule_from_dict(doc: dict) -> TieRule:
-    kind = doc.get("kind")
-    if kind == "lexicographic":
-        return Lexicographic()
-    if kind == "sender_favoring":
-        w = doc.get("weights")
-        return SenderFavoring(weights=tuple(w) if w is not None else None)
-    if kind == "fixed_map":
-        return FixedMap(table=tuple(int(a) for a in doc["table"]))
-    raise ValueError(f"unknown tie rule kind {kind!r}")
-
-
-def parse_tie_flag(text: str) -> TieRule:
-    """CLI spelling of posterior-based tie rules."""
-    if text == "lex":
-        return Lexicographic()
-    if text == "sender-favoring":
-        return SenderFavoring()
-    raise ValueError(f"unknown tie rule {text!r}; expected 'lex' or 'sender-favoring'")
+    """The rule of a game file's `tie_rule` object, read by the class its kind names."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in TIE_RULES:
+        raise ValueError(f"unknown tie rule kind {kind!r}; expected one of {', '.join(TIE_RULES)}")
+    return TIE_RULES[kind].from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +66,7 @@ def write_game(path, game: GameInstance, tie: TieRule | None = None) -> None:
         "sender_utilities": [u.ravel().tolist() for u in game.sender_utilities],
     }
     if tie is not None:
-        doc["tie_rule"] = tie_rule_to_dict(tie)
+        doc["tie_rule"] = tie.to_dict()
     _dump(path, doc)
 
 
@@ -108,6 +85,8 @@ def read_game(path) -> tuple[GameInstance, TieRule | None]:
         sender_utilities=tuple(np.asarray(u, dtype=float).reshape(shape) for u in doc["sender_utilities"]),
     )
     tie = tie_rule_from_dict(doc["tie_rule"]) if "tie_rule" in doc else None
+    if tie is not None:
+        tie.check(game)
     return game, tie
 
 
@@ -217,7 +196,7 @@ def cached_dataset_path(game: GameInstance, count: int, tie: TieRule, seed: int)
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
-    tie_tag = json.dumps(tie_rule_to_dict(tie), sort_keys=True)
+    tie_tag = json.dumps(tie.to_dict(), sort_keys=True)
     key = hashlib.sha256(f"{_game_digest(game)}|{count}|{tie_tag}|{seed}".encode()).hexdigest()[:24]
     os.makedirs(root, exist_ok=True)
     return os.path.join(root, f"dataset-{key}.npz")

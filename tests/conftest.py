@@ -29,13 +29,11 @@ from persuade.game import (
     ex_ante_utilities,
     ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
-    fixed_map_table,
     induced_action_map,
     joint_signal_index,
     joint_signals,
     posterior,
     product_weights,
-    receiver_best_action,
     validate_joint_policy,
     validate_policy,
 )
@@ -91,7 +89,7 @@ def reference_ex_ante(game: GameInstance, policy, tie):
         post = posterior(game, policy, signal)
         if post.is_null:
             continue
-        a = tie.table[k] if isinstance(tie, FixedMap) else receiver_best_action(game, post, tie)
+        a = tie.table[k] if isinstance(tie, FixedMap) else int(tie.best_actions(game, post.mu[None, :])[0])
         weights = post.marginal * post.mu
         senders += [weights @ u[:, a] for u in game.sender_utilities]
         receiver += weights @ game.receiver_utility[:, a]
@@ -160,7 +158,7 @@ def reference_best_response_fixed_interpretation(game: GameInstance, sender, oth
     through its tuple.  Returns a `BestResponseResult` (`feasible=False`
     when no policy keeps the interpretation incentive compatible)."""
     others = [validate_policy(game, p) for p in others]
-    table = fixed_map_table(game, interp)
+    table = interp.check(game)
     W = product_weights(game.prior, np.reshape(others, (len(others), game.states, game.signals)))
     ctx = joint_signals(len(others), game.signals) if others else np.zeros((1, 0), dtype=int)
     u_i = game.sender_utilities[sender]

@@ -96,10 +96,33 @@ class TestBestResponseExact:
             pol[1] = others[0]
             assert br.utility >= ex_ante_utilities(g, pol, LEX)[0][0] - 1e-9
 
-    def test_fixed_map_tie_rule_rejected(self):
-        g = didactic_game()
-        with pytest.raises(ValueError):
-            best_response_exact(g, 0, [np.full((2, 2), 0.5)], FixedMap(table=(0,) * 4))
+    def test_fixed_map_is_the_fixed_interpretation_best_response(self):
+        # bimatrix reductions are always feasible, random tables mostly not
+        feasible = infeasible = 0
+        for k in range(20):
+            rng = substream(k, "fixed-map-best-response")
+            if k % 2:
+                g = random_game(2, 2, 2, 3, rng)
+                interp = FixedMap(tuple(int(a) for a in rng.integers(0, g.actions, g.n_joint_signals)))
+            else:
+                m = 2 + k % 3
+                bim = BimatrixGame(rng.integers(0, 2, (m, m)).astype(float), rng.integers(0, 2, (m, m)).astype(float))
+                g, interp = bimatrix_to_persuasion(bim)
+            prof = random_profile(g, rng)
+            for j in range(g.n_senders):
+                others = [prof[1 - j]]
+                got = best_response_exact(g, j, others, interp, incumbent=prof[j])
+                want = best_response_fixed_interpretation(g, j, others, interp)
+                for name in ("feasible", "utility", "feasible_maps"):
+                    assert getattr(got, name) == getattr(want, name)
+                assert np.array_equal(got.action_map, want.action_map)
+                if want.feasible:
+                    assert np.array_equal(got.policy, want.policy)
+                    feasible += 1
+                else:
+                    assert got.policy is None
+                    infeasible += 1
+        assert feasible >= 10 and infeasible >= 3
 
 
 def _count_lps(monkeypatch):

@@ -185,6 +185,16 @@ class TestFixedInterpretation:
         # action 0 everywhere: sum_w prior(w) * u_j(w, 0)
         assert np.allclose(got, [0.3 * 2 + 0.7 * 4, 1.0], atol=1e-12)
 
+    def test_induced_map_is_the_table_for_any_profile(self, rng):
+        g = random_game(2, 3, 2, 3, rng)
+        fixed = FixedMap(tuple(int(a) for a in rng.integers(0, g.actions, g.n_joint_signals)))
+        for _ in range(3):
+            # a term cap below states * S^n: no weights are formed, so no CapError
+            table = induced_action_map(g, random_profile(g, rng), fixed, term_cap=1)
+            assert table.tolist() == list(fixed.table)
+            table[0] = -1    # the caller's own copy
+        assert induced_action_map(g, random_profile(g, rng), fixed).tolist() == list(fixed.table)
+
     def test_incomplete_map_rejected(self):
         g = didactic_game()
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,16 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from persuade.cli import main
+from persuade.cli import _tie_rule, build_parser, main
 from persuade.equilibria import EquilibriumReport
-from persuade.game import FixedMap, GameInstance, Lexicographic, SenderFavoring
+from persuade.game import TIE_RULES, FixedMap, GameInstance, Lexicographic, SenderFavoring
 from persuade.io import (
     load_or_sample_dataset,
     read_game,
     read_policies,
     read_report,
     tie_rule_from_dict,
-    tie_rule_to_dict,
     write_game,
     write_policies,
     write_report,
@@ -23,7 +23,7 @@ from persuade.io import (
 from persuade.reference import two_block_game, two_block_equilibrium_policies
 from persuade.scenarios import SyntheticSpec, synthetic_instance
 
-from conftest import random_game
+from conftest import random_game, random_profile
 
 
 def run_cli(args):
@@ -48,9 +48,19 @@ class TestRoundTrips:
         write_policies(path, pol)
         assert np.array_equal(read_policies(path), pol)
 
-    def test_tie_rules(self):
-        for tie in (Lexicographic(), SenderFavoring(), SenderFavoring(weights=(0.5, 2.0)), FixedMap((0, 1, 2, 3))):
-            assert tie_rule_from_dict(tie_rule_to_dict(tie)) == tie
+    def test_tie_rules(self, tmp_path, rng):
+        rules = (Lexicographic(), SenderFavoring(), SenderFavoring(weights=(0.5, 2.0)), FixedMap((0, 1, 2, 3)))
+        assert {type(tie) for tie in rules} == set(TIE_RULES.values())
+        g = random_game(2, 3, 2, 4, rng)   # 4 joint signals, 4 actions
+        for k, tie in enumerate(rules):
+            assert TIE_RULES[tie.kind] is type(tie)
+            assert tie_rule_from_dict(tie.to_dict()) == tie
+            first, second = tmp_path / f"{k}-first.json", tmp_path / f"{k}-second.json"
+            write_game(first, g, tie=tie)
+            back, back_tie = read_game(first)
+            assert back_tie == tie
+            write_game(second, back, tie=back_tie)
+            assert first.read_bytes() == second.read_bytes()
 
     def test_report_round_trip(self, tmp_path):
         rep = EquilibriumReport(
@@ -160,6 +170,24 @@ class TestCliCommands:
         assert doc["policy"] is None and doc["utility"] is None
         assert doc["action_map"] == [1, 1]
 
+    @pytest.mark.parametrize("tie", [SenderFavoring(), FixedMap((0, 1, 2, 3) * 4)], ids=["posterior", "fixed-map"])
+    def test_best_response_sender_out_of_range(self, tmp_path, capsys, tie):
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        write_game(game_path, two_block_game(), tie=tie)
+        write_policies(pol_path, two_block_equilibrium_policies())
+        assert run_cli(["exact", "best-response", "--game", game_path, "--policy", pol_path,
+                        "--sender", 2, "--out", tmp_path / "br.json"]) == 2
+        assert "sender 2 out of range" in capsys.readouterr().err
+
+    def test_best_response_policy_sender_count_checked(self, tmp_path, capsys):
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        write_game(game_path, two_block_game())
+        pol = two_block_equilibrium_policies()
+        write_policies(pol_path, np.concatenate([pol, pol[:1]]))
+        assert run_cli(["exact", "best-response", "--game", game_path, "--policy", pol_path,
+                        "--sender", 2, "--out", tmp_path / "br.json"]) == 2
+        assert "policy file has 3 senders, the game has 2" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["gen", "synthetic", "--n", 2])
@@ -225,6 +253,96 @@ class TestCliCommands:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert "persuade" in out.stdout
+
+
+def _tie_actions(parser):
+    """The `--tie` option of every command, found by walking the subparsers."""
+    for action in parser._actions:
+        if action.dest == "tie":
+            yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _tie_actions(sub)
+
+
+def _with_tie_rule(path, rule):
+    doc = json.loads(path.read_text())
+    doc["tie_rule"] = rule
+    path.write_text(json.dumps(doc))
+
+
+class TestTieRuleChoice:
+    def test_tie_choices_are_the_rule_flags(self):
+        flags = [rule.flag for rule in TIE_RULES.values() if rule.flag is not None]
+        actions = list(_tie_actions(build_parser()))
+        assert len(actions) >= 10   # every gen kind, exact subcommand, learn, reduce kind and report
+        for action in actions:
+            assert list(action.choices) == flags
+            assert action.default is None
+        for flag in flags:
+            assert _tie_rule(argparse.Namespace(tie=flag)).flag == flag
+
+    def test_precedence(self):
+        file_tie = FixedMap((0, 1, 0, 1))
+        assert _tie_rule(argparse.Namespace(tie="lex"), file_tie, "sender-favoring") == Lexicographic()
+        assert _tie_rule(argparse.Namespace(tie=None), file_tie, "sender-favoring") == SenderFavoring()
+        assert _tie_rule(argparse.Namespace(tie=None), file_tie, None) == file_tie
+        assert _tie_rule(argparse.Namespace(tie=None), None, None) == Lexicographic()
+
+    def test_flag_beats_the_rule_in_the_game_file(self, tmp_path):
+        # the reference profile is an equilibrium under the sender-favoring
+        # rule and refuted under the lexicographic one
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        write_game(game_path, two_block_game(), tie=Lexicographic())
+        write_policies(pol_path, two_block_equilibrium_policies())
+        verify = ["exact", "verify", "--game", game_path, "--policy", pol_path]
+        assert run_cli(verify + ["--tie", "sender-favoring", "--out", tmp_path / "sf.json"]) == 0
+        rep = read_report(tmp_path / "sf.json")
+        assert rep.verdict == "exact"
+        assert np.allclose(rep.utilities, [0.3, 0.3], atol=1e-9)
+        assert run_cli(verify + ["--out", tmp_path / "file.json"]) == 10
+        assert run_cli(verify + ["--tie", "lex", "--out", tmp_path / "lex.json"]) == 10
+
+    def test_gen_writes_the_flag_else_lex(self, tmp_path):
+        base = ["gen", "synthetic", "--n", 2, "--states", 2, "--signals", 2, "--actions", 2, "--seed", 1]
+        assert run_cli(base + ["--out", tmp_path / "lex.json"]) == 0
+        assert read_game(tmp_path / "lex.json")[1] == Lexicographic()
+        assert run_cli(base + ["--tie", "sender-favoring", "--out", tmp_path / "sf.json"]) == 0
+        assert read_game(tmp_path / "sf.json")[1] == SenderFavoring()
+
+    @pytest.mark.parametrize("rule, message", [
+        ({"kind": "fixed_map", "table": [2.9, 1.5, 1.2, 2.0]}, "tie_rule.table"),
+        ({"kind": "fixed_map", "table": [10**30, 0, 0, 0]}, "tie_rule.table"),
+        ({"kind": "fixed_map", "table": [10**309, 0, 0, 0]}, "tie_rule.table"),
+        ({"kind": "fixed_map", "table": [0, 1, 2]}, "interpretation covers 3 joint signals"),
+        ({"kind": "sender_favoring", "weights": [float("nan"), 1.0]}, "tie_rule.weights"),
+        ({"kind": "sender_favoring", "weights": [10**400, 1.0]}, "tie_rule.weights"),
+        ({"kind": "sender_favoring", "weights": [1.0]}, "one weight per sender"),
+        ({"kind": "sender-favoring"}, "unknown tie rule kind"),
+    ], ids=["fractional-table", "huge-entry", "float-overflowing-entry", "short-table", "nan-weight",
+            "float-overflowing-weight", "one-weight", "flag-as-kind"])
+    def test_malformed_rule_in_game_file_is_spec_error(self, tmp_path, capsys, rng, rule, message):
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        g = random_game(2, 2, 2, 4, rng)
+        write_game(game_path, g)
+        _with_tie_rule(game_path, rule)
+        write_policies(pol_path, random_profile(g, rng))
+        code = run_cli(["exact", "verify", "--game", game_path, "--policy", pol_path, "--out", tmp_path / "r.json"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, name", [
+        ({"aux_hiden": [3], "architectures": ["delu"], "sample_count": 200}, "unknown config field: aux_hiden"),
+        ({"generator": {"kind": "quality-ads", "firms": 2, "shock": 1.0}},
+         "unknown quality-ads generator field: shock"),
+    ], ids=["top-level", "generator"])
+    def test_unknown_learn_config_field_is_spec_error(self, tmp_path, capsys, cfg, name):
+        game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
+        write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
+        cfg_path.write_text(json.dumps({**cfg, "train": {"epochs": 1}, "eg": {"steps": 1, "restarts": 1}}))
+        game = [] if "generator" in cfg else ["--game", game_path]
+        assert run_cli(["learn", *game, "--config", cfg_path, "--out", tmp_path / "run"]) == 2
+        assert name in capsys.readouterr().err
 
 
 class TestLearnAndReport:

@@ -80,3 +80,26 @@ def test_learning_calls_the_traced_network_entry_points(arch, monkeypatch):
     assert tracer.counts["neural.backward.rows"] == 3 * 300 + 4 * 2 * 2
     assert tracer.calls["neural.forward"] == 1
     assert tracer.counts["neural.forward.rows"] == 300
+
+
+def test_one_traced_best_response_call_per_best_response(monkeypatch):
+    # `equilibria.best_response.calls` counts best responses, so a FixedMap
+    # best response must not pass through both public best-response functions
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from bench_trace import Tracer
+
+    from persuade import equilibria
+    from persuade.reductions import BimatrixGame, bimatrix_to_persuasion
+
+    g, interp = bimatrix_to_persuasion(BimatrixGame(np.eye(2), np.eye(2)[::-1]))
+    profile = np.full((2, 2, 2), 0.5)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        equilibria.verify_nash(g, profile, interp)
+        equilibria.best_response_exact(g, 0, [profile[1]], interp)
+        equilibria.best_response_fixed_interpretation(g, 0, [profile[1]], interp)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["equilibria.best_response"] == 4
+    assert tracer.calls["equilibria.verify_nash"] == 1
