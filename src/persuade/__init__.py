@@ -26,7 +26,7 @@ from .game import (
     validate_joint_policy,
     validate_policy,
 )
-from .lp import LinearProgram, LpFailure, LpResult, solve_lp
+from .lp import LinearProgram, LpFailure, LpResult, LpStack, solve_lp, solve_lps
 from .equilibria import (
     BestResponseResult,
     EquilibriumReport,

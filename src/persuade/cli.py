@@ -130,11 +130,14 @@ def _generate(kind: str, fields: dict, seed: int):
     return build(*args, seed, **{name: fields.get(name, default) for name, default in defaults.items()})
 
 
-def _common_flags(p):
+def _common_flags(p, *, tie: bool = False, eps: bool = False):
+    """`--seed` and `--out`; `--tie` and `--eps` only for the commands that read them."""
     p.add_argument("--seed", type=int, default=None, help="root seed; named sub-streams derive from it")
     p.add_argument("--out", required=True, help="output file or directory")
-    p.add_argument("--eps", type=float, default=None, help="local-equilibrium neighborhood radius")
-    p.add_argument("--tie", choices=list(TIE_FLAGS), help="receiver tie rule; beats the config's and the game file's")
+    if eps:
+        p.add_argument("--eps", type=float, default=None, help="local-equilibrium neighborhood radius")
+    if tie:
+        p.add_argument("--tie", choices=list(TIE_FLAGS), help="receiver tie rule; beats the config's and the game file's")
 
 
 def build_parser() -> _Parser:
@@ -154,7 +157,7 @@ def build_parser() -> _Parser:
                 g.add_argument(_flag(name), action="store_true")
             else:
                 g.add_argument(_flag(name), type=type(default), default=default)
-        _common_flags(g)
+        _common_flags(g, tie=True)
 
     exact = sub.add_parser("exact", help="exact solvers and checks")
     exact.set_defaults(func=cmd_exact)
@@ -170,13 +173,13 @@ def build_parser() -> _Parser:
     e_fr = esub.add_parser("full-reveal")
     e_fr.add_argument("--game", required=True)
     for p in (e_br, e_ver, e_fr):
-        _common_flags(p)
+        _common_flags(p, tie=True, eps=p is e_ver)
 
     learn = sub.add_parser("learn", help="surrogate training + extra-gradient local-equilibrium search")
     learn.set_defaults(func=cmd_learn)
     learn.add_argument("--game", default=None, help="game file; defaults to the config's game/generator entry")
     learn.add_argument("--config", required=True)
-    _common_flags(learn)
+    _common_flags(learn, tie=True, eps=True)
 
     reduce = sub.add_parser("reduce", help="build persuasion instances from hard source problems")
     reduce.set_defaults(func=cmd_reduce)

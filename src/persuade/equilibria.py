@@ -48,6 +48,10 @@ REFUTED = "refuted"
 
 DEFAULT_NASH_TOL = 1e-7
 DEFAULT_MAP_CAP = 10**6
+# Pivot budget of a subset LP solved ahead of its turn (best_response_exact):
+# far above what an IC LP that terminates takes, far below the full budget
+# that an LP cycling to the pivot cap would spend before it is dropped unread.
+SPECULATIVE_PIVOTS = 10**4
 IMPROVE_TOL = 1e-9
 
 
@@ -64,9 +68,10 @@ class BestResponseResult:
     incentive-compatible interior the value is the supremum of truly
     attainable utilities (approached by shrinking toward `strict_point`);
     otherwise it is attained exactly at `policy`.  `feasible_maps` counts
-    the candidate action maps whose incentive-compatibility LP was feasible
-    (subsets of live combos for the exact best response; liveness LPs are
-    not counted).
+    the candidate action maps whose incentive-compatibility LP was read and
+    feasible (for the exact best response, subsets of live combos reached
+    in bound order; liveness LPs, subsets a solved superset rules out and
+    LPs solved ahead but never read are not counted).
     """
 
     policy: np.ndarray | None
@@ -152,7 +157,7 @@ class _IcLp:
     A combo names one receiver action per reachable opponent context (the
     rows of `W`); an assignment gives each of the first ``len(assignment)``
     own signals a combo, and the own signals it leaves over are never sent
-    (their columns are not in the LP).  For an assignment, :meth:`lp`
+    (their columns are not in the LP).  For an assignment, :meth:`lps`
     maximizes the sender's utility when the receiver plays the assigned
     actions, subject to each of them staying a receiver best response at
     its joint signal (the revelation-principle LP).  With the strictness
@@ -192,52 +197,78 @@ class _IcLp:
             self.rows.append(np.array(rows).reshape(-1, game.states))
             self.fragile.append(fragile)
         self.obj = np.array(obj)
+        # each combo's IC rows negated (as A_ub rows), zero-padded to one length
+        self.counts = [rows.shape[0] for rows in self.rows]
+        self.neg_rows = np.zeros((len(self.rows), max(self.counts, default=0), game.states))
+        for k, rows in enumerate(self.rows):
+            self.neg_rows[k, : rows.shape[0]] = -rows
 
-    def lp(self, assignment, with_slack: bool = False) -> lpmod.LinearProgram:
-        n_states, n_cols = self.shape[0], len(assignment)
+    def lps(self, assignments, with_slack: bool = False) -> lpmod.LpStack:
+        """The LPs of `assignments`, stacked: they share their length and the
+        IC row count of each own signal's combo."""
+        a = np.array(assignments)
+        K, n_cols = a.shape
+        n_states = self.shape[0]
         nvar = n_states * n_cols
         extra = 1 if with_slack else 0
-        c = np.zeros(nvar + extra)
-        n_rows = sum(self.rows[k].shape[0] for k in assignment) + extra
-        A_ub = np.zeros((n_rows, nvar + extra))
+        counts = [self.counts[k] for k in assignments[0]]
+        n_rows = sum(counts) + extra
+        c = np.zeros((K, nvar + extra))
+        A_ub = np.zeros((K, n_rows, nvar + extra))
         r0 = 0
-        for sig, k in enumerate(assignment):
-            block = self.rows[k]
-            if block.shape[0]:
-                A_ub[r0 : r0 + block.shape[0], sig:nvar:n_cols] = -block
+        for sig, nb in enumerate(counts):
+            if nb:
+                A_ub[:, r0 : r0 + nb, sig:nvar:n_cols] = self.neg_rows[a[:, sig], :nb]
                 if with_slack:
-                    A_ub[r0 : r0 + block.shape[0], -1] = 1.0
-                r0 += block.shape[0]
+                    A_ub[:, r0 : r0 + nb, -1] = 1.0
+                r0 += nb
             if not with_slack:
-                c[sig:nvar:n_cols] += self.obj[k]
-        A_eq = np.zeros((n_states, nvar + extra))
-        A_eq[np.arange(nvar) // n_cols, np.arange(nvar)] = 1.0
-        b_ub = np.zeros(n_rows)
+                c[:, sig:nvar:n_cols] += self.obj[a[:, sig]]
+        A_eq = np.zeros((K, n_states, nvar + extra))
+        A_eq[:, np.arange(nvar) // n_cols, np.arange(nvar)] = 1.0
+        b_ub = np.zeros((K, n_rows))
         if with_slack:
-            c[-1] = 1.0
-            A_ub[-1, -1] = 1.0
-            b_ub[-1] = self.slack_cap
-        return lpmod.LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(n_states))
+            c[:, -1] = 1.0
+            A_ub[:, -1, -1] = 1.0
+            b_ub[:, -1] = self.slack_cap
+        return lpmod.LpStack(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones((K, n_states)))
 
-    def live(self, k: int) -> bool:
-        """Whether combo `k`'s cone of own-signal columns holds a nonzero
-        point: one feasibility LP over a column scaled to total mass one.
+    def solve(self, assignments) -> dict:
+        """Each assignment's LP result (or `LpFailure`); the LPs of one shape
+        and row layout are solved as one stack.  The first assignment gets
+        the full pivot budget, the others `SPECULATIVE_PIVOTS`."""
+        groups: dict = {}
+        for assignment in assignments:
+            groups.setdefault(tuple(self.counts[k] for k in assignment), []).append(assignment)
+        out = {}
+        for group in groups.values():
+            caps = [lpmod.MAX_PIVOTS if a == assignments[0] else SPECULATIVE_PIVOTS for a in group]
+            out.update(zip(group, lpmod.solve_lps(self.lps(group), caps)))
+        return out
+
+    def live(self) -> list:
+        """The combos whose cone of own-signal columns holds a nonzero point:
+        one feasibility LP per combo over a column scaled to total mass one,
+        the combos with equally many IC rows stacked.
 
         A dead combo can never carry mass, so no assignment needs it.  An LP
         that fails keeps the combo, which costs LPs but never an answer.
         """
-        rows = self.rows[k]
-        cone = lpmod.LinearProgram(
-            c=np.zeros(self.shape[0]),
-            A_ub=-rows,
-            b_ub=np.zeros(rows.shape[0]),
-            A_eq=np.ones((1, self.shape[0])),
-            b_eq=np.ones(1),
-        )
-        try:
-            return lpmod.solve_lp(cone).status == lpmod.OPTIMAL
-        except lpmod.LpFailure:
-            return True
+        n_states = self.shape[0]
+        counts = np.array(self.counts)
+        alive = np.ones(counts.size, dtype=bool)
+        for nb in sorted(set(self.counts)):
+            ks = np.flatnonzero(counts == nb)
+            cones = lpmod.LpStack(
+                c=np.zeros((ks.size, n_states)),
+                A_ub=self.neg_rows[ks, :nb],
+                b_ub=np.zeros((ks.size, nb)),
+                A_eq=np.ones((ks.size, 1, n_states)),
+                b_eq=np.ones((ks.size, 1)),
+            )
+            for k, res in zip(ks, lpmod.solve_lps(cones)):
+                alive[k] = isinstance(res, lpmod.LpFailure) or res.status == lpmod.OPTIMAL
+        return np.flatnonzero(alive).tolist()
 
     def policy(self, x: np.ndarray, n_cols: int) -> np.ndarray:
         """The policy of an LP solution over the first `n_cols` own signals,
@@ -354,12 +385,29 @@ def best_response_exact(
     one feasibility LP each) never carries mass.  Candidate action maps are
     therefore the subsets of one to ``min(signals, live combos)`` live
     combos, one own signal each, the remaining own signals never sent.  The
-    incentive-compatibility LP is solved for each subset, best-first by an
-    IC-free bound, and the best value the receiver's actual behavior
-    supports is returned.  `others` are the remaining senders' policies in
-    ascending sender order.  Under a FixedMap the result is that of
+    subsets are taken best-first by an IC-free bound until none can beat
+    the best value so far; each one's incentive-compatibility LP is read in
+    that order, and the best value the receiver's actual behavior supports
+    is returned.  `others` are the remaining senders' policies in ascending
+    sender order.  Under a FixedMap the result is that of
     :func:`best_response_fixed_interpretation`; `incumbent` and `map_cap`
     play no part there.
+
+    Adding a combo never lowers the LP value (its column may stay zero), so
+    a subset is skipped once a solved superset was infeasible or no better
+    than the best value.  The result is the one without pruning, but a
+    skipped subset's LP is never solved: an `LpFailure` it would raise does
+    not occur, so a call can return where the unpruned loop raised.
+
+    The LPs are solved ahead in blocks of 1, 2, 4, ... up to `lp.MAX_STACK`
+    subsets that still need one, the same-shape LPs of a block in one
+    lockstep stack (as do the liveness LPs).  Results are read in bound
+    order exactly as if each LP were solved when reached; a block's results
+    that are never read (past the bound cut-off, or pruned by a superset
+    solved earlier in the block) are dropped, an `LpFailure` among them
+    included.  Only a block's first LP gets the full pivot budget; the
+    others stop after `SPECULATIVE_PIVOTS`, and one that fails is solved
+    again, with the full budget, if it is read.
     """
     if tie.check(game) is not None:
         return _fixed_interpretation_response(game, sender, others, tie, term_cap)
@@ -388,33 +436,61 @@ def best_response_exact(
 
     # best-first over a cheap IC-free bound so most LPs are skipped; when no
     # subset's bound can beat the incumbent, not even liveness is needed
-    if ic.obj.max(axis=0).sum() > best_value + 1e-12:
-        live = [k for k in range(len(combos)) if ic.live(k)]
-    else:
-        live = []
+    live = ic.live() if ic.obj.max(axis=0).sum() > best_value + 1e-12 else []
     sizes = range(1, min(game.signals, len(live)) + 1)
     n_subsets = sum(math.comb(len(live), r) for r in sizes)
     if n_subsets > map_cap:
         raise CapError(f"{n_subsets} subsets of {len(live)} live combos exceed the map cap of {map_cap}")
-    subsets = [s for r in sizes for s in itertools.combinations(live, r)]
+    # (bound, subset), best bound first; a subset's bound sums, over states,
+    # its combos' best objective entry
+    ranked = []
+    for r in sizes:
+        group = list(itertools.combinations(live, r))
+        ranked += zip(ic.obj[np.array(group)].max(axis=1).sum(axis=1).tolist(), group)
+    ranked.sort(key=lambda t: t[0], reverse=True)
+    # floor[s]: the lowest LP value among the solved supersets of subset s
+    # (-inf when one was infeasible; an IC LP is never unbounded)
+    floor: dict = {}
 
-    def bound(assignment):
-        return float(np.maximum.reduce([ic.obj[k] for k in assignment]).sum())
+    def needs_lp(assignment):
+        return floor.get(assignment, np.inf) > best_value + 1e-12
 
-    subsets.sort(key=bound, reverse=True)
-
+    solved: dict = {}
+    todo: list = []
+    block = 1
     feasible_count = 0
-    for assignment in subsets:
-        if bound(assignment) <= best_value + 1e-12:
+    for i, (b, assignment) in enumerate(ranked):
+        if b <= best_value + 1e-12:
             break
-        res = lpmod.solve_lp(ic.lp(assignment))
+        if not needs_lp(assignment):
+            continue
+        res = solved.get(assignment)
+        if res is None or (isinstance(res, lpmod.LpFailure) and assignment != todo[0]):
+            # the next block: this subset and the following ones that need
+            # an LP now, while their bound beats the incumbent (a failure
+            # with the speculative pivot budget is solved again here)
+            todo = []
+            for j in range(i, len(ranked)):
+                if len(todo) == block or ranked[j][0] <= best_value + 1e-12:
+                    break
+                if needs_lp(ranked[j][1]):
+                    todo.append(ranked[j][1])
+            solved = ic.solve(todo)
+            block = min(2 * block, lpmod.MAX_STACK)
+            res = solved[assignment]
+        if isinstance(res, lpmod.LpFailure):
+            raise res
+        lp_value = res.value if res.status == lpmod.OPTIMAL else -np.inf
+        for r in range(1, len(assignment)):
+            for sub in itertools.combinations(assignment, r):
+                floor[sub] = min(floor.get(sub, np.inf), lp_value)
         if res.status != lpmod.OPTIMAL:
             continue
         feasible_count += 1
         if res.value <= best_value + 1e-12:
             continue
         pi_star = ic.policy(res.x, len(assignment))
-        slack = lpmod.solve_lp(ic.lp(assignment, with_slack=True))
+        slack = lpmod.solve_lp(ic.lps([assignment], with_slack=True))
         strict = (
             slack.status == lpmod.OPTIMAL
             and slack.value > TIE_TOL
@@ -475,7 +551,7 @@ def _fixed_interpretation_response(game, sender, others, interp: FixedMap, term_
     others, W, joint = _opponent_contexts(game, sender, others)
     table = interp.check(game).copy()    # the result owns its action_map
     ic = _IcLp(game, sender, W, [tuple(col) for col in table[joint].T])
-    res = lpmod.solve_lp(ic.lp(range(game.signals)))
+    res = lpmod.solve_lp(ic.lps([tuple(range(game.signals))]))
     if res.status != lpmod.OPTIMAL:
         return BestResponseResult(policy=None, utility=-np.inf, action_map=table, feasible_maps=0, feasible=False)
     pol = ic.policy(res.x, game.signals)

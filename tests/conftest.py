@@ -222,14 +222,14 @@ def reference_best_response_exact(game: GameInstance, sender, others, tie, *, in
     for assignment in multisets:
         if bound(assignment) <= best_value + 1e-12:
             break
-        res = lpmod.solve_lp(ic.lp(assignment))
+        res = lpmod.solve_lp(reference_ic_lp(ic, assignment))
         if res.status != lpmod.OPTIMAL:
             continue
         feasible_count += 1
         if res.value <= best_value + 1e-12:
             continue
         pi_star = ic.policy(res.x, game.signals)
-        slack = lpmod.solve_lp(ic.lp(assignment, with_slack=True))
+        slack = lpmod.solve_lp(reference_ic_lp(ic, assignment, with_slack=True))
         strict = (slack.status == lpmod.OPTIMAL and slack.value > TIE_TOL
                   and not any(ic.fragile[k] for k in assignment))
         if strict:
@@ -243,6 +243,117 @@ def reference_best_response_exact(game: GameInstance, sender, others, tie, *, in
             cands = [pi_star]
             if slack.status == lpmod.OPTIMAL:
                 cands.append(ic.policy(slack.x, game.signals))
+            for cand in cands:
+                val, prof = true_utility(cand)
+                if val > best_value:
+                    best_value, best_policy = val, cand
+                    best_table = induced_action_map(game, prof, tie, term_cap)
+                    best_strict = None
+    return BestResponseResult(policy=best_policy, utility=float(best_value), action_map=best_table,
+                              feasible_maps=feasible_count, strict_point=best_strict)
+
+
+def unstack(lps) -> list:
+    """The LPs of a `solve_lps` argument (an `LpStack` or a list of
+    `LinearProgram`s), one `LinearProgram` each."""
+    if not isinstance(lps, lpmod.LpStack):
+        return list(lps)
+    return [lpmod.LinearProgram(*(a[k] for a in (lps.c, lps.A_ub, lps.b_ub, lps.A_eq, lps.b_eq)))
+            for k in range(len(lps))]
+
+
+def reference_ic_lp(ic: _IcLp, assignment, with_slack=False) -> lpmod.LinearProgram:
+    """One IC LP of `ic`, built block by block from its combos' rows: the
+    oracle for the stacked builder `_IcLp.lps`."""
+    n_states, n_cols = ic.shape[0], len(assignment)
+    nvar = n_states * n_cols
+    extra = 1 if with_slack else 0
+    c = np.zeros(nvar + extra)
+    n_rows = sum(ic.rows[k].shape[0] for k in assignment) + extra
+    A_ub = np.zeros((n_rows, nvar + extra))
+    r0 = 0
+    for sig, k in enumerate(assignment):
+        block = ic.rows[k]
+        if block.shape[0]:
+            A_ub[r0 : r0 + block.shape[0], sig:nvar:n_cols] = -block
+            if with_slack:
+                A_ub[r0 : r0 + block.shape[0], -1] = 1.0
+            r0 += block.shape[0]
+        if not with_slack:
+            c[sig:nvar:n_cols] += ic.obj[k]
+    A_eq = np.zeros((n_states, nvar + extra))
+    A_eq[np.arange(nvar) // n_cols, np.arange(nvar)] = 1.0
+    b_ub = np.zeros(n_rows)
+    if with_slack:
+        c[-1] = 1.0
+        A_ub[-1, -1] = 1.0
+        b_ub[-1] = ic.slack_cap
+    return lpmod.LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(n_states))
+
+
+def reference_sequential_best_response(game: GameInstance, sender, others, tie, *, incumbent=None,
+                                       term_cap=DEFAULT_TERM_CAP):
+    """Sequential oracle for the exact best response: one liveness LP per
+    combo, then the IC LP of every subset of live combos in bound order,
+    each built by `reference_ic_lp` and solved alone by `reference_solve_lp`
+    when it is reached, with no superset pruning.  An `LpFailure` of a
+    reached LP propagates."""
+    others, W, joint = _opponent_contexts(game, sender, others)
+
+    def true_utility(pi):
+        prof = _profile_with(others, sender, pi)
+        return float(ex_ante_utilities(game, prof, tie, term_cap)[0][sender]), prof
+
+    combos = list(itertools.product(*[_producible_actions(game, row, tie) for row in W]))
+    ic = _IcLp(game, sender, W, combos)
+    best_value, best_policy, best_table, best_strict = -np.inf, None, None, None
+    if incumbent is not None:
+        inc = validate_policy(game, incumbent)
+        best_value, prof = true_utility(inc)
+        best_policy = inc
+        best_table = induced_action_map(game, prof, tie, term_cap)
+
+    def live(k):
+        rows = ic.rows[k]
+        cone = lpmod.LinearProgram(c=np.zeros(game.states), A_ub=-rows, b_ub=np.zeros(rows.shape[0]),
+                                   A_eq=np.ones((1, game.states)), b_eq=np.ones(1))
+        try:
+            return reference_solve_lp(cone).status == lpmod.OPTIMAL
+        except lpmod.LpFailure:
+            return True
+
+    alive = [k for k in range(len(combos)) if live(k)] if ic.obj.max(axis=0).sum() > best_value + 1e-12 else []
+    subsets = [s for r in range(1, min(game.signals, len(alive)) + 1) for s in itertools.combinations(alive, r)]
+
+    def bound(assignment):
+        return float(np.maximum.reduce([ic.obj[k] for k in assignment]).sum())
+
+    subsets.sort(key=bound, reverse=True)
+    feasible_count = 0
+    for assignment in subsets:
+        if bound(assignment) <= best_value + 1e-12:
+            break
+        res = reference_solve_lp(reference_ic_lp(ic, assignment))
+        if res.status != lpmod.OPTIMAL:
+            continue
+        feasible_count += 1
+        if res.value <= best_value + 1e-12:
+            continue
+        pi_star = ic.policy(res.x, len(assignment))
+        slack = reference_solve_lp(reference_ic_lp(ic, assignment, with_slack=True))
+        strict = (slack.status == lpmod.OPTIMAL and slack.value > TIE_TOL
+                  and not any(ic.fragile[k] for k in assignment))
+        if strict:
+            table = _full_table(game, joint, combos, assignment)
+            prof = _profile_with(others, sender, pi_star)
+            value = float(ex_ante_utilities_fixed_interpretation(game, prof, FixedMap(tuple(table)), term_cap)[sender])
+            if value > best_value:
+                best_value, best_policy, best_table = value, pi_star, table
+                best_strict = ic.policy(slack.x, len(assignment))
+        else:
+            cands = [pi_star]
+            if slack.status == lpmod.OPTIMAL:
+                cands.append(ic.policy(slack.x, len(assignment)))
             for cand in cands:
                 val, prof = true_utility(cand)
                 if val > best_value:

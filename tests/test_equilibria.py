@@ -12,6 +12,9 @@ from persuade.equilibria import (
     EXACT,
     REFUTED,
     PreconditionError,
+    _IcLp,
+    _opponent_contexts,
+    _producible_actions,
     best_response_exact,
     best_response_fixed_interpretation,
     full_revelation_profile,
@@ -41,9 +44,12 @@ from conftest import (
     random_profile,
     reference_best_response_exact,
     reference_best_response_fixed_interpretation,
+    reference_ic_lp,
     reference_local_ne_verify,
     reference_perturb,
+    reference_sequential_best_response,
     unique_optimum_game,
+    unstack,
 )
 
 SF = SenderFavoring()
@@ -126,17 +132,19 @@ class TestBestResponseExact:
 
 
 def _count_lps(monkeypatch):
-    """Count `solve_lp` calls from here on: all of them, and the liveness
-    LPs among them."""
+    """Count the LPs solved from here on, per LP through `solve_lps` (which
+    `solve_lp` goes through too): all of them, and the liveness LPs among
+    them."""
     counts = {"all": 0, "liveness": 0}
-    solve = lpmod.solve_lp
+    solve = lpmod.solve_lps
 
-    def counted(lp, max_pivots=lpmod.MAX_PIVOTS):
-        counts["all"] += 1
-        counts["liveness"] += _is_liveness_lp(lp)
-        return solve(lp, max_pivots)
+    def counted(lps, max_pivots=lpmod.MAX_PIVOTS):
+        progs = unstack(lps)
+        counts["all"] += len(progs)
+        counts["liveness"] += sum(_is_liveness_lp(lp) for lp in progs)
+        return solve(lps, max_pivots)
 
-    monkeypatch.setattr(lpmod, "solve_lp", counted)
+    monkeypatch.setattr(lpmod, "solve_lps", counted)
     return counts
 
 
@@ -213,22 +221,186 @@ class TestBestResponseMatchesMultisetReference:
         counts = _count_lps(monkeypatch)
         expect = best_response_exact(g, 0, others, LEX, incumbent=prof[0])
         normal = dict(counts)
-        solve = lpmod.solve_lp
+        solve = lpmod.solve_lps
         failed = []
 
-        def fail_liveness(lp, max_pivots=lpmod.MAX_PIVOTS):
-            if _is_liveness_lp(lp):
-                failed.append(lp)
-                raise lpmod.LpFailure("simplex exceeded 0 pivots")
-            return solve(lp, max_pivots)
+        def fail_liveness(lps, max_pivots=lpmod.MAX_PIVOTS):
+            # each liveness LP fails without being solved; the others are solved and counted
+            progs = unstack(lps)
+            out = [lpmod.LpFailure("simplex exceeded 0 pivots") for _ in progs]
+            rest = [k for k, lp in enumerate(progs) if not _is_liveness_lp(lp)]
+            failed.extend(lp for lp in progs if _is_liveness_lp(lp))
+            if rest:
+                for k, res in zip(rest, solve([progs[k] for k in rest], max_pivots)):
+                    out[k] = res
+            return out
 
-        monkeypatch.setattr(lpmod, "solve_lp", fail_liveness)
+        monkeypatch.setattr(lpmod, "solve_lps", fail_liveness)
         counts.update(all=0, liveness=0)
         got = best_response_exact(g, 0, others, LEX, incumbent=prof[0])
         assert got.utility == pytest.approx(expect.utility, abs=1e-9)
         assert len(failed) == normal["liveness"] > 0
         # every combo kept, dead ones too: more subset LPs, the same answer
         assert counts["all"] > normal["all"] - normal["liveness"]
+
+
+def _assert_same_best_response(got, want):
+    """Bit for bit in policy, utility, action map and strict point; the
+    pruned, blocked search reaches at most as many feasible maps."""
+    assert got.policy.tobytes() == want.policy.tobytes()
+    assert got.utility == want.utility
+    assert np.array_equal(got.action_map, want.action_map)
+    assert (got.strict_point is None) == (want.strict_point is None)
+    if want.strict_point is not None:
+        assert got.strict_point.tobytes() == want.strict_point.tobytes()
+    assert got.feasible_maps <= want.feasible_maps
+
+
+def _outcome_or_failure(best_response, *args, **kwargs):
+    try:
+        return best_response(*args, **kwargs)
+    except lpmod.LpFailure as exc:
+        return str(exc)
+
+
+class _Reads(dict):
+    """A dict that records the keys read through it."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if key in self:
+            self.reads.add(key)
+        return super().get(key, default)
+
+
+class TestBestResponseMatchesSequentialReference:
+    """Stacked blocks of subset LPs and superset pruning give the sequential
+    loop's best response (`reference_sequential_best_response`), bit for bit."""
+
+    SHAPES = ((2, 2, 2, 2), (2, 3, 2, 3), (3, 3, 2, 3), (2, 3, 3, 3))
+
+    def test_stacked_ic_lps_match_the_reference_builder(self):
+        g = synthetic_instance(SyntheticSpec(2, 3, 3, 3, 6))
+        others, W, _ = _opponent_contexts(g, 0, [random_profile(g, substream(6, "heavy-best-response"))[1]])
+        combos = list(itertools.product(*[_producible_actions(g, row, LEX) for row in W]))
+        ic = _IcLp(g, 0, W, combos)
+        rng = substream(6, "ic-lp-stacks")
+        for r in (1, 2, 3):
+            assignments = [tuple(sorted(rng.choice(len(combos), r, replace=False).tolist())) for _ in range(20)]
+            groups = {}
+            for a in assignments:
+                groups.setdefault(tuple(ic.counts[k] for k in a), []).append(a)
+            for group in groups.values():
+                for with_slack in (False, True):
+                    stack = unstack(ic.lps(group, with_slack))
+                    for k, a in enumerate(group):
+                        want = reference_ic_lp(ic, a, with_slack).normalized()
+                        assert all(x.tobytes() == y.tobytes() for x, y in zip(stack[k].normalized(), want))
+
+    def test_random_games(self):
+        for shape in self.SHAPES:
+            rng = substream(sum(shape), "sequential-best-response")
+            for tie in (LEX, SF):
+                g = random_game(*shape, rng)
+                prof = random_profile(g, rng)
+                for incumbent in (None, prof[0]):
+                    got = best_response_exact(g, 0, list(prof[1:]), tie, incumbent=incumbent)
+                    want = reference_sequential_best_response(g, 0, list(prof[1:]), tie, incumbent=incumbent)
+                    _assert_same_best_response(got, want)
+
+    def test_superset_pruning_skips_feasible_maps(self):
+        pruned = 0
+        for seed in (0, 6):
+            g = synthetic_instance(SyntheticSpec(2, 3, 3, 3, seed))
+            prof = random_profile(g, substream(seed, "heavy-best-response"))
+            for tie in (LEX, SF):
+                for incumbent in (None, prof[0]):
+                    got = best_response_exact(g, 0, [prof[1]], tie, incumbent=incumbent)
+                    want = reference_sequential_best_response(g, 0, [prof[1]], tie, incumbent=incumbent)
+                    _assert_same_best_response(got, want)
+                    pruned += want.feasible_maps - got.feasible_maps
+        assert pruned > 0
+
+    @pytest.mark.parametrize("speculative_pivots", [persuade.equilibria.SPECULATIVE_PIVOTS, 0])
+    def test_same_lp_failure(self, monkeypatch, speculative_pivots):
+        # badly scaled synthetic games, where the simplex fails certification
+        monkeypatch.setattr(persuade.equilibria, "SPECULATIVE_PIVOTS", speculative_pivots)
+        messages = set()
+        for seed in (1, 2, 4):
+            g = synthetic_instance(SyntheticSpec(2, 4, 3, 4, seed))
+            prof = substream(seed, "failing-best-response").dirichlet(np.ones(g.signals), size=(2, g.states))
+            for tie in (LEX, SF):
+                for incumbent in (None, prof[0]):
+                    want = _outcome_or_failure(reference_sequential_best_response, g, 0, [prof[1]], tie,
+                                               incumbent=incumbent)
+                    got = _outcome_or_failure(best_response_exact, g, 0, [prof[1]], tie, incumbent=incumbent)
+                    assert isinstance(want, str) and got == want
+                    messages.add(want.split()[0])
+        assert messages == {"equality", "inequality", "negative"}
+
+    def test_speculative_lp_over_its_pivot_budget_is_solved_again(self, monkeypatch):
+        # with no pivot allowed ahead of its turn, a speculative LP fails
+        # unless it needs none; each one that is read is solved again as the
+        # first LP of a block, and the best response is the same
+        blocks = []
+        solve = _IcLp.solve
+
+        def counted(self, assignments):
+            blocks.append(len(assignments))
+            return solve(self, assignments)
+
+        monkeypatch.setattr(_IcLp, "solve", counted)
+        for seed in (0, 6):
+            g = synthetic_instance(SyntheticSpec(2, 3, 3, 3, seed))
+            prof = random_profile(g, substream(seed, "heavy-best-response"))
+            for tie in (LEX, SF):
+                want = reference_sequential_best_response(g, 0, [prof[1]], tie)
+                for cap in (persuade.equilibria.SPECULATIVE_PIVOTS, 0):
+                    monkeypatch.setattr(persuade.equilibria, "SPECULATIVE_PIVOTS", cap)
+                    blocks.clear()
+                    _assert_same_best_response(best_response_exact(g, 0, [prof[1]], tie), want)
+                    if cap:
+                        normal = len(blocks)
+                assert len(blocks) > 2 * normal
+
+    def test_failure_in_a_dropped_speculative_lp_is_not_raised(self, monkeypatch):
+        # a block's results that are never read (the LP lies past the break,
+        # or a superset solved earlier in the block prunes it) are dropped,
+        # failures included
+        solve = _IcLp.solve
+        past_the_break = 0
+        for shape, seed in (((2, 2, 3, 3), 3), ((2, 2, 3, 3), 5), ((2, 3, 3, 3), 6)):
+            g = synthetic_instance(SyntheticSpec(*shape, seed))
+            prof = random_profile(g, substream(seed, "speculative"))
+            blocks, reads = [], set()
+
+            def recording(self, assignments):
+                out = solve(self, assignments)
+                blocks.append(list(out))
+                return _Reads(out, reads)
+
+            monkeypatch.setattr(_IcLp, "solve", recording)
+            want = best_response_exact(g, 0, [prof[1]], LEX)
+            dropped = {a for block in blocks for a in block if a not in reads}
+            past_the_break += sum(a not in reads for a in blocks[-1])
+
+            def failing(self, assignments):
+                out = solve(self, assignments)
+                out.update((a, lpmod.LpFailure("injected")) for a in dropped if a in out)
+                return out
+
+            monkeypatch.setattr(_IcLp, "solve", failing)
+            _assert_same_best_response(best_response_exact(g, 0, [prof[1]], LEX), want)
+            monkeypatch.undo()
+            assert dropped
+        assert past_the_break > 0
 
 
 class TestBestResponseFixedInterpretation:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from persuade.cli import _tie_rule, build_parser, main
+from persuade.cli import EXIT_USAGE, GENERATORS, _tie_rule, build_parser, main
 from persuade.equilibria import EquilibriumReport
 from persuade.game import TIE_RULES, FixedMap, GameInstance, Lexicographic, SenderFavoring
 from persuade.io import (
@@ -255,14 +255,18 @@ class TestCliCommands:
         assert "persuade" in out.stdout
 
 
-def _tie_actions(parser):
-    """The `--tie` option of every command, found by walking the subparsers."""
-    for action in parser._actions:
-        if action.dest == "tie":
-            yield action
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from _tie_actions(sub)
+def _commands(parser, path=()):
+    """(command path, parser) for every leaf command, found by walking the subparsers."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _commands(sub, (*path, name))
+
+
+def _option(parser, dest):
+    return next((a for a in parser._actions if a.dest == dest), None)
 
 
 def _with_tie_rule(path, rule):
@@ -274,13 +278,35 @@ def _with_tie_rule(path, rule):
 class TestTieRuleChoice:
     def test_tie_choices_are_the_rule_flags(self):
         flags = [rule.flag for rule in TIE_RULES.values() if rule.flag is not None]
-        actions = list(_tie_actions(build_parser()))
-        assert len(actions) >= 10   # every gen kind, exact subcommand, learn, reduce kind and report
-        for action in actions:
+        commands = dict(_commands(build_parser()))
+        with_tie = {path for path, p in commands.items() if _option(p, "tie") is not None}
+        # the commands that read a tie rule: every gen kind, every exact subcommand and learn
+        assert with_tie == {("gen", kind) for kind in GENERATORS} | {
+            ("exact", what) for what in ("best-response", "verify", "full-reveal")} | {("learn",)}
+        for path in with_tie:
+            action = _option(commands[path], "tie")
             assert list(action.choices) == flags
             assert action.default is None
         for flag in flags:
             assert _tie_rule(argparse.Namespace(tie=flag)).flag == flag
+
+    def test_eps_only_where_read(self):
+        commands = dict(_commands(build_parser()))
+        assert {path for path, p in commands.items() if _option(p, "eps") is not None} == {
+            ("exact", "verify"), ("learn",)}
+
+    def test_commands_reject_flags_they_do_not_read(self, tmp_path):
+        src = tmp_path / "bim.json"
+        src.write_text(json.dumps({"u1": [[1, 0], [0, 1]], "u2": [[0, 1], [1, 1]]}))
+        out = tmp_path / "g.json"
+        reduce = ["reduce", "bimatrix", "--source", src, "--out", out]
+        for extra in (["--tie", "sender-favoring", "--eps", 3], ["--tie", "lex"], ["--eps", 3]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(reduce + extra)
+            assert exc.value.code == EXIT_USAGE
+            assert not out.exists()
+        assert run_cli(reduce) == 0
+        assert "tie" not in json.loads((tmp_path / "g.json.manifest.json").read_text())["args"]
 
     def test_precedence(self):
         file_tie = FixedMap((0, 1, 0, 1))
