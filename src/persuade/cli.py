@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import glob as globmod
 import json
 import math
@@ -23,10 +24,12 @@ import numpy as np
 
 from . import __version__
 from .equilibria import (
+    DEFAULT_LOCAL_EPS,
     REFUTED,
     PreconditionError,
     best_response_exact,
     full_revelation_profile,
+    local_ne_verify,
     verify_nash,
 )
 from .game import TIE_RULES, CapError, Lexicographic, TieRule, ex_ante_utilities
@@ -140,6 +143,7 @@ def _common_flags(p, *, tie: bool = False, eps: bool = False):
         p.add_argument("--tie", choices=list(TIE_FLAGS), help="receiver tie rule; beats the config's and the game file's")
 
 
+@functools.cache    # built once per process: each parse_args call returns a new namespace
 def build_parser() -> _Parser:
     root = _Parser(prog="persuade", description=__doc__)
     root.add_argument("--version", action="version", version=f"persuade {__version__}")
@@ -160,7 +164,6 @@ def build_parser() -> _Parser:
         _common_flags(g, tie=True)
 
     exact = sub.add_parser("exact", help="exact solvers and checks")
-    exact.set_defaults(func=cmd_exact)
     esub = exact.add_subparsers(dest="what", required=True)
     e_br = esub.add_parser("best-response")
     e_br.add_argument("--game", required=True)
@@ -172,7 +175,8 @@ def build_parser() -> _Parser:
     e_ver.add_argument("--local", action="store_true", help="sampled eps-ball check instead of exact verification")
     e_fr = esub.add_parser("full-reveal")
     e_fr.add_argument("--game", required=True)
-    for p in (e_br, e_ver, e_fr):
+    for p, func in ((e_br, cmd_best_response), (e_ver, cmd_verify), (e_fr, cmd_full_reveal)):
+        p.set_defaults(func=func)
         _common_flags(p, tie=True, eps=p is e_ver)
 
     learn = sub.add_parser("learn", help="surrogate training + extra-gradient local-equilibrium search")
@@ -182,7 +186,6 @@ def build_parser() -> _Parser:
     _common_flags(learn, tie=True, eps=True)
 
     reduce = sub.add_parser("reduce", help="build persuasion instances from hard source problems")
-    reduce.set_defaults(func=cmd_reduce)
     rsub = reduce.add_subparsers(dest="kind", required=True)
     r_pub = rsub.add_parser("public")
     r_pub.add_argument("--source", required=True, help="public-persuasion JSON (k, prior, gaps, u_plus, u_minus)")
@@ -191,7 +194,8 @@ def build_parser() -> _Parser:
     r_pub.add_argument("--M", type=float, default=None)
     r_bim = rsub.add_parser("bimatrix")
     r_bim.add_argument("--source", required=True, help="bimatrix JSON (u1, u2 as nested 0/1 lists)")
-    for p in (r_pub, r_bim):
+    for p, func in ((r_pub, cmd_reduce_public), (r_bim, cmd_reduce_bimatrix)):
+        p.set_defaults(func=func)
         _common_flags(p)
 
     report = sub.add_parser("report", help="aggregate learn results into plot-ready CSVs")
@@ -233,48 +237,53 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_exact(args) -> int:
+def cmd_best_response(args) -> int:
     game, file_tie = read_game(args.game)
     tie = _tie_rule(args, file_tie)
-    if args.what == "best-response":
-        policy = read_policies(args.policy)
-        if len(policy) != game.n_senders:
-            raise SpecError(f"policy file has {len(policy)} senders, the game has {game.n_senders}")
-        if not 0 <= args.sender < game.n_senders:
-            raise SpecError(f"sender {args.sender} out of range")
-        others = [policy[k] for k in range(game.n_senders) if k != args.sender]
-        br = best_response_exact(game, args.sender, others, tie, incumbent=policy[args.sender])
-        doc = {
-            "format": "persuade-best-response",
-            "sender": args.sender,
-            "feasible": br.feasible,
-            "utility": br.utility if br.feasible else None,
-            "feasible_maps": br.feasible_maps,
-            "policy": br.policy.ravel().tolist() if br.feasible else None,
-            "action_map": br.action_map.tolist(),
-        }
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-        _manifest(args)
-        if br.feasible:
-            print(f"best response for sender {args.sender}: utility {br.utility:.12g}")
-        else:
-            print(f"sender {args.sender} has no policy that keeps the committed interpretation incentive compatible")
-        return 0
-    if args.what == "verify":
-        policy = read_policies(args.policy)
-        if args.local:
-            from .equilibria import local_ne_verify
+    policy = read_policies(args.policy)
+    if len(policy) != game.n_senders:
+        raise SpecError(f"policy file has {len(policy)} senders, the game has {game.n_senders}")
+    if not 0 <= args.sender < game.n_senders:
+        raise SpecError(f"sender {args.sender} out of range")
+    others = [policy[k] for k in range(game.n_senders) if k != args.sender]
+    br = best_response_exact(game, args.sender, others, tie, incumbent=policy[args.sender])
+    doc = {
+        "format": "persuade-best-response",
+        "sender": args.sender,
+        "feasible": br.feasible,
+        "utility": br.utility if br.feasible else None,
+        "feasible_maps": br.feasible_maps,
+        "policy": br.policy.ravel().tolist() if br.feasible else None,
+        "action_map": br.action_map.tolist(),
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+    _manifest(args)
+    if br.feasible:
+        print(f"best response for sender {args.sender}: utility {br.utility:.12g}")
+    else:
+        print(f"sender {args.sender} has no policy that keeps the committed interpretation incentive compatible")
+    return 0
 
-            eps = 0.005 if args.eps is None else args.eps
-            report = local_ne_verify(game, policy, tie, eps, 0 if args.seed is None else args.seed)
-        else:
-            report = verify_nash(game, policy, tie)
-        write_report(args.out, report)
-        _manifest(args)
-        print(f"verdict: {report.verdict}; utilities {np.round(report.utilities, 6).tolist()}")
-        return 0 if report.verdict != REFUTED else EXIT_REFUTED
-    # full-reveal
+
+def cmd_verify(args) -> int:
+    game, file_tie = read_game(args.game)
+    tie = _tie_rule(args, file_tie)
+    policy = read_policies(args.policy)
+    if args.local:
+        eps = DEFAULT_LOCAL_EPS if args.eps is None else args.eps
+        report = local_ne_verify(game, policy, tie, eps, 0 if args.seed is None else args.seed)
+    else:
+        report = verify_nash(game, policy, tie)
+    write_report(args.out, report)
+    _manifest(args)
+    print(f"verdict: {report.verdict}; utilities {np.round(report.utilities, 6).tolist()}")
+    return 0 if report.verdict != REFUTED else EXIT_REFUTED
+
+
+def cmd_full_reveal(args) -> int:
+    game, file_tie = read_game(args.game)
+    tie = _tie_rule(args, file_tie)
     profile, cert = full_revelation_profile(game)
     write_policies(args.out, profile)
     write_sidecar(
@@ -321,7 +330,7 @@ def cmd_learn(args) -> int:
     train_cfg = TrainConfig(**train_doc)
     eg_cfg = EgConfig(**eg_doc)
     tie = _tie_rule(args, file_tie, cfg.get("tie"))
-    eps = args.eps if args.eps is not None else float(cfg.get("eps", 0.005))
+    eps = args.eps if args.eps is not None else float(cfg.get("eps", DEFAULT_LOCAL_EPS))
     sample_count = int(cfg.get("sample_count", 50_000))
     archs = cfg.get("architectures", ["dnl"])
     arch_kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items() if k in ARCH_FIELDS}
@@ -370,33 +379,37 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce_public(args) -> int:
     with open(args.source) as fh:
         src = json.load(fh)
-    if args.kind == "public":
-        pub = PublicPersuasionInstance(
-            k=_require(src, "k"),
-            prior=np.asarray(_require(src, "prior"), dtype=float),
-            gaps=np.asarray(_require(src, "gaps"), dtype=float),
-            u_plus=np.asarray(_require(src, "u_plus"), dtype=float),
-            u_minus=np.asarray(_require(src, "u_minus"), dtype=float),
-        )
-        if args.C is not None or args.N is not None or args.M is not None:
-            if None in (args.C, args.N, args.M):
-                raise SpecError("give all of --C/--N/--M or none")
-            params = ReductionParams(C=args.C, N=args.N, M=args.M)
-        else:
-            params = ReductionParams.defaults(pub.k)
-        game, pi2 = public_to_best_response(pub, params)
-        write_game(args.out, game)
-        write_policies(f"{args.out}.opponent-policy.json", pi2[None, :, :])
-        write_sidecar(
-            f"{args.out}.sidecar.json",
-            {"source": args.source, "source_doc": src, "params": {"C": params.C, "N": params.N, "M": params.M}},
-        )
-        _manifest(args)
-        print(f"wrote reduction: {game.states} states, {game.actions} actions, alphabet {game.signals}")
-        return 0
+    pub = PublicPersuasionInstance(
+        k=_require(src, "k"),
+        prior=np.asarray(_require(src, "prior"), dtype=float),
+        gaps=np.asarray(_require(src, "gaps"), dtype=float),
+        u_plus=np.asarray(_require(src, "u_plus"), dtype=float),
+        u_minus=np.asarray(_require(src, "u_minus"), dtype=float),
+    )
+    if args.C is not None or args.N is not None or args.M is not None:
+        if None in (args.C, args.N, args.M):
+            raise SpecError("give all of --C/--N/--M or none")
+        params = ReductionParams(C=args.C, N=args.N, M=args.M)
+    else:
+        params = ReductionParams.defaults(pub.k)
+    game, pi2 = public_to_best_response(pub, params)
+    write_game(args.out, game)
+    write_policies(f"{args.out}.opponent-policy.json", pi2[None, :, :])
+    write_sidecar(
+        f"{args.out}.sidecar.json",
+        {"source": args.source, "source_doc": src, "params": {"C": params.C, "N": params.N, "M": params.M}},
+    )
+    _manifest(args)
+    print(f"wrote reduction: {game.states} states, {game.actions} actions, alphabet {game.signals}")
+    return 0
+
+
+def cmd_reduce_bimatrix(args) -> int:
+    with open(args.source) as fh:
+        src = json.load(fh)
     bim = BimatrixGame(u1=np.asarray(_require(src, "u1"), dtype=float), u2=np.asarray(_require(src, "u2"), dtype=float))
     game, amap = bimatrix_to_persuasion(bim)
     write_game(args.out, game, tie=amap)

@@ -12,6 +12,9 @@ incentive-compatible interior; there the LP optimum is the supremum of the
 truly attainable utilities.  Boundary-only maps (the receiver is exactly
 indifferent everywhere in the region) are scored by re-evaluating their LP
 vertex under the actual tie rule, which is what the receiver would do.
+
+`DEFAULT_NASH_TOL`, `DEFAULT_MAP_CAP`, `LOCAL_SAMPLE_CAP`, `LOCAL_SAMPLES_PER_DIM`
+and `DEFAULT_LOCAL_EPS` are module constants, read when a function runs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 
 from . import lp as lpmod
 from .game import (
-    DEFAULT_TERM_CAP,
     TIE_TOL,
     CapError,
     FixedMap,
@@ -351,7 +353,8 @@ def _producible_actions(game: GameInstance, weight_row: np.ndarray, tie: TieRule
         b_ub[-1] = 2.0 * np.max(np.abs(Vf)) + 1.0
         A_eq = np.zeros((1, k + 1))
         A_eq[0, :k] = 1.0
-        res = lpmod.solve_lp(lpmod.LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0]))
+        stack = lpmod.LpStack(c=c[None], A_ub=A_ub[None], b_ub=b_ub[None], A_eq=A_eq[None], b_eq=np.ones((1, 1)))
+        res = lpmod.solve_lp(stack)
         if res.status != lpmod.OPTIMAL:
             continue
         delta = res.value
@@ -373,8 +376,6 @@ def best_response_exact(
     tie: TieRule,
     *,
     incumbent: np.ndarray | None = None,
-    map_cap: int = DEFAULT_MAP_CAP,
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> BestResponseResult:
     """Exact best response of `sender` against the fixed `others`.
 
@@ -390,8 +391,8 @@ def best_response_exact(
     that order, and the best value the receiver's actual behavior supports
     is returned.  `others` are the remaining senders' policies in ascending
     sender order.  Under a FixedMap the result is that of
-    :func:`best_response_fixed_interpretation`; `incumbent` and `map_cap`
-    play no part there.
+    :func:`best_response_fixed_interpretation`; `incumbent` and
+    `DEFAULT_MAP_CAP` play no part there.
 
     Adding a combo never lowers the LP value (its column may stay zero), so
     a subset is skipped once a solved superset was infeasible or no better
@@ -410,17 +411,17 @@ def best_response_exact(
     again, with the full budget, if it is read.
     """
     if tie.check(game) is not None:
-        return _fixed_interpretation_response(game, sender, others, tie, term_cap)
+        return _fixed_interpretation_response(game, sender, others, tie)
     others, W, joint = _opponent_contexts(game, sender, others)
 
     def true_utility(pi):
         prof = _profile_with(others, sender, pi)
-        return float(ex_ante_utilities(game, prof, tie, term_cap)[0][sender]), prof
+        return float(ex_ante_utilities(game, prof, tie)[0][sender]), prof
 
     cands = [_producible_actions(game, row, tie) for row in W]
     n_combos = math.prod(len(c) for c in cands)
-    if n_combos > map_cap:
-        raise CapError(f"{n_combos} per-column assignments exceed the map cap of {map_cap}")
+    if n_combos > DEFAULT_MAP_CAP:
+        raise CapError(f"{n_combos} per-column assignments exceed the map cap of {DEFAULT_MAP_CAP}")
     combos = list(itertools.product(*cands))
     ic = _IcLp(game, sender, W, combos)
 
@@ -432,15 +433,15 @@ def best_response_exact(
         inc = validate_policy(game, incumbent)
         val, prof = true_utility(inc)
         best_value, best_policy = val, inc
-        best_table = induced_action_map(game, prof, tie, term_cap)
+        best_table = induced_action_map(game, prof, tie)
 
     # best-first over a cheap IC-free bound so most LPs are skipped; when no
     # subset's bound can beat the incumbent, not even liveness is needed
     live = ic.live() if ic.obj.max(axis=0).sum() > best_value + 1e-12 else []
     sizes = range(1, min(game.signals, len(live)) + 1)
     n_subsets = sum(math.comb(len(live), r) for r in sizes)
-    if n_subsets > map_cap:
-        raise CapError(f"{n_subsets} subsets of {len(live)} live combos exceed the map cap of {map_cap}")
+    if n_subsets > DEFAULT_MAP_CAP:
+        raise CapError(f"{n_subsets} subsets of {len(live)} live combos exceed the map cap of {DEFAULT_MAP_CAP}")
     # (bound, subset), best bound first; a subset's bound sums, over states,
     # its combos' best objective entry
     ranked = []
@@ -500,7 +501,7 @@ def best_response_exact(
             table = _full_table(game, joint, combos, assignment)
             prof = _profile_with(others, sender, pi_star)
             value = float(
-                ex_ante_utilities_fixed_interpretation(game, prof, FixedMap(tuple(table)), term_cap)[sender]
+                ex_ante_utilities_fixed_interpretation(game, prof, FixedMap(tuple(table)))[sender]
             )
             if value > best_value:
                 best_value = value
@@ -516,7 +517,7 @@ def best_response_exact(
                 if val > best_value:
                     best_value = val
                     best_policy = cand
-                    best_table = induced_action_map(game, prof, tie, term_cap)
+                    best_table = induced_action_map(game, prof, tie)
                     best_strict = None
 
     if best_policy is None:
@@ -530,9 +531,7 @@ def best_response_exact(
     )
 
 
-def best_response_fixed_interpretation(
-    game: GameInstance, sender: int, others, interp: FixedMap, *, term_cap: int = DEFAULT_TERM_CAP
-) -> BestResponseResult:
+def best_response_fixed_interpretation(game: GameInstance, sender: int, others, interp: FixedMap) -> BestResponseResult:
     """Best response when the receiver commits to the interpretation `interp`.
 
     The single-assignment case of the exact best response: own signal s
@@ -543,10 +542,10 @@ def best_response_fixed_interpretation(
     keeps the interpretation credible) and is reported via
     ``feasible=False``.
     """
-    return _fixed_interpretation_response(game, sender, others, interp, term_cap)
+    return _fixed_interpretation_response(game, sender, others, interp)
 
 
-def _fixed_interpretation_response(game, sender, others, interp: FixedMap, term_cap) -> BestResponseResult:
+def _fixed_interpretation_response(game, sender, others, interp: FixedMap) -> BestResponseResult:
     """Shared by both public best responses, so each call is one best response."""
     others, W, joint = _opponent_contexts(game, sender, others)
     table = interp.check(game).copy()    # the result owns its action_map
@@ -556,7 +555,7 @@ def _fixed_interpretation_response(game, sender, others, interp: FixedMap, term_
         return BestResponseResult(policy=None, utility=-np.inf, action_map=table, feasible_maps=0, feasible=False)
     pol = ic.policy(res.x, game.signals)
     prof = _profile_with(others, sender, pol)
-    value = float(ex_ante_utilities_fixed_interpretation(game, prof, interp, term_cap)[sender])
+    value = float(ex_ante_utilities_fixed_interpretation(game, prof, interp)[sender])
     return BestResponseResult(policy=pol, utility=value, action_map=table, feasible_maps=1)
 
 
@@ -564,51 +563,32 @@ def _fixed_interpretation_response(game, sender, others, interp: FixedMap, term_
 # Nash verification
 
 
-def _actual_witness(game, sender, others, tie, br: BestResponseResult, baseline, tol, term_cap):
-    """Confirm a claimed improvement with a policy that actually achieves it."""
-    if br.policy is None:
-        return None, 0.0
-    candidates = [br.policy]
-    if br.strict_point is not None:
-        for t in (1e-9, 1e-6, 1e-3):
-            candidates.append((1 - t) * br.policy + t * br.strict_point)
-    best = (None, 0.0)
-    for cand in candidates:
-        prof = _profile_with(others, sender, cand)
-        val = float(ex_ante_utilities(game, prof, tie, term_cap)[0][sender])
-        if val - baseline > max(tol, best[1]):
-            best = (cand, val - baseline)
-    return best
-
-
-def verify_nash(
-    game: GameInstance,
-    policy,
-    tie: TieRule,
-    tol: float = DEFAULT_NASH_TOL,
-    *,
-    term_cap: int = DEFAULT_TERM_CAP,
-    map_cap: int = DEFAULT_MAP_CAP,
-) -> EquilibriumReport:
-    """Exact Nash check: no sender's best response may improve by more than `tol`.
+def verify_nash(game: GameInstance, policy, tie: TieRule) -> EquilibriumReport:
+    """Exact Nash check: no sender's best response may improve by more than `DEFAULT_NASH_TOL`.
 
     A refutation is only reported together with a deviation that actually
-    achieves the improvement under the receiver's true behavior.  FixedMap
-    tie rules are verified against the fixed-interpretation best response.
+    achieves the improvement under the receiver's true behavior: the best
+    response's policy, or a point on its way to `strict_point`; the witness
+    is the first one (senders in turn) with the largest gain.  FixedMap tie
+    rules are verified against the fixed-interpretation best response.
     """
     policy = validate_joint_policy(game, policy)
-    base = ex_ante_utilities(game, policy, tie, term_cap)[0]
+    base = ex_ante_utilities(game, policy, tie)[0]
 
     worst_gap = 0.0
     witness = None
     for j in range(game.n_senders):
         others = [policy[k] for k in range(game.n_senders) if k != j]
-        br = best_response_exact(game, j, others, tie, incumbent=policy[j], map_cap=map_cap, term_cap=term_cap)
-        if br.utility - base[j] > tol:
-            cand, gap = _actual_witness(game, j, others, tie, br, base[j], tol, term_cap)
-            if cand is not None and gap > worst_gap:
-                worst_gap = gap
-                witness = (j, cand)
+        br = best_response_exact(game, j, others, tie, incumbent=policy[j])
+        if br.utility - base[j] > DEFAULT_NASH_TOL:
+            candidates = [br.policy]
+            if br.strict_point is not None:
+                candidates += [(1 - t) * br.policy + t * br.strict_point for t in (1e-9, 1e-6, 1e-3)]
+            for cand in candidates:
+                val = float(ex_ante_utilities(game, _profile_with(others, j, cand), tie)[0][j])
+                if val - base[j] > max(DEFAULT_NASH_TOL, worst_gap):
+                    worst_gap = val - base[j]
+                    witness = (j, cand)
 
     if witness is None:
         return EquilibriumReport(verdict=EXACT, utilities=base, max_improvement=worst_gap)
@@ -684,13 +664,16 @@ def full_revelation_profile(game: GameInstance) -> tuple[np.ndarray, RevelationC
 # ---------------------------------------------------------------------------
 # sampled local check
 
+LOCAL_SAMPLE_CAP = 10000
+LOCAL_SAMPLES_PER_DIM = 1000
+DEFAULT_LOCAL_EPS = 0.005
 
-def local_ne_sample_count(game: GameInstance, cap: int = 10000, per_dim: int = 1000) -> int:
-    """Deviation sample budget per sender, growing linearly with problem size."""
-    return min(
-        cap,
-        per_dim * (game.n_senders - 1) * (game.states - 1) * (game.signals - 1) * (game.actions - 1),
-    )
+
+def local_ne_sample_count(game: GameInstance) -> int:
+    """Deviation sample budget per sender, `LOCAL_SAMPLES_PER_DIM` per unit of
+    (n-1)(states-1)(signals-1)(actions-1), at most `LOCAL_SAMPLE_CAP`."""
+    size = (game.n_senders - 1) * (game.states - 1) * (game.signals - 1) * (game.actions - 1)
+    return min(LOCAL_SAMPLE_CAP, LOCAL_SAMPLES_PER_DIM * size)
 
 
 def perturb_policy(policy: np.ndarray, eps: float, rng) -> np.ndarray:
@@ -718,7 +701,6 @@ def local_ne_verify(
     seed: int,
     *,
     samples: int | None = None,
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> EquilibriumReport:
     """Sampled check that no sender can gain inside an eps-ball of deviations.
 
@@ -740,7 +722,7 @@ def local_ne_verify(
         raise ValueError("eps must be positive")
     policy = validate_joint_policy(game, policy)
     K = local_ne_sample_count(game) if samples is None else int(samples)
-    base = ex_ante_utilities(game, policy, tie, term_cap)[0]
+    base = ex_ante_utilities(game, policy, tie)[0]
     step = batch_rows(game)
     worst_gap = 0.0
     witness = None
@@ -751,7 +733,7 @@ def local_ne_verify(
             devs = perturb_policy(np.broadcast_to(policy[j], (m, *policy[j].shape)), eps, rng)
             profiles = np.broadcast_to(policy, (m, *policy.shape)).copy()
             profiles[:, j] = devs
-            gaps = ex_ante_utilities_batch(game, profiles, tie, term_cap, senders=(j,))[:, 0] - base[j]
+            gaps = ex_ante_utilities_batch(game, profiles, tie, senders=(j,))[:, 0] - base[j]
             k = int(np.argmax(gaps))
             if gaps[k] > max(IMPROVE_TOL, worst_gap):
                 worst_gap = float(gaps[k])

@@ -12,6 +12,8 @@ except :func:`sample_playthrough`.
 Joint signals are tuples ``(s_1, ..., s_n)`` of per-sender signal indices
 and are flattened to a single index with sender 0 most significant:
 ``index = s_1 * S^(n-1) + ... + s_n``.
+
+`TIE_TOL` and `DEFAULT_TERM_CAP` are module constants, read when a function runs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ DEFAULT_TERM_CAP = 10**7
 
 
 class CapError(ValueError):
-    """An exact enumeration would exceed the configured term cap."""
+    """An exact enumeration would exceed its cap (`DEFAULT_TERM_CAP`, `equilibria.DEFAULT_MAP_CAP`)."""
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +62,13 @@ class _PosteriorRule:
         mu = np.where(live[..., None], q / np.maximum(marg[..., None], 1e-300), 0.0)
         return self.best_actions(game, mu.reshape(-1, game.states)).reshape(marg.shape), live
 
-    def best_actions(self, game: GameInstance, posteriors: np.ndarray, tol: float = TIE_TOL) -> np.ndarray:
-        """Receiver-optimal action (within `tol` of the best) for each row of the (M, states)
+    def best_actions(self, game: GameInstance, posteriors: np.ndarray) -> np.ndarray:
+        """Receiver-optimal action (within `TIE_TOL` of the best) for each row of the (M, states)
         normalized `posteriors`, tie-broken by the rule."""
         mu = np.atleast_2d(np.asarray(posteriors, dtype=float))
         exp_v = mu @ game.receiver_utility
-        tied = exp_v >= exp_v.max(axis=1, keepdims=True) - tol
-        return self._break_ties(game, mu, tied, tol)
+        tied = exp_v >= exp_v.max(axis=1, keepdims=True) - TIE_TOL
+        return self._break_ties(game, mu, tied)
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class Lexicographic(_PosteriorRule):
     kind: ClassVar[str] = "lexicographic"
     flag: ClassVar[str] = "lex"
 
-    def _break_ties(self, game, mu, tied, tol):
+    def _break_ties(self, game, mu, tied):
         return np.argmax(tied, axis=1)
 
 
@@ -112,16 +114,16 @@ class SenderFavoring(_PosteriorRule):
         if self.weights is not None and len(self.weights) != game.n_senders:
             raise ValueError("need one weight per sender")
 
-    def _break_ties(self, game, mu, tied, tol):
+    def _break_ties(self, game, mu, tied):
         self.check(game)
         w = self.weights if self.weights is not None else (1.0,) * game.n_senders
         weighted = sum(float(wj) * uj for wj, uj in zip(w, game.sender_utilities))
         score = np.where(tied, mu @ weighted, -np.inf)
-        best = score >= score.max(axis=1, keepdims=True) - tol
+        best = score >= score.max(axis=1, keepdims=True) - TIE_TOL
         v = game.receiver_utility    # the actions optimal at each point-mass belief
-        mass = mu @ (v >= v.max(axis=1, keepdims=True) - tol).astype(float)
+        mass = mu @ (v >= v.max(axis=1, keepdims=True) - TIE_TOL).astype(float)
         mass = np.where(best, mass, -np.inf)
-        final = mass >= mass.max(axis=1, keepdims=True) - tol
+        final = mass >= mass.max(axis=1, keepdims=True) - TIE_TOL
         return np.argmax(final, axis=1)
 
 
@@ -164,7 +166,7 @@ class FixedMap:
         marg = q.sum(axis=-1)
         return np.broadcast_to(self._table[joint], marg.shape), marg > 0
 
-    def best_actions(self, game, posteriors, tol=TIE_TOL):
+    def best_actions(self, game, posteriors):
         raise ValueError("FixedMap interprets joint signals directly; it cannot rank posteriors")
 
 
@@ -303,10 +305,10 @@ def joint_signal_index(signal, n_signals: int) -> int:
     return idx
 
 
-def check_term_cap(game: GameInstance, term_cap: int = DEFAULT_TERM_CAP) -> None:
+def check_term_cap(game: GameInstance) -> None:
     terms = game.states * game.signals**game.n_senders
-    if terms > term_cap:
-        raise CapError(f"exact enumeration needs {terms} terms, above the cap of {term_cap}")
+    if terms > DEFAULT_TERM_CAP:
+        raise CapError(f"exact enumeration needs {terms} terms, above the cap of {DEFAULT_TERM_CAP}")
 
 
 def product_weights(prior: np.ndarray, policies: np.ndarray) -> np.ndarray:
@@ -325,13 +327,13 @@ def product_weights(prior: np.ndarray, policies: np.ndarray) -> np.ndarray:
     return q
 
 
-def signal_weights(game: GameInstance, policy: np.ndarray, term_cap: int = DEFAULT_TERM_CAP) -> np.ndarray:
+def signal_weights(game: GameInstance, policy: np.ndarray) -> np.ndarray:
     """Unnormalized posterior weights q[s, w] = prior(w) * prod_j pi_j(s_j | w).
 
     Shape (S^n, states); row sums are the joint-signal marginals and the
     whole array sums to 1.
     """
-    check_term_cap(game, term_cap)
+    check_term_cap(game)
     return product_weights(game.prior, policy)
 
 
@@ -373,7 +375,7 @@ def receiver_best_action(game: GameInstance, post: Posterior | np.ndarray, tie: 
     return int(tie.best_actions(game, mu[None, :])[0])
 
 
-def induced_action_map(game: GameInstance, policy, tie: TieRule, term_cap: int = DEFAULT_TERM_CAP) -> np.ndarray:
+def induced_action_map(game: GameInstance, policy, tie: TieRule) -> np.ndarray:
     """The receiver's action at every joint signal under the given profile.
 
     Zero-probability joint signals never reach the receiver; a posterior
@@ -383,12 +385,10 @@ def induced_action_map(game: GameInstance, policy, tie: TieRule, term_cap: int =
     table = tie.check(game)
     if table is not None:    # a FixedMap's actions do not depend on the profile
         return table.copy()
-    return tie.actions(game, signal_weights(game, policy, term_cap))[0]
+    return tie.actions(game, signal_weights(game, policy))[0]
 
 
-def ex_ante_utilities(
-    game: GameInstance, policy, tie: TieRule, term_cap: int = DEFAULT_TERM_CAP
-) -> tuple[np.ndarray, float]:
+def ex_ante_utilities(game: GameInstance, policy, tie: TieRule) -> tuple[np.ndarray, float]:
     """Exact expected payoffs before the state realizes.
 
     Sums over all states and joint signals: each signal contributes its
@@ -399,7 +399,7 @@ def ex_ante_utilities(
     :func:`ex_ante_utilities_batch` bit for bit.
     """
     policy = validate_joint_policy(game, policy)
-    check_term_cap(game, term_cap)
+    check_term_cap(game)
     tie.check(game)
     row = _batch_pass(game, policy[None], tie, (*game.sender_utilities, game.receiver_utility))[0]
     return row[:-1], float(row[-1])
@@ -425,7 +425,6 @@ def ex_ante_utilities_batch(
     game: GameInstance,
     profiles: np.ndarray,
     tie: TieRule,
-    term_cap: int = DEFAULT_TERM_CAP,
     *,
     senders: Sequence[int] | None = None,
 ) -> np.ndarray:
@@ -437,7 +436,7 @@ def ex_ante_utilities_batch(
     of at most `BATCH_ROWS` profiles.
     """
     profiles = np.asarray(profiles, dtype=float)
-    check_term_cap(game, term_cap)
+    check_term_cap(game)
     tie.check(game)
     senders = range(game.n_senders) if senders is None else [int(j) for j in senders]
     utilities = [game.sender_utilities[j] for j in senders]
@@ -464,11 +463,9 @@ def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, utilitie
     return out
 
 
-def ex_ante_utilities_fixed_interpretation(
-    game: GameInstance, policy, interp: FixedMap, term_cap: int = DEFAULT_TERM_CAP
-) -> np.ndarray:
+def ex_ante_utilities_fixed_interpretation(game: GameInstance, policy, interp: FixedMap) -> np.ndarray:
     """Expected sender payoffs when the receiver plays the committed signal map `interp`."""
-    return ex_ante_utilities(game, policy, interp, term_cap)[0]
+    return ex_ante_utilities(game, policy, interp)[0]
 
 
 def sample_playthrough(game: GameInstance, policy, tie: TieRule, rng) -> Playthrough:

@@ -7,6 +7,9 @@ over the flattened joint policy, runs two-step extra-gradient updates on
 softmax-parameterized policies against the learned surrogates, and then
 verifies every candidate against the *true* game - the surrogates never
 touch the reported utilities.
+
+`VAL_FRACTION` (held out for the validation MSE) and `MSE_CHUNK` (rows per
+:func:`mse` pass) are module constants, read when a function runs.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import EPSILON_LOCAL, EquilibriumReport, local_ne_verify
+from .equilibria import DEFAULT_LOCAL_EPS, EPSILON_LOCAL, EquilibriumReport, local_ne_verify
 from .game import GameInstance, TieRule, ex_ante_utilities, ex_ante_utilities_batch
 from .neural import _param_views, backward, flatten_params, forward, init_params, input_dim
 from .rng import substream
 
 DIVERGENCE_GUARD = 1e6
+VAL_FRACTION = 0.1
+MSE_CHUNK = 8192
 
 
 @dataclass
@@ -116,13 +121,13 @@ def make_surrogate_params(
     )
 
 
-def mse(params, X, y, chunk: int = 8192) -> float:
+def mse(params, X, y) -> float:
     """Mean squared error of the network over (X, y)."""
     y = np.asarray(y, dtype=float).reshape(X.shape[0], -1)
     total = 0.0
-    for i in range(0, X.shape[0], chunk):
-        pred = np.atleast_2d(forward(params, X[i : i + chunk]))
-        total += float(np.sum((pred - y[i : i + chunk]) ** 2))
+    for i in range(0, X.shape[0], MSE_CHUNK):
+        pred = np.atleast_2d(forward(params, X[i : i + MSE_CHUNK]))
+        total += float(np.sum((pred - y[i : i + MSE_CHUNK]) ** 2))
     return total / y.size
 
 
@@ -261,14 +266,12 @@ def find_local_ne(
     eg_cfg: EgConfig,
     tie: TieRule,
     *,
-    eps: float = 0.005,
+    dataset: UtilityDataset,
+    eps: float = DEFAULT_LOCAL_EPS,
     arch: str = "dnl",
-    sample_count: int = 50_000,
-    dataset: UtilityDataset | None = None,
-    val_fraction: float = 0.1,
     **arch_kwargs,
 ) -> PipelineResult:
-    """Sample, train one surrogate per sender, restart extra-gradient, verify.
+    """Train one surrogate per sender on `dataset`, restart extra-gradient, verify.
 
     Candidates are ranked by social welfare (sum of true sender utilities,
     ties broken by restart index) and verified in that order against the
@@ -276,9 +279,7 @@ def find_local_ne(
     wins.  If none verifies, the best-welfare candidate is returned with
     ``verified=False`` and its refuting report.
     """
-    if dataset is None:
-        dataset = sample_dataset(game, sample_count, tie, train_cfg.seed)
-    train_split, val_split = split_dataset(dataset, val_fraction, train_cfg.seed)
+    train_split, val_split = split_dataset(dataset, VAL_FRACTION, train_cfg.seed)
 
     in_dim = game.n_senders * game.states * game.signals
     surrogates = []

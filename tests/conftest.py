@@ -22,7 +22,6 @@ from persuade.equilibria import (
     local_ne_sample_count,
 )
 from persuade.game import (
-    DEFAULT_TERM_CAP,
     TIE_TOL,
     FixedMap,
     GameInstance,
@@ -191,8 +190,7 @@ def reference_best_response_fixed_interpretation(game: GameInstance, sender, oth
     return BestResponseResult(policy=pol, utility=value, action_map=table, feasible_maps=1)
 
 
-def reference_best_response_exact(game: GameInstance, sender, others, tie, *, incumbent=None,
-                                  term_cap=DEFAULT_TERM_CAP):
+def reference_best_response_exact(game: GameInstance, sender, others, tie, *, incumbent=None):
     """Multiset oracle for the exact best response: every multiset of
     `signals` combos (dead ones included) is an assignment of one combo per
     own signal, and each gets its IC LP, best-first by the IC-free bound,
@@ -202,7 +200,7 @@ def reference_best_response_exact(game: GameInstance, sender, others, tie, *, in
 
     def true_utility(pi):
         prof = _profile_with(others, sender, pi)
-        return float(ex_ante_utilities(game, prof, tie, term_cap)[0][sender]), prof
+        return float(ex_ante_utilities(game, prof, tie)[0][sender]), prof
 
     combos = list(itertools.product(*[_producible_actions(game, row, tie) for row in W]))
     ic = _IcLp(game, sender, W, combos)
@@ -211,7 +209,7 @@ def reference_best_response_exact(game: GameInstance, sender, others, tie, *, in
         inc = validate_policy(game, incumbent)
         best_value, prof = true_utility(inc)
         best_policy = inc
-        best_table = induced_action_map(game, prof, tie, term_cap)
+        best_table = induced_action_map(game, prof, tie)
 
     def bound(assignment):
         return float(np.maximum.reduce([ic.obj[k] for k in assignment]).sum())
@@ -235,7 +233,7 @@ def reference_best_response_exact(game: GameInstance, sender, others, tie, *, in
         if strict:
             table = _full_table(game, joint, combos, assignment)
             prof = _profile_with(others, sender, pi_star)
-            value = float(ex_ante_utilities_fixed_interpretation(game, prof, FixedMap(tuple(table)), term_cap)[sender])
+            value = float(ex_ante_utilities_fixed_interpretation(game, prof, FixedMap(tuple(table)))[sender])
             if value > best_value:
                 best_value, best_policy, best_table = value, pi_star, table
                 best_strict = ic.policy(slack.x, game.signals)
@@ -247,7 +245,7 @@ def reference_best_response_exact(game: GameInstance, sender, others, tie, *, in
                 val, prof = true_utility(cand)
                 if val > best_value:
                     best_value, best_policy = val, cand
-                    best_table = induced_action_map(game, prof, tie, term_cap)
+                    best_table = induced_action_map(game, prof, tie)
                     best_strict = None
     return BestResponseResult(policy=best_policy, utility=float(best_value), action_map=best_table,
                               feasible_maps=feasible_count, strict_point=best_strict)
@@ -291,8 +289,7 @@ def reference_ic_lp(ic: _IcLp, assignment, with_slack=False) -> lpmod.LinearProg
     return lpmod.LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(n_states))
 
 
-def reference_sequential_best_response(game: GameInstance, sender, others, tie, *, incumbent=None,
-                                       term_cap=DEFAULT_TERM_CAP):
+def reference_sequential_best_response(game: GameInstance, sender, others, tie, *, incumbent=None):
     """Sequential oracle for the exact best response: one liveness LP per
     combo, then the IC LP of every subset of live combos in bound order,
     each built by `reference_ic_lp` and solved alone by `reference_solve_lp`
@@ -302,7 +299,7 @@ def reference_sequential_best_response(game: GameInstance, sender, others, tie, 
 
     def true_utility(pi):
         prof = _profile_with(others, sender, pi)
-        return float(ex_ante_utilities(game, prof, tie, term_cap)[0][sender]), prof
+        return float(ex_ante_utilities(game, prof, tie)[0][sender]), prof
 
     combos = list(itertools.product(*[_producible_actions(game, row, tie) for row in W]))
     ic = _IcLp(game, sender, W, combos)
@@ -311,7 +308,7 @@ def reference_sequential_best_response(game: GameInstance, sender, others, tie, 
         inc = validate_policy(game, incumbent)
         best_value, prof = true_utility(inc)
         best_policy = inc
-        best_table = induced_action_map(game, prof, tie, term_cap)
+        best_table = induced_action_map(game, prof, tie)
 
     def live(k):
         rows = ic.rows[k]
@@ -346,7 +343,7 @@ def reference_sequential_best_response(game: GameInstance, sender, others, tie, 
         if strict:
             table = _full_table(game, joint, combos, assignment)
             prof = _profile_with(others, sender, pi_star)
-            value = float(ex_ante_utilities_fixed_interpretation(game, prof, FixedMap(tuple(table)), term_cap)[sender])
+            value = float(ex_ante_utilities_fixed_interpretation(game, prof, FixedMap(tuple(table)))[sender])
             if value > best_value:
                 best_value, best_policy, best_table = value, pi_star, table
                 best_strict = ic.policy(slack.x, len(assignment))
@@ -358,7 +355,7 @@ def reference_sequential_best_response(game: GameInstance, sender, others, tie, 
                 val, prof = true_utility(cand)
                 if val > best_value:
                     best_value, best_policy = val, cand
-                    best_table = induced_action_map(game, prof, tie, term_cap)
+                    best_table = induced_action_map(game, prof, tie)
                     best_strict = None
     return BestResponseResult(policy=best_policy, utility=float(best_value), action_map=best_table,
                               feasible_maps=feasible_count, strict_point=best_strict)

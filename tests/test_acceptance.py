@@ -235,7 +235,8 @@ def test_criterion_8_pipeline_yield():
         game = synthetic_instance(SyntheticSpec(2, 2, 2, 2, seed=8800 + k))
         result = find_local_ne(
             game, train_cfg, eg_cfg, LEX,
-            eps=0.005, sample_count=6000, arch="dnl", hidden=(16, 16, 16), hyper_hidden=(12,),
+            dataset=sample_dataset(game, 6000, LEX, train_cfg.seed),
+            eps=0.005, arch="dnl", hidden=(16, 16, 16), hyper_hidden=(12,),
         )
         assert result.report.samples == 1000
         if result.verified:
@@ -252,7 +253,8 @@ def test_criterion_8_pipeline_yield():
         TrainConfig(epochs=15, batch_size=128, learning_rate=0.01, seed=811),
         EgConfig(steps=20, learning_rate=0.1, restarts=50, seed=812),
         SF,
-        eps=0.005, sample_count=20_000, arch="dnl", hidden=(24, 24, 24), hyper_hidden=(16,),
+        dataset=sample_dataset(game, 20_000, SF, 811),
+        eps=0.005, arch="dnl", hidden=(24, 24, 24), hyper_hidden=(16,),
     )
     welfare = float(ex_ante_utilities(game, result.policy, SF)[0].sum())
     print(f"reference-game welfare {welfare:.4f} (revealing profile pays 0.30)")

@@ -166,7 +166,7 @@ class TestBestResponseMatchesMultisetReference:
                 prof = random_profile(g, rng)
                 refs = {}
 
-                def reference_br(game, j, others, tie, *, incumbent=None, map_cap=None, term_cap=None):
+                def reference_br(game, j, others, tie, *, incumbent=None):
                     key = (j, incumbent is None)
                     if key not in refs:
                         refs[key] = reference_best_response_exact(game, j, others, tie, incumbent=incumbent)
@@ -202,17 +202,20 @@ class TestBestResponseMatchesMultisetReference:
         prof = random_profile(g, substream(6, "heavy-best-response"))
         others = list(prof[1:])
         n_combos = 3 ** 4                              # every action producible in each of 4 contexts
+        monkeypatch.setattr(persuade.equilibria, "DEFAULT_MAP_CAP", n_combos)
         with pytest.raises(CapError, match=r"subsets of \d+ live combos") as exc:
-            best_response_exact(g, 0, others, LEX, map_cap=n_combos)
+            best_response_exact(g, 0, others, LEX)
         n_subsets, n_live = map(int, re.match(r"(\d+) subsets of (\d+) live", str(exc.value)).groups())
         assert n_subsets == sum(math.comb(n_live, r) for r in range(1, min(g.signals, n_live) + 1))
         counts = _count_lps(monkeypatch)
-        best_response_exact(g, 0, others, LEX, map_cap=n_subsets)
+        monkeypatch.setattr(persuade.equilibria, "DEFAULT_MAP_CAP", n_subsets)
+        best_response_exact(g, 0, others, LEX)
         assert counts["liveness"] == n_combos
         assert n_live < n_combos                     # some combos are dead and not counted
         assert counts["all"] - counts["liveness"] <= 2 * n_subsets
+        monkeypatch.setattr(persuade.equilibria, "DEFAULT_MAP_CAP", n_subsets - 1)
         with pytest.raises(CapError):
-            best_response_exact(g, 0, others, LEX, map_cap=n_subsets - 1)
+            best_response_exact(g, 0, others, LEX)
 
     def test_failed_liveness_lp_keeps_the_combo(self, monkeypatch):
         g = synthetic_instance(SyntheticSpec(3, 3, 2, 3, 6))

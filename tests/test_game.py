@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persuade.equilibria import best_response_fixed_interpretation, verify_nash
+import persuade.game
+from persuade.equilibria import best_response_fixed_interpretation, local_ne_verify, verify_nash
 from persuade.game import (
     CapError,
     FixedMap,
@@ -133,9 +134,22 @@ class TestExAnteUtilities:
         with pytest.raises(CapError):
             ex_ante_utilities(g, random_profile(g, np.random.default_rng(1)), LEX)
 
-    def test_batch_passes_do_not_change_results(self, rng, monkeypatch):
-        import persuade.game
+    def test_term_cap_is_read_when_called(self, monkeypatch):
+        g = random_game(2, 2, 2, 2, np.random.default_rng(0))      # 2 * 2^2 = 8 terms
+        prof = random_profile(g, np.random.default_rng(1))
+        monkeypatch.setattr(persuade.game, "DEFAULT_TERM_CAP", 7)
+        calls = (
+            lambda: ex_ante_utilities(g, prof, LEX),
+            lambda: ex_ante_utilities_batch(g, prof[None], LEX),
+            lambda: induced_action_map(g, prof, LEX),
+            lambda: verify_nash(g, prof, LEX),
+            lambda: local_ne_verify(g, prof, LEX, 0.005, 0, samples=1),
+        )
+        for call in calls:
+            with pytest.raises(CapError, match="8 terms, above the cap of 7"):
+                call()
 
+    def test_batch_passes_do_not_change_results(self, rng, monkeypatch):
         g = random_game(3, 3, 2, 3, rng)
         profiles = np.stack([random_profile(g, rng) for _ in range(11)])
         # zero the small entries of every other profile, so some joint
@@ -185,14 +199,16 @@ class TestFixedInterpretation:
         # action 0 everywhere: sum_w prior(w) * u_j(w, 0)
         assert np.allclose(got, [0.3 * 2 + 0.7 * 4, 1.0], atol=1e-12)
 
-    def test_induced_map_is_the_table_for_any_profile(self, rng):
+    def test_induced_map_is_the_table_for_any_profile(self, rng, monkeypatch):
         g = random_game(2, 3, 2, 3, rng)
         fixed = FixedMap(tuple(int(a) for a in rng.integers(0, g.actions, g.n_joint_signals)))
+        # a term cap below states * S^n: no weights are formed, so no CapError
+        monkeypatch.setattr(persuade.game, "DEFAULT_TERM_CAP", 1)
         for _ in range(3):
-            # a term cap below states * S^n: no weights are formed, so no CapError
-            table = induced_action_map(g, random_profile(g, rng), fixed, term_cap=1)
+            table = induced_action_map(g, random_profile(g, rng), fixed)
             assert table.tolist() == list(fixed.table)
             table[0] = -1    # the caller's own copy
+        monkeypatch.undo()
         assert induced_action_map(g, random_profile(g, rng), fixed).tolist() == list(fixed.table)
 
     def test_incomplete_map_rejected(self):

@@ -275,6 +275,15 @@ def _with_tie_rule(path, rule):
     path.write_text(json.dumps(doc))
 
 
+def test_parser_is_built_once_and_parses_independently():
+    parser = build_parser()
+    assert build_parser() is parser
+    gen = ["gen", "synthetic", "--n", "2", "--states", "2", "--signals", "2", "--actions", "2", "--out", "g.json"]
+    first = parser.parse_args([*gen, "--tie", "sender-favoring"])
+    second = parser.parse_args(gen)
+    assert (first.tie, second.tie) == ("sender-favoring", None)
+
+
 class TestTieRuleChoice:
     def test_tie_choices_are_the_rule_flags(self):
         flags = [rule.flag for rule in TIE_RULES.values() if rule.flag is not None]
@@ -402,7 +411,7 @@ class TestLearnAndReport:
         assert len(lines) == 2
 
     def test_learn_writes_loss_curves(self, tmp_path, monkeypatch):
-        from persuade.learning import EgConfig, TrainConfig, find_local_ne
+        from persuade.learning import EgConfig, TrainConfig, find_local_ne, sample_dataset
 
         monkeypatch.delenv("PERSUADE_CACHE", raising=False)
         game = synthetic_instance(SyntheticSpec(2, 2, 2, 2, 4))
@@ -423,8 +432,9 @@ class TestLearnAndReport:
         rows = json.loads((run_dir / "results.json").read_text())["rows"]
         assert [r["arch"] for r in rows] == ["relu", "dnl"]
         for row in rows:
+            dataset = sample_dataset(game, 400, Lexicographic(), cfg["train"]["seed"])
             res = find_local_ne(game, TrainConfig(**cfg["train"]), EgConfig(**cfg["eg"]), Lexicographic(),
-                                arch=row["arch"], sample_count=400, hidden=(6, 6, 6), hyper_hidden=(4,))
+                                dataset=dataset, arch=row["arch"], hidden=(6, 6, 6), hyper_hidden=(4,))
             assert len(row["losses"]) == game.n_senders
             assert all(len(curve) == 3 for curve in row["losses"])
             assert row["losses"] == res.losses

@@ -241,8 +241,8 @@ class TestPipeline:
             TrainConfig(epochs=4, batch_size=128, seed=21),
             EgConfig(steps=10, learning_rate=0.1, restarts=6, seed=22),
             LEX,
+            dataset=sample_dataset(g, 1500, LEX, 21),
             eps=0.005,
-            sample_count=1500,
             arch="relu",
             hidden=(12, 12),
         )
@@ -266,8 +266,8 @@ class TestPipeline:
             TrainConfig(epochs=10, batch_size=128, learning_rate=0.01, seed=771),
             EgConfig(steps=20, learning_rate=0.1, restarts=300, seed=772),
             LEX,
+            dataset=sample_dataset(g, 8000, LEX, 771),
             eps=0.005,
-            sample_count=8000,
             arch="dnl",
             hidden=(16, 16, 16),
             hyper_hidden=(12,),
@@ -288,8 +288,8 @@ class TestPipeline:
             TrainConfig(epochs=8, batch_size=128, learning_rate=0.01, seed=771),
             EgConfig(steps=20, learning_rate=0.1, restarts=40, seed=772),
             LEX,
+            dataset=sample_dataset(g, 5000, LEX, 771),
             eps=0.005,
-            sample_count=5000,
             arch="dnl",
             hidden=(16, 16, 16),
             hyper_hidden=(12,),
@@ -302,7 +302,7 @@ class TestPipeline:
 
     def test_pipeline_deterministic(self):
         g = didactic_game()
-        kw = dict(eps=0.01, sample_count=800, arch="relu", hidden=(10,))
+        kw = dict(dataset=sample_dataset(g, 800, LEX, 31), eps=0.01, arch="relu", hidden=(10,))
         r1 = find_local_ne(g, TrainConfig(epochs=2, seed=31), EgConfig(steps=5, restarts=3, seed=32), LEX, **kw)
         r2 = find_local_ne(g, TrainConfig(epochs=2, seed=31), EgConfig(steps=5, restarts=3, seed=32), LEX, **kw)
         assert np.array_equal(r1.policy, r2.policy)
