@@ -18,15 +18,13 @@ from .game import (
     ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
     induced_action_map,
-    joint_signal_prob,
     joint_signals,
     posterior,
-    receiver_best_action,
     sample_playthrough,
     validate_joint_policy,
     validate_policy,
 )
-from .lp import LinearProgram, LpFailure, LpResult, LpStack, solve_lp, solve_lps
+from .lp import LpFailure, LpResult, LpStack, solve_lp, solve_lps
 from .equilibria import (
     BestResponseResult,
     EquilibriumReport,
@@ -53,13 +51,10 @@ from .neural import (
     MlpParams,
     backward,
     forward,
-    forward_delu,
-    forward_dnl,
-    forward_relu,
+    forward_with_pattern,
     init_delu,
     init_dnl,
     init_relu,
-    linear_piece,
     load_params,
     save_params,
 )

@@ -33,6 +33,7 @@ from .game import (
     GameInstance,
     TieRule,
     batch_rows,
+    check_term_cap,
     ex_ante_utilities,
     ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
@@ -121,8 +122,10 @@ def _opponent_contexts(game: GameInstance, sender: int, others) -> tuple[list, n
     ``W[r, w] = prior(w) * prod_j pi_j(ctx_j | w)`` over the opponent
     contexts of positive weight (flat order, first opponent most
     significant), and ``joint[r, s]``, the flat joint-signal index of
-    context r with the sender's own signal s.
+    context r with the sender's own signal s.  Raises the term-cap
+    `CapError` first, before any context is built.
     """
+    check_term_cap(game)
     if not 0 <= sender < game.n_senders:
         raise ValueError(f"sender {sender} out of range")
     others = [validate_policy(game, p) for p in others]
@@ -693,6 +696,12 @@ def perturb_policy(policy: np.ndarray, eps: float, rng) -> np.ndarray:
     return p / sums
 
 
+def check_local_eps(eps: float) -> None:
+    """Raise ValueError unless the eps-ball radius is positive and finite."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
 def local_ne_verify(
     game: GameInstance,
     policy,
@@ -718,8 +727,7 @@ def local_ne_verify(
     witness only on a strictly larger one, therefore reports exactly what
     scoring the deviations one at a time would, for any block size.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_local_eps(eps)
     policy = validate_joint_policy(game, policy)
     K = local_ne_sample_count(game) if samples is None else int(samples)
     base = ex_ante_utilities(game, policy, tie)[0]

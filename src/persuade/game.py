@@ -341,17 +341,6 @@ def signal_weights(game: GameInstance, policy: np.ndarray) -> np.ndarray:
 # operations
 
 
-def joint_signal_prob(game: GameInstance, policy, state: int, signal) -> float:
-    """Probability of the joint signal in the given state: prod_j pi_j(s_j | state)."""
-    policy = validate_joint_policy(game, policy)
-    if not 0 <= state < game.states:
-        raise ValueError(f"state {state} out of range")
-    signal = tuple(int(s) for s in signal)
-    if len(signal) != game.n_senders or any(not 0 <= s < game.signals for s in signal):
-        raise ValueError(f"bad joint signal {signal}")
-    return float(np.prod([policy[j, state, s] for j, s in enumerate(signal)]))
-
-
 def posterior(game: GameInstance, policy, signal) -> Posterior:
     """Bayes posterior induced by a joint signal, with its marginal probability."""
     policy = validate_joint_policy(game, policy)
@@ -365,14 +354,6 @@ def posterior(game: GameInstance, policy, signal) -> Posterior:
     if marginal <= 0.0:
         return Posterior(mu=np.zeros(game.states), marginal=0.0)
     return Posterior(mu=q / marginal, marginal=marginal)
-
-
-def receiver_best_action(game: GameInstance, post: Posterior | np.ndarray, tie: TieRule) -> int:
-    """Action maximizing expected receiver utility under the posterior, ties within 1e-9 broken by `tie`."""
-    if isinstance(post, Posterior) and post.is_null:
-        raise ValueError("cannot pick an action for a zero-probability posterior")
-    mu = post.mu if isinstance(post, Posterior) else np.asarray(post, dtype=float)
-    return int(tie.best_actions(game, mu[None, :])[0])
 
 
 def induced_action_map(game: GameInstance, policy, tie: TieRule) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import DEFAULT_LOCAL_EPS, EPSILON_LOCAL, EquilibriumReport, local_ne_verify
+from .equilibria import DEFAULT_LOCAL_EPS, EPSILON_LOCAL, EquilibriumReport, check_local_eps, local_ne_verify
 from .game import GameInstance, TieRule, ex_ante_utilities, ex_ante_utilities_batch
 from .neural import _param_views, backward, flatten_params, forward, init_params, input_dim
 from .rng import substream
@@ -39,7 +39,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
+        if self.epochs < 1 or self.batch_size < 1 or not self.learning_rate > 0:
             raise ValueError("epochs, batch size, and learning rate must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps_adam > 0):
             raise ValueError("bad Adam constants")
@@ -53,7 +53,7 @@ class EgConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1 or self.restarts < 1 or self.learning_rate <= 0:
+        if self.steps < 1 or self.restarts < 1 or not self.learning_rate > 0:
             raise ValueError("steps, restarts, and learning rate must be positive")
 
 
@@ -279,6 +279,7 @@ def find_local_ne(
     wins.  If none verifies, the best-welfare candidate is returned with
     ``verified=False`` and its refuting report.
     """
+    check_local_eps(eps)
     train_split, val_split = split_dataset(dataset, VAL_FRACTION, train_cfg.seed)
 
     in_dim = game.n_senders * game.states * game.signals

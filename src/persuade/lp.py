@@ -1,7 +1,8 @@
 """Small dense linear-program solver.
 
 Maximizes ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
-and ``x >= 0`` with a two-phase tableau simplex.  Bland's rule is always
+and ``x >= 0`` with a two-phase tableau simplex; the LPs come as an
+:class:`LpStack`, one or more LPs of one shape.  Bland's rule is always
 on: the persuasion LPs solved here are heavily degenerate (many exact
 ties) and must not cycle.  Instances are tiny by design, so a dense
 tableau beats anything clever.
@@ -47,49 +48,17 @@ class LpFailure(RuntimeError):
 
 
 @dataclass
-class LinearProgram:
-    """max c@x  s.t.  A_ub@x <= b_ub,  A_eq@x == b_eq,  x >= 0."""
-
-    c: np.ndarray
-    A_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-
-    def normalized(self):
-        c = np.asarray(self.c, dtype=float).ravel()
-        n = c.size
-        A_ub = np.zeros((0, n)) if self.A_ub is None else np.asarray(self.A_ub, dtype=float).reshape(-1, n)
-        b_ub = np.zeros(0) if self.b_ub is None else np.asarray(self.b_ub, dtype=float).ravel()
-        A_eq = np.zeros((0, n)) if self.A_eq is None else np.asarray(self.A_eq, dtype=float).reshape(-1, n)
-        b_eq = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).ravel()
-        if A_ub.shape[0] != b_ub.size or A_eq.shape[0] != b_eq.size:
-            raise ValueError("constraint row counts do not match right-hand sides")
-        for arr in (c, A_ub, b_ub, A_eq, b_eq):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("linear program entries must be finite")
-        return c, A_ub, b_ub, A_eq, b_eq
-
-
-@dataclass
 class LpStack:
     """K linear programs of one shape on a leading axis: `c` (K, n), `A_ub`
     (K, m_ub, n), `b_ub` (K, m_ub), `A_eq` (K, m_eq, n), `b_eq` (K, m_eq),
     all float, finite and C-contiguous.  Builders that make many LPs of one
-    shape fill these arrays directly; :meth:`of` stacks `LinearProgram`s."""
+    shape fill these arrays directly; a single LP is a stack of one."""
 
     c: np.ndarray
     A_ub: np.ndarray
     b_ub: np.ndarray
     A_eq: np.ndarray
     b_eq: np.ndarray
-
-    @classmethod
-    def of(cls, lps) -> LpStack:
-        parts = [lp.normalized() for lp in lps]
-        if len({tuple(a.shape for a in p) for p in parts}) != 1:
-            raise ValueError("a stack needs one or more linear programs of one shape")
-        return cls(*(np.array(arrays) for arrays in zip(*parts)))
 
     def __len__(self) -> int:
         return self.c.shape[0]
@@ -329,27 +298,39 @@ def _lockstep(lps: LpStack, max_pivots, slots: int) -> list:
     return out
 
 
-def solve_lps(lps, max_pivots=MAX_PIVOTS) -> list:
-    """Solve same-shape LPs (an :class:`LpStack` or a sequence of
-    `LinearProgram`s) in lockstep, with the pivot budget `max_pivots` (one
-    for all, or one per LP).
+def solve_lps(lps: LpStack, max_pivots=MAX_PIVOTS) -> list:
+    """Solve the same-shape LPs of `lps` in lockstep, with the pivot budget
+    `max_pivots` (one for all, or one per LP).
 
     Returns one entry per LP, in order: its :class:`LpResult`, or the
     :class:`LpFailure` that :func:`solve_lp` would raise for it.  Each
-    entry equals what :func:`solve_lp` gives that LP alone.
+    entry equals what :func:`solve_lp` gives that LP alone.  Raises
+    ValueError unless the stack's shapes agree and its entries are finite.
     """
-    if not isinstance(lps, LpStack):
-        lps = LpStack.of(lps)
-    n, m_ub = lps.c.shape[1], lps.A_ub.shape[1]
-    m = m_ub + lps.A_eq.shape[1]
+    arrays = (lps.c, lps.A_ub, lps.b_ub, lps.A_eq, lps.b_eq)
+    shapes = [a.shape for a in arrays]
+    ok = lps.c.ndim == lps.b_ub.ndim == lps.b_eq.ndim == 2
+    if ok:
+        (K, n), m_ub, m_eq = lps.c.shape, lps.b_ub.shape[1], lps.b_eq.shape[1]
+        ok = shapes == [(K, n), (K, m_ub, n), (K, m_ub), (K, m_eq, n), (K, m_eq)]
+    if not ok:
+        raise ValueError(
+            "an LP stack needs c (K, n), A_ub (K, m_ub, n), b_ub (K, m_ub), A_eq (K, m_eq, n) "
+            f"and b_eq (K, m_eq); got {shapes}"
+        )
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("linear program entries must be finite")
+    m = m_ub + m_eq
     tableau_bytes = 8 * m * (n + m_ub + m + 1)
     return _lockstep(lps, max_pivots, max(1, min(MAX_STACK, STACK_BYTES // max(tableau_bytes, 1))))
 
 
-def solve_lp(lp: LinearProgram | LpStack, max_pivots: int = MAX_PIVOTS) -> LpResult:
-    """Two-phase simplex of one LP (a `LinearProgram`, or an `LpStack` that
-    holds one).  Infeasible iff the phase-1 optimum exceeds 1e-9."""
-    (res,) = solve_lps(lp if isinstance(lp, LpStack) else [lp], max_pivots)
+def solve_lp(lp: LpStack, max_pivots: int = MAX_PIVOTS) -> LpResult:
+    """Two-phase simplex of the one LP in the stack `lp`.  Infeasible iff
+    the phase-1 optimum exceeds 1e-9."""
+    if len(lp) != 1:
+        raise ValueError(f"solve_lp solves one LP; the stack holds {len(lp)} (use solve_lps)")
+    (res,) = solve_lps(lp, max_pivots)
     if isinstance(res, LpFailure):
         raise res
     return res

@@ -16,9 +16,9 @@ Each container class is the one place that knows its architecture: how
 it is initialised, its arrays in flat order, how it is rebuilt from views
 of a flat buffer, its checkpoint spec, and its forward pass, which returns
 the output, the pre-activations whose signs are the activation pattern,
-and what its backward pass needs.  `forward`, `backward` and the public
-``forward_*`` functions all run that one pass; `init_params` and
-checkpoints find the class by its name.
+and what its backward pass needs.  `forward`, `forward_with_pattern` and
+`backward` all run that one pass; `init_params` and checkpoints find the
+class by its name.
 
 A pre-activation of exactly zero counts as active (bit 1); gradients treat
 the activation pattern as locally constant, i.e. they are the gradients of
@@ -153,21 +153,6 @@ def init_relu(dims, rng) -> MlpParams:
         ws.append(w)
         bs.append(b)
     return MlpParams(ws, bs)
-
-
-def linear_piece(params: MlpParams, pattern):
-    """Coefficients (M, z) of the affine function the net computes on the
-    piece with this activation pattern: output = M x + z."""
-    dims = params.dims
-    M = params.weights[0].copy()
-    z = params.biases[0].copy()
-    off = 0
-    for l in range(1, len(params.weights)):
-        r = np.asarray(pattern[off : off + dims[l]], dtype=float)
-        off += dims[l]
-        M = params.weights[l] @ (r[:, None] * M)
-        z = params.weights[l] @ (r * z) + params.biases[l]
-    return M, z
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +335,11 @@ class Gradients:
     output: np.ndarray
 
 
-def _forward(params, x):
-    """(output, activation pattern).  Only here is the pattern formed from the
-    pass's pre-activations: a training step never reads it."""
+def forward_with_pattern(params, x):
+    """(output, activation pattern) of any architecture: the pattern covers
+    all hidden units of a ReLU net and the hidden or lower stack of a DeLU or
+    DNL net.  Only here is the pattern formed from the pass's
+    pre-activations: a training step never reads it."""
     xb, single = _as_batch(x)
     out, gates, _ = params._run(xb)
     pattern = _pattern(gates, len(xb))
@@ -361,22 +348,7 @@ def _forward(params, x):
 
 def forward(params, x):
     """Output of any architecture."""
-    return _forward(params, x)[0]
-
-
-def forward_relu(params: MlpParams, x):
-    """Returns (output, activation pattern over all hidden units)."""
-    return _forward(params, x)
-
-
-def forward_delu(params: DeluParams, x):
-    """Head output plus the bias the auxiliary net gives the activation pattern."""
-    return _forward(params, x)[0]
-
-
-def forward_dnl(params: DnlParams, x):
-    """Returns (output, lower-stack activation pattern)."""
-    return _forward(params, x)
+    return forward_with_pattern(params, x)[0]
 
 
 def backward(params, x, upstream) -> Gradients:

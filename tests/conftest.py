@@ -37,7 +37,7 @@ from persuade.game import (
     validate_policy,
 )
 from persuade.learning import TrainConfig, UtilityDataset
-from persuade.neural import backward, flatten_params, forward, unflatten_params
+from persuade.neural import MlpParams, backward, flatten_params, forward, unflatten_params
 from persuade.rng import substream
 
 
@@ -129,6 +129,21 @@ def reference_train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender
     return unflatten_params(params, flat), losses
 
 
+def linear_piece(params: MlpParams, pattern):
+    """Coefficients (M, z) of the affine function the net computes on the
+    piece with this activation pattern: output = M x + z."""
+    dims = params.dims
+    M = params.weights[0].copy()
+    z = params.biases[0].copy()
+    off = 0
+    for l in range(1, len(params.weights)):
+        r = np.asarray(pattern[off : off + dims[l]], dtype=float)
+        off += dims[l]
+        M = params.weights[l] @ (r[:, None] * M)
+        z = params.weights[l] @ (r * z) + params.biases[l]
+    return M, z
+
+
 def grid_best_response(game: GameInstance, sender, others, tie, step=0.01):
     """Brute-force oracle: best true utility of `sender` over a grid of its
     policies at the given step (binary signal alphabets only)."""
@@ -179,8 +194,7 @@ def reference_best_response_fixed_interpretation(game: GameInstance, sender, oth
                     row[sig:nvar:n_sig] = -vec
                     rows.append(row)
     A_eq = np.kron(np.eye(n_states), np.ones(n_sig))
-    res = lpmod.solve_lp(lpmod.LinearProgram(c=c, A_ub=np.array(rows).reshape(-1, nvar),
-                                             b_ub=np.zeros(len(rows)), A_eq=A_eq, b_eq=np.ones(n_states)))
+    res = lpmod.solve_lp(one_lp(c, np.array(rows).reshape(-1, nvar), np.zeros(len(rows)), A_eq, np.ones(n_states)))
     if res.status != lpmod.OPTIMAL:
         return BestResponseResult(policy=None, utility=-np.inf, action_map=table, feasible_maps=0, feasible=False)
     pol = np.clip(res.x.reshape(n_states, n_sig), 0.0, None)
@@ -251,16 +265,38 @@ def reference_best_response_exact(game: GameInstance, sender, others, tie, *, in
                               feasible_maps=feasible_count, strict_point=best_strict)
 
 
-def unstack(lps) -> list:
-    """The LPs of a `solve_lps` argument (an `LpStack` or a list of
-    `LinearProgram`s), one `LinearProgram` each."""
-    if not isinstance(lps, lpmod.LpStack):
-        return list(lps)
-    return [lpmod.LinearProgram(*(a[k] for a in (lps.c, lps.A_ub, lps.b_ub, lps.A_eq, lps.b_eq)))
-            for k in range(len(lps))]
+def one_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> lpmod.LpStack:
+    """max c@x  s.t.  A_ub@x <= b_ub,  A_eq@x == b_eq,  x >= 0, as a stack of
+    one LP (float copies; an absent constraint kind has no rows).  Shapes
+    are not checked here: `solve_lps` checks them."""
+    c = np.array(c, dtype=float).ravel()
+    n = c.size
+
+    def rows(A, b):
+        if A is None:
+            return np.zeros((0, n)), np.zeros(0)
+        return np.array(A, dtype=float).reshape(-1, n), np.array(b, dtype=float).ravel()
+
+    (A_ub, b_ub), (A_eq, b_eq) = rows(A_ub, b_ub), rows(A_eq, b_eq)
+    return lpmod.LpStack(c[None], A_ub[None], b_ub[None], A_eq[None], b_eq[None])
 
 
-def reference_ic_lp(ic: _IcLp, assignment, with_slack=False) -> lpmod.LinearProgram:
+def stack_lps(lps) -> lpmod.LpStack:
+    """One stack of the one-LP stacks `lps`, which share a shape."""
+    return lpmod.LpStack(*(np.concatenate(arrays) for arrays in zip(*(lp_arrays(lp) for lp in lps))))
+
+
+def unstack(lps: lpmod.LpStack) -> list:
+    """The LPs of a stack, one one-LP stack each."""
+    return [lpmod.LpStack(*(a[k : k + 1] for a in lp_arrays(lps))) for k in range(len(lps))]
+
+
+def lp_arrays(lps: lpmod.LpStack) -> tuple:
+    """``(c, A_ub, b_ub, A_eq, b_eq)`` of a stack."""
+    return lps.c, lps.A_ub, lps.b_ub, lps.A_eq, lps.b_eq
+
+
+def reference_ic_lp(ic: _IcLp, assignment, with_slack=False) -> lpmod.LpStack:
     """One IC LP of `ic`, built block by block from its combos' rows: the
     oracle for the stacked builder `_IcLp.lps`."""
     n_states, n_cols = ic.shape[0], len(assignment)
@@ -286,7 +322,7 @@ def reference_ic_lp(ic: _IcLp, assignment, with_slack=False) -> lpmod.LinearProg
         c[-1] = 1.0
         A_ub[-1, -1] = 1.0
         b_ub[-1] = ic.slack_cap
-    return lpmod.LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(n_states))
+    return one_lp(c, A_ub, b_ub, A_eq, np.ones(n_states))
 
 
 def reference_sequential_best_response(game: GameInstance, sender, others, tie, *, incumbent=None):
@@ -312,8 +348,7 @@ def reference_sequential_best_response(game: GameInstance, sender, others, tie, 
 
     def live(k):
         rows = ic.rows[k]
-        cone = lpmod.LinearProgram(c=np.zeros(game.states), A_ub=-rows, b_ub=np.zeros(rows.shape[0]),
-                                   A_eq=np.ones((1, game.states)), b_eq=np.ones(1))
+        cone = one_lp(np.zeros(game.states), -rows, np.zeros(rows.shape[0]), np.ones((1, game.states)), np.ones(1))
         try:
             return reference_solve_lp(cone).status == lpmod.OPTIMAL
         except lpmod.LpFailure:
@@ -397,12 +432,12 @@ def _reference_run_simplex(T, basis, cost, allowed, budget):
             raise lpmod.LpFailure(f"simplex exceeded {budget} pivots")
 
 
-def reference_solve_lp(lp: lpmod.LinearProgram, max_pivots: int = lpmod.MAX_PIVOTS) -> lpmod.LpResult:
-    """Two-phase tableau simplex with an explicit set-up pivot onto every
-    unflipped slack column and full-tableau rank-one updates: the oracle
-    for `solve_lp`, which must return the same status, `x` bytes, value
-    and failure message."""
-    c, A_ub, b_ub, A_eq, b_eq = lp.normalized()
+def reference_solve_lp(lp: lpmod.LpStack, max_pivots: int = lpmod.MAX_PIVOTS) -> lpmod.LpResult:
+    """Two-phase tableau simplex of a one-LP stack, with an explicit set-up
+    pivot onto every unflipped slack column and full-tableau rank-one
+    updates: the oracle for `solve_lp`, which must return the same status,
+    `x` bytes, value and failure message."""
+    (c,), (A_ub,), (b_ub,), (A_eq,), (b_eq,) = lp_arrays(lp)
     n = c.size
     m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
     m = m_ub + m_eq

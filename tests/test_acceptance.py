@@ -268,5 +268,5 @@ def test_criterion_9_lp_solver_vs_vertex_enumeration():
         lp = random_lp(rng)
         result = solve_lp(lp)              # LpFailure here would mean cycling
         assert result.status == OPTIMAL
-        oracle = enumerate_basic_optima(lp.c, lp.A_ub, lp.b_ub)
+        oracle = enumerate_basic_optima(lp.c[0], lp.A_ub[0], lp.b_ub[0])
         assert abs(result.value - oracle) < 1e-7

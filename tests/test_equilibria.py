@@ -40,6 +40,7 @@ from persuade.scenarios import SyntheticSpec, product_ads_instance, quality_ads_
 
 from conftest import (
     grid_best_response,
+    lp_arrays,
     random_game,
     random_profile,
     reference_best_response_exact,
@@ -48,6 +49,7 @@ from conftest import (
     reference_local_ne_verify,
     reference_perturb,
     reference_sequential_best_response,
+    stack_lps,
     unique_optimum_game,
     unstack,
 )
@@ -150,7 +152,7 @@ def _count_lps(monkeypatch):
 
 def _is_liveness_lp(lp):
     # one combo's cone: a zero objective and the single row "total mass one"
-    return lp.A_eq is not None and np.shape(lp.A_eq)[0] == 1 and not np.any(lp.c)
+    return lp.A_eq.shape[1] == 1 and not np.any(lp.c)
 
 
 class TestBestResponseMatchesMultisetReference:
@@ -234,7 +236,7 @@ class TestBestResponseMatchesMultisetReference:
             rest = [k for k, lp in enumerate(progs) if not _is_liveness_lp(lp)]
             failed.extend(lp for lp in progs if _is_liveness_lp(lp))
             if rest:
-                for k, res in zip(rest, solve([progs[k] for k in rest], max_pivots)):
+                for k, res in zip(rest, solve(stack_lps([progs[k] for k in rest]), max_pivots)):
                     out[k] = res
             return out
 
@@ -302,10 +304,11 @@ class TestBestResponseMatchesSequentialReference:
                 groups.setdefault(tuple(ic.counts[k] for k in a), []).append(a)
             for group in groups.values():
                 for with_slack in (False, True):
-                    stack = unstack(ic.lps(group, with_slack))
+                    lps = unstack(ic.lps(group, with_slack))
                     for k, a in enumerate(group):
-                        want = reference_ic_lp(ic, a, with_slack).normalized()
-                        assert all(x.tobytes() == y.tobytes() for x, y in zip(stack[k].normalized(), want))
+                        want = lp_arrays(reference_ic_lp(ic, a, with_slack))
+                        assert all(x.shape == y.shape and x.tobytes() == y.tobytes()
+                                   for x, y in zip(lp_arrays(lps[k]), want))
 
     def test_random_games(self):
         for shape in self.SHAPES:
@@ -567,8 +570,9 @@ class TestLocalVerify:
 
     def test_eps_must_be_positive(self):
         g = didactic_game()
-        with pytest.raises(ValueError):
-            local_ne_verify(g, np.full((2, 2, 2), 0.5), LEX, eps=0.0, seed=0)
+        for eps in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                local_ne_verify(g, np.full((2, 2, 2), 0.5), LEX, eps=eps, seed=0)
 
     def test_deterministic_given_seed(self):
         g = didactic_game()

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import persuade.game
-from persuade.equilibria import best_response_fixed_interpretation, local_ne_verify, verify_nash
+from persuade import lp as lpmod
+from persuade.equilibria import best_response_exact, best_response_fixed_interpretation, local_ne_verify, verify_nash
 from persuade.game import (
     CapError,
     FixedMap,
@@ -18,10 +19,10 @@ from persuade.game import (
     ex_ante_utilities_fixed_interpretation,
     exact_payoff_variance,
     induced_action_map,
-    joint_signal_prob,
+    joint_signal_index,
     joint_signals,
     posterior,
-    receiver_best_action,
+    product_weights,
     sample_playthrough,
     signal_weights,
     simulate_mean_payoffs,
@@ -42,28 +43,26 @@ def one_hot_profile(game, column=0):
     return pol
 
 
-class TestJointSignalProb:
+def likelihood(game, policy, state, signal):
+    """prod_j pi_j(s_j | state): one cell of `product_weights` under a flat prior."""
+    return product_weights(np.ones(game.states), policy)[joint_signal_index(signal, game.signals), state]
+
+
+class TestJointSignalWeights:
     def test_deterministic_policies_matching_signal(self):
         g = didactic_game()
-        assert joint_signal_prob(g, one_hot_profile(g), 0, (0, 0)) == 1.0
+        assert likelihood(g, one_hot_profile(g), 0, (0, 0)) == 1.0
 
     def test_reference_game_state3_signal_01(self):
         g = two_block_game()
         pol = two_block_equilibrium_policies()
-        assert joint_signal_prob(g, pol, 3, (0, 1)) == pytest.approx(3 / 7, abs=1e-15)
+        assert likelihood(g, pol, 3, (0, 1)) == pytest.approx(3 / 7, abs=1e-15)
 
     def test_uniform_two_senders(self):
         g = didactic_game()
         uniform = np.full((2, 2, 2), 0.5)
         for s in joint_signals(2, 2):
-            assert joint_signal_prob(g, uniform, 1, tuple(s)) == pytest.approx(0.25)
-
-    def test_out_of_range_rejected(self):
-        g = didactic_game()
-        with pytest.raises(ValueError):
-            joint_signal_prob(g, one_hot_profile(g), 5, (0, 0))
-        with pytest.raises(ValueError):
-            joint_signal_prob(g, one_hot_profile(g), 0, (0, 9))
+            assert likelihood(g, uniform, 1, tuple(s)) == pytest.approx(0.25)
 
 
 class TestPosterior:
@@ -91,28 +90,26 @@ class TestPosterior:
         pol = one_hot_profile(g)
         post = posterior(g, pol, (1, 1))
         assert post.is_null and post.marginal == 0.0
-        with pytest.raises(ValueError):
-            receiver_best_action(g, post, LEX)
 
 
-class TestReceiverBestAction:
+class TestReceiverBestActions:
     def test_didactic_point_mass(self):
         g = didactic_game()
-        assert receiver_best_action(g, np.array([1.0, 0.0]), LEX) == 0
+        assert LEX.best_actions(g, np.array([[1.0, 0.0]]))[0] == 0
 
     def test_reference_tie_favors_second_sender_on_upper_block(self):
         g = two_block_game()
-        assert receiver_best_action(g, np.array([0.0, 0.0, 0.5, 0.5]), SF) == 2
-        assert receiver_best_action(g, np.array([0.5, 0.5, 0.0, 0.0]), SF) == 0
+        assert SF.best_actions(g, np.array([[0.0, 0.0, 0.5, 0.5]]))[0] == 2
+        assert SF.best_actions(g, np.array([[0.5, 0.5, 0.0, 0.0]]))[0] == 0
 
     def test_all_zero_utility_lexicographic(self):
         g = GameInstance(1, 2, 2, 3, [0.5, 0.5], np.zeros((2, 3)), (np.zeros((2, 3)),))
-        assert receiver_best_action(g, np.array([0.3, 0.7]), LEX) == 0
+        assert LEX.best_actions(g, np.array([[0.3, 0.7]]))[0] == 0
 
     def test_fixed_map_rejected(self):
         g = didactic_game()
         with pytest.raises(ValueError):
-            receiver_best_action(g, np.array([1.0, 0.0]), FixedMap(table=(0, 0, 0, 0)))
+            FixedMap(table=(0, 0, 0, 0)).best_actions(g, np.array([[1.0, 0.0]]))
 
 
 class TestExAnteUtilities:
@@ -138,7 +135,14 @@ class TestExAnteUtilities:
         g = random_game(2, 2, 2, 2, np.random.default_rng(0))      # 2 * 2^2 = 8 terms
         prof = random_profile(g, np.random.default_rng(1))
         monkeypatch.setattr(persuade.game, "DEFAULT_TERM_CAP", 7)
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved before the term cap was checked")
+
+        monkeypatch.setattr(lpmod, "solve_lps", no_lp)
         calls = (
+            lambda: best_response_exact(g, 0, [prof[1]], LEX),
+            lambda: best_response_fixed_interpretation(g, 0, [prof[1]], FixedMap((0, 1, 1, 0))),
             lambda: ex_ante_utilities(g, prof, LEX),
             lambda: ex_ante_utilities_batch(g, prof[None], LEX),
             lambda: induced_action_map(g, prof, LEX),

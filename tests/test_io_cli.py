@@ -237,6 +237,43 @@ class TestCliCommands:
         assert code == 2
         assert "policy entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_nonfinite_eps_is_spec_error(self, tmp_path, capsys, monkeypatch, eps):
+        import persuade.learning
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the eps was checked")
+
+        monkeypatch.setattr(persuade.learning, "train", no_training)
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        write_game(game_path, two_block_game(), tie=SenderFavoring())
+        write_policies(pol_path, two_block_equilibrium_policies())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample_count": 100, "train": {"epochs": 1}, "eg": {"steps": 1}}))
+        for args in (["exact", "verify", "--local", "--policy", pol_path, "--out", tmp_path / "r.json"],
+                     ["learn", "--config", cfg, "--out", tmp_path / "run"]):
+            assert run_cli([*args, "--game", game_path, "--eps", eps]) == 2
+            assert "eps must be positive and finite" in capsys.readouterr().err
+
+    def test_best_response_over_the_term_cap_fails_like_verify(self, tmp_path, capsys, monkeypatch):
+        import persuade.lp
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved before the term cap was checked")
+
+        monkeypatch.setattr(persuade.lp, "solve_lps", no_lp)
+        # 4 * 8^8 = 67 M terms, over the cap, and 8^7 opponent contexts per sender
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        write_game(game_path, synthetic_instance(SyntheticSpec(8, 4, 8, 3, 0)))
+        write_policies(pol_path, np.full((8, 4, 8), 1 / 8))
+        errors = []
+        for what, extra in (("verify", []), ("best-response", ["--sender", 0])):
+            assert run_cli(["exact", what, "--game", game_path, "--policy", pol_path,
+                            "--out", tmp_path / f"{what}.json", *extra]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "above the cap" in errors[0]
+
     @pytest.mark.parametrize("spec, message", [
         ({"kind": "lottery"}, "unknown generator kind"),
         ({"kind": "quality-ads", "signals": 2}, "missing config field: firms"),

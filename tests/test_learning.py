@@ -102,6 +102,13 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="diverged"):
             train(params, big, TrainConfig(epochs=3, batch_size=64, learning_rate=10.0, seed=10), sender=0)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan])
+    def test_learning_rate_must_be_positive(self, rate):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(learning_rate=rate)
+        with pytest.raises(ValueError, match="learning rate"):
+            EgConfig(learning_rate=rate)
+
     def test_empty_dataset_rejected(self):
         g = didactic_game()
         ds = sample_dataset(g, 10, LEX, seed=11)
@@ -234,6 +241,19 @@ class TestExtragradient:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0])
+    def test_eps_checked_before_training(self, monkeypatch, eps):
+        import persuade.learning
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the eps was checked")
+
+        monkeypatch.setattr(persuade.learning, "train", no_training)
+        g = didactic_game()
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            find_local_ne(g, TrainConfig(epochs=1, seed=1), EgConfig(steps=1, restarts=1, seed=2), LEX,
+                          dataset=sample_dataset(g, 50, LEX, 1), eps=eps, arch="relu", hidden=(4,))
+
     def test_reports_true_utilities_and_orders_by_welfare(self):
         g = didactic_game()
         res = find_local_ne(

@@ -11,18 +11,17 @@ from persuade.neural import (
     backward,
     flatten_params,
     forward,
-    forward_delu,
-    forward_dnl,
-    forward_relu,
+    forward_with_pattern,
     init_delu,
     init_dnl,
     init_relu,
-    linear_piece,
     load_params,
     save_params,
     unflatten_params,
 )
 from persuade.neural import _split_flat, _stack_forward
+
+from conftest import linear_piece
 
 
 def pattern_margin(params, x):
@@ -76,28 +75,28 @@ def rel_err(a, b):
 class TestForwardRelu:
     def test_all_zero_params(self):
         p = MlpParams([np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)])
-        y, r = forward_relu(p, np.array([1.0, -2.0, 3.0]))
+        y, r = forward_with_pattern(p, np.array([1.0, -2.0, 3.0]))
         assert np.all(y == 0.0)
         assert np.all(r == 1.0)          # zero pre-activation counts as active
 
     def test_single_layer_identity_is_linear(self):
         p = MlpParams([np.eye(3)], [np.zeros(3)])
         x = np.array([0.5, -0.25, 0.0])
-        y, r = forward_relu(p, x)
+        y, r = forward_with_pattern(p, x)
         assert np.array_equal(y, x)      # output layer has no activation
         assert r.size == 0
 
     def test_relu_applied_between_layers(self):
         p = MlpParams([np.eye(3), np.eye(3)], [np.zeros(3), np.zeros(3)])
         x = np.array([0.5, -0.25, 1.0])
-        y, _ = forward_relu(p, x)
+        y, _ = forward_with_pattern(p, x)
         assert np.array_equal(y, np.maximum(x, 0.0))
 
     def test_linear_piece_identity(self, rng):
         p = init_relu([5, 12, 12, 3], rng)
         for _ in range(20):
             x = rng.normal(size=5)
-            y, r = forward_relu(p, x)
+            y, r = forward_with_pattern(p, x)
             M, z = linear_piece(p, r)
             assert np.allclose(M @ x + z, y, atol=1e-10)
 
@@ -185,7 +184,7 @@ class TestDelu:
         p.aux.weights[0][:] = 0.0
         p.aux.biases[0][:] = 0.37
         X = rng.normal(size=(20, 4))
-        assert np.allclose(forward_delu(p, X), forward_relu(backbone(p, 0.37), X)[0], atol=1e-14)
+        assert np.allclose(forward(p, X), forward_with_pattern(backbone(p, 0.37), X)[0], atol=1e-14)
 
     @pytest.mark.parametrize(
         "dims, aux_hidden", [([8, 16, 16, 16, 1], (16, 16)), ([5, 8, 8, 2], (6,)), ([3, 4, 1], ())]
@@ -204,9 +203,9 @@ class TestDelu:
             data = np.random.default_rng(1000 + seed)
             for x in (data.normal(size=(128, dims[0])), data.normal(size=dims[0])):
                 up = data.normal(size=x.shape[:-1] + (dims[-1],))
-                o, r = forward_relu(bb, x)
-                y = o - bb.biases[-1] + forward_relu(aux, r)[0]
-                assert np.array_equal(forward_delu(p, x), y)
+                o, r = forward_with_pattern(bb, x)
+                y = o - bb.biases[-1] + forward_with_pattern(aux, r)[0]
+                assert np.array_equal(forward(p, x), y)
                 g, g_bb, g_aux = backward(p, x, up), backward(bb, x, up), backward(aux, r, up)
                 assert np.array_equal(g.output, y)
                 assert np.array_equal(g.input, g_bb.input)
@@ -234,7 +233,7 @@ class TestDelu:
                 pats.append(tuple((np.concatenate([h.ravel() for h in pres]) >= 0).tolist()))
             if len(set(pats)) != 1:
                 continue
-            ys = [float(forward_delu(p, q)[0]) for q in pts]
+            ys = [float(forward(p, q)[0]) for q in pts]
             assert ys[1] == pytest.approx((ys[0] + ys[2]) / 2, abs=1e-9)
             break
         else:
@@ -247,24 +246,24 @@ class TestDelu:
         bb = backbone(p)
         for _ in range(200):
             a, b = rng.normal(size=3), rng.normal(size=3)
-            _, ra = forward_relu(bb, a)
-            _, rb = forward_relu(bb, b)
+            _, ra = forward_with_pattern(bb, a)
+            _, rb = forward_with_pattern(bb, b)
             if not np.array_equal(ra, rb):
                 break
         lo, hi = a, b
         for _ in range(80):
             mid = (lo + hi) / 2
-            _, rm = forward_relu(bb, mid)
+            _, rm = forward_with_pattern(bb, mid)
             if np.array_equal(rm, ra):
                 lo = mid
             else:
                 hi = mid
-        _, r_lo = forward_relu(bb, lo)
-        _, r_hi = forward_relu(bb, hi)
+        _, r_lo = forward_with_pattern(bb, lo)
+        _, r_hi = forward_with_pattern(bb, hi)
         aux_lo, _, _ = _stack_forward(p.aux, r_lo[None], relu_last=False)
         aux_hi, _, _ = _stack_forward(p.aux, r_hi[None], relu_last=False)
-        jump = float(forward_delu(p, hi)[0]) - float(forward_delu(p, lo)[0])
-        backbone_change = float((forward_relu(bb, hi)[0] - forward_relu(bb, lo)[0])[0])
+        jump = float(forward(p, hi)[0]) - float(forward(p, lo)[0])
+        backbone_change = float((forward_with_pattern(bb, hi)[0] - forward_with_pattern(bb, lo)[0])[0])
         assert jump == pytest.approx(float((aux_hi - aux_lo)[0, 0]) + backbone_change, abs=1e-9)
 
 
@@ -282,7 +281,7 @@ class TestDnl:
             p.lower.weights + [ws[0][0], ws[1][0]], p.lower.biases + [bs[0][0], bs[1][0]]
         )
         X = rng.normal(size=(10, 4))
-        assert np.allclose(forward_dnl(p, X)[0], forward_relu(composed, X)[0], atol=1e-12)
+        assert np.allclose(forward_with_pattern(p, X)[0], forward_with_pattern(composed, X)[0], atol=1e-12)
 
     def test_same_lower_pattern_same_generated_weights(self, rng):
         p = init_dnl([4, 6, 6, 6, 1], 1, (5,), rng)
@@ -290,8 +289,8 @@ class TestDnl:
         # stay strictly inside the piece
         step = 0.4 * pattern_margin(p, x) / 10.0
         y = x + step * rng.normal(size=4) / 10
-        _, rx = forward_dnl(p, x)
-        _, ry = forward_dnl(p, y)
+        _, rx = forward_with_pattern(p, x)
+        _, ry = forward_with_pattern(p, y)
         if np.array_equal(rx, ry):
             fx, _, _ = _stack_forward(p.hyper, rx[None], relu_last=False)
             fy, _, _ = _stack_forward(p.hyper, ry[None], relu_last=False)
@@ -304,18 +303,18 @@ class TestDnl:
         rng = np.random.default_rng(7)
         p = init_dnl([8, 64, 64, 64, 1], 1, (32, 32), rng)
         a, b = rng.normal(size=8), rng.normal(size=8)
-        _, ra = forward_dnl(p, a)
-        _, rb = forward_dnl(p, b)
+        _, ra = forward_with_pattern(p, a)
+        _, rb = forward_with_pattern(p, b)
         assert not np.array_equal(ra, rb)
         lo, hi = a, b
         for _ in range(80):
             mid = (lo + hi) / 2
-            _, rm = forward_dnl(p, mid)
+            _, rm = forward_with_pattern(p, mid)
             if np.array_equal(rm, ra):
                 lo = mid
             else:
                 hi = mid
-        gap = abs(float(forward_dnl(p, hi)[0][0]) - float(forward_dnl(p, lo)[0][0]))
+        gap = abs(float(forward_with_pattern(p, hi)[0][0]) - float(forward_with_pattern(p, lo)[0][0]))
         assert np.linalg.norm(hi - lo) < 1e-9
         assert gap > 1e-4
 
@@ -336,7 +335,7 @@ class TestDnl:
         b3 = np.array([0.0])
         p.hyper.biases[-1][:] = np.concatenate([W2.ravel(), b2, W3.ravel(), b3])
         xs = np.array([[-1.0], [0.0], [1.0]])
-        ys, rs = forward_dnl(p, xs)
+        ys, rs = forward_with_pattern(p, xs)
         assert np.unique(rs, axis=0).shape[0] == 1            # one lower piece
         assert np.allclose(ys.ravel(), [1.0, 0.0, 1.0], atol=1e-12)
         violation = abs(0.5 * (ys[0, 0] + ys[2, 0]) - ys[1, 0])
@@ -355,10 +354,10 @@ class TestPatternStability:
             # crude input-to-preactivation gain bound keeps the probe safe
             gain = max(np.abs(w).sum() for w in p.weights) ** 2
             delta = min(margin / (2 * gain), margin / 2)
-            _, r0 = forward_relu(p, x)
+            _, r0 = forward_with_pattern(p, x)
             for _ in range(5):
                 d = rng.uniform(-delta, delta, size=5)
-                _, r1 = forward_relu(p, x + d)
+                _, r1 = forward_with_pattern(p, x + d)
                 assert np.array_equal(r0, r1)
 
 
@@ -368,14 +367,14 @@ class TestPiecewiseLinearity:
         done = 0
         for _ in range(500):
             x, y = rng.normal(size=4), rng.normal(size=4)
-            fx, rx = forward_relu(p, x)
-            fy, ry = forward_relu(p, y)
+            fx, rx = forward_with_pattern(p, x)
+            fy, ry = forward_with_pattern(p, y)
             if not np.array_equal(rx, ry):
                 continue
             ok = True
             for lam in (0.25, 0.5, 0.75):
                 z = lam * x + (1 - lam) * y
-                fz, rz = forward_relu(p, z)
+                fz, rz = forward_with_pattern(p, z)
                 if not np.array_equal(rz, rx):
                     ok = False
                     break
