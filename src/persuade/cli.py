@@ -4,9 +4,9 @@ pipeline, and report aggregation into reproducible experiments.
 Commands: gen, exact, learn, reduce, report.  Every command writes a
 manifest next to its output; re-running with the same flags reproduces the
 outputs bit-identically (the manifest's timestamp aside).  Exit codes:
-0 success, 1 usage, 2 invalid spec/precondition, 3 I/O failure, 4 when
-the LP solver fails (pivot cap or a failed certification), and 10 when
-`exact verify` refutes the profile.
+0 success, 1 usage, 2 invalid spec/precondition or `learn` training that
+diverges, 3 I/O failure, 4 when the LP solver fails (pivot cap or a failed
+certification), and 10 when `exact verify` refutes the profile.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .io import (
     write_sidecar,
     load_or_sample_dataset,
 )
-from .learning import EgConfig, TrainConfig, find_local_ne
+from .learning import EgConfig, TrainConfig, TrainingDiverged, find_local_ne
 from .lp import LpFailure
 from .neural import save_params
 from .reductions import (
@@ -468,7 +468,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except (SpecError, PreconditionError, CapError, ValueError, TypeError, KeyError) as exc:
+    except (SpecError, PreconditionError, CapError, TrainingDiverged, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except OSError as exc:

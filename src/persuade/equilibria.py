@@ -697,9 +697,12 @@ def perturb_policy(policy: np.ndarray, eps: float, rng) -> np.ndarray:
 
 
 def check_local_eps(eps: float) -> None:
-    """Raise ValueError unless the eps-ball radius is positive and finite."""
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    """Raise ValueError unless the eps-ball radius lies in (0, 1].
+
+    A sup-norm radius of 1 already reaches every policy, so a larger one
+    only risks overflow in the deviation draws."""
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must be positive and finite, at most 1, got {eps}")
 
 
 def local_ne_verify(

@@ -13,6 +13,17 @@ Joint signals are tuples ``(s_1, ..., s_n)`` of per-sender signal indices
 and are flattened to a single index with sender 0 most significant:
 ``index = s_1 * S^(n-1) + ... + s_n``.
 
+One batched kernel (`_batch_pass`) evaluates single profiles and datasets
+alike.  Its receiver decision is action-major: expected values, tie masks
+and tie-break scores are (actions, posteriors) arrays, so each max and
+threshold is an elementwise numpy call across the action planes, and the
+lowest-index pick is an argmax over the leading axis.  Only exact steps
+(max, compare, select, index, copy) use that layout, so the actions equal
+a posterior-major decision's bit for bit.  Per-game constants (utilities as
+contiguous (actions, states) tables, the sender-favoring rule's weighted
+utility and point-mass table) are built on first use and then kept; a
+game's arrays are read-only copies, so the constants cannot go stale.
+
 `TIE_TOL` and `DEFAULT_TERM_CAP` are module constants, read when a function runs.
 """
 
@@ -21,6 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -41,7 +53,13 @@ class CapError(ValueError):
 
 
 class _PosteriorRule:
-    """The receiver takes an action optimal at the posterior; `_break_ties` picks one."""
+    """The receiver takes an action optimal at the posterior; `_break_ties` picks one.
+
+    Values and masks are action-major (see the module docstring): (actions, M),
+    one contiguous plane per action.  The lowest-index pick stays one argmax
+    call over the leading axis; a max over rank-weighted planes took less time
+    per batch but three more numpy calls, which a one-posterior call notices.
+    """
 
     def to_dict(self) -> dict:
         return {"kind": self.kind}
@@ -65,10 +83,17 @@ class _PosteriorRule:
     def best_actions(self, game: GameInstance, posteriors: np.ndarray) -> np.ndarray:
         """Receiver-optimal action (within `TIE_TOL` of the best) for each row of the (M, states)
         normalized `posteriors`, tie-broken by the rule."""
-        mu = np.atleast_2d(np.asarray(posteriors, dtype=float))
-        exp_v = mu @ game.receiver_utility
-        tied = exp_v >= exp_v.max(axis=1, keepdims=True) - TIE_TOL
+        mu = np.asarray(posteriors, dtype=float)
+        if mu.ndim < 2:
+            mu = mu.reshape(1, -1)
+        exp_v = _planes(mu @ game.receiver_utility)
+        tied = exp_v >= np.maximum.reduce(exp_v) - TIE_TOL
         return self._break_ties(game, mu, tied)
+
+
+def _planes(values: np.ndarray) -> np.ndarray:
+    """The (M, actions) `values` as contiguous (actions, M) planes."""
+    return np.ascontiguousarray(values.T)
 
 
 @dataclass(frozen=True)
@@ -79,7 +104,7 @@ class Lexicographic(_PosteriorRule):
     flag: ClassVar[str] = "lex"
 
     def _break_ties(self, game, mu, tied):
-        return np.argmax(tied, axis=1)
+        return np.argmax(tied, axis=0)
 
 
 @dataclass(frozen=True)
@@ -114,17 +139,28 @@ class SenderFavoring(_PosteriorRule):
         if self.weights is not None and len(self.weights) != game.n_senders:
             raise ValueError("need one weight per sender")
 
+    def _constants(self, game: GameInstance) -> tuple[np.ndarray, np.ndarray]:
+        """``(weighted, point_mass)``, both (states, actions) and computed once per game, rule
+        and `TIE_TOL`: the weighted sum of the sender utilities, and 1.0 where an action is
+        receiver-optimal at the point-mass belief on a state."""
+        key = (self, TIE_TOL)
+        got = game._rule_constants.get(key)
+        if got is None:
+            self.check(game)
+            w = self.weights if self.weights is not None else (1.0,) * game.n_senders
+            weighted = sum(float(wj) * uj for wj, uj in zip(w, game.sender_utilities))
+            v = game.receiver_utility
+            point_mass = (v >= v.max(axis=1, keepdims=True) - TIE_TOL).astype(float)
+            got = game._rule_constants[key] = (weighted, point_mass)
+        return got
+
     def _break_ties(self, game, mu, tied):
-        self.check(game)
-        w = self.weights if self.weights is not None else (1.0,) * game.n_senders
-        weighted = sum(float(wj) * uj for wj, uj in zip(w, game.sender_utilities))
-        score = np.where(tied, mu @ weighted, -np.inf)
-        best = score >= score.max(axis=1, keepdims=True) - TIE_TOL
-        v = game.receiver_utility    # the actions optimal at each point-mass belief
-        mass = mu @ (v >= v.max(axis=1, keepdims=True) - TIE_TOL).astype(float)
-        mass = np.where(best, mass, -np.inf)
-        final = mass >= mass.max(axis=1, keepdims=True) - TIE_TOL
-        return np.argmax(final, axis=1)
+        weighted, point_mass = self._constants(game)
+        score = np.where(tied, _planes(mu @ weighted), -np.inf)
+        best = score >= np.maximum.reduce(score) - TIE_TOL
+        mass = np.where(best, _planes(mu @ point_mass), -np.inf)
+        final = mass >= np.maximum.reduce(mass) - TIE_TOL
+        return np.argmax(final, axis=0)
 
 
 @dataclass(frozen=True)
@@ -178,6 +214,13 @@ TIE_RULES = {rule.kind: rule for rule in (Lexicographic, SenderFavoring, FixedMa
 # core data types
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only float64 copy of `a`, so no caller can change a game after it is built."""
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class GameInstance:
     """A multi-sender persuasion game with identical per-sender signal alphabets."""
@@ -192,11 +235,9 @@ class GameInstance:
     meta: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "prior", np.asarray(self.prior, dtype=float))
-        object.__setattr__(self, "receiver_utility", np.asarray(self.receiver_utility, dtype=float))
-        object.__setattr__(
-            self, "sender_utilities", tuple(np.asarray(u, dtype=float) for u in self.sender_utilities)
-        )
+        object.__setattr__(self, "prior", _read_only(self.prior))
+        object.__setattr__(self, "receiver_utility", _read_only(self.receiver_utility))
+        object.__setattr__(self, "sender_utilities", tuple(_read_only(u) for u in self.sender_utilities))
         for name in ("n_senders", "states", "signals", "actions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -219,6 +260,20 @@ class GameInstance:
     @property
     def n_joint_signals(self) -> int:
         return self.signals**self.n_senders
+
+    # The kernel's per-game constants, built on first use.  The fields they
+    # are derived from are read-only, so they never go stale.
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """Each sender's utility, then the receiver's, as an (actions, states) array with one
+        contiguous row per action for `_batch_pass` to gather."""
+        return tuple(np.ascontiguousarray(u.T) for u in (*self.sender_utilities, self.receiver_utility))
+
+    @cached_property
+    def _rule_constants(self) -> dict:
+        """(tie rule, `TIE_TOL`) -> the rule's constants on this game (see `SenderFavoring._constants`)."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -382,7 +437,7 @@ def ex_ante_utilities(game: GameInstance, policy, tie: TieRule) -> tuple[np.ndar
     policy = validate_joint_policy(game, policy)
     check_term_cap(game)
     tie.check(game)
-    row = _batch_pass(game, policy[None], tie, (*game.sender_utilities, game.receiver_utility))[0]
+    row = _batch_pass(game, policy[None], tie, game._tables)[0]
     return row[:-1], float(row[-1])
 
 
@@ -419,28 +474,32 @@ def ex_ante_utilities_batch(
     profiles = np.asarray(profiles, dtype=float)
     check_term_cap(game)
     tie.check(game)
-    senders = range(game.n_senders) if senders is None else [int(j) for j in senders]
-    utilities = [game.sender_utilities[j] for j in senders]
+    tables = game._tables[: game.n_senders]
+    if senders is not None:
+        tables = [tables[int(j)] for j in senders]
     B = profiles.shape[0]
     step = batch_rows(game)
-    out = np.empty((B, len(utilities)))
+    out = np.empty((B, len(tables)))
     for i in range(0, B, step):
-        out[i : i + step] = _batch_pass(game, profiles[i : i + step], tie, utilities)
+        out[i : i + step] = _batch_pass(game, profiles[i : i + step], tie, tables)
     return out
 
 
-def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, utilities) -> np.ndarray:
-    """(B, len(utilities)): sum over states and live joint signals of q * u[state, action].
+def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, tables) -> np.ndarray:
+    """(B, len(tables)): sum over states and live joint signals of q * u[state, action].
 
-    Each column is summed on its own, so a column's value does not depend
-    on which other columns are asked for, nor on the other rows of the pass.
+    `tables` holds each column's utility u as an (actions, states) array, one
+    contiguous row per action, so the gather at the receiver's actions copies
+    whole rows.  Each column is summed on its own, so a column's value does
+    not depend on which other columns are asked for, nor on the other rows of
+    the pass.
     """
     q = product_weights(game.prior, profiles)                  # (B, S^n, states)
     actions, live = tie.actions(game, q)
     q = np.where(live[..., None], q, 0.0)
-    out = np.empty((q.shape[0], len(utilities)))
-    for col, u in enumerate(utilities):
-        out[:, col] = np.sum(q * u.T[actions], axis=(1, 2))   # u.T[actions]: (B, S^n, states)
+    out = np.empty((q.shape[0], len(tables)))
+    for col, table in enumerate(tables):
+        out[:, col] = np.sum(q * table.take(actions, axis=0), axis=(1, 2))   # take: (B, S^n, states)
     return out
 
 
@@ -494,7 +553,7 @@ def exact_payoff_variance(game: GameInstance, policy, tie: TieRule) -> np.ndarra
     policy = validate_joint_policy(game, policy)
     check_term_cap(game)
     tie.check(game)
-    utilities = (*game.sender_utilities, *(u**2 for u in game.sender_utilities))
-    row = _batch_pass(game, policy[None], tie, utilities)[0]
+    tables = game._tables[: game.n_senders]
+    row = _batch_pass(game, policy[None], tie, (*tables, *(t**2 for t in tables)))[0]
     mean, square = row[: game.n_senders], row[game.n_senders :]
     return square - mean**2

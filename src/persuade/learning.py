@@ -28,6 +28,10 @@ VAL_FRACTION = 0.1
 MSE_CHUNK = 8192
 
 
+class TrainingDiverged(RuntimeError):
+    """An epoch's training loss was non-finite or above `DIVERGENCE_GUARD`."""
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 30
@@ -177,7 +181,7 @@ def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int | No
         loss = epoch_sq / y.size
         losses.append(loss)
         if not np.isfinite(loss) or loss > DIVERGENCE_GUARD:
-            raise RuntimeError(
+            raise TrainingDiverged(
                 f"training diverged at epoch {epoch}: loss {loss:.3g} "
                 f"(lr {cfg.learning_rate}, batch {cfg.batch_size})"
             )

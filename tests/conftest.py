@@ -25,6 +25,7 @@ from persuade.game import (
     TIE_TOL,
     FixedMap,
     GameInstance,
+    Lexicographic,
     ex_ante_utilities,
     ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
@@ -93,6 +94,44 @@ def reference_ex_ante(game: GameInstance, policy, tie):
         senders += [weights @ u[:, a] for u in game.sender_utilities]
         receiver += weights @ game.receiver_utility[:, a]
     return senders, receiver
+
+
+def reference_best_actions(game: GameInstance, tie, posteriors) -> np.ndarray:
+    """Posterior-major oracle for a posterior rule's `best_actions`: values
+    and masks are (M, actions) arrays, and each max, threshold and
+    lowest-index pick reduces over the trailing action axis."""
+    mu = np.atleast_2d(np.asarray(posteriors, dtype=float))
+    exp_v = mu @ game.receiver_utility
+    tied = exp_v >= exp_v.max(axis=1, keepdims=True) - TIE_TOL
+    if isinstance(tie, Lexicographic):
+        return np.argmax(tied, axis=1)
+    tie.check(game)
+    w = tie.weights if tie.weights is not None else (1.0,) * game.n_senders
+    weighted = sum(float(wj) * uj for wj, uj in zip(w, game.sender_utilities))
+    score = np.where(tied, mu @ weighted, -np.inf)
+    best = score >= score.max(axis=1, keepdims=True) - TIE_TOL
+    v = game.receiver_utility    # the actions optimal at each point-mass belief
+    mass = mu @ (v >= v.max(axis=1, keepdims=True) - TIE_TOL).astype(float)
+    mass = np.where(best, mass, -np.inf)
+    final = mass >= mass.max(axis=1, keepdims=True) - TIE_TOL
+    return np.argmax(final, axis=1)
+
+
+def reference_batch_pass(game: GameInstance, profiles, tie, utilities) -> np.ndarray:
+    """Posterior-major oracle for one pass of the batched kernel under a
+    posterior rule: (B, len(utilities)), the receiver's actions from
+    `reference_best_actions` and each (states, actions) utility gathered
+    through its transpose."""
+    q = product_weights(game.prior, np.asarray(profiles, dtype=float))   # (B, S^n, states)
+    marg = q.sum(axis=-1)
+    live = marg > 0
+    mu = np.where(live[..., None], q / np.maximum(marg[..., None], 1e-300), 0.0)
+    actions = reference_best_actions(game, tie, mu.reshape(-1, game.states)).reshape(marg.shape)
+    q = np.where(live[..., None], q, 0.0)
+    out = np.empty((q.shape[0], len(utilities)))
+    for col, u in enumerate(utilities):
+        out[:, col] = np.sum(q * u.T[actions], axis=(1, 2))   # u.T[actions]: (B, S^n, states)
+    return out
 
 
 def reference_train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender=None):

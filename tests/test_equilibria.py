@@ -570,7 +570,7 @@ class TestLocalVerify:
 
     def test_eps_must_be_positive(self):
         g = didactic_game()
-        for eps in (0.0, np.nan, np.inf):
+        for eps in (0.0, np.nan, np.inf, 1.0 + 1e-12, 1e308):
             with pytest.raises(ValueError, match="eps must be positive and finite"):
                 local_ne_verify(g, np.full((2, 2, 2), 0.5), LEX, eps=eps, seed=0)
 

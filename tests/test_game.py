@@ -31,7 +31,7 @@ from persuade.game import (
 )
 from persuade.reference import didactic_game, two_block_equilibrium_policies, two_block_game
 
-from conftest import random_game, random_profile, reference_ex_ante
+from conftest import random_game, random_profile, reference_batch_pass, reference_best_actions, reference_ex_ante
 
 SF = SenderFavoring()
 LEX = Lexicographic()
@@ -110,6 +110,145 @@ class TestReceiverBestActions:
         g = didactic_game()
         with pytest.raises(ValueError):
             FixedMap(table=(0, 0, 0, 0)).best_actions(g, np.array([[1.0, 0.0]]))
+
+
+def posterior_rules(game, rng):
+    """Both posterior rules, sender-favoring also with explicit weights (signs mixed)."""
+    return LEX, SF, SenderFavoring(tuple(float(w) for w in rng.normal(0.0, 2.0, game.n_senders)))
+
+
+def assert_same_actions(game, posteriors, rng):
+    for tie in posterior_rules(game, rng):
+        got = tie.best_actions(game, posteriors)
+        want = reference_best_actions(game, tie, posteriors)
+        assert got.dtype == want.dtype and np.array_equal(got, want), tie
+
+
+def negative_dust_profiles(game, count, rng):
+    """Profiles with -1e-13 entries, which validation allows: a whole column of
+    one sender is dust in every other profile, so joint signals of zero or
+    negative marginal still carry nonzero weights, and single dust entries
+    elsewhere give live posteriors with negative entries."""
+    profiles = rng.dirichlet(np.ones(game.signals), size=(count, game.n_senders, game.states))
+    dust = rng.random(profiles.shape) < 0.2
+    dust[::2, 0, :, 0] = True
+    dust[..., -1] = False       # the last signal takes up the rest of each row
+    profiles[dust] = -1e-13
+    profiles[..., -1] += 1.0 - profiles.sum(axis=3)
+    return profiles
+
+
+class TestActionMajorDecision:
+    """The action-major receiver decision and the kernel built on it equal the
+    posterior-major oracles in conftest exactly: same actions, same labels."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 3), states=st.integers(1, 5),
+           actions=st.integers(1, 6), rows=st.integers(1, 40))
+    def test_random_posteriors(self, seed, n, states, actions, rows):
+        r = np.random.default_rng(seed)
+        g = random_game(n, states, 2, actions, r)
+        assert_same_actions(g, r.dirichlet(np.ones(states), size=rows), r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), states=st.integers(1, 4), actions=st.integers(2, 6))
+    def test_duplicate_columns_tie_exactly(self, seed, states, actions):
+        # every action copies one of two base columns, for the receiver and the
+        # senders alike, so receiver values and sender scores tie exactly
+        r = np.random.default_rng(seed)
+        base = random_game(2, states, 2, 2, r)
+        cols = r.integers(0, 2, size=actions)
+        g = GameInstance(2, states, 2, actions, base.prior, base.receiver_utility[:, cols],
+                         tuple(u[:, cols] for u in base.sender_utilities))
+        mu = np.vstack([np.eye(states), r.dirichlet(np.ones(states), size=20)])
+        assert_same_actions(g, mu, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(top=st.floats(-1e3, 1e3), ulps=st.sampled_from([-1, 0, 1]), tier=st.sampled_from(["value", "score", "mass"]))
+    def test_gaps_of_tie_tol_and_one_ulp(self, top, ulps, tier):
+        # action 1 holds `top`; action 0 sits at top - TIE_TOL as rounded, or one
+        # ulp either side, at the tier under test, and ties all tiers above it
+        low = top - persuade.game.TIE_TOL
+        low = np.nextafter(low, np.inf) if ulps > 0 else np.nextafter(low, -np.inf) if ulps < 0 else low
+        pair = np.array([low, top])
+        flat = np.zeros((1, 2))
+        if tier == "value":        # one state: the expected value is the utility
+            g, mu, ties = GameInstance(1, 1, 2, 2, [1.0], pair[None], (flat,)), np.ones((1, 1)), (LEX, SF)
+        elif tier == "score":      # receiver indifferent; one sender's utility is the score
+            g, mu, ties = GameInstance(1, 1, 2, 2, [1.0], flat, (pair[None],)), np.ones((1, 1)), (SF,)
+        else:                      # point-mass optima on the two states; the posterior is the mass
+            g = GameInstance(1, 2, 2, 2, [0.5, 0.5], 0.5 * np.eye(2), (np.zeros((2, 2)),))
+            mu, ties = pair[None], (SF,)
+        for tie in ties:
+            got = tie.best_actions(g, mu)
+            assert np.array_equal(got, reference_best_actions(g, tie, mu))
+            assert got[0] == (0 if ulps >= 0 else 1)
+
+    def test_one_posterior_one_action_and_weights(self):
+        r = np.random.default_rng(5)
+        g = random_game(3, 4, 2, 1, r)
+        assert_same_actions(g, r.dirichlet(np.ones(4), size=7), r)
+        g = random_game(3, 4, 2, 5, r)
+        for k in range(20):
+            assert_same_actions(g, r.dirichlet(np.ones(4))[None], r)
+        weighted = SenderFavoring((1.0, -2.0, 0.5))
+        mu = r.dirichlet(np.ones(4), size=30)
+        assert np.array_equal(weighted.best_actions(g, mu), reference_best_actions(g, weighted, mu))
+        for tie in (LEX, SF, weighted):    # one posterior given as a plain row
+            assert np.array_equal(tie.best_actions(g, mu[0]), tie.best_actions(g, mu[:1]))
+            assert np.array_equal(tie.best_actions(g, list(mu[0])), tie.best_actions(g, mu[:1]))
+
+    def test_game_arrays_are_read_only_copies(self):
+        # the per-game constants are derived from these arrays, so a caller's
+        # later write must neither reach the game nor be possible through it
+        r = np.random.default_rng(11)
+        base = random_game(2, 3, 2, 4, r)
+        prior, v = base.prior.copy(), base.receiver_utility.copy()
+        us = tuple(u.copy() for u in base.sender_utilities)
+        g = GameInstance(2, 3, 2, 4, prior, v, us)
+        prof = random_profile(g, r)
+        before = {tie: ex_ante_utilities(g, prof, tie) for tie in (LEX, SF)}
+        for arr in (g.prior, g.receiver_utility, *g.sender_utilities):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        prior[:], v[:] = np.eye(3)[0], -v
+        for u in us:
+            u[:] = r.normal(size=u.shape)
+        for tie, (senders, receiver) in before.items():
+            again = ex_ante_utilities(g, prof, tie)
+            assert np.array_equal(again[0], senders) and again[1] == receiver
+
+    def test_sender_favoring_reads_tie_tol_when_called(self, monkeypatch):
+        # both actions tie at mu in value and score; at the point-mass tier,
+        # action 0 is optimal on state 1 only within 1e-6, so a TIE_TOL of
+        # 1e-5 gives it all the mass and the pick changes from 1 to 0
+        p = 1e-6 / (1 + 1e-6)
+        g = GameInstance(1, 2, 2, 2, [0.5, 0.5], [[1.0, 0.0], [1.0 - 1e-6, 1.0]], (np.zeros((2, 2)),))
+        mu = np.array([[p, 1.0 - p]])
+        assert SF.best_actions(g, mu)[0] == 1
+        monkeypatch.setattr(persuade.game, "TIE_TOL", 1e-5)
+        assert SF.best_actions(g, mu)[0] == 0
+        monkeypatch.undo()
+        assert SF.best_actions(g, mu)[0] == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 3), actions=st.integers(1, 4))
+    def test_kernel_labels_with_negative_dust(self, seed, n, actions):
+        r = np.random.default_rng(seed)
+        g = random_game(n, 3, 2, actions, r)
+        profiles = negative_dust_profiles(g, 9, r)
+        assert any(np.any(signal_weights(g, p).sum(axis=1) <= 0) for p in profiles)
+        everyone = (*g.sender_utilities, g.receiver_utility)
+        for tie in posterior_rules(g, r):
+            want = reference_batch_pass(g, profiles, tie, everyone)
+            assert np.array_equal(ex_ante_utilities_batch(g, profiles, tie), want[:, :-1])
+            for prof, row in zip(profiles, want):
+                senders, receiver = ex_ante_utilities(g, prof, tie)
+                assert np.array_equal(senders, row[:-1]) and receiver == row[-1]
+                q = signal_weights(g, prof)
+                marg = q.sum(axis=1)
+                mu = np.where(marg[:, None] > 0, q / np.maximum(marg[:, None], 1e-300), 0.0)
+                assert np.array_equal(induced_action_map(g, prof, tie), reference_best_actions(g, tie, mu))
 
 
 class TestExAnteUtilities:

@@ -237,8 +237,9 @@ class TestCliCommands:
         assert code == 2
         assert "policy entries" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("eps", ["nan", "inf"])
-    def test_nonfinite_eps_is_spec_error(self, tmp_path, capsys, monkeypatch, eps):
+    @staticmethod
+    def _assert_eps_rejected(tmp_path, capsys, monkeypatch, eps):
+        """`exact verify --local` and `learn` exit 2 on `eps`, before any training."""
         import persuade.learning
 
         def no_training(*args, **kwargs):
@@ -253,7 +254,17 @@ class TestCliCommands:
         for args in (["exact", "verify", "--local", "--policy", pol_path, "--out", tmp_path / "r.json"],
                      ["learn", "--config", cfg, "--out", tmp_path / "run"]):
             assert run_cli([*args, "--game", game_path, "--eps", eps]) == 2
-            assert "eps must be positive and finite" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: eps must be positive and finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_nonfinite_eps_is_spec_error(self, tmp_path, capsys, monkeypatch, eps):
+        self._assert_eps_rejected(tmp_path, capsys, monkeypatch, eps)
+
+    @pytest.mark.parametrize("eps", ["1.5", "1e308"])
+    def test_eps_above_one_is_spec_error(self, tmp_path, capsys, monkeypatch, eps):
+        # a sup-norm radius of 1 already reaches every policy; 1e308 would overflow the deviation draws
+        self._assert_eps_rejected(tmp_path, capsys, monkeypatch, eps)
 
     def test_best_response_over_the_term_cap_fails_like_verify(self, tmp_path, capsys, monkeypatch):
         import persuade.lp
@@ -446,6 +457,22 @@ class TestLearnAndReport:
         lines = agg.read_text().strip().splitlines()
         assert lines[0].startswith("n_senders,states,signals,actions,arch")
         assert len(lines) == 2
+
+    def test_diverged_training_is_spec_error(self, tmp_path, capsys):
+        game_path = tmp_path / "g.json"
+        write_game(game_path, synthetic_instance(SyntheticSpec(2, 3, 2, 3, 1)), tie=Lexicographic())
+        cfg = {
+            "architectures": ["relu"],
+            "sample_count": 300,
+            "train": {"epochs": 3, "learning_rate": 1e6, "seed": 5},
+            "eg": {"steps": 1, "restarts": 1, "seed": 6},
+            "hidden": [8],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at epoch ") and err.count("\n") == 1
 
     def test_learn_writes_loss_curves(self, tmp_path, monkeypatch):
         from persuade.learning import EgConfig, TrainConfig, find_local_ne, sample_dataset
