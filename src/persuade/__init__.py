@@ -52,9 +52,6 @@ from .neural import (
     backward,
     forward,
     forward_with_pattern,
-    init_delu,
-    init_dnl,
-    init_relu,
     load_params,
     save_params,
 )
@@ -63,7 +60,6 @@ from .learning import (
     PipelineResult,
     TrainConfig,
     UtilityDataset,
-    UtilitySurrogate,
     extragradient,
     find_local_ne,
     sample_dataset,

@@ -46,7 +46,7 @@ from .io import (
 )
 from .learning import EgConfig, TrainConfig, TrainingDiverged, find_local_ne
 from .lp import LpFailure
-from .neural import save_params
+from .neural import _architecture, save_params
 from .reductions import (
     BimatrixGame,
     PublicPersuasionInstance,
@@ -331,8 +331,16 @@ def cmd_learn(args) -> int:
     eg_cfg = EgConfig(**eg_doc)
     tie = _tie_rule(args, file_tie, cfg.get("tie"))
     eps = args.eps if args.eps is not None else float(cfg.get("eps", DEFAULT_LOCAL_EPS))
-    sample_count = int(cfg.get("sample_count", 50_000))
+    sample_count = cfg.get("sample_count", 50_000)
+    if isinstance(sample_count, float) and sample_count.is_integer():
+        sample_count = int(sample_count)
+    if not isinstance(sample_count, int) or isinstance(sample_count, bool) or sample_count < 1:
+        raise SpecError(f"sample_count must be an integer of at least 1, got {sample_count!r}")
     archs = cfg.get("architectures", ["dnl"])
+    if not isinstance(archs, list) or not archs or not all(isinstance(a, str) for a in archs):
+        raise SpecError(f"architectures must be a non-empty list of architecture names, got {archs!r}")
+    for name in archs:
+        _architecture(name)     # an unknown name fails here, before any sampling or training
     arch_kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items() if k in ARCH_FIELDS}
 
     os.makedirs(args.out, exist_ok=True)
@@ -353,8 +361,8 @@ def cmd_learn(args) -> int:
                 )
         policy_path = os.path.join(args.out, f"policy-{arch}.json")
         write_policies(policy_path, res.policy)
-        for j, surrogate in enumerate(res.surrogates):
-            save_params(os.path.join(args.out, f"net-{arch}-sender{j}.json"), surrogate.params)
+        for j, net in enumerate(res.nets):
+            save_params(os.path.join(args.out, f"net-{arch}-sender{j}.json"), net)
         rows_out.append(
             {
                 "arch": arch,

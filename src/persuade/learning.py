@@ -4,9 +4,12 @@ equilibrium finder.
 
 The pipeline approximates each sender's ex-ante utility with a network
 over the flattened joint policy, runs two-step extra-gradient updates on
-softmax-parameterized policies against the learned surrogates, and then
-verifies every candidate against the *true* game - the surrogates never
-touch the reported utilities.
+softmax-parameterized policies against the learned networks, and then
+verifies every candidate against the *true* game - the networks never
+touch the reported utilities.  All restarts ascend together as one
+(restarts, n, states, signals) logit array, so each half-step is one
+batched `backward` call per sender, and their true utilities come from one
+`ex_ante_utilities_batch` call.
 
 `VAL_FRACTION` (held out for the validation MSE) and `MSE_CHUNK` (rows per
 :func:`mse` pass) are module constants, read when a function runs.
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import DEFAULT_LOCAL_EPS, EPSILON_LOCAL, EquilibriumReport, check_local_eps, local_ne_verify
-from .game import GameInstance, TieRule, ex_ante_utilities, ex_ante_utilities_batch
+from .game import GameInstance, TieRule, ex_ante_utilities_batch
 from .neural import _param_views, backward, flatten_params, forward, init_params, input_dim
 from .rng import substream
 
@@ -107,24 +110,6 @@ def split_dataset(dataset: UtilityDataset, val_fraction: float, seed: int):
     return mk(train_idx), mk(val_idx)
 
 
-def make_surrogate_params(
-    arch: str,
-    in_dim: int,
-    rng,
-    *,
-    hidden=(64, 64, 64),
-    lower_layers: int = 1,
-    hyper_hidden=(32, 32),
-    aux_hidden=(32, 32),
-    out_dim: int = 1,
-):
-    """Fresh parameters for one of the three supported architectures."""
-    return init_params(
-        arch, [in_dim, *hidden, out_dim], rng,
-        lower_layers=lower_layers, hyper_hidden=hyper_hidden, aux_hidden=aux_hidden,
-    )
-
-
 def mse(params, X, y) -> float:
     """Mean squared error of the network over (X, y)."""
     y = np.asarray(y, dtype=float).reshape(X.shape[0], -1)
@@ -135,11 +120,10 @@ def mse(params, X, y) -> float:
     return total / y.size
 
 
-def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int | None = None):
+def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int):
     """Minibatch Adam on the MSE loss; returns (trained params, per-epoch loss).
 
-    `sender` selects which utility column to fit when the network has a
-    scalar output; a multi-output network fits the whole utility vector.
+    The scalar-output network fits the utility column of `sender`.
     Deterministic given ``cfg.seed``.  Aborts if the epoch loss exceeds 1e6.
 
     The parameters are trained in place in one flat buffer: the network is
@@ -153,7 +137,7 @@ def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int | No
     X = dataset.inputs
     if X.shape[1] != input_dim(params):
         raise ValueError(f"network input dim {input_dim(params)} != dataset dim {X.shape[1]}")
-    y = dataset.utilities if sender is None else dataset.utilities[:, [sender]]
+    y = dataset.utilities[:, [sender]]
 
     flat = flatten_params(params)
     current = _param_views(params, flat)
@@ -192,51 +176,45 @@ def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int | No
 # extra-gradient on learned surrogates
 
 
-class UtilitySurrogate:
-    """Scalar network wrapped with the input gradient extra-gradient needs."""
-
-    def __init__(self, params):
-        self.params = params
-
-    def input_gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return backward(self.params, x, np.ones(1)).input
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _ascent_direction(surrogates, logits):
-    """d(surrogate_j)/d(logits_j) through the row softmax, for every sender."""
-    n, states, signals = logits.shape
+def _ascent_direction(nets, logits):
+    """d(net_j)/d(logits_j) through the row softmax, for every sender and
+    every joint policy of a (..., n, states, signals) logit array."""
     policies = softmax_rows(logits)
-    x = policies.reshape(-1)
-    direction = np.zeros_like(logits)
-    for j, surrogate in enumerate(surrogates):
-        g = surrogate.input_gradient(x).reshape(n, states, signals)[j]
-        pj = policies[j]
-        direction[j] = pj * (g - np.sum(g * pj, axis=1, keepdims=True))
+    x = policies.reshape(-1, np.prod(logits.shape[-3:]))
+    ones = np.ones((len(x), 1))
+    direction = np.empty_like(logits)
+    for j, net in enumerate(nets):
+        g = backward(net, x, ones).input.reshape(logits.shape)[..., j, :, :]
+        pj = policies[..., j, :, :]
+        direction[..., j, :, :] = pj * (g - np.sum(g * pj, axis=-1, keepdims=True))
     if not np.all(np.isfinite(direction)):
         raise RuntimeError("non-finite surrogate gradient during extra-gradient updates")
     return direction
 
 
-def extragradient(surrogates, init_logits: np.ndarray, cfg: EgConfig) -> np.ndarray:
+def extragradient(nets, init_logits: np.ndarray, cfg: EgConfig) -> np.ndarray:
     """Two-step extra-gradient ascent on softmax-parameterized policies.
 
-    Each sender's logits follow its own surrogate's gradient: first an
-    extrapolation step, then the actual update evaluated at the
-    extrapolated point.  Returns the final softmax policies.
+    `nets[j]` is sender j's scalar network over the flattened joint policy,
+    and `init_logits` is (..., n, states, signals): each joint policy along
+    the leading axes is one independent ascent, and all of them step
+    together.  Each sender's logits follow its own network's gradient:
+    first an extrapolation step, then the actual update evaluated at the
+    extrapolated point.  Returns the final softmax policies, shaped like
+    `init_logits`.
     """
     logits = np.asarray(init_logits, dtype=float).copy()
-    if len(surrogates) != logits.shape[0]:
-        raise ValueError("need one surrogate per sender")
+    if logits.ndim < 3 or len(nets) != logits.shape[-3]:
+        raise ValueError("need one network per sender")
     for _ in range(cfg.steps):
-        half = logits + cfg.learning_rate * _ascent_direction(surrogates, logits)
-        logits = logits + cfg.learning_rate * _ascent_direction(surrogates, half)
+        half = logits + cfg.learning_rate * _ascent_direction(nets, logits)
+        logits = logits + cfg.learning_rate * _ascent_direction(nets, half)
     return softmax_rows(logits)
 
 
@@ -260,7 +238,7 @@ class PipelineResult:
     verified: bool
     restarts: list
     validation_mse: float
-    surrogates: list = field(repr=False)
+    nets: list = field(repr=False)        # per sender, the trained network
     losses: list = field(repr=False)      # per sender, the per-epoch training losses
 
 
@@ -273,9 +251,15 @@ def find_local_ne(
     dataset: UtilityDataset,
     eps: float = DEFAULT_LOCAL_EPS,
     arch: str = "dnl",
+    hidden=(64, 64, 64),
     **arch_kwargs,
 ) -> PipelineResult:
     """Train one surrogate per sender on `dataset`, restart extra-gradient, verify.
+
+    Each sender's network is ``init_params(arch, [inputs, *hidden, 1], ...,
+    **arch_kwargs)``.  The restarts start from standard normal logits and
+    ascend together in one :func:`extragradient` call, so memory grows
+    with ``eg_cfg.restarts``.
 
     Candidates are ranked by social welfare (sum of true sender utilities,
     ties broken by restart index) and verified in that order against the
@@ -286,31 +270,28 @@ def find_local_ne(
     check_local_eps(eps)
     train_split, val_split = split_dataset(dataset, VAL_FRACTION, train_cfg.seed)
 
-    in_dim = game.n_senders * game.states * game.signals
-    surrogates = []
+    shape = (game.n_senders, game.states, game.signals)
+    dims = [game.n_senders * game.states * game.signals, *hidden, 1]
+    nets = []
     losses = []
     val_mse = 0.0
     for j in range(game.n_senders):
-        params = make_surrogate_params(arch, in_dim, substream(train_cfg.seed, f"init:sender:{j}"), **arch_kwargs)
+        params = init_params(arch, dims, substream(train_cfg.seed, f"init:sender:{j}"), **arch_kwargs)
         params, curve = train(params, train_split, train_cfg, sender=j)
         losses.append(curve)
         if len(val_split):
             val_mse += mse(params, val_split.inputs, val_split.utilities[:, [j]])
-        surrogates.append(UtilitySurrogate(params))
+        nets.append(params)
     val_mse /= game.n_senders
 
-    outcomes = []
-    for r in range(eg_cfg.restarts):
-        init = substream(eg_cfg.seed, f"init:restart:{r}").normal(
-            size=(game.n_senders, game.states, game.signals)
-        )
-        policy = extragradient(surrogates, init, eg_cfg)
-        utilities = ex_ante_utilities(game, policy, tie)[0]
-        outcomes.append(
-            RestartOutcome(
-                restart=r, welfare=float(utilities.sum()), utilities=utilities, verified=None, policy=policy
-            )
-        )
+    inits = np.stack(
+        [substream(eg_cfg.seed, f"init:restart:{r}").normal(size=shape) for r in range(eg_cfg.restarts)]
+    )
+    policies = extragradient(nets, inits, eg_cfg)
+    outcomes = [
+        RestartOutcome(restart=r, welfare=float(utilities.sum()), utilities=utilities, verified=None, policy=policy)
+        for r, (policy, utilities) in enumerate(zip(policies, ex_ante_utilities_batch(game, policies, tie)))
+    ]
 
     order = sorted(outcomes, key=lambda o: (-o.welfare, o.restart))
     chosen_report = None
@@ -330,6 +311,6 @@ def find_local_ne(
         verified=bool(chosen.verified),
         restarts=outcomes,
         validation_mse=val_mse,
-        surrogates=surrogates,
+        nets=nets,
         losses=losses,
     )

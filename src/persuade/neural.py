@@ -17,8 +17,10 @@ it is initialised, its arrays in flat order, how it is rebuilt from views
 of a flat buffer, its checkpoint spec, and its forward pass, which returns
 the output, the pre-activations whose signs are the activation pattern,
 and what its backward pass needs.  `forward`, `forward_with_pattern` and
-`backward` all run that one pass; `init_params` and checkpoints find the
-class by its name.
+`backward` all run that one pass.  `init_params` is the one constructor:
+it finds the class by its name, as checkpoints do, and holds the default
+widths of the DeLU and DNL side networks.  Anything with the `_run` and
+`_grads` methods is a network to `backward`.
 
 A pre-activation of exactly zero counts as active (bit 1); gradients treat
 the activation pattern as locally constant, i.e. they are the gradients of
@@ -117,7 +119,12 @@ class MlpParams:
 
     @staticmethod
     def _init(dims, rng, **_):
-        return init_relu(dims, rng)
+        ws, bs = [], []
+        for n_in, n_out in zip(dims[:-1], dims[1:]):
+            w, b = _init_layer(n_out, n_in, rng)
+            ws.append(w)
+            bs.append(b)
+        return MlpParams(ws, bs)
 
     @staticmethod
     def _template(spec):
@@ -145,16 +152,6 @@ class MlpParams:
         return _stack_backward(self, pres, inputs, d, relu_last=False)
 
 
-def init_relu(dims, rng) -> MlpParams:
-    """dims = [input, hidden..., output]."""
-    ws, bs = [], []
-    for n_in, n_out in zip(dims[:-1], dims[1:]):
-        w, b = _init_layer(n_out, n_in, rng)
-        ws.append(w)
-        bs.append(b)
-    return MlpParams(ws, bs)
-
-
 # ---------------------------------------------------------------------------
 # DeLU
 
@@ -176,7 +173,13 @@ class DeluParams:
 
     @staticmethod
     def _init(dims, rng, *, aux_hidden, **_):
-        return init_delu(dims, aux_hidden, rng)
+        if len(dims) < 3:
+            raise ValueError("DeLU needs at least one hidden layer")
+        # an output bias is drawn and discarded, so the other draws keep their places in the stream
+        backbone = MlpParams._init(dims, rng)
+        hidden = MlpParams(backbone.weights[:-1], backbone.biases[:-1])
+        aux = MlpParams._init([sum(dims[1:-1]), *aux_hidden, dims[-1]], rng)
+        return DeluParams(hidden, backbone.weights[-1], aux)
 
     @staticmethod
     def _template(spec):
@@ -205,17 +208,6 @@ class DeluParams:
         return DeluParams(hidden, d.T @ h, aux), d_in
 
 
-def init_delu(dims, aux_hidden, rng) -> DeluParams:
-    """dims = [input, hidden..., output]; at least one hidden layer."""
-    if len(dims) < 3:
-        raise ValueError("DeLU needs at least one hidden layer")
-    # an output bias is drawn and discarded, so the other draws keep their places in the stream
-    backbone = init_relu(dims, rng)
-    hidden = MlpParams(backbone.weights[:-1], backbone.biases[:-1])
-    aux = init_relu([sum(dims[1:-1]), *aux_hidden, dims[-1]], rng)
-    return DeluParams(hidden, backbone.weights[-1], aux)
-
-
 # ---------------------------------------------------------------------------
 # DNL
 
@@ -235,7 +227,17 @@ class DnlParams:
 
     @staticmethod
     def _init(dims, rng, *, lower_layers, hyper_hidden, **_):
-        return init_dnl(dims, lower_layers, hyper_hidden, rng)
+        # the first `lower_layers` hidden layers form the lower stack, the rest are generated
+        L = len(dims) - 2
+        if not 1 <= lower_layers < L:
+            raise ValueError("need at least one lower layer and two generated linear layers")
+        lower_dims = dims[: lower_layers + 1]
+        higher_dims = tuple(dims[lower_layers:])
+        lower = MlpParams._init(lower_dims, rng)    # final layer of the stack is still ReLU-activated
+        n_bits = sum(lower_dims[1:])
+        n_flat = sum(a * b + a for a, b in zip(higher_dims[1:], higher_dims[:-1]))
+        hyper = MlpParams._init([n_bits, *hyper_hidden, n_flat], rng)
+        return DnlParams(lower, hyper, higher_dims)
 
     @staticmethod
     def _template(spec):
@@ -277,21 +279,6 @@ class DnlParams:
         return DnlParams(lower, hyper, self.higher_dims), d_in
 
 
-def init_dnl(dims, lower_layers, hyper_hidden, rng) -> DnlParams:
-    """dims = [input, hidden..., output]; the first `lower_layers` hidden
-    layers form the lower stack, the rest are generated."""
-    L = len(dims) - 2
-    if not 1 <= lower_layers < L:
-        raise ValueError("need at least one lower layer and two generated linear layers")
-    lower_dims = dims[: lower_layers + 1]
-    higher_dims = tuple(dims[lower_layers:])
-    lower = init_relu(lower_dims, rng)          # final layer of the stack is still ReLU-activated
-    n_bits = sum(lower_dims[1:])
-    n_flat = sum(a * b + a for a, b in zip(higher_dims[1:], higher_dims[:-1]))
-    hyper = init_relu([n_bits, *hyper_hidden, n_flat], rng)
-    return DnlParams(lower, hyper, higher_dims)
-
-
 def _split_flat(flat, higher_dims):
     """Per-sample weight/bias views of the hypernetwork output."""
     ws, bs = [], []
@@ -316,9 +303,18 @@ def _architecture(name):
     return _ARCHITECTURES[name]
 
 
-def init_params(arch: str, dims, rng, *, lower_layers, hyper_hidden, aux_hidden):
-    """Fresh parameters of the architecture named `arch`, dims = [input,
-    hidden..., output]; each architecture reads the keywords it uses."""
+def init_params(arch: str, dims, rng, *, lower_layers=1, hyper_hidden=(32, 32), aux_hidden=(32, 32)):
+    """Fresh parameters of the architecture named `arch`.
+
+    ``dims = [input, hidden..., output]``.  `lower_layers` is the number of
+    DNL's hidden layers that form its lower stack, `hyper_hidden` the hidden
+    widths of its hypernetwork, and `aux_hidden` those of DeLU's auxiliary
+    (output-bias) net; each architecture reads the keywords it uses.  Every
+    width must be at least 1.
+    """
+    for name, widths in (("dims", dims), ("hyper_hidden", hyper_hidden), ("aux_hidden", aux_hidden)):
+        if any(w < 1 for w in widths):
+            raise ValueError(f"layer widths must be at least 1, got {name} {list(widths)}")
     return _architecture(arch)._init(
         dims, rng, lower_layers=lower_layers, hyper_hidden=hyper_hidden, aux_hidden=aux_hidden
     )

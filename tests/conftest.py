@@ -37,7 +37,7 @@ from persuade.game import (
     validate_joint_policy,
     validate_policy,
 )
-from persuade.learning import TrainConfig, UtilityDataset
+from persuade.learning import EgConfig, TrainConfig, UtilityDataset, softmax_rows
 from persuade.neural import MlpParams, backward, flatten_params, forward, unflatten_params
 from persuade.rng import substream
 
@@ -134,13 +134,13 @@ def reference_batch_pass(game: GameInstance, profiles, tie, utilities) -> np.nda
     return out
 
 
-def reference_train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender=None):
+def reference_train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int):
     """Per-step oracle for `train`: each minibatch step unflattens a fresh
     copy of the parameters, runs `forward` for the loss and `backward` for
     the gradient, flattens that gradient, and takes one Adam step on new
     arrays.  Returns ``(trained params, per-epoch losses)``."""
     X = dataset.inputs
-    y = dataset.utilities if sender is None else dataset.utilities[:, [sender]]
+    y = dataset.utilities[:, [sender]]
     flat = flatten_params(params)
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
@@ -166,6 +166,30 @@ def reference_train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender
             flat = flat - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
         losses.append(epoch_sq / y.size)
     return unflatten_params(params, flat), losses
+
+
+def reference_extragradient(nets, init_logits, cfg: EgConfig) -> np.ndarray:
+    """Per-restart, single-row oracle for `extragradient`: each
+    (n, states, signals) restart of the (R, n, states, signals) logits ascends
+    on its own, and each sender's input gradient is one `backward` call on
+    the flat joint policy as a single vector."""
+    out = []
+    for logits in np.array(init_logits, dtype=float):
+        n, states, signals = logits.shape
+
+        def direction(logits):
+            policies = softmax_rows(logits)
+            d = np.zeros_like(logits)
+            for j, net in enumerate(nets):
+                g = backward(net, policies.reshape(-1), np.ones(1)).input.reshape(n, states, signals)[j]
+                d[j] = policies[j] * (g - np.sum(g * policies[j], axis=1, keepdims=True))
+            return d
+
+        for _ in range(cfg.steps):
+            half = logits + cfg.learning_rate * direction(logits)
+            logits = logits + cfg.learning_rate * direction(half)
+        out.append(softmax_rows(logits))
+    return np.array(out)
 
 
 def linear_piece(params: MlpParams, pattern):

@@ -27,9 +27,9 @@ from persuade.game import (
     signal_weights,
     simulate_mean_payoffs,
 )
-from persuade.learning import EgConfig, TrainConfig, find_local_ne, make_surrogate_params, mse, sample_dataset, split_dataset, train
+from persuade.learning import EgConfig, TrainConfig, find_local_ne, mse, sample_dataset, split_dataset, train
 from persuade.lp import OPTIMAL, solve_lp
-from persuade.neural import backward, flatten_params
+from persuade.neural import backward, flatten_params, init_params
 from persuade.reductions import (
     BimatrixGame,
     PublicPersuasionInstance,
@@ -190,12 +190,12 @@ def test_criterion_5_reduction_identities():
 @criterion(6)
 def test_criterion_6_gradient_suite():
     rng = np.random.default_rng(61)
-    for arch, kwargs in (
-        ("relu", dict(hidden=(6, 6))),
-        ("delu", dict(hidden=(6, 6), aux_hidden=(6,))),
-        ("dnl", dict(hidden=(6, 6, 6), hyper_hidden=(6,))),
+    for arch, dims, kwargs in (
+        ("relu", [4, 6, 6, 1], {}),
+        ("delu", [4, 6, 6, 1], dict(aux_hidden=(6,))),
+        ("dnl", [4, 6, 6, 6, 1], dict(hyper_hidden=(6,))),
     ):
-        params = make_surrogate_params(arch, 4, substream(61, arch), out_dim=1, **kwargs)
+        params = init_params(arch, dims, substream(61, arch), **kwargs)
         for point in range(100):
             x = stable_point(params, 4, rng, margin=2e-4)
             grads = backward(params, x, np.ones(1))
@@ -214,9 +214,8 @@ def test_criterion_7_expressivity_ordering():
     for arch in ("relu", "delu", "dnl"):
         per_sender = []
         for j in range(game.n_senders):
-            params = make_surrogate_params(
-                arch, 8, substream(202, f"init:{arch}:{j}"),
-                hidden=(24, 24, 24), hyper_hidden=(24,), aux_hidden=(24, 24),
+            params = init_params(
+                arch, [8, 24, 24, 24, 1], substream(202, f"init:{arch}:{j}"), hyper_hidden=(24,), aux_hidden=(24, 24)
             )
             params, _ = train(params, train_split, cfg, sender=j)
             per_sender.append(mse(params, val_split.inputs, val_split.utilities[:, [j]]))

@@ -428,6 +428,46 @@ class TestTieRuleChoice:
         assert name in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"architectures": []}, "architectures must be a non-empty list of architecture names"),
+        ({"architectures": "dnl"}, "architectures must be a non-empty list of architecture names"),
+        ({"architectures": ["relu", "dnn"]}, "unknown architecture 'dnn'; expected relu, delu, or dnl"),
+        ({"sample_count": 50.7}, "sample_count must be an integer of at least 1, got 50.7"),
+        ({"sample_count": True}, "sample_count must be an integer of at least 1, got True"),
+        ({"sample_count": 0}, "sample_count must be an integer of at least 1, got 0"),
+        ({"architectures": ["relu"], "hidden": [0, 4]}, "layer widths must be at least 1, got dims [8, 0, 4, 1]"),
+        ({"architectures": ["dnl"], "hidden": [4, 4, 4], "hyper_hidden": [0]},
+         "layer widths must be at least 1, got hyper_hidden [0]"),
+        ({"architectures": ["delu"], "hidden": [4], "aux_hidden": [0]},
+         "layer widths must be at least 1, got aux_hidden [0]"),
+    ], ids=["no-architectures", "architectures-string", "unknown-architecture", "fractional-count", "bool-count", "zero-count",
+            "zero-hidden", "zero-hyper-hidden", "zero-aux-hidden"])
+    def test_bad_learn_config_value_is_spec_error(self, tmp_path, capsys, cfg, message):
+        game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
+        write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
+        cfg_path.write_text(json.dumps({"sample_count": 50, **cfg, "train": {"epochs": 1}, "eg": {"steps": 1, "restarts": 1}}))
+        assert run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        if "layer widths" not in message:       # a config value is checked before any output is written
+            assert not (tmp_path / "run").exists()
+
+    def test_integral_float_sample_count_is_a_count(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PERSUADE_CACHE", raising=False)
+        game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
+        write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
+        runs = []
+        for count in (60, 60.0):
+            cfg = {"architectures": ["relu"], "hidden": [4], "sample_count": count,
+                   "train": {"epochs": 1, "seed": 1}, "eg": {"steps": 1, "restarts": 1, "seed": 2}}
+            cfg_path.write_text(json.dumps(cfg))
+            run_dir = tmp_path / f"run-{count!r}"
+            assert run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", run_dir]) == 0
+            runs.append((run_dir / "results.json").read_text().replace(str(run_dir), ""))
+        assert runs[0] == runs[1]
+
+
 class TestLearnAndReport:
     def test_learn_report_pipeline(self, tmp_path):
         game_path = tmp_path / "g.json"

@@ -7,10 +7,8 @@ from persuade.learning import (
     EgConfig,
     TrainConfig,
     UtilityDataset,
-    UtilitySurrogate,
     extragradient,
     find_local_ne,
-    make_surrogate_params,
     mse,
     sample_dataset,
     softmax_rows,
@@ -19,11 +17,11 @@ from persuade.learning import (
 )
 from persuade.learning import _ascent_direction
 from persuade import neural
-from persuade.neural import flatten_params
+from persuade.neural import flatten_params, init_params
 from persuade.reference import didactic_game, two_block_game, two_block_equilibrium_policies
 from persuade.rng import substream
 
-from conftest import reference_ex_ante, reference_train
+from conftest import reference_ex_ante, reference_extragradient, reference_train
 
 LEX = Lexicographic()
 
@@ -66,8 +64,7 @@ class TestTrain:
         ds = sample_dataset(g, 2000, LEX, seed=5)
         const = UtilityDataset(inputs=ds.inputs, utilities=np.full_like(ds.utilities, 0.7), seed=5, game=g)
         for arch in ("relu", "delu", "dnl"):
-            params = make_surrogate_params(arch, 8, substream(6, "c"), hidden=(8, 8, 8),
-                                           hyper_hidden=(6,), aux_hidden=(6,))
+            params = init_params(arch, [8, 8, 8, 8, 1], substream(6, "c"), hyper_hidden=(6,), aux_hidden=(6,))
             params, _ = train(
                 params, const, TrainConfig(epochs=30, batch_size=32, learning_rate=0.02, seed=6), sender=0
             )
@@ -76,7 +73,7 @@ class TestTrain:
     def test_loss_history_smoothed_non_increasing(self):
         g = didactic_game()
         ds = sample_dataset(g, 4000, LEX, seed=7)
-        params = make_surrogate_params("dnl", 8, substream(7, "init"), hidden=(16, 16, 16), hyper_hidden=(12,))
+        params = init_params("dnl", [8, 16, 16, 16, 1], substream(7, "init"), hyper_hidden=(12,))
         _, losses = train(params, ds, TrainConfig(epochs=15, batch_size=128, seed=7), sender=1)
         smooth = np.convolve(losses, np.ones(5) / 5, mode="valid")
         assert np.all(np.diff(smooth) <= 1e-3)
@@ -85,10 +82,8 @@ class TestTrain:
         g = didactic_game()
         ds = sample_dataset(g, 500, LEX, seed=8)
         cfg = TrainConfig(epochs=2, batch_size=64, seed=9)
-        p1 = make_surrogate_params("relu", 8, substream(9, "init"), hidden=(10,))
-        p2 = make_surrogate_params("relu", 8, substream(9, "init"), hidden=(10,))
-        from persuade.neural import flatten_params
-
+        p1 = init_params("relu", [8, 10, 1], substream(9, "init"))
+        p2 = init_params("relu", [8, 10, 1], substream(9, "init"))
         t1, l1 = train(p1, ds, cfg, sender=0)
         t2, l2 = train(p2, ds, cfg, sender=0)
         assert l1 == l2
@@ -98,7 +93,7 @@ class TestTrain:
         g = didactic_game()
         ds = sample_dataset(g, 200, LEX, seed=10)
         big = UtilityDataset(inputs=ds.inputs, utilities=ds.utilities * 1e9, seed=10, game=g)
-        params = make_surrogate_params("relu", 8, substream(10, "init"), hidden=(8,))
+        params = init_params("relu", [8, 8, 1], substream(10, "init"))
         with pytest.raises(RuntimeError, match="diverged"):
             train(params, big, TrainConfig(epochs=3, batch_size=64, learning_rate=10.0, seed=10), sender=0)
 
@@ -113,28 +108,25 @@ class TestTrain:
         g = didactic_game()
         ds = sample_dataset(g, 10, LEX, seed=11)
         empty = UtilityDataset(inputs=ds.inputs[:0], utilities=ds.utilities[:0], seed=11, game=g)
-        params = make_surrogate_params("relu", 8, substream(11, "init"), hidden=(8,))
+        params = init_params("relu", [8, 8, 1], substream(11, "init"))
         with pytest.raises(ValueError):
             train(params, empty, TrainConfig(seed=11), sender=0)
 
 
-def _surrogate(arch, sender, seed):
-    """A small net of each architecture; multi-output when `sender` is None."""
-    out_dim = 1 if sender is not None else 2
-    return make_surrogate_params(arch, 8, substream(seed, "init"), hidden=(8, 8, 8),
-                                 hyper_hidden=(6,), aux_hidden=(6,), out_dim=out_dim)
+def _net(arch, seed):
+    """A small scalar net of each architecture over the didactic game's 8 inputs."""
+    return init_params(arch, [8, 8, 8, 8, 1], substream(seed, "init"), hyper_hidden=(6,), aux_hidden=(6,))
 
 
 class TestTrainMatchesReference:
     """`train` against the per-step unflatten/forward/backward/flatten loop."""
 
     @pytest.mark.parametrize("arch", ["relu", "delu", "dnl"])
-    @pytest.mark.parametrize("sender", [1, None], ids=["scalar", "multi"])
-    def test_bit_identical_params_and_losses(self, arch, sender):
+    def test_bit_identical_params_and_losses(self, arch):
         ds = sample_dataset(didactic_game(), 300, LEX, seed=13)
         cfg = TrainConfig(epochs=3, batch_size=64, learning_rate=0.02, seed=13)   # 300 = 4 * 64 + 44
-        trained, losses = train(_surrogate(arch, sender, 13), ds, cfg, sender=sender)
-        ref, ref_losses = reference_train(_surrogate(arch, sender, 13), ds, cfg, sender=sender)
+        trained, losses = train(_net(arch, 13), ds, cfg, sender=1)
+        ref, ref_losses = reference_train(_net(arch, 13), ds, cfg, sender=1)
         assert np.array_equal(flatten_params(trained), flatten_params(ref))
         assert losses == ref_losses
         assert len(losses) == cfg.epochs
@@ -150,7 +142,7 @@ class TestTrainMatchesReference:
 
         monkeypatch.setattr(neural, "_stack_forward", counted)
         ds = sample_dataset(didactic_game(), 100, LEX, seed=14)
-        train(_surrogate(arch, 0, 14), ds, TrainConfig(epochs=2, batch_size=64, seed=14), sender=0)
+        train(_net(arch, 14), ds, TrainConfig(epochs=2, batch_size=64, seed=14), sender=0)
         steps = 2 * 2                               # 2 epochs of a 64-row and a 36-row batch
         assert len(calls) == stacks * steps
         assert sorted(set(calls)) == [36, 64]
@@ -158,7 +150,7 @@ class TestTrainMatchesReference:
     @pytest.mark.parametrize("arch", ["relu", "delu", "dnl"])
     def test_caller_params_untouched(self, arch):
         ds = sample_dataset(didactic_game(), 200, LEX, seed=15)
-        params = _surrogate(arch, 0, 15)
+        params = _net(arch, 15)
         before = flatten_params(params)
         trained, _ = train(params, ds, TrainConfig(epochs=2, batch_size=64, seed=15), sender=0)
         assert np.array_equal(flatten_params(params), before)
@@ -167,9 +159,16 @@ class TestTrainMatchesReference:
             assert not any(np.shares_memory(a, b) for b in neural.param_arrays(trained))
 
 
+# Test networks: `neural.backward` calls `_run(x)` for (output, gates, cache)
+# and `_grads(cache, upstream)` for (parameter gradients, input gradient).
+
+
 class _Constant:
-    def input_gradient(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def _run(self, x):
+        return np.zeros((len(x), 1)), [], x
+
+    def _grads(self, x, d):
+        return None, np.zeros_like(x)
 
 
 class _Bilinear:
@@ -178,11 +177,14 @@ class _Bilinear:
     def __init__(self, sign):
         self.sign = sign
 
-    def input_gradient(self, x):
-        g = np.zeros(4)
-        g[0] = self.sign * (x[2] - 0.5)
-        g[2] = self.sign * (x[0] - 0.5)
-        return g
+    def _run(self, x):
+        return self.sign * (x[:, [0]] - 0.5) * (x[:, [2]] - 0.5), [], x
+
+    def _grads(self, x, d):
+        g = np.zeros_like(x)
+        g[:, 0] = self.sign * (x[:, 2] - 0.5) * d[:, 0]
+        g[:, 2] = self.sign * (x[:, 0] - 0.5) * d[:, 0]
+        return None, g
 
 
 class TestExtragradient:
@@ -224,17 +226,36 @@ class TestExtragradient:
     def test_trajectory_deterministic(self, rng):
         g = didactic_game()
         ds = sample_dataset(g, 400, LEX, seed=12)
-        params = make_surrogate_params("relu", 8, substream(12, "init"), hidden=(10,))
+        params = init_params("relu", [8, 10, 1], substream(12, "init"))
         params, _ = train(params, ds, TrainConfig(epochs=2, batch_size=64, seed=12), sender=0)
-        surr = [UtilitySurrogate(params), UtilitySurrogate(params)]
+        nets = [params, params]
         init = rng.normal(size=(2, 2, 2))
         cfg = EgConfig(steps=15, restarts=1, seed=0)
-        assert np.array_equal(extragradient(surr, init, cfg), extragradient(surr, init, cfg))
+        assert np.array_equal(extragradient(nets, init, cfg), extragradient(nets, init, cfg))
+
+    @pytest.mark.parametrize("arch", ["relu", "delu", "dnl"])
+    @pytest.mark.parametrize("restarts", [1, 2, 7])
+    def test_batched_restarts_match_per_restart_loop(self, arch, restarts):
+        # 2 senders, 3 states, 2 signals: 12 inputs per network
+        nets = [init_params(arch, [12, 8, 8, 8, 1], substream(16, f"init:{j}"), hyper_hidden=(6,), aux_hidden=(6,))
+                for j in range(2)]
+        init = substream(16, "logits").normal(size=(restarts, 2, 3, 2))
+        cfg = EgConfig(steps=20, learning_rate=0.1, restarts=restarts, seed=0)
+        got = extragradient(nets, init, cfg)
+        ref = reference_extragradient(nets, init, cfg)
+        assert got.shape == init.shape
+        assert np.abs(got - ref).max() <= 1e-12
+        if restarts == 1:
+            assert np.array_equal(got, ref)
+            assert np.array_equal(extragradient(nets, init[0], cfg), ref[0])
 
     def test_nonfinite_gradient_aborts(self):
         class Broken:
-            def input_gradient(self, x):
-                return np.full_like(np.asarray(x, dtype=float), np.nan)
+            def _run(self, x):
+                return np.zeros((len(x), 1)), [], x
+
+            def _grads(self, x, d):
+                return None, np.full_like(x, np.nan)
 
         with pytest.raises(RuntimeError):
             extragradient([Broken(), Broken()], np.zeros((2, 1, 2)), EgConfig(steps=1, restarts=1, seed=0))
@@ -275,6 +296,15 @@ class TestPipeline:
             assert max(welfares) >= max(c.welfare for c in checked) - 1e-12
             assert res.report.verdict == EPSILON_LOCAL
         assert len(res.restarts) == 6
+        # each restart ascends from its own substream, and the batched kernel scores it
+        # exactly as the one-profile evaluation does
+        eg_cfg = EgConfig(steps=10, learning_rate=0.1, restarts=6, seed=22)
+        inits = np.stack([substream(22, f"init:restart:{r}").normal(size=(2, 2, 2)) for r in range(6)])
+        ref = reference_extragradient(res.nets, inits, eg_cfg)
+        for o in res.restarts:
+            assert np.abs(o.policy - ref[o.restart]).max() <= 1e-12
+            assert np.array_equal(o.utilities, ex_ante_utilities(g, o.policy, LEX)[0])
+            assert o.welfare == float(o.utilities.sum())
 
     def test_protocol_yields_verified_candidate_on_generic_didactic(self):
         # the documented search protocol (300 restarts, eps 0.005, welfare-max

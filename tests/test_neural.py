@@ -12,9 +12,7 @@ from persuade.neural import (
     flatten_params,
     forward,
     forward_with_pattern,
-    init_delu,
-    init_dnl,
-    init_relu,
+    init_params,
     load_params,
     save_params,
     unflatten_params,
@@ -93,7 +91,7 @@ class TestForwardRelu:
         assert np.array_equal(y, np.maximum(x, 0.0))
 
     def test_linear_piece_identity(self, rng):
-        p = init_relu([5, 12, 12, 3], rng)
+        p = init_params("relu", [5, 12, 12, 3], rng)
         for _ in range(20):
             x = rng.normal(size=5)
             y, r = forward_with_pattern(p, x)
@@ -105,9 +103,9 @@ class TestGradients:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda rng: init_relu([5, 8, 8, 2], rng),
-            lambda rng: init_delu([5, 8, 8, 2], (6,), rng),
-            lambda rng: init_dnl([5, 8, 8, 8, 2], 1, (6, 6), rng),
+            lambda rng: init_params("relu", [5, 8, 8, 2], rng),
+            lambda rng: init_params("delu", [5, 8, 8, 2], rng, aux_hidden=(6,)),
+            lambda rng: init_params("dnl", [5, 8, 8, 8, 2], rng, hyper_hidden=(6, 6)),
         ],
         ids=["relu", "delu", "dnl"],
     )
@@ -128,13 +126,13 @@ class TestGradients:
         assert np.allclose(g.input, W.T @ up, atol=1e-14)
 
     def test_zero_upstream_zero_gradients(self, rng):
-        p = init_dnl([4, 6, 6, 1], 1, (5,), rng)
+        p = init_params("dnl", [4, 6, 6, 1], rng, hyper_hidden=(5,))
         g = backward(p, rng.normal(size=4), np.zeros(1))
         assert np.all(flatten_params(g.params) == 0.0)
         assert np.all(g.input == 0.0)
 
     def test_batch_gradients_sum_over_samples(self, rng):
-        p = init_relu([4, 6, 1], rng)
+        p = init_params("relu", [4, 6, 1], rng)
         X = rng.normal(size=(5, 4))
         up = rng.normal(size=(5, 1))
         total = backward(p, X, up)
@@ -147,9 +145,9 @@ class TestGradients:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda rng: init_relu([5, 8, 8, 2], rng),
-            lambda rng: init_delu([5, 8, 8, 2], (6,), rng),
-            lambda rng: init_dnl([5, 8, 8, 8, 2], 1, (6, 6), rng),
+            lambda rng: init_params("relu", [5, 8, 8, 2], rng),
+            lambda rng: init_params("delu", [5, 8, 8, 2], rng, aux_hidden=(6,)),
+            lambda rng: init_params("dnl", [5, 8, 8, 8, 2], rng, hyper_hidden=(6, 6)),
         ],
         ids=["relu", "delu", "dnl"],
     )
@@ -180,7 +178,7 @@ class TestGradients:
 
 class TestDelu:
     def test_constant_aux_equals_relu_with_that_bias(self, rng):
-        p = init_delu([4, 6, 1], (), rng)
+        p = init_params("delu", [4, 6, 1], rng, aux_hidden=())
         p.aux.weights[0][:] = 0.0
         p.aux.biases[0][:] = 0.37
         X = rng.normal(size=(20, 4))
@@ -193,10 +191,10 @@ class TestDelu:
         # the layout that kept a dead backbone output bias, built from ReLU
         # pieces: on one stream the backbone is drawn first, then the aux net
         for seed in range(20):
-            p = init_delu(dims, aux_hidden, np.random.default_rng(seed))
+            p = init_params("delu", dims, np.random.default_rng(seed), aux_hidden=aux_hidden)
             stream = np.random.default_rng(seed)
-            bb = init_relu(dims, stream)
-            aux = init_relu([sum(dims[1:-1]), *aux_hidden, dims[-1]], stream)
+            bb = init_params("relu", dims, stream)
+            aux = init_params("relu", [sum(dims[1:-1]), *aux_hidden, dims[-1]], stream)
             bb.biases[-1][:] = 0.0
             kept = neural.param_arrays(bb)[:-1] + neural.param_arrays(aux)
             assert np.array_equal(flatten_params(p), np.concatenate([a.ravel() for a in kept]))
@@ -216,10 +214,10 @@ class TestDelu:
 
     def test_needs_a_hidden_layer(self, rng):
         with pytest.raises(ValueError, match="hidden layer"):
-            init_delu([4, 1], (3,), rng)
+            init_params("delu", [4, 1], rng, aux_hidden=(3,))
 
     def test_affine_within_a_piece(self, rng):
-        p = init_delu([4, 10, 10, 1], (8,), rng)
+        p = init_params("delu", [4, 10, 10, 1], rng, aux_hidden=(8,))
         for _ in range(50):
             x = rng.normal(size=4)
             d = rng.normal(size=4)
@@ -242,7 +240,7 @@ class TestDelu:
     def test_jump_across_boundary_is_aux_difference(self, rng):
         # boundary between patterns: as the bracket shrinks, the output jump
         # approaches the auxiliary bias difference (the backbone is continuous)
-        p = init_delu([3, 8, 8, 1], (6,), rng)
+        p = init_params("delu", [3, 8, 8, 1], rng, aux_hidden=(6,))
         bb = backbone(p)
         for _ in range(200):
             a, b = rng.normal(size=3), rng.normal(size=3)
@@ -269,7 +267,7 @@ class TestDelu:
 
 class TestDnl:
     def test_zero_hypernet_collapses_to_fixed_mlp(self, rng):
-        p = init_dnl([4, 6, 6, 1], 1, (5,), rng)
+        p = init_params("dnl", [4, 6, 6, 1], rng, hyper_hidden=(5,))
         for w in p.hyper.weights:
             w[:] = 0.0
         for b in p.hyper.biases[:-1]:
@@ -284,7 +282,7 @@ class TestDnl:
         assert np.allclose(forward_with_pattern(p, X)[0], forward_with_pattern(composed, X)[0], atol=1e-12)
 
     def test_same_lower_pattern_same_generated_weights(self, rng):
-        p = init_dnl([4, 6, 6, 6, 1], 1, (5,), rng)
+        p = init_params("dnl", [4, 6, 6, 6, 1], rng, hyper_hidden=(5,))
         x = rng.normal(size=4)
         # stay strictly inside the piece
         step = 0.4 * pattern_margin(p, x) / 10.0
@@ -301,7 +299,7 @@ class TestDnl:
         # scan a segment, find a lower-pattern change, and confirm a genuine
         # output discontinuity by shrinking the bracket
         rng = np.random.default_rng(7)
-        p = init_dnl([8, 64, 64, 64, 1], 1, (32, 32), rng)
+        p = init_params("dnl", [8, 64, 64, 64, 1], rng, hyper_hidden=(32, 32))
         a, b = rng.normal(size=8), rng.normal(size=8)
         _, ra = forward_with_pattern(p, a)
         _, rb = forward_with_pattern(p, b)
@@ -321,7 +319,7 @@ class TestDnl:
     def test_can_be_nonlinear_within_one_piece(self):
         # hand-built generated part computing |x|: grossly non-affine inside a
         # single lower piece, which a pattern-conditioned bias can never be
-        p = init_dnl([1, 2, 2, 1], 1, (2,), np.random.default_rng(0))
+        p = init_params("dnl", [1, 2, 2, 1], np.random.default_rng(0), hyper_hidden=(2,))
         p.lower.weights[0][:] = [[1.0], [-1.0]]
         p.lower.biases[0][:] = [10.0, 10.0]       # pattern constant near 0
         for w in p.hyper.weights:
@@ -344,7 +342,7 @@ class TestDnl:
 
 class TestPatternStability:
     def test_pattern_constant_within_half_margin(self, rng):
-        p = init_relu([5, 10, 10, 1], rng)
+        p = init_params("relu", [5, 10, 10, 1], rng)
         for _ in range(20):
             x = rng.normal(size=5)
             _, pres, _ = _stack_forward(p, x[None], relu_last=False)
@@ -363,7 +361,7 @@ class TestPatternStability:
 
 class TestPiecewiseLinearity:
     def test_blend_stays_on_segment_when_patterns_match(self, rng):
-        p = init_relu([4, 8, 8, 1], rng)
+        p = init_params("relu", [4, 8, 8, 1], rng)
         done = 0
         for _ in range(500):
             x, y = rng.normal(size=4), rng.normal(size=4)
@@ -388,9 +386,9 @@ class TestPiecewiseLinearity:
 class TestCheckpoints:
     def test_round_trip_all_architectures(self, rng, tmp_path):
         nets = [
-            init_relu([4, 6, 2], rng),
-            init_delu([4, 6, 6, 2], (5,), rng),
-            init_dnl([4, 6, 6, 2], 1, (5,), rng),
+            init_params("relu", [4, 6, 2], rng),
+            init_params("delu", [4, 6, 6, 2], rng, aux_hidden=(5,)),
+            init_params("dnl", [4, 6, 6, 2], rng, hyper_hidden=(5,)),
         ]
         for i, p in enumerate(nets):
             path = tmp_path / f"net{i}.json"
@@ -408,7 +406,7 @@ class TestCheckpoints:
     def test_rejects_version_1_delu_layout(self, rng, tmp_path):
         # version 1 stored a DeLU with its dead backbone output bias
         dims, aux_dims = [4, 6, 6, 2], [12, 5, 2]
-        bb, aux = init_relu(dims, rng), init_relu(aux_dims, rng)
+        bb, aux = init_params("relu", dims, rng), init_params("relu", aux_dims, rng)
         bb.biases[-1][:] = 0.0
         doc = {"format": "persuade-checkpoint", "version": 1, "arch": "delu", "dims": dims, "aux_dims": aux_dims,
                "params": np.concatenate([flatten_params(bb), flatten_params(aux)]).tolist()}

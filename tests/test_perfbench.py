@@ -9,16 +9,9 @@ import numpy as np
 import pytest
 
 from persuade.game import Lexicographic
-from persuade.learning import (
-    EgConfig,
-    TrainConfig,
-    UtilitySurrogate,
-    extragradient,
-    make_surrogate_params,
-    mse,
-    sample_dataset,
-    train,
-)
+from persuade import learning
+from persuade.learning import EgConfig, TrainConfig, mse, sample_dataset, train
+from persuade.neural import init_params
 from persuade.reference import didactic_game
 from persuade.rng import substream
 
@@ -64,20 +57,20 @@ def test_learning_calls_the_traced_network_entry_points(arch, monkeypatch):
     from bench_trace import Tracer
 
     ds = sample_dataset(didactic_game(), 300, Lexicographic(), seed=3)
-    params = make_surrogate_params(arch, 8, substream(3, "init"), hidden=(8, 8, 8),
-                                   hyper_hidden=(6,), aux_hidden=(6,))
+    params = init_params(arch, [8, 8, 8, 8, 1], substream(3, "init"), hyper_hidden=(6,), aux_hidden=(6,))
     tracer = Tracer()
     tracer.install()
     try:
         trained, _ = train(params, ds, TrainConfig(epochs=3, batch_size=64, seed=3), sender=0)
         mse(trained, ds.inputs, ds.utilities[:, [0]])
-        surrogates = [UtilitySurrogate(trained)] * 2
-        extragradient(surrogates, np.zeros((2, 2, 2)), EgConfig(steps=4, restarts=1, seed=3))
+        learning.extragradient([trained, trained], np.zeros((3, 2, 2, 2)), EgConfig(steps=4, restarts=3, seed=3))
     finally:
         tracer.uninstall()
-    # 3 epochs of 5 batches (4 x 64 + 44 rows); 4 steps x 2 evaluations x 2 senders, one row each
+    # 3 epochs of 5 batches (4 x 64 + 44 rows); then 3 restarts in one extra-gradient call:
+    # 4 steps x 2 evaluations x 2 senders, each one call over all 3 restarts
+    assert tracer.calls["learning.extragradient"] == 1
     assert tracer.calls["neural.backward"] == 3 * 5 + 4 * 2 * 2
-    assert tracer.counts["neural.backward.rows"] == 3 * 300 + 4 * 2 * 2
+    assert tracer.counts["neural.backward.rows"] == 3 * 300 + 4 * 2 * 2 * 3
     assert tracer.calls["neural.forward"] == 1
     assert tracer.counts["neural.forward.rows"] == 300
 
