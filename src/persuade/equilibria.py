@@ -32,6 +32,7 @@ from .game import (
     FixedMap,
     GameInstance,
     TieRule,
+    _sum_last,
     batch_rows,
     check_term_cap,
     ex_ante_utilities,
@@ -688,12 +689,12 @@ def perturb_policy(policy: np.ndarray, eps: float, rng) -> np.ndarray:
     uniform.
     """
     p = np.clip(policy + rng.uniform(-eps, eps, size=policy.shape), 0.0, 1.0)
-    sums = p.sum(axis=-1, keepdims=True)
-    bad = sums[..., 0] <= 1e-12
+    sums = _sum_last(p)
+    bad = sums <= 1e-12
     if np.any(bad):
         p[bad] = 1.0 / policy.shape[-1]
-        sums = p.sum(axis=-1, keepdims=True)
-    return p / sums
+        sums = _sum_last(p)
+    return p / sums[..., None]
 
 
 def check_local_eps(eps: float) -> None:

@@ -75,7 +75,7 @@ class _PosteriorRule:
         """``(actions, live)`` at the joint signals of `q`, (..., S^n, states) from :func:`product_weights`
         or its rows at the flat indices `joint`; `live` marks those of positive probability.  A dead
         joint signal has the zero posterior, which ties every action, so it gets action 0."""
-        marg = q.sum(axis=-1)
+        marg = _sum_last(q)
         live = marg > 0
         mu = np.where(live[..., None], q / np.maximum(marg[..., None], 1e-300), 0.0)
         return self.best_actions(game, mu.reshape(-1, game.states)).reshape(marg.shape), live
@@ -94,6 +94,20 @@ class _PosteriorRule:
 def _planes(values: np.ndarray) -> np.ndarray:
     """The (M, actions) `values` as contiguous (actions, M) planes."""
     return np.ascontiguousarray(values.T)
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` bit for bit, without numpy's slow reduction loop over a short axis:
+    below 8 entries, whole-array adds of the last axis' slices in numpy's order, from +0.0 (from 8
+    on numpy adds pairwise).  Where NaNs of both signs meet, the sign bit of a NaN sum may differ,
+    as it does between numpy's own loops."""
+    n = a.shape[-1]
+    if not 0 < n < 8:
+        return a.sum(axis=-1)
+    total = a[..., 0] + 0.0
+    for k in range(1, n):
+        total += a[..., k]
+    return total
 
 
 @dataclass(frozen=True)
@@ -199,7 +213,7 @@ class FixedMap:
         return self._table
 
     def actions(self, game: GameInstance, q: np.ndarray, joint=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        marg = q.sum(axis=-1)
+        marg = _sum_last(q)
         return np.broadcast_to(self._table[joint], marg.shape), marg > 0
 
     def best_actions(self, game, posteriors):
@@ -441,20 +455,19 @@ def ex_ante_utilities(game: GameInstance, policy, tie: TieRule) -> tuple[np.ndar
     return row[:-1], float(row[-1])
 
 
-# Profiles per pass of the batched kernel.  A pass holds a few arrays of
-# rows x states x joint signals floats, so games with many joint signals
-# take fewer rows per pass and memory stays bounded for any batch size.
-# At 2^18 cells (2 MB per array) the eps-ball check on 7-firm quality-ads
-# and 4x4 ride-hailing ran about 1.4x faster than at 2^20 on a 2-vCPU
-# machine; 2^16 was no faster.  Games of up to 128 states x joint signals
-# still take 2048 rows.
-BATCH_ROWS = 2048
-BATCH_CELLS = 1 << 18
+# Cells (rows x states x joint signals) per pass of the batched kernel, so a
+# pass's arrays stay cache-sized (256 KB each) for any batch; a game with more
+# cells in one row takes one row per pass.  On a 2-vCPU Xeon (2 MB L2 a core),
+# best of 5: labeling 2,000 synthetic (3,4,3,4) profiles took 6.0-6.9 ms at
+# 2^15, 7.1-7.4 at 2^16 and 9.2-12.4 at 2^18 (2^14: no faster than 2^15), and
+# the eps-ball check on 7-firm quality-ads (1,000 deviations per sender) took
+# 2.8, 2.6 and 4.2 s.
+BATCH_CELLS = 1 << 15
 
 
 def batch_rows(game: GameInstance) -> int:
-    """Profiles per pass of :func:`ex_ante_utilities_batch` on this game."""
-    return max(1, min(BATCH_ROWS, BATCH_CELLS // (game.states * game.n_joint_signals)))
+    """Profiles per pass of :func:`ex_ante_utilities_batch` on this game (at least one)."""
+    return max(1, BATCH_CELLS // (game.states * game.n_joint_signals))
 
 
 def ex_ante_utilities_batch(
@@ -469,7 +482,7 @@ def ex_ante_utilities_batch(
     `profiles` is (B, n, states, signals); returns (B, n), or (B, len(senders))
     with the columns of just the listed senders.  Same exact sum as
     :func:`ex_ante_utilities`, vectorized across the batch and run in passes
-    of at most `BATCH_ROWS` profiles.
+    of :func:`batch_rows` profiles.
     """
     profiles = np.asarray(profiles, dtype=float)
     check_term_cap(game)
@@ -549,11 +562,12 @@ def simulate_mean_payoffs(game: GameInstance, policy, tie: TieRule, count: int, 
 
 
 def exact_payoff_variance(game: GameInstance, policy, tie: TieRule) -> np.ndarray:
-    """Exact per-sender variance of the one-round payoff distribution."""
+    """Exact per-sender variance of the one-round payoff distribution, as E[u^2] - E[u]^2
+    clamped at 0: its rounding can dip below 0 when the true variance is 0 (a constant utility)."""
     policy = validate_joint_policy(game, policy)
     check_term_cap(game)
     tie.check(game)
     tables = game._tables[: game.n_senders]
     row = _batch_pass(game, policy[None], tie, (*tables, *(t**2 for t in tables)))[0]
     mean, square = row[: game.n_senders], row[game.n_senders :]
-    return square - mean**2
+    return np.maximum(square - mean**2, 0.0)

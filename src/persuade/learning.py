@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import DEFAULT_LOCAL_EPS, EPSILON_LOCAL, EquilibriumReport, check_local_eps, local_ne_verify
-from .game import GameInstance, TieRule, ex_ante_utilities_batch
+from .game import GameInstance, TieRule, _sum_last, ex_ante_utilities_batch
 from .neural import _param_views, backward, flatten_params, forward, init_params, input_dim
 from .rng import substream
 
@@ -91,7 +91,7 @@ def sample_dataset(game: GameInstance, count: int, tie: TieRule, seed: int) -> U
         raise ValueError("count must be >= 1")
     rng = substream(seed, "dataset")
     draws = rng.exponential(1.0, size=(count, game.n_senders, game.states, game.signals))
-    draws /= draws.sum(axis=3, keepdims=True)
+    draws /= _sum_last(draws)[..., None]
     labels = ex_ante_utilities_batch(game, draws, tie)
     return UtilityDataset(
         inputs=draws.reshape(count, -1), utilities=labels, seed=seed, game=game

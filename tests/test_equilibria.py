@@ -679,10 +679,11 @@ class TestLocalVerifyMatchesPerDeviationLoop:
             return persuade.game.ex_ante_utilities_batch(game, profs, *args, **kwargs)
 
         monkeypatch.setattr(persuade.equilibria, "ex_ante_utilities_batch", recording_batch)
-        # blocks of 16 rows (bound by rows), of 5 rows (bound by cells), of 1 row
-        for rows, cells in ((16, 1 << 20), (2048, 5 * g.states * g.n_joint_signals), (1, 1 << 20)):
-            monkeypatch.setattr(persuade.game, "BATCH_ROWS", rows)
+        # blocks of 16 rows, of 5 rows, and of 1 row (a row holds more cells than a pass)
+        per_row = g.states * g.n_joint_signals
+        for rows, cells in ((16, 16 * per_row), (5, 5 * per_row + per_row // 2), (1, 1)):
             monkeypatch.setattr(persuade.game, "BATCH_CELLS", cells)
+            assert persuade.game.batch_rows(g) == rows
             seen.clear()
             for prof, ref in zip(profiles, whole):
                 assert_same_report(local_ne_verify(g, prof, SF, 0.05, 6, samples=150), ref)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -14,6 +15,8 @@ from persuade.game import (
     GameInstance,
     Lexicographic,
     SenderFavoring,
+    _sum_last,
+    batch_rows,
     ex_ante_utilities,
     ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
@@ -305,10 +308,12 @@ class TestExAnteUtilities:
         fixed = FixedMap(tuple(k // 3 % g.actions for k in range(g.n_joint_signals)))
         for tie in (LEX, SF, fixed):
             whole = ex_ante_utilities_batch(g, profiles, tie)
-            # passes of 4 rows (bound by rows), then of 3 rows (bound by cells)
-            for rows, cells in ((4, 1 << 20), (2048, 3 * g.states * g.n_joint_signals)):
-                monkeypatch.setattr(persuade.game, "BATCH_ROWS", rows)
+            # passes of 4 rows, of 3 rows (the cells of 3.5 rows), and of 1 row
+            # (a single row holds more cells than a pass)
+            per_row = g.states * g.n_joint_signals
+            for rows, cells in ((4, 4 * per_row), (3, 7 * per_row // 2), (1, per_row - 1)):
                 monkeypatch.setattr(persuade.game, "BATCH_CELLS", cells)
+                assert batch_rows(g) == rows
                 assert np.array_equal(ex_ante_utilities_batch(g, profiles, tie), whole)
             monkeypatch.undo()
             for cols in ((2,), (1, 0)):
@@ -319,6 +324,56 @@ class TestExAnteUtilities:
                 want_senders, want_receiver = reference_ex_ante(g, prof, tie)
                 assert np.allclose(senders, want_senders, atol=1e-12)
                 assert receiver == pytest.approx(want_receiver, abs=1e-12)
+
+    def test_a_row_larger_than_a_pass_runs_alone(self, rng):
+        # a game with more states x joint signals than `BATCH_CELLS` still takes one row per pass
+        signals = math.isqrt(persuade.game.BATCH_CELLS // 64) + 1
+        g = random_game(2, 64, signals, 3, rng)
+        assert g.states * g.n_joint_signals > persuade.game.BATCH_CELLS and batch_rows(g) == 1
+        profiles = np.stack([random_profile(g, rng) for _ in range(3)])
+        for tie in (LEX, SF):
+            batch = ex_ante_utilities_batch(g, profiles, tie)
+            for prof, got in zip(profiles, batch):
+                assert np.array_equal(got, ex_ante_utilities(g, prof, tie)[0])
+                assert np.allclose(got, reference_ex_ante(g, prof, tie)[0], atol=1e-12)
+
+
+class TestSumLast:
+    """`_sum_last` is `np.sum(a, axis=-1)` bit for bit, NaN where it is NaN.
+
+    Which NaN comes out where NaNs of both signs meet is left open by IEEE 754,
+    and numpy's own loops pick by layout, so a NaN's sign bit is not compared.
+    """
+
+    SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, np.nan, -np.nan, 1.0, 1e308])
+
+    def assert_bitwise(self, a):
+        got, want = _sum_last(a), np.sum(a, axis=-1)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_numpy_bitwise(self, rng):
+        for n in range(1, 13):
+            for _ in range(10):
+                a = rng.normal(size=(40, 3, n)) * 10.0 ** rng.uniform(-300, 300, (40, 3, n))
+                special = rng.random(a.shape) < 0.3
+                a[special] = rng.choice(self.SPECIAL, size=int(special.sum()))
+                self.assert_bitwise(a)
+                self.assert_bitwise(np.asfortranarray(a))
+                self.assert_bitwise(a[::-2, :, ::-1])
+                self.assert_bitwise(np.moveaxis(a, 0, -1))   # a 40-long strided axis
+                self.assert_bitwise(np.repeat(a, 2, axis=-1)[..., ::2])
+
+    def test_signed_zeros(self):
+        for n in range(1, 13):
+            self.assert_bitwise(np.full((2, n), -0.0))
+            self.assert_bitwise(np.where(np.arange(n) % 2 == 0, -0.0, 0.0)[None, :])
+
+    def test_zero_length_axis(self):
+        self.assert_bitwise(np.empty((3, 0)))
 
 
 class TestFixedInterpretation:
@@ -407,6 +462,27 @@ class TestSampling:
             var = exact_payoff_variance(g, pol, LEX)
             means = simulate_mean_payoffs(g, pol, LEX, count, rng=np.random.default_rng(k))
             assert np.all(np.abs(means - exact) <= 3 * np.sqrt(var / count) + 1e-12)
+
+    def test_variance_is_never_negative(self, rng):
+        # E[u^2] - E[u]^2 rounds below zero for many senders of constant
+        # utility; the clamp turns exactly those into 0.0 and leaves the rest
+        clamped = 0
+        for _ in range(300):
+            g = random_game(2, 3, 2, 3, rng)
+            const = np.full((3, 3), 0.7)
+            g = GameInstance(2, 3, 2, 3, g.prior, g.receiver_utility, (const, g.sender_utilities[1]))
+            pol = random_profile(g, rng)
+            var = exact_payoff_variance(g, pol, LEX)
+            assert np.all(var >= 0)
+            # the same kernel columns as the variance reads: E[u] and E[u^2] of sender 0
+            moments = GameInstance(2, 3, 2, 3, g.prior, g.receiver_utility, (const, const**2))
+            mean, square = ex_ante_utilities(moments, pol, LEX)[0]
+            if square - mean**2 < 0:
+                clamped += 1
+                assert var[0] == 0.0
+            else:
+                assert var[0] == square - mean**2 <= 1e-15
+        assert clamped > 0
 
 
 class TestInvariants:

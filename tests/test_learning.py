@@ -21,7 +21,7 @@ from persuade.neural import flatten_params, init_params
 from persuade.reference import didactic_game, two_block_game, two_block_equilibrium_policies
 from persuade.rng import substream
 
-from conftest import reference_ex_ante, reference_extragradient, reference_train
+from conftest import random_game, reference_ex_ante, reference_extragradient, reference_train
 
 LEX = Lexicographic()
 
@@ -40,6 +40,17 @@ class TestDataset:
             assert np.array_equal(single, ds.utilities[:40])
             oracle = np.array([reference_ex_ante(g, p, tie)[0] for p in ds.policies()[:40]])
             assert np.allclose(oracle, ds.utilities[:40], atol=1e-12)
+
+    def test_rows_are_normalized_draws(self, rng):
+        # every row is its substream's exponential draws over `np.sum` of them,
+        # bit for bit, for signal counts on both sides of numpy's 8-entry
+        # pairwise-sum threshold
+        for signals in range(2, 10):
+            g = random_game(2, 3, signals, 2, rng)
+            ds = sample_dataset(g, 40, LEX, seed=signals)
+            draws = substream(signals, "dataset").exponential(1.0, size=(40, 2, 3, signals))
+            want = draws / np.sum(draws, axis=3, keepdims=True)
+            assert np.array_equal(ds.policies().view(np.uint64), want.view(np.uint64))
 
     def test_flat_dirichlet_mean(self):
         ds = sample_dataset(didactic_game(), 10_000, LEX, seed=3)
