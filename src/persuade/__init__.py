@@ -54,6 +54,8 @@ from .neural import (
     forward_with_pattern,
     load_params,
     save_params,
+    stack_params,
+    unstack_params,
 )
 from .learning import (
     EgConfig,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import glob as globmod
 import json
@@ -310,6 +311,27 @@ ARCH_FIELDS = ("hidden", "lower_layers", "hyper_hidden", "aux_hidden")
 LEARN_FIELDS = ("game", "generator", "train", "eg", "tie", "eps", "sample_count", "architectures", *ARCH_FIELDS)
 
 
+def _integer(value, field: str, least: int) -> int:
+    """A config count or seed: an int, or a float with an integral value; never a bool."""
+    number = int(value) if isinstance(value, float) and value.is_integer() else value
+    if not isinstance(number, int) or isinstance(number, bool) or number < least:
+        raise SpecError(f"{field} must be an integer of at least {least}, got {value!r}")
+    return number
+
+
+def _learn_section(cfg: dict, name: str, config_cls, counts, seed):
+    """The `train` or `eg` section as `config_cls`: only its fields, its counts
+    and seed integers, and the seed replaced by `--seed` when given."""
+    doc = dict(_require(cfg, name))
+    _reject_unknown(doc, [f.name for f in dataclasses.fields(config_cls)], name)
+    if seed is not None:
+        doc["seed"] = seed
+    for key in (*counts, "seed"):
+        if key in doc:
+            doc[key] = _integer(doc[key], f"{name}.{key}", 1 if key in counts else 0)
+    return config_cls(**doc)
+
+
 def cmd_learn(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
@@ -322,20 +344,11 @@ def cmd_learn(args) -> int:
         kind = _require(spec, "kind")
         game = _generate(kind, spec, spec.get("seed", 0 if args.seed is None else args.seed))
         file_tie, game_label = None, f"generator:{kind}"
-    train_doc = dict(_require(cfg, "train"))
-    eg_doc = dict(_require(cfg, "eg"))
-    if args.seed is not None:
-        train_doc["seed"] = args.seed
-        eg_doc["seed"] = args.seed
-    train_cfg = TrainConfig(**train_doc)
-    eg_cfg = EgConfig(**eg_doc)
+    train_cfg = _learn_section(cfg, "train", TrainConfig, ("epochs", "batch_size"), args.seed)
+    eg_cfg = _learn_section(cfg, "eg", EgConfig, ("steps", "restarts"), args.seed)
     tie = _tie_rule(args, file_tie, cfg.get("tie"))
     eps = args.eps if args.eps is not None else float(cfg.get("eps", DEFAULT_LOCAL_EPS))
-    sample_count = cfg.get("sample_count", 50_000)
-    if isinstance(sample_count, float) and sample_count.is_integer():
-        sample_count = int(sample_count)
-    if not isinstance(sample_count, int) or isinstance(sample_count, bool) or sample_count < 1:
-        raise SpecError(f"sample_count must be an integer of at least 1, got {sample_count!r}")
+    sample_count = _integer(cfg.get("sample_count", 50_000), "sample_count", 1)
     archs = cfg.get("architectures", ["dnl"])
     if not isinstance(archs, list) or not archs or not all(isinstance(a, str) for a in archs):
         raise SpecError(f"architectures must be a non-empty list of architecture names, got {archs!r}")

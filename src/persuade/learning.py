@@ -6,10 +6,12 @@ The pipeline approximates each sender's ex-ante utility with a network
 over the flattened joint policy, runs two-step extra-gradient updates on
 softmax-parameterized policies against the learned networks, and then
 verifies every candidate against the *true* game - the networks never
-touch the reported utilities.  All restarts ascend together as one
-(restarts, n, states, signals) logit array, so each half-step is one
-batched `backward` call per sender, and their true utilities come from one
-`ex_ante_utilities_batch` call.
+touch the reported utilities.  The senders' networks form one stack
+(`neural.stack_params`): they train together, one `backward` call per
+minibatch for all senders, and each comes out bit for bit as if trained
+alone.  All restarts ascend together as one (restarts, n, states, signals)
+logit array, so each half-step is one `backward` call on the stack, and
+their true utilities come from one `ex_ante_utilities_batch` call.
 
 `VAL_FRACTION` (held out for the validation MSE) and `MSE_CHUNK` (rows per
 :func:`mse` pass) are module constants, read when a function runs.
@@ -23,7 +25,9 @@ import numpy as np
 
 from .equilibria import DEFAULT_LOCAL_EPS, EPSILON_LOCAL, EquilibriumReport, check_local_eps, local_ne_verify
 from .game import GameInstance, TieRule, _sum_last, ex_ante_utilities_batch
-from .neural import _param_views, backward, flatten_params, forward, init_params, input_dim
+from .neural import (
+    _param_views, backward, flatten_params, forward, init_params, input_dim, param_arrays, stack_params, unstack_params,
+)
 from .rng import substream
 
 DIVERGENCE_GUARD = 1e6
@@ -32,7 +36,8 @@ MSE_CHUNK = 8192
 
 
 class TrainingDiverged(RuntimeError):
-    """An epoch's training loss was non-finite or above `DIVERGENCE_GUARD`."""
+    """A sender's epoch training loss was non-finite or above `DIVERGENCE_GUARD`;
+    the message names the epoch and the sender."""
 
 
 @dataclass
@@ -110,49 +115,65 @@ def split_dataset(dataset: UtilityDataset, val_fraction: float, seed: int):
     return mk(train_idx), mk(val_idx)
 
 
-def mse(params, X, y) -> float:
-    """Mean squared error of the network over (X, y)."""
+def mse(params, X, y):
+    """Mean squared error of the network over (X, y).  For a stack of n
+    networks (`neural.stack_params`), y has n columns and the result is the
+    n errors, network j's against column j."""
     y = np.asarray(y, dtype=float).reshape(X.shape[0], -1)
     total = 0.0
     for i in range(0, X.shape[0], MSE_CHUNK):
-        pred = np.atleast_2d(forward(params, X[i : i + MSE_CHUNK]))
-        total += float(np.sum((pred - y[i : i + MSE_CHUNK]) ** 2))
-    return total / y.size
+        pred = forward(params, X[i : i + MSE_CHUNK])
+        sq = (pred - y[i : i + MSE_CHUNK].T[..., None].reshape(pred.shape)) ** 2
+        total = total + sq.reshape(*pred.shape[:-2], -1).sum(axis=-1)
+    return total / X.shape[0]
 
 
-def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int):
-    """Minibatch Adam on the MSE loss; returns (trained params, per-epoch loss).
+def train(stack, dataset: UtilityDataset, cfg: TrainConfig):
+    """Minibatch Adam on the MSE loss; returns (trained stack, per-network
+    per-epoch losses).
 
-    The scalar-output network fits the utility column of `sender`.
-    Deterministic given ``cfg.seed``.  Aborts if the epoch loss exceeds 1e6.
+    `stack` holds one scalar-output network per sender along the leading
+    axis of its parameter arrays (`neural.stack_params`); slice j fits
+    utility column j.  Every slice sees the same shuffles, so each minibatch
+    is one `backward` call for all of them.  Slices never mix: each product
+    is taken slice by slice and Adam is elementwise, so slice j is trained
+    bit for bit as network j would be alone.  Deterministic given
+    ``cfg.seed``.  Raises `TrainingDiverged` at the first epoch in which a
+    network's loss is non-finite or above `DIVERGENCE_GUARD`.
 
-    The parameters are trained in place in one flat buffer: the network is
-    bound once to views of it, and each step takes its prediction and its
-    gradient from one `backward` call, then updates the buffer and the Adam
-    moments in place.  The caller's `params` are copied first and never
-    modified; the returned parameters are views of the trained buffer.
+    The parameters are trained in place in one flat buffer: the stack is
+    bound once to views of it, and each step takes its predictions and its
+    gradients from one `backward` call, then updates the buffer and the Adam
+    moments in place.  The caller's `stack` is copied first and never
+    modified; the returned stack is views of the trained buffer.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     X = dataset.inputs
-    if X.shape[1] != input_dim(params):
-        raise ValueError(f"network input dim {input_dim(params)} != dataset dim {X.shape[1]}")
-    y = dataset.utilities[:, [sender]]
+    if X.shape[1] != input_dim(stack):
+        raise ValueError(f"network input dim {input_dim(stack)} != dataset dim {X.shape[1]}")
+    first = param_arrays(stack)[0]
+    if first.ndim != 3:
+        raise ValueError("train takes a stack of networks (neural.stack_params)")
+    n = len(first)
+    if n != dataset.utilities.shape[1]:
+        raise ValueError(f"stack of {n} networks for {dataset.utilities.shape[1]} utility columns")
+    y = np.ascontiguousarray(dataset.utilities.T)[..., None]     # (n, M, 1)
 
-    flat = flatten_params(params)
-    current = _param_views(params, flat)
+    flat = flatten_params(stack)
+    current = _param_views(stack, flat)
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     t = 0
-    losses = []
+    losses = [[] for _ in range(n)]
     for epoch in range(cfg.epochs):
         perm = substream(cfg.seed, f"shuffle:{epoch}").permutation(len(dataset))
-        epoch_sq = 0.0
+        epoch_sq = np.zeros(n)
         for start in range(0, len(dataset), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            xb, yb = X[idx], y[idx]
-            step = backward(current, xb, lambda pred: 2.0 * (pred - yb) / pred.size)
-            epoch_sq += float(np.sum((step.output - yb) ** 2))
+            xb, yb = X[idx], y[:, idx]
+            step = backward(current, xb, lambda pred: 2.0 * (pred - yb) / len(idx), input_grad=False)
+            epoch_sq += ((step.output - yb) ** 2).reshape(n, -1).sum(axis=-1)
             grad = flatten_params(step.params)
             t += 1
             m *= cfg.beta1
@@ -162,11 +183,14 @@ def train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender: int):
             m_hat = m / (1 - cfg.beta1**t)
             v_hat = v / (1 - cfg.beta2**t)
             flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
-        loss = epoch_sq / y.size
-        losses.append(loss)
-        if not np.isfinite(loss) or loss > DIVERGENCE_GUARD:
+        loss = epoch_sq / len(dataset)
+        for curve, value in zip(losses, loss.tolist()):
+            curve.append(value)
+        diverged = ~np.isfinite(loss) | (loss > DIVERGENCE_GUARD)
+        if diverged.any():
+            j = int(np.argmax(diverged))
             raise TrainingDiverged(
-                f"training diverged at epoch {epoch}: loss {loss:.3g} "
+                f"training diverged at epoch {epoch}, sender {j}: loss {loss[j]:.3g} "
                 f"(lr {cfg.learning_rate}, batch {cfg.batch_size})"
             )
     return current, losses
@@ -182,39 +206,44 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _ascent_direction(nets, logits):
+def _ascent_direction(stack, logits):
     """d(net_j)/d(logits_j) through the row softmax, for every sender and
-    every joint policy of a (..., n, states, signals) logit array."""
+    every joint policy of a (..., n, states, signals) logit array: one
+    `backward` call on the stack gives every network's input gradient."""
     policies = softmax_rows(logits)
+    n = logits.shape[-3]
     x = policies.reshape(-1, np.prod(logits.shape[-3:]))
-    ones = np.ones((len(x), 1))
+    g = backward(stack, x, np.ones_like).input
+    if len(g) != n:
+        raise ValueError("need one network per sender")
+    g = g.reshape(n, *logits.shape)
     direction = np.empty_like(logits)
-    for j, net in enumerate(nets):
-        g = backward(net, x, ones).input.reshape(logits.shape)[..., j, :, :]
+    for j in range(n):
+        gj = g[j][..., j, :, :]
         pj = policies[..., j, :, :]
-        direction[..., j, :, :] = pj * (g - np.sum(g * pj, axis=-1, keepdims=True))
+        direction[..., j, :, :] = pj * (gj - np.sum(gj * pj, axis=-1, keepdims=True))
     if not np.all(np.isfinite(direction)):
         raise RuntimeError("non-finite surrogate gradient during extra-gradient updates")
     return direction
 
 
-def extragradient(nets, init_logits: np.ndarray, cfg: EgConfig) -> np.ndarray:
+def extragradient(stack, init_logits: np.ndarray, cfg: EgConfig) -> np.ndarray:
     """Two-step extra-gradient ascent on softmax-parameterized policies.
 
-    `nets[j]` is sender j's scalar network over the flattened joint policy,
-    and `init_logits` is (..., n, states, signals): each joint policy along
-    the leading axes is one independent ascent, and all of them step
-    together.  Each sender's logits follow its own network's gradient:
-    first an extrapolation step, then the actual update evaluated at the
-    extrapolated point.  Returns the final softmax policies, shaped like
-    `init_logits`.
+    Slice j of `stack` is sender j's scalar network over the flattened joint
+    policy, and `init_logits` is (..., n, states, signals): each joint
+    policy along the leading axes is one independent ascent, and all of
+    them step together.  Each sender's logits follow its own network's
+    gradient: first an extrapolation step, then the actual update evaluated
+    at the extrapolated point.  Returns the final softmax policies, shaped
+    like `init_logits`.
     """
     logits = np.asarray(init_logits, dtype=float).copy()
-    if logits.ndim < 3 or len(nets) != logits.shape[-3]:
-        raise ValueError("need one network per sender")
+    if logits.ndim < 3:
+        raise ValueError("need (..., n, states, signals) logits")
     for _ in range(cfg.steps):
-        half = logits + cfg.learning_rate * _ascent_direction(nets, logits)
-        logits = logits + cfg.learning_rate * _ascent_direction(nets, half)
+        half = logits + cfg.learning_rate * _ascent_direction(stack, logits)
+        logits = logits + cfg.learning_rate * _ascent_direction(stack, half)
     return softmax_rows(logits)
 
 
@@ -238,7 +267,7 @@ class PipelineResult:
     verified: bool
     restarts: list
     validation_mse: float
-    nets: list = field(repr=False)        # per sender, the trained network
+    nets: list = field(repr=False)        # per sender, the trained network (a view of its stack slice)
     losses: list = field(repr=False)      # per sender, the per-epoch training losses
 
 
@@ -257,9 +286,10 @@ def find_local_ne(
     """Train one surrogate per sender on `dataset`, restart extra-gradient, verify.
 
     Each sender's network is ``init_params(arch, [inputs, *hidden, 1], ...,
-    **arch_kwargs)``.  The restarts start from standard normal logits and
-    ascend together in one :func:`extragradient` call, so memory grows
-    with ``eg_cfg.restarts``.
+    **arch_kwargs)`` from its own ``init:sender:{j}`` stream; the networks
+    train as one stack in one :func:`train` call.  The restarts start from
+    standard normal logits and ascend together in one :func:`extragradient`
+    call, so memory grows with ``eg_cfg.restarts``.
 
     Candidates are ranked by social welfare (sum of true sender utilities,
     ties broken by restart index) and verified in that order against the
@@ -272,22 +302,21 @@ def find_local_ne(
 
     shape = (game.n_senders, game.states, game.signals)
     dims = [game.n_senders * game.states * game.signals, *hidden, 1]
-    nets = []
-    losses = []
+    stack = stack_params(
+        [init_params(arch, dims, substream(train_cfg.seed, f"init:sender:{j}"), **arch_kwargs)
+         for j in range(game.n_senders)]
+    )
+    stack, losses = train(stack, train_split, train_cfg)
     val_mse = 0.0
-    for j in range(game.n_senders):
-        params = init_params(arch, dims, substream(train_cfg.seed, f"init:sender:{j}"), **arch_kwargs)
-        params, curve = train(params, train_split, train_cfg, sender=j)
-        losses.append(curve)
-        if len(val_split):
-            val_mse += mse(params, val_split.inputs, val_split.utilities[:, [j]])
-        nets.append(params)
+    if len(val_split):
+        for err in mse(stack, val_split.inputs, val_split.utilities).tolist():
+            val_mse += err
     val_mse /= game.n_senders
 
     inits = np.stack(
         [substream(eg_cfg.seed, f"init:restart:{r}").normal(size=shape) for r in range(eg_cfg.restarts)]
     )
-    policies = extragradient(nets, inits, eg_cfg)
+    policies = extragradient(stack, inits, eg_cfg)
     outcomes = [
         RestartOutcome(restart=r, welfare=float(utilities.sum()), utilities=utilities, verified=None, policy=policy)
         for r, (policy, utilities) in enumerate(zip(policies, ex_ante_utilities_batch(game, policies, tie)))
@@ -311,6 +340,6 @@ def find_local_ne(
         verified=bool(chosen.verified),
         restarts=outcomes,
         validation_mse=val_mse,
-        nets=nets,
+        nets=unstack_params(stack),
         losses=losses,
     )

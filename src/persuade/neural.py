@@ -28,6 +28,16 @@ the piece containing the input.  All forward/backward functions accept a
 single vector or a batch (leading axis).  `backward` also returns the
 network output, and takes the upstream gradient either as an array or as
 a function of that output, so a training step needs one forward pass.
+
+A *stack* of n networks of one architecture and shape is the same
+container with a leading axis on every parameter array: weights
+``(n, out, in)`` instead of ``(out, in)`` (`stack_params`,
+`unstack_params`).  The same code runs both: every product is
+``o @ w.swapaxes(-1, -2)`` over the leading axes, every bias gradient a sum
+over the row axis, and DNL folds the leading axes into rows for its
+per-sample generated layers.  A stack maps a shared ``(rows, in)`` input to
+``(n, rows, out)`` outputs.  Numpy takes a stacked product slice by slice,
+so each slice's results equal that network's own bit for bit.
 """
 
 from __future__ import annotations
@@ -53,21 +63,24 @@ def _as_batch(x):
 def _stack_forward(params: MlpParams, x, relu_last: bool):
     """Forward through all layers; ReLU after each except (optionally) the last.
 
-    Returns (output, pre-activations, layer inputs).
+    Returns (output, pre-activations, layer inputs).  The bias is added in
+    place: the same sums without a second output-sized array.
     """
     pres, inputs = [], []
     o = x
     n = len(params.weights)
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(o)
-        h = o @ w.T + b
+        h = o @ w.swapaxes(-1, -2)
+        h += b[..., None, :]
         pres.append(h)
         o = np.maximum(h, 0.0) if (l < n - 1 or relu_last) else h
     return o, pres, inputs
 
 
-def _stack_backward(params: MlpParams, pres, inputs, d_out, relu_last: bool):
-    """Gradients for a stack given upstream d_out; returns (MlpParams grads, d_input)."""
+def _stack_backward(params: MlpParams, pres, inputs, d_out, relu_last: bool, input_grad: bool):
+    """Gradients for a stack given upstream d_out; returns (MlpParams grads,
+    d_input), with d_input None unless `input_grad`."""
     n = len(params.weights)
     gws = [None] * n
     gbs = [None] * n
@@ -75,16 +88,15 @@ def _stack_backward(params: MlpParams, pres, inputs, d_out, relu_last: bool):
     for l in range(n - 1, -1, -1):
         if l < n - 1 or relu_last:
             d = d * (pres[l] >= 0.0)
-        gws[l] = d.T @ inputs[l]
-        gbs[l] = d.sum(axis=0)
-        d = d @ params.weights[l]
-    return MlpParams(gws, gbs), d
+        gws[l] = d.swapaxes(-1, -2) @ inputs[l]
+        gbs[l] = d.sum(axis=-2)
+        if l or input_grad:
+            d = d @ params.weights[l]
+    return MlpParams(gws, gbs), d if input_grad else None
 
 
-def _pattern(pres, rows):
+def _pattern(pres):
     """The layers' activation bits side by side: 1.0 where the pre-activation is >= 0."""
-    if not pres:
-        return np.zeros((rows, 0))
     return (np.concatenate(pres, axis=-1) >= 0.0).astype(float)
 
 
@@ -115,7 +127,7 @@ class MlpParams:
 
     @property
     def dims(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+        return [self.weights[0].shape[-1]] + [w.shape[-2] for w in self.weights]
 
     @staticmethod
     def _init(dims, rng, **_):
@@ -147,9 +159,9 @@ class MlpParams:
         out, pres, inputs = _stack_forward(self, x, relu_last=False)
         return out, pres[:-1], (pres, inputs)
 
-    def _grads(self, cache, d):
+    def _grads(self, cache, d, input_grad):
         pres, inputs = cache
-        return _stack_backward(self, pres, inputs, d, relu_last=False)
+        return _stack_backward(self, pres, inputs, d, False, input_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +181,7 @@ class DeluParams:
 
     @property
     def dims(self) -> list[int]:
-        return self.hidden.dims + [self.head.shape[0]]
+        return self.hidden.dims + [self.head.shape[-2]]
 
     @staticmethod
     def _init(dims, rng, *, aux_hidden, **_):
@@ -197,15 +209,17 @@ class DeluParams:
 
     def _run(self, x):
         h, pres, inputs = _stack_forward(self.hidden, x, relu_last=True)
-        bias, aux_pres, aux_inputs = _stack_forward(self.aux, _pattern(pres, len(x)), relu_last=False)
-        return h @ self.head.T + bias, pres, (pres, inputs, h, aux_pres, aux_inputs)
+        bias, aux_pres, aux_inputs = _stack_forward(self.aux, _pattern(pres), relu_last=False)
+        out = h @ self.head.swapaxes(-1, -2)
+        out += bias
+        return out, pres, (pres, inputs, h, aux_pres, aux_inputs)
 
-    def _grads(self, cache, d):
+    def _grads(self, cache, d, input_grad):
         pres, inputs, h, aux_pres, aux_inputs = cache
-        hidden, d_in = _stack_backward(self.hidden, pres, inputs, d @ self.head, relu_last=True)
+        hidden, d_in = _stack_backward(self.hidden, pres, inputs, d @ self.head, True, input_grad)
         # pattern bits are locally constant: nothing flows from aux back to x
-        aux, _ = _stack_backward(self.aux, aux_pres, aux_inputs, d, relu_last=False)
-        return DeluParams(hidden, d.T @ h, aux), d_in
+        aux, _ = _stack_backward(self.aux, aux_pres, aux_inputs, d, False, False)
+        return DeluParams(hidden, d.swapaxes(-1, -2) @ h, aux), d_in
 
 
 # ---------------------------------------------------------------------------
@@ -254,33 +268,42 @@ class DnlParams:
 
     def _run(self, x):
         o, pres, inputs = _stack_forward(self.lower, x, relu_last=True)
-        flat, hyper_pres, hyper_inputs = _stack_forward(self.hyper, _pattern(pres, len(x)), relu_last=False)
-        ws, bs = _split_flat(flat, self.higher_dims)
+        flat, hyper_pres, hyper_inputs = _stack_forward(self.hyper, _pattern(pres), relu_last=False)
+        # the generated layers are per sample: the leading axes fold into rows
+        lead = flat.shape[:-1]
+        ws, bs = _split_flat(flat.reshape(-1, flat.shape[-1]), self.higher_dims)
         n = len(ws)
-        hs, os = [], [o]
+        hs, os = [], [o.reshape(-1, o.shape[-1])]
         for l in range(n):
-            h = np.einsum("boi,bi->bo", ws[l], os[-1]) + bs[l]
+            h = np.einsum("boi,bi->bo", ws[l], os[-1])
+            h += bs[l]
             hs.append(h)
             os.append(np.maximum(h, 0.0) if l < n - 1 else h)
-        return os[-1], pres, (pres, inputs, hyper_pres, hyper_inputs, ws, hs, os)
+        out = os[-1].reshape(*lead, -1)
+        return out, pres, (pres, inputs, hyper_pres, hyper_inputs, ws, hs, os)
 
-    def _grads(self, cache, d):
+    def _grads(self, cache, d, input_grad):
         pres, inputs, hyper_pres, hyper_inputs, ws, hs, os = cache
-        # backward through the generated layers, collecting per-sample param grads
+        lead = hyper_pres[-1].shape[:-1]
+        # backward through the generated layers, writing the per-sample param
+        # grads into one buffer laid out as the hypernetwork output
+        d = d.reshape(-1, d.shape[-1])
+        d_flat = np.empty((len(d), hyper_pres[-1].shape[-1]))
+        gws, gbs = _split_flat(d_flat, self.higher_dims)
         n = len(ws)
-        d_flat = []
         for l in range(n - 1, -1, -1):
             if l < n - 1:
                 d = d * (hs[l] >= 0.0)
-            d_flat[:0] = [np.einsum("bo,bi->boi", d, os[l]).reshape(len(d), -1), d]
+            np.einsum("bo,bi->boi", d, os[l], out=gws[l])
+            gbs[l][...] = d
             d = np.einsum("boi,bo->bi", ws[l], d)
-        hyper, _ = _stack_backward(self.hyper, hyper_pres, hyper_inputs, np.concatenate(d_flat, axis=1), relu_last=False)
-        lower, d_in = _stack_backward(self.lower, pres, inputs, d, relu_last=True)
+        hyper, _ = _stack_backward(self.hyper, hyper_pres, hyper_inputs, d_flat.reshape(*lead, -1), False, False)
+        lower, d_in = _stack_backward(self.lower, pres, inputs, d.reshape(*lead, -1), True, input_grad)
         return DnlParams(lower, hyper, self.higher_dims), d_in
 
 
 def _split_flat(flat, higher_dims):
-    """Per-sample weight/bias views of the hypernetwork output."""
+    """Per-sample weight/bias views of a (rows, hypernetwork outputs) array."""
     ws, bs = [], []
     off = 0
     for n_in, n_out in zip(higher_dims[:-1], higher_dims[1:]):
@@ -323,11 +346,11 @@ def init_params(arch: str, dims, rng, *, lower_layers=1, hyper_hidden=(32, 32), 
 @dataclass
 class Gradients:
     """Parameter gradients (same container type and shapes as the
-    differentiated parameters), the input gradient, and the network output
-    of the forward pass they came from."""
+    differentiated parameters), the input gradient (None when not asked
+    for), and the network output of the forward pass they came from."""
 
     params: MlpParams | DeluParams | DnlParams
-    input: np.ndarray
+    input: np.ndarray | None
     output: np.ndarray
 
 
@@ -338,8 +361,8 @@ def forward_with_pattern(params, x):
     pre-activations: a training step never reads it."""
     xb, single = _as_batch(x)
     out, gates, _ = params._run(xb)
-    pattern = _pattern(gates, len(xb))
-    return (out[0], pattern[0]) if single else (out, pattern)
+    pattern = _pattern(gates) if gates else np.zeros((*out.shape[:-1], 0))
+    return (out[..., 0, :], pattern[..., 0, :]) if single else (out, pattern)
 
 
 def forward(params, x):
@@ -347,21 +370,24 @@ def forward(params, x):
     return forward_with_pattern(params, x)[0]
 
 
-def backward(params, x, upstream) -> Gradients:
+def backward(params, x, upstream, *, input_grad: bool = True) -> Gradients:
     """Exact reverse-mode gradients; the activation pattern is held fixed.
 
     `upstream` is d(loss)/d(output), either as an array shaped like the
     output or as a function ``output -> d(loss)/d(output)``; the second form
     lets a training step take its prediction and its gradient from one
-    forward pass.  The output is returned as ``Gradients.output``.
+    forward pass.  The output is returned as ``Gradients.output``.  With
+    ``input_grad=False`` the input gradient is not computed (training
+    discards it).
     """
     xb, single = _as_batch(x)
     out, _, cache = params._run(xb)
     if callable(upstream):
-        upstream = upstream(out[0] if single else out)
-    grads, d_in = params._grads(cache, _as_batch(upstream)[0])
+        upstream = upstream(out[..., 0, :] if single else out)
+    upstream = np.asarray(upstream, dtype=float)
+    grads, d_in = params._grads(cache, upstream[..., None, :] if single else upstream, input_grad)
     if single:
-        return Gradients(params=grads, input=d_in[0], output=out[0])
+        return Gradients(params=grads, input=None if d_in is None else d_in[..., 0, :], output=out[..., 0, :])
     return Gradients(params=grads, input=d_in, output=out)
 
 
@@ -375,7 +401,19 @@ def param_arrays(params) -> list:
 
 
 def input_dim(params) -> int:
-    return param_arrays(params)[0].shape[1]
+    return param_arrays(params)[0].shape[-1]
+
+
+def stack_params(nets):
+    """One network of the architecture and shapes of `nets` whose every
+    parameter array holds theirs along a new leading axis, net j in slice j."""
+    return nets[0]._rebuild(iter([np.stack(group) for group in zip(*map(param_arrays, nets))]))
+
+
+def unstack_params(stack) -> list:
+    """The networks of a stack, each a view of its slice."""
+    arrays = param_arrays(stack)
+    return [stack._rebuild(a[j] for a in arrays) for j in range(len(arrays[0]))]
 
 
 def flatten_params(params) -> np.ndarray:

@@ -29,7 +29,7 @@ from persuade.game import (
 )
 from persuade.learning import EgConfig, TrainConfig, find_local_ne, mse, sample_dataset, split_dataset, train
 from persuade.lp import OPTIMAL, solve_lp
-from persuade.neural import backward, flatten_params, init_params
+from persuade.neural import backward, flatten_params, init_params, stack_params
 from persuade.reductions import (
     BimatrixGame,
     PublicPersuasionInstance,
@@ -212,14 +212,14 @@ def test_criterion_7_expressivity_ordering():
     cfg = TrainConfig(epochs=50, batch_size=512, learning_rate=0.01, seed=202)
     held_out = {}
     for arch in ("relu", "delu", "dnl"):
-        per_sender = []
-        for j in range(game.n_senders):
-            params = init_params(
+        stack = stack_params([
+            init_params(
                 arch, [8, 24, 24, 24, 1], substream(202, f"init:{arch}:{j}"), hyper_hidden=(24,), aux_hidden=(24, 24)
             )
-            params, _ = train(params, train_split, cfg, sender=j)
-            per_sender.append(mse(params, val_split.inputs, val_split.utilities[:, [j]]))
-        held_out[arch] = float(np.mean(per_sender))
+            for j in range(game.n_senders)
+        ])
+        stack, _ = train(stack, train_split, cfg)
+        held_out[arch] = float(np.mean(mse(stack, val_split.inputs, val_split.utilities)))
     print(f"\nheld-out mse: {held_out}")
     assert held_out["dnl"] < held_out["delu"], "DNL must beat the pattern-bias baseline"
     assert held_out["dnl"] < held_out["relu"], "DNL must beat the plain ReLU baseline"

@@ -453,6 +453,45 @@ class TestTieRuleChoice:
         if "layer widths" not in message:       # a config value is checked before any output is written
             assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section, fields, message", [
+        ("train", {"epochs": True}, "train.epochs must be an integer of at least 1, got True"),
+        ("eg", {"restarts": True}, "eg.restarts must be an integer of at least 1, got True"),
+        ("train", {"seed": 1.5}, "train.seed must be an integer of at least 0, got 1.5"),
+        ("eg", {"seed": 1.5}, "eg.seed must be an integer of at least 0, got 1.5"),
+        ("train", {"batch_size": 0}, "train.batch_size must be an integer of at least 1, got 0"),
+        ("eg", {"steps": 2.5}, "eg.steps must be an integer of at least 1, got 2.5"),
+        ("train", {"epochs": "3"}, "train.epochs must be an integer of at least 1, got '3'"),
+        ("train", {"epoch": 1}, "unknown train field: epoch"),
+        ("eg", {"step": 1}, "unknown eg field: step"),
+    ], ids=["bool-epochs", "bool-restarts", "fractional-train-seed", "fractional-eg-seed", "zero-batch",
+            "fractional-steps", "string-epochs", "train-typo", "eg-typo"])
+    def test_bad_train_or_eg_field_is_spec_error(self, tmp_path, capsys, section, fields, message):
+        game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
+        write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
+        cfg = {"sample_count": 50, "train": {"epochs": 1}, "eg": {"steps": 1, "restarts": 1}}
+        cfg[section] = {**cfg[section], **fields}
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "run").exists()
+
+    def test_integral_float_counts_and_seeds_are_integers(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PERSUADE_CACHE", raising=False)
+        game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
+        write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
+        runs = []
+        for number in (int, float):
+            cfg = {"architectures": ["relu"], "hidden": [4], "sample_count": 60,
+                   "train": {"epochs": number(2), "batch_size": number(16), "seed": number(1)},
+                   "eg": {"steps": number(2), "restarts": number(2), "seed": number(2)}}
+            cfg_path.write_text(json.dumps(cfg))
+            run_dir = tmp_path / f"run-{number.__name__}"
+            assert run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", run_dir]) == 0
+            runs.append((run_dir / "results.json").read_text().replace(str(run_dir), ""))
+        assert runs[0] == runs[1]
+
     def test_integral_float_sample_count_is_a_count(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PERSUADE_CACHE", raising=False)
         game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"

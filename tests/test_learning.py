@@ -4,8 +4,10 @@ import pytest
 from persuade.equilibria import EPSILON_LOCAL
 from persuade.game import Lexicographic, SenderFavoring, ex_ante_utilities, ex_ante_utilities_batch
 from persuade.learning import (
+    DIVERGENCE_GUARD,
     EgConfig,
     TrainConfig,
+    TrainingDiverged,
     UtilityDataset,
     extragradient,
     find_local_ne,
@@ -16,8 +18,8 @@ from persuade.learning import (
     train,
 )
 from persuade.learning import _ascent_direction
-from persuade import neural
-from persuade.neural import flatten_params, init_params
+from persuade import learning, neural
+from persuade.neural import flatten_params, init_params, stack_params, unstack_params
 from persuade.reference import didactic_game, two_block_game, two_block_equilibrium_policies
 from persuade.rng import substream
 
@@ -69,6 +71,13 @@ class TestDataset:
         assert len(tr) == 900 and len(val) == 100
 
 
+def _fit(params, ds, cfg, sender):
+    """Train one network on one utility column of `ds`: a stack of one."""
+    column = UtilityDataset(inputs=ds.inputs, utilities=ds.utilities[:, [sender]], seed=ds.seed, game=ds.game)
+    stack, losses = train(stack_params([params]), column, cfg)
+    return unstack_params(stack)[0], losses[0]
+
+
 class TestTrain:
     def test_constant_labels_fit_to_machine_noise(self, rng):
         g = didactic_game()
@@ -76,16 +85,14 @@ class TestTrain:
         const = UtilityDataset(inputs=ds.inputs, utilities=np.full_like(ds.utilities, 0.7), seed=5, game=g)
         for arch in ("relu", "delu", "dnl"):
             params = init_params(arch, [8, 8, 8, 8, 1], substream(6, "c"), hyper_hidden=(6,), aux_hidden=(6,))
-            params, _ = train(
-                params, const, TrainConfig(epochs=30, batch_size=32, learning_rate=0.02, seed=6), sender=0
-            )
+            params, _ = _fit(params, const, TrainConfig(epochs=30, batch_size=32, learning_rate=0.02, seed=6), 0)
             assert mse(params, const.inputs, const.utilities[:, [0]]) < 1e-6, arch
 
     def test_loss_history_smoothed_non_increasing(self):
         g = didactic_game()
         ds = sample_dataset(g, 4000, LEX, seed=7)
         params = init_params("dnl", [8, 16, 16, 16, 1], substream(7, "init"), hyper_hidden=(12,))
-        _, losses = train(params, ds, TrainConfig(epochs=15, batch_size=128, seed=7), sender=1)
+        _, losses = _fit(params, ds, TrainConfig(epochs=15, batch_size=128, seed=7), 1)
         smooth = np.convolve(losses, np.ones(5) / 5, mode="valid")
         assert np.all(np.diff(smooth) <= 1e-3)
 
@@ -93,10 +100,10 @@ class TestTrain:
         g = didactic_game()
         ds = sample_dataset(g, 500, LEX, seed=8)
         cfg = TrainConfig(epochs=2, batch_size=64, seed=9)
-        p1 = init_params("relu", [8, 10, 1], substream(9, "init"))
-        p2 = init_params("relu", [8, 10, 1], substream(9, "init"))
-        t1, l1 = train(p1, ds, cfg, sender=0)
-        t2, l2 = train(p2, ds, cfg, sender=0)
+        p1 = stack_params([init_params("relu", [8, 10, 1], substream(9, f"init:{j}")) for j in range(2)])
+        p2 = stack_params([init_params("relu", [8, 10, 1], substream(9, f"init:{j}")) for j in range(2)])
+        t1, l1 = train(p1, ds, cfg)
+        t2, l2 = train(p2, ds, cfg)
         assert l1 == l2
         assert np.array_equal(flatten_params(t1), flatten_params(t2))
 
@@ -106,7 +113,29 @@ class TestTrain:
         big = UtilityDataset(inputs=ds.inputs, utilities=ds.utilities * 1e9, seed=10, game=g)
         params = init_params("relu", [8, 8, 1], substream(10, "init"))
         with pytest.raises(RuntimeError, match="diverged"):
-            train(params, big, TrainConfig(epochs=3, batch_size=64, learning_rate=10.0, seed=10), sender=0)
+            _fit(params, big, TrainConfig(epochs=3, batch_size=64, learning_rate=10.0, seed=10), 0)
+
+    def test_divergence_names_the_sender_and_the_epoch(self):
+        # only sender 1's labels are out of scale: its first epoch's loss
+        # passes the guard while sender 0 trains normally
+        g = didactic_game()
+        ds = sample_dataset(g, 200, LEX, seed=10)
+        labels = ds.utilities * np.array([1.0, 1e9])
+        skewed = UtilityDataset(inputs=ds.inputs, utilities=labels, seed=10, game=g)
+        stack = stack_params([init_params("relu", [8, 8, 1], substream(10, f"init:{j}")) for j in range(2)])
+        with pytest.raises(TrainingDiverged, match=r"^training diverged at epoch 0, sender 1: loss "):
+            train(stack, skewed, TrainConfig(epochs=3, batch_size=64, seed=10))
+        # sender 0 alone trains through all three epochs
+        _, losses = _fit(init_params("relu", [8, 8, 1], substream(10, "init:0")), skewed,
+                         TrainConfig(epochs=3, batch_size=64, seed=10), 0)
+        assert len(losses) == 3 and max(losses) < DIVERGENCE_GUARD
+
+    def test_stack_must_match_the_utility_columns(self):
+        ds = sample_dataset(didactic_game(), 50, LEX, seed=10)
+        with pytest.raises(ValueError, match="stack of 1 networks for 2 utility columns"):
+            train(stack_params([_net("relu", 10)]), ds, TrainConfig(seed=10))
+        with pytest.raises(ValueError, match="takes a stack of networks"):
+            train(_net("relu", 10), ds, TrainConfig(seed=10))
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan])
     def test_learning_rate_must_be_positive(self, rate):
@@ -121,26 +150,58 @@ class TestTrain:
         empty = UtilityDataset(inputs=ds.inputs[:0], utilities=ds.utilities[:0], seed=11, game=g)
         params = init_params("relu", [8, 8, 1], substream(11, "init"))
         with pytest.raises(ValueError):
-            train(params, empty, TrainConfig(seed=11), sender=0)
+            _fit(params, empty, TrainConfig(seed=11), 0)
 
 
-def _net(arch, seed):
-    """A small scalar net of each architecture over the didactic game's 8 inputs."""
-    return init_params(arch, [8, 8, 8, 8, 1], substream(seed, "init"), hyper_hidden=(6,), aux_hidden=(6,))
+def _net(arch, seed, inputs=8):
+    """A small scalar net of each architecture over `inputs` inputs (the didactic game's 8 by default)."""
+    return init_params(arch, [inputs, 8, 8, 8, 1], substream(seed, "init"), hyper_hidden=(6,), aux_hidden=(6,))
 
 
 class TestTrainMatchesReference:
-    """`train` against the per-step unflatten/forward/backward/flatten loop."""
+    """Each slice of the stacked `train` against the per-sender, per-step
+    unflatten/forward/backward/flatten loop."""
 
     @pytest.mark.parametrize("arch", ["relu", "delu", "dnl"])
-    def test_bit_identical_params_and_losses(self, arch):
-        ds = sample_dataset(didactic_game(), 300, LEX, seed=13)
+    @pytest.mark.parametrize("senders", [2, 3])
+    def test_bit_identical_params_and_losses(self, arch, senders, rng):
+        g = didactic_game() if senders == 2 else random_game(3, 2, 2, 2, rng)
+        ds = sample_dataset(g, 300, LEX, seed=13)
         cfg = TrainConfig(epochs=3, batch_size=64, learning_rate=0.02, seed=13)   # 300 = 4 * 64 + 44
-        trained, losses = train(_net(arch, 13), ds, cfg, sender=1)
-        ref, ref_losses = reference_train(_net(arch, 13), ds, cfg, sender=1)
-        assert np.array_equal(flatten_params(trained), flatten_params(ref))
-        assert losses == ref_losses
-        assert len(losses) == cfg.epochs
+        nets = [_net(arch, 13 + j, ds.inputs.shape[1]) for j in range(senders)]
+        trained, losses = train(stack_params(nets), ds, cfg)
+        assert len(losses) == senders
+        for j, (net, got) in enumerate(zip(nets, unstack_params(trained))):
+            ref, ref_losses = reference_train(net, ds, cfg, sender=j)
+            assert np.array_equal(flatten_params(got), flatten_params(ref)), j
+            assert losses[j] == ref_losses, j
+            assert len(ref_losses) == cfg.epochs
+
+    @pytest.mark.parametrize("arch", ["relu", "delu", "dnl"])
+    def test_one_epoch_at_criterion_7_shape(self, arch):
+        # batch 512, width 24, and a DNL hypernetwork of 24 * 24 * 2 + 24 * 2 + 24 + 1 = 1,225 outputs;
+        # 1,200 rows = 2 * 512 + 176
+        ds = sample_dataset(didactic_game(), 1200, LEX, seed=101)
+        cfg = TrainConfig(epochs=1, batch_size=512, learning_rate=0.01, seed=202)
+        nets = [init_params(arch, [8, 24, 24, 24, 1], substream(202, f"init:{arch}:{j}"),
+                            hyper_hidden=(24,), aux_hidden=(24, 24)) for j in range(2)]
+        if arch == "dnl":
+            assert nets[0].hyper.dims[-1] == 1225
+        trained, losses = train(stack_params(nets), ds, cfg)
+        for j, (net, got) in enumerate(zip(nets, unstack_params(trained))):
+            ref, ref_losses = reference_train(net, ds, cfg, sender=j)
+            assert np.array_equal(flatten_params(got), flatten_params(ref)), j
+            assert losses[j] == ref_losses, j
+
+    @pytest.mark.parametrize("arch", ["relu", "delu", "dnl"])
+    def test_stacked_mse_is_each_slice_mse(self, arch, monkeypatch):
+        monkeypatch.setattr(learning, "MSE_CHUNK", 128)      # 300 rows in three chunks
+        ds = sample_dataset(didactic_game(), 300, LEX, seed=17)
+        nets = [_net(arch, 17 + j) for j in range(2)]
+        errors = mse(stack_params(nets), ds.inputs, ds.utilities)
+        assert errors.shape == (2,)
+        for j, net in enumerate(nets):
+            assert errors[j] == mse(net, ds.inputs, ds.utilities[:, [j]])
 
     @pytest.mark.parametrize("arch, stacks", [("relu", 1), ("delu", 2), ("dnl", 2)])
     def test_one_forward_pass_per_step(self, arch, stacks, monkeypatch):
@@ -148,12 +209,12 @@ class TestTrainMatchesReference:
         orig = neural._stack_forward
 
         def counted(params, x, relu_last):
-            calls.append(x.shape[0])
+            calls.append(x.shape[-2])
             return orig(params, x, relu_last)
 
         monkeypatch.setattr(neural, "_stack_forward", counted)
         ds = sample_dataset(didactic_game(), 100, LEX, seed=14)
-        train(_net(arch, 14), ds, TrainConfig(epochs=2, batch_size=64, seed=14), sender=0)
+        train(stack_params([_net(arch, 14 + j) for j in range(2)]), ds, TrainConfig(epochs=2, batch_size=64, seed=14))
         steps = 2 * 2                               # 2 epochs of a 64-row and a 36-row batch
         assert len(calls) == stacks * steps
         assert sorted(set(calls)) == [36, 64]
@@ -161,9 +222,9 @@ class TestTrainMatchesReference:
     @pytest.mark.parametrize("arch", ["relu", "delu", "dnl"])
     def test_caller_params_untouched(self, arch):
         ds = sample_dataset(didactic_game(), 200, LEX, seed=15)
-        params = _net(arch, 15)
+        params = stack_params([_net(arch, 15 + j) for j in range(2)])
         before = flatten_params(params)
-        trained, _ = train(params, ds, TrainConfig(epochs=2, batch_size=64, seed=15), sender=0)
+        trained, _ = train(params, ds, TrainConfig(epochs=2, batch_size=64, seed=15))
         assert np.array_equal(flatten_params(params), before)
         assert not np.array_equal(flatten_params(trained), before)
         for a in neural.param_arrays(params):
@@ -171,30 +232,31 @@ class TestTrainMatchesReference:
 
 
 # Test networks: `neural.backward` calls `_run(x)` for (output, gates, cache)
-# and `_grads(cache, upstream)` for (parameter gradients, input gradient).
+# and `_grads(cache, upstream, input_grad)` for (parameter gradients, input
+# gradient).  Each stands for a stack of two senders' networks.
 
 
 class _Constant:
     def _run(self, x):
-        return np.zeros((len(x), 1)), [], x
+        return np.zeros((2, len(x), 1)), [], x
 
-    def _grads(self, x, d):
-        return None, np.zeros_like(x)
+    def _grads(self, x, d, input_grad):
+        return None, np.zeros((2, *x.shape))
 
 
-class _Bilinear:
-    """f(p1, p2) = sign * (p1 - 1/2)(p2 - 1/2) over two 1-state binary policies."""
+class _Saddle:
+    """f(p1, p2) = (p1 - 1/2)(p2 - 1/2) over two 1-state binary policies:
+    sender 0 maximises f and sender 1 maximises -f."""
 
-    def __init__(self, sign):
-        self.sign = sign
+    sign = np.array([1.0, -1.0])[:, None]
 
     def _run(self, x):
-        return self.sign * (x[:, [0]] - 0.5) * (x[:, [2]] - 0.5), [], x
+        return (self.sign * (x[:, 0] - 0.5) * (x[:, 2] - 0.5))[..., None], [], x
 
-    def _grads(self, x, d):
-        g = np.zeros_like(x)
-        g[:, 0] = self.sign * (x[:, 2] - 0.5) * d[:, 0]
-        g[:, 2] = self.sign * (x[:, 0] - 0.5) * d[:, 0]
+    def _grads(self, x, d, input_grad):
+        g = np.zeros((2, *x.shape))
+        g[:, :, 0] = self.sign * (x[:, 2] - 0.5) * d[:, :, 0]
+        g[:, :, 2] = self.sign * (x[:, 0] - 0.5) * d[:, :, 0]
         return None, g
 
 
@@ -207,7 +269,7 @@ class TestExtragradient:
 
     def test_zero_gradient_is_fixed_point(self, rng):
         init = rng.normal(size=(2, 2, 2))
-        pol = extragradient([_Constant(), _Constant()], init, EgConfig(steps=25, restarts=1, seed=0))
+        pol = extragradient(_Constant(), init, EgConfig(steps=25, restarts=1, seed=0))
         assert np.allclose(pol, softmax_rows(init), atol=1e-15)
 
     def test_exact_ne_logits_returned_unchanged(self):
@@ -216,13 +278,13 @@ class TestExtragradient:
         g = two_block_game()
         prof = two_block_equilibrium_policies()
         logits = np.log(prof + 1e-12)
-        pol = extragradient([_Constant(), _Constant()], logits, EgConfig(steps=10, restarts=1, seed=0))
+        pol = extragradient(_Constant(), logits, EgConfig(steps=10, restarts=1, seed=0))
         assert np.allclose(pol, prof, atol=1e-11)
         u = ex_ante_utilities(g, pol, SenderFavoring())[0]
         assert np.allclose(u, [0.3, 0.3], atol=1e-9)
 
     def test_saddle_contracts_where_simultaneous_ascent_does_not(self):
-        surrogates = [_Bilinear(+1), _Bilinear(-1)]
+        surrogates = _Saddle()
         init = np.array([[[0.4, -0.4]], [[0.3, -0.3]]])
         d0 = float(np.linalg.norm(softmax_rows(init)[:, 0, 0] - 0.5))
         cfg = EgConfig(steps=200, learning_rate=0.3, restarts=1, seed=0)
@@ -238,8 +300,8 @@ class TestExtragradient:
         g = didactic_game()
         ds = sample_dataset(g, 400, LEX, seed=12)
         params = init_params("relu", [8, 10, 1], substream(12, "init"))
-        params, _ = train(params, ds, TrainConfig(epochs=2, batch_size=64, seed=12), sender=0)
-        nets = [params, params]
+        params, _ = _fit(params, ds, TrainConfig(epochs=2, batch_size=64, seed=12), 0)
+        nets = stack_params([params, params])
         init = rng.normal(size=(2, 2, 2))
         cfg = EgConfig(steps=15, restarts=1, seed=0)
         assert np.array_equal(extragradient(nets, init, cfg), extragradient(nets, init, cfg))
@@ -252,24 +314,29 @@ class TestExtragradient:
                 for j in range(2)]
         init = substream(16, "logits").normal(size=(restarts, 2, 3, 2))
         cfg = EgConfig(steps=20, learning_rate=0.1, restarts=restarts, seed=0)
-        got = extragradient(nets, init, cfg)
+        got = extragradient(stack_params(nets), init, cfg)
         ref = reference_extragradient(nets, init, cfg)
         assert got.shape == init.shape
         assert np.abs(got - ref).max() <= 1e-12
         if restarts == 1:
             assert np.array_equal(got, ref)
-            assert np.array_equal(extragradient(nets, init[0], cfg), ref[0])
+            assert np.array_equal(extragradient(stack_params(nets), init[0], cfg), ref[0])
+
+    def test_one_network_per_sender(self):
+        nets = stack_params([_net("relu", 18, 4) for _ in range(3)])
+        with pytest.raises(ValueError, match="one network per sender"):
+            extragradient(nets, np.zeros((2, 1, 2)), EgConfig(steps=1, restarts=1, seed=0))
 
     def test_nonfinite_gradient_aborts(self):
         class Broken:
             def _run(self, x):
-                return np.zeros((len(x), 1)), [], x
+                return np.zeros((2, len(x), 1)), [], x
 
-            def _grads(self, x, d):
-                return None, np.full_like(x, np.nan)
+            def _grads(self, x, d, input_grad):
+                return None, np.full((2, *x.shape), np.nan)
 
         with pytest.raises(RuntimeError):
-            extragradient([Broken(), Broken()], np.zeros((2, 1, 2)), EgConfig(steps=1, restarts=1, seed=0))
+            extragradient(Broken(), np.zeros((2, 1, 2)), EgConfig(steps=1, restarts=1, seed=0))
 
 
 class TestPipeline:

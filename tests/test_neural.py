@@ -14,8 +14,11 @@ from persuade.neural import (
     forward_with_pattern,
     init_params,
     load_params,
+    param_arrays,
     save_params,
+    stack_params,
     unflatten_params,
+    unstack_params,
 )
 from persuade.neural import _split_flat, _stack_forward
 
@@ -381,6 +384,62 @@ class TestPiecewiseLinearity:
             if done >= 10:
                 break
         assert done >= 3
+
+
+NETS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: init_params("relu", [5, 8, 8, 2], rng),
+        lambda rng: init_params("delu", [5, 8, 8, 2], rng, aux_hidden=(6,)),
+        lambda rng: init_params("dnl", [5, 8, 8, 8, 2], rng, hyper_hidden=(6, 6)),
+    ],
+    ids=["relu", "delu", "dnl"],
+)
+
+
+class TestStacks:
+    """A stack computes, slice by slice, what each of its networks computes alone."""
+
+    @NETS
+    def test_slices_bit_identical_to_each_network(self, make, rng):
+        nets = [make(rng) for _ in range(3)]
+        stack = stack_params(nets)
+        for x in (rng.normal(size=5), rng.normal(size=(7, 5))):
+            up = rng.normal(size=(3, *forward(nets[0], x).shape))
+            out, pattern = forward_with_pattern(stack, x)
+            g = backward(stack, x, up)
+            assert out.shape == up.shape
+            for j, net in enumerate(nets):
+                o, r = forward_with_pattern(net, x)
+                gj = backward(net, x, up[j])
+                assert np.array_equal(out[j], o) and np.array_equal(pattern[j], r)
+                assert np.array_equal(g.output[j], gj.output)
+                assert np.array_equal(g.input[j], gj.input)
+                for a, b in zip(param_arrays(g.params), param_arrays(gj.params)):
+                    assert np.array_equal(a[j], b)
+
+    @NETS
+    def test_input_gradient_skipped_on_request(self, make, rng):
+        params = make(rng)
+        X, up = rng.normal(size=(7, 5)), rng.normal(size=(7, 2))
+        full = backward(params, X, up)
+        lean = backward(params, X, up, input_grad=False)
+        assert lean.input is None
+        assert np.array_equal(lean.output, full.output)
+        assert np.array_equal(flatten_params(lean.params), flatten_params(full.params))
+
+    def test_unstacked_slices_are_views_and_checkpoint_as_networks(self, rng, tmp_path):
+        nets = [init_params("dnl", [4, 6, 6, 2], rng, hyper_hidden=(5,)) for _ in range(2)]
+        stack = stack_params(nets)
+        parts = unstack_params(stack)
+        assert len(parts) == 2
+        for j, (net, part) in enumerate(zip(nets, parts)):
+            assert np.array_equal(flatten_params(part), flatten_params(net))
+            assert all(np.shares_memory(a, b) for a, b in zip(param_arrays(part), param_arrays(stack)))
+            save_params(tmp_path / f"net{j}.json", part)
+            assert np.array_equal(flatten_params(load_params(tmp_path / f"net{j}.json")), flatten_params(net))
+            save_params(tmp_path / "alone.json", net)
+            assert (tmp_path / f"net{j}.json").read_text() == (tmp_path / "alone.json").read_text()
 
 
 class TestCheckpoints:

@@ -11,7 +11,7 @@ import pytest
 from persuade.game import Lexicographic
 from persuade import learning
 from persuade.learning import EgConfig, TrainConfig, mse, sample_dataset, train
-from persuade.neural import init_params
+from persuade.neural import init_params, stack_params
 from persuade.reference import didactic_game
 from persuade.rng import substream
 
@@ -57,20 +57,24 @@ def test_learning_calls_the_traced_network_entry_points(arch, monkeypatch):
     from bench_trace import Tracer
 
     ds = sample_dataset(didactic_game(), 300, Lexicographic(), seed=3)
-    params = init_params(arch, [8, 8, 8, 8, 1], substream(3, "init"), hyper_hidden=(6,), aux_hidden=(6,))
+    params = stack_params(
+        [init_params(arch, [8, 8, 8, 8, 1], substream(3, f"init:{j}"), hyper_hidden=(6,), aux_hidden=(6,))
+         for j in range(2)]
+    )
     tracer = Tracer()
     tracer.install()
     try:
-        trained, _ = train(params, ds, TrainConfig(epochs=3, batch_size=64, seed=3), sender=0)
-        mse(trained, ds.inputs, ds.utilities[:, [0]])
-        learning.extragradient([trained, trained], np.zeros((3, 2, 2, 2)), EgConfig(steps=4, restarts=3, seed=3))
+        trained, _ = train(params, ds, TrainConfig(epochs=3, batch_size=64, seed=3))
+        mse(trained, ds.inputs, ds.utilities)
+        learning.extragradient(trained, np.zeros((3, 2, 2, 2)), EgConfig(steps=4, restarts=3, seed=3))
     finally:
         tracer.uninstall()
-    # 3 epochs of 5 batches (4 x 64 + 44 rows); then 3 restarts in one extra-gradient call:
-    # 4 steps x 2 evaluations x 2 senders, each one call over all 3 restarts
+    # 3 epochs of 5 batches (4 x 64 + 44 rows), each one call for both senders; then 3 restarts
+    # in one extra-gradient call: 4 steps x 2 evaluations, each one call over both senders and
+    # all 3 restarts
     assert tracer.calls["learning.extragradient"] == 1
-    assert tracer.calls["neural.backward"] == 3 * 5 + 4 * 2 * 2
-    assert tracer.counts["neural.backward.rows"] == 3 * 300 + 4 * 2 * 2 * 3
+    assert tracer.calls["neural.backward"] == 3 * 5 + 4 * 2
+    assert tracer.counts["neural.backward.rows"] == 3 * 300 + 4 * 2 * 3
     assert tracer.calls["neural.forward"] == 1
     assert tracer.counts["neural.forward.rows"] == 300
 
