@@ -319,16 +319,26 @@ def _integer(value, field: str, least: int) -> int:
     return number
 
 
-def _learn_section(cfg: dict, name: str, config_cls, counts, seed):
-    """The `train` or `eg` section as `config_cls`: only its fields, its counts
-    and seed integers, and the seed replaced by `--seed` when given."""
+def _real(value, field: str) -> float:
+    """A config rate, constant or radius: a finite int or float; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise SpecError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _learn_section(cfg: dict, name: str, config_cls, seed):
+    """The `train` or `eg` section as `config_cls`: only its fields, the seed replaced by
+    `--seed` when given, each float field a finite number and each int field an integer,
+    at least 1 for a count and at least 0 for the seed."""
     doc = dict(_require(cfg, name))
-    _reject_unknown(doc, [f.name for f in dataclasses.fields(config_cls)], name)
+    defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+    _reject_unknown(doc, defaults, name)
     if seed is not None:
         doc["seed"] = seed
-    for key in (*counts, "seed"):
-        if key in doc:
-            doc[key] = _integer(doc[key], f"{name}.{key}", 1 if key in counts else 0)
+    for key, value in doc.items():
+        where = f"{name}.{key}"
+        is_real = isinstance(defaults[key], float)
+        doc[key] = _real(value, where) if is_real else _integer(value, where, 0 if key == "seed" else 1)
     return config_cls(**doc)
 
 
@@ -344,10 +354,10 @@ def cmd_learn(args) -> int:
         kind = _require(spec, "kind")
         game = _generate(kind, spec, spec.get("seed", 0 if args.seed is None else args.seed))
         file_tie, game_label = None, f"generator:{kind}"
-    train_cfg = _learn_section(cfg, "train", TrainConfig, ("epochs", "batch_size"), args.seed)
-    eg_cfg = _learn_section(cfg, "eg", EgConfig, ("steps", "restarts"), args.seed)
+    train_cfg = _learn_section(cfg, "train", TrainConfig, args.seed)
+    eg_cfg = _learn_section(cfg, "eg", EgConfig, args.seed)
     tie = _tie_rule(args, file_tie, cfg.get("tie"))
-    eps = args.eps if args.eps is not None else float(cfg.get("eps", DEFAULT_LOCAL_EPS))
+    eps = args.eps if args.eps is not None else _real(cfg.get("eps", DEFAULT_LOCAL_EPS), "eps")
     sample_count = _integer(cfg.get("sample_count", 50_000), "sample_count", 1)
     archs = cfg.get("architectures", ["dnl"])
     if not isinstance(archs, list) or not archs or not all(isinstance(a, str) for a in archs):
@@ -404,12 +414,13 @@ def cmd_reduce_public(args) -> int:
     with open(args.source) as fh:
         src = json.load(fh)
     pub = PublicPersuasionInstance(
-        k=_require(src, "k"),
         prior=np.asarray(_require(src, "prior"), dtype=float),
         gaps=np.asarray(_require(src, "gaps"), dtype=float),
         u_plus=np.asarray(_require(src, "u_plus"), dtype=float),
         u_minus=np.asarray(_require(src, "u_minus"), dtype=float),
     )
+    if _require(src, "k") != pub.k:
+        raise SpecError(f"k is {src['k']!r}, but gaps has {pub.k} rows")
     if args.C is not None or args.N is not None or args.M is not None:
         if None in (args.C, args.N, args.M):
             raise SpecError("give all of --C/--N/--M or none")

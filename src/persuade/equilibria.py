@@ -645,13 +645,7 @@ def full_revelation_profile(game: GameInstance) -> tuple[np.ndarray, RevelationC
         )
 
     n, S = game.n_senders, game.signals
-    zeta = []
-    if n == 1:
-        zeta = [(0,)]
-    else:
-        for prefix in itertools.product(range(S), repeat=n - 1):
-            last = (-sum(prefix)) % S
-            zeta.append(prefix + (last,))
+    zeta = [prefix + ((-sum(prefix)) % S,) for prefix in itertools.product(range(S), repeat=n - 1)]
     assignment = {a: zeta[k] for k, a in enumerate(used)}
 
     policies = np.zeros((n, game.states, S))

@@ -237,39 +237,51 @@ def _read_only(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GameInstance:
-    """A multi-sender persuasion game with identical per-sender signal alphabets."""
+    """A multi-sender persuasion game with identical per-sender signal alphabets.  Only the
+    alphabet is stated; `n_senders`, `states` and `actions` are read from the arrays."""
 
-    n_senders: int
-    states: int
     signals: int
-    actions: int
     prior: np.ndarray                 # (states,)
     receiver_utility: np.ndarray      # (states, actions)
-    sender_utilities: tuple           # n arrays, each (states, actions)
+    sender_utilities: tuple           # n_senders arrays, each (states, actions)
     meta: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "prior", _read_only(self.prior))
         object.__setattr__(self, "receiver_utility", _read_only(self.receiver_utility))
         object.__setattr__(self, "sender_utilities", tuple(_read_only(u) for u in self.sender_utilities))
-        for name in ("n_senders", "states", "signals", "actions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.prior.shape != (self.states,):
-            raise ValueError(f"prior shape {self.prior.shape} != ({self.states},)")
+        if self.signals < 1:
+            raise ValueError(f"signals must be >= 1, got {self.signals}")
+        if self.prior.ndim != 1 or self.prior.size == 0:
+            raise ValueError(f"prior must be a non-empty vector, got shape {self.prior.shape}")
         if not (np.all(self.prior >= 0) and abs(self.prior.sum() - 1.0) <= 1e-12):
             raise ValueError("prior must be nonnegative and sum to 1 within 1e-12")
-        if self.receiver_utility.shape != (self.states, self.actions):
-            raise ValueError("receiver_utility shape mismatch")
-        if len(self.sender_utilities) != self.n_senders:
-            raise ValueError("need one utility matrix per sender")
+        v = self.receiver_utility
+        if v.ndim != 2 or v.shape[0] != self.prior.size or v.shape[1] < 1:
+            raise ValueError(f"receiver_utility must be ({self.prior.size}, actions >= 1), a row per prior entry, got {v.shape}")
+        if not self.sender_utilities:
+            raise ValueError("need at least one sender")
         for u in self.sender_utilities:
-            if u.shape != (self.states, self.actions):
-                raise ValueError("sender utility shape mismatch")
+            if u.shape != v.shape:
+                raise ValueError(f"sender utility shape {u.shape} != receiver_utility shape {v.shape}")
         if not np.all(np.isfinite(self.receiver_utility)) or not all(
             np.all(np.isfinite(u)) for u in self.sender_utilities
         ):
             raise ValueError("utilities must be finite")
+
+    # the sizes the arrays state; read-only, as a frozen game rejects every assignment
+
+    @cached_property
+    def n_senders(self) -> int:
+        return len(self.sender_utilities)
+
+    @cached_property
+    def states(self) -> int:
+        return self.prior.shape[0]
+
+    @cached_property
+    def actions(self) -> int:
+        return self.receiver_utility.shape[1]
 
     @property
     def n_joint_signals(self) -> int:

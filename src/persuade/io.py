@@ -74,15 +74,16 @@ def read_game(path) -> tuple[GameInstance, TieRule | None]:
     doc = _load(path)
     if doc.get("format") != GAME_FORMAT:
         raise ValueError(f"{path} is not a {GAME_FORMAT} file")
+    # the stated sizes must fit the arrays: n_senders here, states and actions by the reshape and GameInstance
     shape = (doc["states"], doc["actions"])
+    utilities = doc["sender_utilities"]
+    if doc["n_senders"] != len(utilities):
+        raise ValueError(f"n_senders is {doc['n_senders']!r}, but the file has {len(utilities)} sender utilities")
     game = GameInstance(
-        n_senders=doc["n_senders"],
-        states=doc["states"],
         signals=doc["signals"],
-        actions=doc["actions"],
         prior=np.asarray(doc["prior"], dtype=float),
         receiver_utility=np.asarray(doc["receiver_utility"], dtype=float).reshape(shape),
-        sender_utilities=tuple(np.asarray(u, dtype=float).reshape(shape) for u in doc["sender_utilities"]),
+        sender_utilities=tuple(np.asarray(u, dtype=float).reshape(shape) for u in utilities),
     )
     tie = tie_rule_from_dict(doc["tie_rule"]) if "tie_rule" in doc else None
     if tie is not None:
@@ -209,7 +210,7 @@ def load_or_sample_dataset(game: GameInstance, count: int, tie: TieRule, seed: i
     path = cached_dataset_path(game, count, tie, seed)
     if path and os.path.exists(path):
         with np.load(path) as z:
-            return UtilityDataset(inputs=z["inputs"], utilities=z["utilities"], seed=seed, game=game)
+            return UtilityDataset(inputs=z["inputs"], utilities=z["utilities"], game=game)
     ds = sample_dataset(game, count, tie, seed)
     if path:
         np.savez_compressed(path, inputs=ds.inputs, utilities=ds.utilities)

@@ -75,7 +75,6 @@ class UtilityDataset:
 
     inputs: np.ndarray        # (M, n * states * signals)
     utilities: np.ndarray     # (M, n_senders)
-    seed: int
     game: GameInstance = field(repr=False)
 
     def __len__(self) -> int:
@@ -98,9 +97,7 @@ def sample_dataset(game: GameInstance, count: int, tie: TieRule, seed: int) -> U
     draws = rng.exponential(1.0, size=(count, game.n_senders, game.states, game.signals))
     draws /= _sum_last(draws)[..., None]
     labels = ex_ante_utilities_batch(game, draws, tie)
-    return UtilityDataset(
-        inputs=draws.reshape(count, -1), utilities=labels, seed=seed, game=game
-    )
+    return UtilityDataset(inputs=draws.reshape(count, -1), utilities=labels, game=game)
 
 
 def split_dataset(dataset: UtilityDataset, val_fraction: float, seed: int):
@@ -110,7 +107,7 @@ def split_dataset(dataset: UtilityDataset, val_fraction: float, seed: int):
     perm = substream(seed, "split").permutation(m)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     mk = lambda idx: UtilityDataset(
-        inputs=dataset.inputs[idx], utilities=dataset.utilities[idx], seed=dataset.seed, game=dataset.game
+        inputs=dataset.inputs[idx], utilities=dataset.utilities[idx], game=dataset.game
     )
     return mk(train_idx), mk(val_idx)
 

@@ -27,10 +27,10 @@ class PublicPersuasionInstance:
 
     ``gaps[j, w]`` is receiver j's utility advantage of + over - in state w
     (within [-1, 1]); ``u_plus``/``u_minus`` are the sender's utilities in
-    [0, 1] when receiver j takes + or -.
+    [0, 1] when receiver j takes + or -.  The sizes come from the arrays:
+    `k` is the number of rows of `gaps`, `states` the length of `prior`.
     """
 
-    k: int
     prior: np.ndarray          # (states,)
     gaps: np.ndarray           # (k, states)
     u_plus: np.ndarray         # (k, states)
@@ -40,20 +40,23 @@ class PublicPersuasionInstance:
         object.__setattr__(self, "prior", np.asarray(self.prior, dtype=float))
         for name in ("gaps", "u_plus", "u_minus"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        states = self.prior.size
-        if self.k < 1:
-            raise ValueError("need at least one receiver")
         # every check is phrased so that NaN fails it
         if not (abs(self.prior.sum() - 1.0) <= 1e-12 and np.all(self.prior >= 0)):
             raise ValueError("prior must be a distribution")
+        if self.gaps.ndim != 2 or self.k < 1:
+            raise ValueError("gaps must be (k, states), with at least one receiver")
         for name in ("gaps", "u_plus", "u_minus"):
-            if getattr(self, name).shape != (self.k, states):
+            if getattr(self, name).shape != (self.k, self.states):
                 raise ValueError(f"{name} must be (k, states)")
         if not np.all(np.abs(self.gaps) <= 1 + 1e-12):
             raise ValueError("utility gaps must lie in [-1, 1]")
         for u in (self.u_plus, self.u_minus):
             if not np.all((u >= -1e-12) & (u <= 1 + 1e-12)):
                 raise ValueError("sender utilities must lie in [0, 1]")
+
+    @property
+    def k(self) -> int:
+        return self.gaps.shape[0]
 
     @property
     def states(self) -> int:
@@ -141,10 +144,7 @@ def public_to_best_response(
     u1[:, 2 * k] = -params.C                   # the responder dreads a_inf everywhere
 
     game = GameInstance(
-        n_senders=2,
-        states=states,
         signals=k,
-        actions=actions,
         prior=prior,
         receiver_utility=V,
         sender_utilities=(u1, np.zeros((states, actions))),
@@ -244,10 +244,7 @@ def bimatrix_to_persuasion(bg: BimatrixGame) -> tuple[GameInstance, FixedMap]:
     u1[1] = [0.0, 0.0, 1.0, 1.0]          # bit of player 1 in a_{b1 b2}
     u2[1] = [0.0, 1.0, 0.0, 1.0]
     game = GameInstance(
-        n_senders=2,
-        states=2,
         signals=m,
-        actions=4,
         prior=np.array([0.5, 0.5]),
         receiver_utility=np.zeros((2, 4)),
         sender_utilities=(u1, u2),

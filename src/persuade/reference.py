@@ -15,10 +15,7 @@ def didactic_game(prior=(0.5, 0.5)) -> GameInstance:
     enough to inspect by hand or on a grid.
     """
     return GameInstance(
-        n_senders=2,
-        states=2,
         signals=2,
-        actions=2,
         prior=np.asarray(prior, dtype=float),
         receiver_utility=np.array([[1.0, 0.0], [0.0, 1.0]]),
         sender_utilities=(
@@ -58,10 +55,7 @@ def two_block_game(signals: int = 4) -> GameInstance:
     u1 = np.zeros((4, 4))
     u1[:, 2] = 1.0
     return GameInstance(
-        n_senders=2,
-        states=4,
         signals=signals,
-        actions=4,
         prior=prior,
         receiver_utility=V,
         sender_utilities=(u0, u1),

@@ -50,10 +50,7 @@ def synthetic_instance(spec: SyntheticSpec) -> GameInstance:
     V = rng.normal(0.0, scale, size=(spec.states, spec.actions))
     senders = tuple(rng.normal(0.0, scale, size=(spec.states, spec.actions)) for _ in range(spec.n_senders))
     return GameInstance(
-        n_senders=spec.n_senders,
-        states=spec.states,
         signals=spec.signals,
-        actions=spec.actions,
         prior=prior,
         receiver_utility=V,
         sender_utilities=senders,
@@ -82,10 +79,7 @@ def quality_ads_instance(n: int, seed: int, *, signals: int = 2, shock_std: floa
         V[w, :n] = np.asarray(qs) + shocks
     senders = tuple(np.tile((np.arange(n + 1) == i).astype(float), (states, 1)) for i in range(n))
     return GameInstance(
-        n_senders=n,
-        states=states,
         signals=signals,
-        actions=n + 1,
         prior=np.full(states, 1.0 / states),
         receiver_utility=V,
         sender_utilities=senders,
@@ -132,10 +126,7 @@ def product_ads_instance(
         u[:, i] = float(prices[i])
         senders.append(u)
     return GameInstance(
-        n_senders=n,
-        states=states,
         signals=signals,
-        actions=n + 1,
         prior=np.full(states, 1.0 / states),
         receiver_utility=V,
         sender_utilities=tuple(senders),
@@ -193,10 +184,7 @@ def ride_hailing_instance(
     u1[:, :m] = margins[:m]
     u2[:, m:total] = margins[m:]
     return GameInstance(
-        n_senders=2,
-        states=states,
         signals=m + 1,
-        actions=total + 1,
         prior=np.full(states, 1.0 / states),
         receiver_utility=V,
         sender_utilities=(u1, u2),

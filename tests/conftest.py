@@ -44,10 +44,7 @@ from persuade.rng import substream
 
 def random_game(n, states, signals, actions, rng, scale=1.0) -> GameInstance:
     return GameInstance(
-        n_senders=n,
-        states=states,
         signals=signals,
-        actions=actions,
         prior=rng.dirichlet(np.ones(states)),
         receiver_utility=rng.normal(0.0, scale, (states, actions)),
         sender_utilities=tuple(rng.normal(0.0, scale, (states, actions)) for _ in range(n)),

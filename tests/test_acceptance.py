@@ -137,7 +137,6 @@ def test_criterion_4_best_response_matches_grid_oracle():
 def test_criterion_5_reduction_identities():
     rng = np.random.default_rng(51)
     pub = PublicPersuasionInstance(
-        k=3,
         prior=rng.dirichlet(np.ones(4)),
         gaps=rng.uniform(-1, 1, (3, 4)),
         u_plus=rng.uniform(0, 1, (3, 4)),

@@ -77,7 +77,7 @@ class TestBestResponseExact:
 
     def test_constant_utility_sender(self, rng):
         g = GameInstance(
-            2, 2, 2, 2, [0.5, 0.5], rng.normal(size=(2, 2)),
+            2, [0.5, 0.5], rng.normal(size=(2, 2)),
             (np.full((2, 2), 0.4), rng.normal(size=(2, 2))),
         )
         br = best_response_exact(g, 0, [random_profile(g, rng)[1]], LEX)
@@ -431,13 +431,13 @@ class TestBestResponseFixedInterpretation:
         # two states, identity receiver utility: demanding action 1 everywhere
         # is never credible once signal (0,.) reveals state 0
         g = GameInstance(
-            1, 2, 2, 2, [0.5, 0.5], np.eye(2), (np.ones((2, 2)),),
+            2, [0.5, 0.5], np.eye(2), (np.ones((2, 2)),),
         )
         br = best_response_fixed_interpretation(g, 0, [], FixedMap(table=(1, 1)))
         # the sender CAN pool everything on posteriors favoring action 1? prior is
         # uniform, so expected utilities tie and action 1 is weakly optimal; make
         # state 0 strictly more likely to break the tie against the interpretation
-        g2 = GameInstance(1, 2, 2, 2, [0.7, 0.3], np.eye(2), (np.ones((2, 2)),))
+        g2 = GameInstance(2, [0.7, 0.3], np.eye(2), (np.ones((2, 2)),))
         br2 = best_response_fixed_interpretation(g2, 0, [], FixedMap(table=(1, 1)))
         assert not br2.feasible
         assert br.feasible  # uniform prior keeps the tie, so 'always 1' stays credible
@@ -490,7 +490,7 @@ class TestFullRevelation:
 
     def test_checksum_code_three_senders_three_signals(self):
         g = unique_optimum_game(seed=11, n_choices=(3,), dim_cap=3)
-        g = GameInstance(3, g.states, 3, g.actions, g.prior, g.receiver_utility, g.sender_utilities)
+        g = GameInstance(3, g.prior, g.receiver_utility, g.sender_utilities)
         _, cert = full_revelation_profile(g)
         assert len(cert.zeta) == 9
         for a, b in itertools.combinations(cert.zeta, 2):
@@ -511,16 +511,30 @@ class TestFullRevelation:
             rep = verify_nash(g, prof, LEX)
             assert rep.verdict == EXACT, f"game seed {500 + k} refuted"
 
+    def test_one_sender_with_one_optimal_action(self):
+        # the empty prefix is the only one, so the code is the single codeword (0,)
+        V = np.array([[1.0, 0.0], [2.0, 0.5], [3.0, -1.0]])
+        g = GameInstance(3, [0.2, 0.3, 0.5], V, (np.arange(6.0).reshape(3, 2),))
+        prof, cert = full_revelation_profile(g)
+        assert cert.zeta == ((0,),)
+        assert cert.assignment == {0: (0,)}
+        assert prof.shape == (1, 3, 3) and np.all(prof[..., 0] == 1.0) and prof.sum() == 3.0   # all on signal 0
+
+    def test_one_sender_with_two_optimal_actions_rejected(self):
+        g = GameInstance(2, [0.5, 0.5], np.eye(2), (np.eye(2),))
+        with pytest.raises(PreconditionError, match="capacity"):
+            full_revelation_profile(g)
+
     def test_tied_state_named_in_error(self):
         V = np.array([[1.0, 1.0], [0.0, 1.0]])
-        g = GameInstance(2, 2, 2, 2, [0.5, 0.5], V, (V, V))
+        g = GameInstance(2, [0.5, 0.5], V, (V, V))
         with pytest.raises(PreconditionError, match="state 0"):
             full_revelation_profile(g)
 
     def test_capacity_shortfall_rejected(self):
         # 4 distinct optimal actions but only 2 codewords at |S|=2, n=2
         V = np.eye(4)
-        g = GameInstance(2, 4, 2, 4, [0.25] * 4, V, (V, V))
+        g = GameInstance(2, [0.25] * 4, V, (V, V))
         with pytest.raises(PreconditionError, match="capacity"):
             full_revelation_profile(g)
 

@@ -83,7 +83,7 @@ class TestPosterior:
         assert post.marginal == pytest.approx(0.3)
 
     def test_single_sender_hand_computed(self):
-        g = GameInstance(1, 2, 2, 2, [0.5, 0.5], np.eye(2), (np.eye(2),))
+        g = GameInstance(2, [0.5, 0.5], np.eye(2), (np.eye(2),))
         pol = np.array([[[1.0, 0.0], [0.5, 0.5]]])
         post = posterior(g, pol, (0,))
         assert np.allclose(post.mu, [2 / 3, 1 / 3])
@@ -106,7 +106,7 @@ class TestReceiverBestActions:
         assert SF.best_actions(g, np.array([[0.5, 0.5, 0.0, 0.0]]))[0] == 0
 
     def test_all_zero_utility_lexicographic(self):
-        g = GameInstance(1, 2, 2, 3, [0.5, 0.5], np.zeros((2, 3)), (np.zeros((2, 3)),))
+        g = GameInstance(2, [0.5, 0.5], np.zeros((2, 3)), (np.zeros((2, 3)),))
         assert LEX.best_actions(g, np.array([[0.3, 0.7]]))[0] == 0
 
     def test_fixed_map_rejected(self):
@@ -161,7 +161,7 @@ class TestActionMajorDecision:
         r = np.random.default_rng(seed)
         base = random_game(2, states, 2, 2, r)
         cols = r.integers(0, 2, size=actions)
-        g = GameInstance(2, states, 2, actions, base.prior, base.receiver_utility[:, cols],
+        g = GameInstance(2, base.prior, base.receiver_utility[:, cols],
                          tuple(u[:, cols] for u in base.sender_utilities))
         mu = np.vstack([np.eye(states), r.dirichlet(np.ones(states), size=20)])
         assert_same_actions(g, mu, r)
@@ -176,11 +176,11 @@ class TestActionMajorDecision:
         pair = np.array([low, top])
         flat = np.zeros((1, 2))
         if tier == "value":        # one state: the expected value is the utility
-            g, mu, ties = GameInstance(1, 1, 2, 2, [1.0], pair[None], (flat,)), np.ones((1, 1)), (LEX, SF)
+            g, mu, ties = GameInstance(2, [1.0], pair[None], (flat,)), np.ones((1, 1)), (LEX, SF)
         elif tier == "score":      # receiver indifferent; one sender's utility is the score
-            g, mu, ties = GameInstance(1, 1, 2, 2, [1.0], flat, (pair[None],)), np.ones((1, 1)), (SF,)
+            g, mu, ties = GameInstance(2, [1.0], flat, (pair[None],)), np.ones((1, 1)), (SF,)
         else:                      # point-mass optima on the two states; the posterior is the mass
-            g = GameInstance(1, 2, 2, 2, [0.5, 0.5], 0.5 * np.eye(2), (np.zeros((2, 2)),))
+            g = GameInstance(2, [0.5, 0.5], 0.5 * np.eye(2), (np.zeros((2, 2)),))
             mu, ties = pair[None], (SF,)
         for tie in ties:
             got = tie.best_actions(g, mu)
@@ -208,7 +208,7 @@ class TestActionMajorDecision:
         base = random_game(2, 3, 2, 4, r)
         prior, v = base.prior.copy(), base.receiver_utility.copy()
         us = tuple(u.copy() for u in base.sender_utilities)
-        g = GameInstance(2, 3, 2, 4, prior, v, us)
+        g = GameInstance(2, prior, v, us)
         prof = random_profile(g, r)
         before = {tie: ex_ante_utilities(g, prof, tie) for tie in (LEX, SF)}
         for arr in (g.prior, g.receiver_utility, *g.sender_utilities):
@@ -226,7 +226,7 @@ class TestActionMajorDecision:
         # action 0 is optimal on state 1 only within 1e-6, so a TIE_TOL of
         # 1e-5 gives it all the mass and the pick changes from 1 to 0
         p = 1e-6 / (1 + 1e-6)
-        g = GameInstance(1, 2, 2, 2, [0.5, 0.5], [[1.0, 0.0], [1.0 - 1e-6, 1.0]], (np.zeros((2, 2)),))
+        g = GameInstance(2, [0.5, 0.5], [[1.0, 0.0], [1.0 - 1e-6, 1.0]], (np.zeros((2, 2)),))
         mu = np.array([[p, 1.0 - p]])
         assert SF.best_actions(g, mu)[0] == 1
         monkeypatch.setattr(persuade.game, "TIE_TOL", 1e-5)
@@ -262,7 +262,7 @@ class TestExAnteUtilities:
 
     def test_constant_utility_sender(self, rng):
         g = GameInstance(
-            2, 3, 2, 3, [0.2, 0.3, 0.5], rng.normal(size=(3, 3)), (np.full((3, 3), 1.7), rng.normal(size=(3, 3)))
+            2, [0.2, 0.3, 0.5], rng.normal(size=(3, 3)), (np.full((3, 3), 1.7), rng.normal(size=(3, 3)))
         )
         for _ in range(5):
             senders, _ = ex_ante_utilities(g, random_profile(g, rng), LEX)
@@ -388,7 +388,7 @@ class TestFixedInterpretation:
 
     def test_constant_interpretation_hand_sum(self):
         g = GameInstance(
-            2, 2, 2, 2, [0.3, 0.7],
+            2, [0.3, 0.7],
             np.zeros((2, 2)),
             (np.array([[2.0, 0.0], [4.0, 0.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])),
         )
@@ -435,7 +435,7 @@ class TestFixedInterpretation:
 
 class TestSampling:
     def test_deterministic_game_unique_playthrough(self):
-        g = GameInstance(2, 2, 2, 2, [1.0, 0.0], np.eye(2), (np.eye(2), np.eye(2)))
+        g = GameInstance(2, [1.0, 0.0], np.eye(2), (np.eye(2), np.eye(2)))
         pt = sample_playthrough(g, one_hot_profile(g), LEX, rng=123)
         assert pt.state == 0 and pt.signal == (0, 0) and pt.action == 0
 
@@ -470,12 +470,12 @@ class TestSampling:
         for _ in range(300):
             g = random_game(2, 3, 2, 3, rng)
             const = np.full((3, 3), 0.7)
-            g = GameInstance(2, 3, 2, 3, g.prior, g.receiver_utility, (const, g.sender_utilities[1]))
+            g = GameInstance(2, g.prior, g.receiver_utility, (const, g.sender_utilities[1]))
             pol = random_profile(g, rng)
             var = exact_payoff_variance(g, pol, LEX)
             assert np.all(var >= 0)
             # the same kernel columns as the variance reads: E[u] and E[u^2] of sender 0
-            moments = GameInstance(2, 3, 2, 3, g.prior, g.receiver_utility, (const, const**2))
+            moments = GameInstance(2, g.prior, g.receiver_utility, (const, const**2))
             mean, square = ex_ante_utilities(moments, pol, LEX)[0]
             if square - mean**2 < 0:
                 clamped += 1
@@ -599,12 +599,12 @@ class TestValidation:
 
     def test_prior_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            GameInstance(1, 2, 2, 2, [0.6, 0.6], np.eye(2), (np.eye(2),))
+            GameInstance(2, [0.6, 0.6], np.eye(2), (np.eye(2),))
 
     @pytest.mark.parametrize("prior", [[np.nan, 1.0], [np.nan, np.nan]])
     def test_nan_prior_rejected(self, prior):
         with pytest.raises(ValueError, match="prior"):
-            GameInstance(2, 2, 2, 2, prior, np.eye(2), (np.eye(2), np.eye(2)))
+            GameInstance(2, prior, np.eye(2), (np.eye(2), np.eye(2)))
 
     @pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
     def test_nan_policy_rejected(self, entry):
@@ -621,5 +621,32 @@ class TestValidation:
             ex_ante_utilities(g, pol, LEX)
 
     def test_shapes_must_match_dims(self):
-        with pytest.raises(ValueError):
-            GameInstance(1, 2, 2, 2, [0.5, 0.5], np.eye(3), (np.eye(2),))
+        # the arrays must agree with each other: no stated size can disagree with them
+        with pytest.raises(ValueError, match="receiver_utility"):
+            GameInstance(2, [0.5, 0.5], np.eye(3), (np.eye(2),))
+        with pytest.raises(ValueError, match="sender utility shape"):
+            GameInstance(2, [0.5, 0.5], np.eye(2), (np.eye(2), np.ones((2, 3))))
+        with pytest.raises(ValueError, match="prior must be a non-empty vector"):
+            GameInstance(2, [[0.5, 0.5]], np.eye(2), (np.eye(2),))
+        with pytest.raises(ValueError, match="prior must be a non-empty vector"):
+            GameInstance(2, [], np.zeros((0, 2)), (np.zeros((0, 2)),))
+        with pytest.raises(ValueError, match="receiver_utility"):
+            GameInstance(2, [0.5, 0.5], [1.0, 0.0], ([1.0, 0.0],))
+        with pytest.raises(ValueError, match="receiver_utility"):
+            GameInstance(2, [0.5, 0.5], np.zeros((2, 0)), (np.zeros((2, 0)),))
+        with pytest.raises(ValueError, match="at least one sender"):
+            GameInstance(2, [0.5, 0.5], np.eye(2), ())
+        with pytest.raises(ValueError, match="signals"):
+            GameInstance(0, [0.5, 0.5], np.eye(2), (np.eye(2),))
+
+    def test_sizes_are_read_from_the_arrays(self):
+        g = GameInstance(4, [0.2, 0.3, 0.5], np.zeros((3, 5)), (np.zeros((3, 5)),) * 2)
+        assert (g.n_senders, g.states, g.signals, g.actions, g.n_joint_signals) == (2, 3, 4, 5, 16)
+        for name in ("n_senders", "states", "actions"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 7)
+            assert type(getattr(g, name)) is int
+        for name in ("n_senders", "states", "actions"):    # no compatibility path for the old keywords
+            with pytest.raises(TypeError, match=name):
+                GameInstance(signals=2, prior=[1.0], receiver_utility=[[0.0]], sender_utilities=([[0.0]],),
+                             **{name: 1})

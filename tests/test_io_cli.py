@@ -119,7 +119,7 @@ class TestCliCommands:
     def test_full_reveal_precondition_exit(self, tmp_path):
         V = np.array([[1.0, 1.0], [0.0, 1.0]])
         g = random_game(2, 2, 2, 2, np.random.default_rng(0))
-        g = type(g)(2, 2, 2, 2, g.prior, V, g.sender_utilities)
+        g = type(g)(2, g.prior, V, g.sender_utilities)
         path = tmp_path / "tied.json"
         write_game(path, g)
         assert run_cli(["exact", "full-reveal", "--game", path, "--out", tmp_path / "fr.json"]) == 2
@@ -159,7 +159,7 @@ class TestCliCommands:
 
     def test_best_response_infeasible_interpretation(self, tmp_path):
         # state 0 is more likely, so no policy keeps "always action 1" credible
-        g = GameInstance(1, 2, 2, 2, [0.7, 0.3], np.eye(2), (np.ones((2, 2)),))
+        g = GameInstance(2, [0.7, 0.3], np.eye(2), (np.ones((2, 2)),))
         game_path, pol_path, out = tmp_path / "g.json", tmp_path / "p.json", tmp_path / "br.json"
         write_game(game_path, g, tie=FixedMap(table=(1, 1)))
         write_policies(pol_path, np.full((1, 2, 2), 0.5))
@@ -187,6 +187,26 @@ class TestCliCommands:
         assert run_cli(["exact", "best-response", "--game", game_path, "--policy", pol_path,
                         "--sender", 2, "--out", tmp_path / "br.json"]) == 2
         assert "policy file has 3 senders, the game has 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes, message", [
+        ({"n_senders": 3}, "n_senders is 3, but the file has 2 sender utilities"),
+        ({"n_senders": 1}, "n_senders is 1, but the file has 2 sender utilities"),
+        ({"states": 3}, "cannot reshape"),
+        ({"actions": 2}, "cannot reshape"),
+        ({"states": 3, "actions": 2}, "receiver_utility must be (2, actions >= 1)"),
+    ], ids=["more-senders", "fewer-senders", "states", "actions", "states-vs-prior"])
+    def test_game_file_sizes_must_match_its_arrays(self, tmp_path, capsys, rng, sizes, message):
+        # the file of a 2-sender, 2-state, 3-action game, with some stated sizes changed
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        g = random_game(2, 2, 2, 3, rng)
+        write_game(game_path, g)
+        game_path.write_text(json.dumps({**json.loads(game_path.read_text()), **sizes}))
+        write_policies(pol_path, random_profile(g, rng))
+        code = run_cli(["exact", "verify", "--game", game_path, "--policy", pol_path, "--out", tmp_path / "r.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -440,8 +460,11 @@ class TestTieRuleChoice:
          "layer widths must be at least 1, got hyper_hidden [0]"),
         ({"architectures": ["delu"], "hidden": [4], "aux_hidden": [0]},
          "layer widths must be at least 1, got aux_hidden [0]"),
+        ({"eps": True}, "eps must be a finite number, got True"),
+        ({"eps": "0.01"}, "eps must be a finite number, got '0.01'"),
+        ({"eps": float("nan")}, "eps must be a finite number, got nan"),
     ], ids=["no-architectures", "architectures-string", "unknown-architecture", "fractional-count", "bool-count", "zero-count",
-            "zero-hidden", "zero-hyper-hidden", "zero-aux-hidden"])
+            "zero-hidden", "zero-hyper-hidden", "zero-aux-hidden", "bool-eps", "string-eps", "nan-eps"])
     def test_bad_learn_config_value_is_spec_error(self, tmp_path, capsys, cfg, message):
         game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
         write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
@@ -463,8 +486,15 @@ class TestTieRuleChoice:
         ("train", {"epochs": "3"}, "train.epochs must be an integer of at least 1, got '3'"),
         ("train", {"epoch": 1}, "unknown train field: epoch"),
         ("eg", {"step": 1}, "unknown eg field: step"),
+        ("train", {"learning_rate": True}, "train.learning_rate must be a finite number, got True"),
+        ("train", {"eps_adam": True}, "train.eps_adam must be a finite number, got True"),
+        ("eg", {"learning_rate": True}, "eg.learning_rate must be a finite number, got True"),
+        ("train", {"learning_rate": "0.01"}, "train.learning_rate must be a finite number, got '0.01'"),
+        ("eg", {"learning_rate": "0.1"}, "eg.learning_rate must be a finite number, got '0.1'"),
+        ("train", {"beta1": float("inf")}, "train.beta1 must be a finite number, got inf"),
     ], ids=["bool-epochs", "bool-restarts", "fractional-train-seed", "fractional-eg-seed", "zero-batch",
-            "fractional-steps", "string-epochs", "train-typo", "eg-typo"])
+            "fractional-steps", "string-epochs", "train-typo", "eg-typo", "bool-train-rate", "bool-adam-eps",
+            "bool-eg-rate", "string-train-rate", "string-eg-rate", "inf-beta1"])
     def test_bad_train_or_eg_field_is_spec_error(self, tmp_path, capsys, section, fields, message):
         game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
         write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
@@ -607,6 +637,18 @@ class TestLearnAndReport:
         assert rows["dnl"]["validation_mse"] < min(rows["relu"]["validation_mse"],
                                                    rows["delu"]["validation_mse"])
         assert all(r["eps"] == 0.005 for r in rows.values())    # flag default
+
+    def test_reduce_public_k_must_match_gaps(self, tmp_path, capsys):
+        doc = {"k": 2, "prior": [0.4, 0.6], "gaps": [[0.5, -0.5], [-0.25, 0.75]],
+               "u_plus": [[0.9, 0.1], [0.3, 0.8]], "u_minus": [[0.2, 0.6], [0.5, 0.25]]}
+        src = tmp_path / "pub.json"
+        src.write_text(json.dumps(doc))
+        assert run_cli(["reduce", "public", "--source", src, "--out", tmp_path / "ok.json"]) == 0
+        capsys.readouterr()
+        src.write_text(json.dumps({**doc, "k": 3}))
+        assert run_cli(["reduce", "public", "--source", src, "--out", tmp_path / "bad.json"]) == 2
+        assert "k is 3, but gaps has 2 rows" in capsys.readouterr().err
+        assert not (tmp_path / "bad.json").exists()
 
     def test_reduce_rejects_non_binary_matrix(self, tmp_path):
         src = tmp_path / "bad.json"

@@ -73,7 +73,7 @@ class TestDataset:
 
 def _fit(params, ds, cfg, sender):
     """Train one network on one utility column of `ds`: a stack of one."""
-    column = UtilityDataset(inputs=ds.inputs, utilities=ds.utilities[:, [sender]], seed=ds.seed, game=ds.game)
+    column = UtilityDataset(inputs=ds.inputs, utilities=ds.utilities[:, [sender]], game=ds.game)
     stack, losses = train(stack_params([params]), column, cfg)
     return unstack_params(stack)[0], losses[0]
 
@@ -82,7 +82,7 @@ class TestTrain:
     def test_constant_labels_fit_to_machine_noise(self, rng):
         g = didactic_game()
         ds = sample_dataset(g, 2000, LEX, seed=5)
-        const = UtilityDataset(inputs=ds.inputs, utilities=np.full_like(ds.utilities, 0.7), seed=5, game=g)
+        const = UtilityDataset(inputs=ds.inputs, utilities=np.full_like(ds.utilities, 0.7), game=g)
         for arch in ("relu", "delu", "dnl"):
             params = init_params(arch, [8, 8, 8, 8, 1], substream(6, "c"), hyper_hidden=(6,), aux_hidden=(6,))
             params, _ = _fit(params, const, TrainConfig(epochs=30, batch_size=32, learning_rate=0.02, seed=6), 0)
@@ -110,7 +110,7 @@ class TestTrain:
     def test_divergence_guard(self):
         g = didactic_game()
         ds = sample_dataset(g, 200, LEX, seed=10)
-        big = UtilityDataset(inputs=ds.inputs, utilities=ds.utilities * 1e9, seed=10, game=g)
+        big = UtilityDataset(inputs=ds.inputs, utilities=ds.utilities * 1e9, game=g)
         params = init_params("relu", [8, 8, 1], substream(10, "init"))
         with pytest.raises(RuntimeError, match="diverged"):
             _fit(params, big, TrainConfig(epochs=3, batch_size=64, learning_rate=10.0, seed=10), 0)
@@ -121,7 +121,7 @@ class TestTrain:
         g = didactic_game()
         ds = sample_dataset(g, 200, LEX, seed=10)
         labels = ds.utilities * np.array([1.0, 1e9])
-        skewed = UtilityDataset(inputs=ds.inputs, utilities=labels, seed=10, game=g)
+        skewed = UtilityDataset(inputs=ds.inputs, utilities=labels, game=g)
         stack = stack_params([init_params("relu", [8, 8, 1], substream(10, f"init:{j}")) for j in range(2)])
         with pytest.raises(TrainingDiverged, match=r"^training diverged at epoch 0, sender 1: loss "):
             train(stack, skewed, TrainConfig(epochs=3, batch_size=64, seed=10))
@@ -147,7 +147,7 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         g = didactic_game()
         ds = sample_dataset(g, 10, LEX, seed=11)
-        empty = UtilityDataset(inputs=ds.inputs[:0], utilities=ds.utilities[:0], seed=11, game=g)
+        empty = UtilityDataset(inputs=ds.inputs[:0], utilities=ds.utilities[:0], game=g)
         params = init_params("relu", [8, 8, 1], substream(11, "init"))
         with pytest.raises(ValueError):
             _fit(params, empty, TrainConfig(seed=11), 0)

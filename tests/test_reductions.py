@@ -24,7 +24,6 @@ LEX = Lexicographic()
 
 def random_pub(k, states, rng):
     return PublicPersuasionInstance(
-        k=k,
         prior=rng.dirichlet(np.ones(states)),
         gaps=rng.uniform(-1, 1, (k, states)),
         u_plus=rng.uniform(0, 1, (k, states)),
@@ -73,7 +72,22 @@ class TestPublicReduction:
         fields = {name: np.array(getattr(pub, name)) for name in ("prior", "gaps", "u_plus", "u_minus")}
         fields[field].flat[0] = np.nan
         with pytest.raises(ValueError):
-            PublicPersuasionInstance(k=2, **fields)
+            PublicPersuasionInstance(**fields)
+
+    def test_k_is_read_from_gaps(self, rng):
+        pub = random_pub(3, 2, rng)
+        assert (pub.k, pub.states) == (3, 2)
+        with pytest.raises(TypeError, match="k"):
+            PublicPersuasionInstance(k=3, prior=pub.prior, gaps=pub.gaps, u_plus=pub.u_plus, u_minus=pub.u_minus)
+
+    @pytest.mark.parametrize("field, shape", [("gaps", (2,)), ("gaps", (2, 3)), ("gaps", (0, 2)),
+                                              ("u_plus", (2, 2)), ("u_minus", (3, 3))])
+    def test_arrays_must_share_one_k_by_states_shape(self, rng, field, shape):
+        pub = random_pub(3, 2, rng)
+        fields = {name: getattr(pub, name) for name in ("prior", "gaps", "u_plus", "u_minus")}
+        fields[field] = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"^{field} must be \(k, states\)"):
+            PublicPersuasionInstance(**fields)
 
 
 class TestPubSenderUtility:
@@ -85,7 +99,6 @@ class TestPubSenderUtility:
     def test_uninformative_all_plus(self, rng):
         k, states = 3, 4
         pub = PublicPersuasionInstance(
-            k=k,
             prior=rng.dirichlet(np.ones(states)),
             gaps=np.full((k, states), 1.0),
             u_plus=rng.uniform(0, 1, (k, states)),
@@ -97,7 +110,6 @@ class TestPubSenderUtility:
 
     def test_full_revelation_hand_case(self):
         pub = PublicPersuasionInstance(
-            k=2,
             prior=np.array([0.4, 0.6]),
             gaps=np.array([[0.5, -0.5], [-0.25, 0.75]]),
             u_plus=np.array([[0.9, 0.1], [0.3, 0.8]]),
@@ -112,7 +124,7 @@ class TestPubSenderUtility:
         for trial in range(5):
             pub = random_pub(1, 2, rng)
             game = GameInstance(
-                1, 2, 3, 2, pub.prior,
+                3, pub.prior,
                 np.stack([pub.gaps[0], np.zeros(2)], axis=1),
                 (np.stack([pub.u_plus[0], pub.u_minus[0]], axis=1),),
             )
