@@ -14,15 +14,23 @@ and are flattened to a single index with sender 0 most significant:
 ``index = s_1 * S^(n-1) + ... + s_n``.
 
 One batched kernel (`_batch_pass`) evaluates single profiles and datasets
-alike.  Its receiver decision is action-major: expected values, tie masks
-and tie-break scores are (actions, posteriors) arrays, so each max and
-threshold is an elementwise numpy call across the action planes, and the
-lowest-index pick is an argmax over the leading axis.  Only exact steps
-(max, compare, select, index, copy) use that layout, so the actions equal
-a posterior-major decision's bit for bit.  Per-game constants (utilities as
-contiguous (actions, states) tables, the sender-favoring rule's weighted
-utility and point-mass table) are built on first use and then kept; a
-game's arrays are read-only copies, so the constants cannot go stale.
+alike.  The pass's rows are its innermost, contiguous axis: from one
+transposed copy of the profiles it builds the joint-signal weights as
+(states, S^n, rows) planes, the marginals as (S^n, rows) planes and the
+posteriors as (states, M) planes, and the receiver decision makes expected
+values, tie masks and tie-break scores (actions, M) planes.  So every numpy
+call runs over whole planes, not over the few states of one posterior.  The
+lowest-index pick is a max over rank-weighted planes, and the
+sender-favoring tiers run only on the posteriors that do not tie exactly
+one action.  Each weight is the product `product_weights` forms, in the
+same order, and each later step is the same exact operation, so the labels
+equal those of the posterior-major oracle bit for bit; the weights and
+actions go back to (rows, S^n, states) once per pass, so that the utility
+sums add in their usual order.  Per-game constants (utilities as contiguous
+(actions, states) tables, the rank planes, the sender-favoring rule's
+weighted utility and point-mass table) are built on first use and then
+kept; a game's arrays are read-only copies, so the constants cannot go
+stale.
 
 `TIE_TOL` and `DEFAULT_TERM_CAP` are module constants, read when a function runs.
 """
@@ -49,16 +57,17 @@ class CapError(ValueError):
 
 # ---------------------------------------------------------------------------
 # tie-breaking rules: each class holds its file `kind`, JSON form, `--tie` `flag`,
-# `check` against a game, and `actions` at every joint signal of the weights `q`
+# `check` against a game, and `actions` at every joint signal of the weight planes `w`
 
 
 class _PosteriorRule:
     """The receiver takes an action optimal at the posterior; `_break_ties` picks one.
 
-    Values and masks are action-major (see the module docstring): (actions, M),
-    one contiguous plane per action.  The lowest-index pick stays one argmax
-    call over the leading axis; a max over rank-weighted planes took less time
-    per batch but three more numpy calls, which a one-posterior call notices.
+    The decision runs on (states, M) posterior planes, one contiguous row of M
+    posteriors per state (see the module docstring): expected values, masks
+    and scores are (actions, M) planes, the lowest-index pick is
+    :func:`_lowest`, a max over rank-weighted planes, and sender-favoring
+    runs its tie tiers only on the posteriors that tie other than one action.
     """
 
     def to_dict(self) -> dict:
@@ -71,14 +80,19 @@ class _PosteriorRule:
     def check(self, game: GameInstance) -> None:
         """Raise ValueError unless the rule fits `game`.  Only a FixedMap returns something: its table."""
 
-    def actions(self, game: GameInstance, q: np.ndarray, joint=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """``(actions, live)`` at the joint signals of `q`, (..., S^n, states) from :func:`product_weights`
-        or its rows at the flat indices `joint`; `live` marks those of positive probability.  A dead
-        joint signal has the zero posterior, which ties every action, so it gets action 0."""
-        marg = _sum_last(q)
-        live = marg > 0
-        mu = np.where(live[..., None], q / np.maximum(marg[..., None], 1e-300), 0.0)
-        return self.best_actions(game, mu.reshape(-1, game.states)).reshape(marg.shape), live
+    def actions(self, game: GameInstance, w: np.ndarray, joint=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """``(actions, live)``, both (S^n, rows), at the joint signals of the (states, S^n, rows)
+        weight planes `w` from :func:`_weight_planes` (`joint` names their flat indices when they
+        are not all of them); `live` marks those of positive probability.  A dead joint signal has
+        the zero posterior, which ties every action, so it gets action 0."""
+        marg = w.sum(axis=0)        # whole state planes added in state order
+        live = marg >= 1e-300
+        if live.all():
+            mu = w / marg
+        else:                       # dead or subnormal marginals
+            live = marg > 0
+            mu = np.where(live, w / np.maximum(marg, 1e-300), 0.0)
+        return self._decide(game, mu.reshape(game.states, -1)).reshape(marg.shape), live
 
     def best_actions(self, game: GameInstance, posteriors: np.ndarray) -> np.ndarray:
         """Receiver-optimal action (within `TIE_TOL` of the best) for each row of the (M, states)
@@ -86,14 +100,21 @@ class _PosteriorRule:
         mu = np.asarray(posteriors, dtype=float)
         if mu.ndim < 2:
             mu = mu.reshape(1, -1)
-        exp_v = _planes(mu @ game.receiver_utility)
+        return self._decide(game, np.ascontiguousarray(mu.T))
+
+    def _decide(self, game: GameInstance, mu: np.ndarray) -> np.ndarray:
+        """The action at each column of the (states, M) posterior planes `mu`."""
+        exp_v = game.receiver_utility.T @ mu
         tied = exp_v >= np.maximum.reduce(exp_v) - TIE_TOL
         return self._break_ties(game, mu, tied)
 
 
-def _planes(values: np.ndarray) -> np.ndarray:
-    """The (M, actions) `values` as contiguous (actions, M) planes."""
-    return np.ascontiguousarray(values.T)
+def _lowest(game: GameInstance, mask: np.ndarray) -> np.ndarray:
+    """``np.argmax(mask, axis=0)`` of an (actions, M) bool `mask`: the lowest index of each
+    column's True entries, 0 for a column without one.  A max over the planes weighted by
+    rank ``actions - a`` finds it with whole-plane calls."""
+    rank, pick = game._lowest_index
+    return pick.take(np.maximum.reduce(mask * rank))
 
 
 def _sum_last(a: np.ndarray) -> np.ndarray:
@@ -118,7 +139,7 @@ class Lexicographic(_PosteriorRule):
     flag: ClassVar[str] = "lex"
 
     def _break_ties(self, game, mu, tied):
-        return np.argmax(tied, axis=0)
+        return _lowest(game, tied)
 
 
 @dataclass(frozen=True)
@@ -153,10 +174,11 @@ class SenderFavoring(_PosteriorRule):
         if self.weights is not None and len(self.weights) != game.n_senders:
             raise ValueError("need one weight per sender")
 
-    def _constants(self, game: GameInstance) -> tuple[np.ndarray, np.ndarray]:
-        """``(weighted, point_mass)``, both (states, actions) and computed once per game, rule
-        and `TIE_TOL`: the weighted sum of the sender utilities, and 1.0 where an action is
-        receiver-optimal at the point-mass belief on a state."""
+    def _constants(self, game: GameInstance) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(weighted, point_mass, bound)``, computed once per game, rule and `TIE_TOL`: the
+        weighted sum of the sender utilities and 1.0 where an action is receiver-optimal at the
+        point-mass belief on a state, both (states, actions), and ``states * max(1, |weighted|)``,
+        which bounds the tiers' values per unit of the largest |posterior entry|."""
         key = (self, TIE_TOL)
         got = game._rule_constants.get(key)
         if got is None:
@@ -165,16 +187,30 @@ class SenderFavoring(_PosteriorRule):
             weighted = sum(float(wj) * uj for wj, uj in zip(w, game.sender_utilities))
             v = game.receiver_utility
             point_mass = (v >= v.max(axis=1, keepdims=True) - TIE_TOL).astype(float)
-            got = game._rule_constants[key] = (weighted, point_mass)
+            bound = game.states * float(np.max(np.abs(weighted), initial=1.0))
+            got = game._rule_constants[key] = (weighted, point_mass, bound)
         return got
 
     def _break_ties(self, game, mu, tied):
-        weighted, point_mass = self._constants(game)
-        score = np.where(tied, _planes(mu @ weighted), -np.inf)
-        best = score >= np.maximum.reduce(score) - TIE_TOL
-        mass = np.where(best, _planes(mu @ point_mass), -np.inf)
-        final = mass >= np.maximum.reduce(mass) - TIE_TOL
-        return np.argmax(final, axis=0)
+        weighted, point_mass, bound = self._constants(game)
+
+        def leaders(mu, tied):      # the tied actions that lead the score tier, then the point-mass tier
+            score = np.where(tied, weighted.T @ mu, -np.inf)
+            best = score >= np.maximum.reduce(score) - TIE_TOL
+            mass = np.where(best, point_mass.T @ mu, -np.inf)
+            return mass >= np.maximum.reduce(mass) - TIE_TOL
+
+        # The tiers run only where other than one action ties: a lone tied action leads both
+        # tiers unless its score or mass is -inf or NaN, which cannot happen while every
+        # posterior entry is below 1e300 / bound in size.
+        open_ = np.add.reduce(tied) != 1
+        if open_.all() or not (bound * mu.max() < 1e300 and bound * -mu.min() < 1e300):
+            return _lowest(game, leaders(mu, tied))
+        actions = _lowest(game, tied)
+        cols = np.nonzero(open_)[0]
+        if cols.size:
+            actions[cols] = _lowest(game, leaders(mu[:, cols], tied[:, cols]))
+        return actions
 
 
 @dataclass(frozen=True)
@@ -212,9 +248,9 @@ class FixedMap:
             raise ValueError("interpretation contains out-of-range actions")
         return self._table
 
-    def actions(self, game: GameInstance, q: np.ndarray, joint=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        marg = _sum_last(q)
-        return np.broadcast_to(self._table[joint], marg.shape), marg > 0
+    def actions(self, game: GameInstance, w: np.ndarray, joint=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        marg = w.sum(axis=0)
+        return np.broadcast_to(self._table[joint][:, None], marg.shape), marg > 0
 
     def best_actions(self, game, posteriors):
         raise ValueError("FixedMap interprets joint signals directly; it cannot rank posteriors")
@@ -250,6 +286,9 @@ class GameInstance:
         object.__setattr__(self, "prior", _read_only(self.prior))
         object.__setattr__(self, "receiver_utility", _read_only(self.receiver_utility))
         object.__setattr__(self, "sender_utilities", tuple(_read_only(u) for u in self.sender_utilities))
+        if isinstance(self.signals, bool) or not isinstance(self.signals, (int, np.integer)):
+            raise ValueError(f"signals must be an integer, got {self.signals!r}")
+        object.__setattr__(self, "signals", int(self.signals))
         if self.signals < 1:
             raise ValueError(f"signals must be >= 1, got {self.signals}")
         if self.prior.ndim != 1 or self.prior.size == 0:
@@ -295,6 +334,14 @@ class GameInstance:
         """Each sender's utility, then the receiver's, as an (actions, states) array with one
         contiguous row per action for `_batch_pass` to gather."""
         return tuple(np.ascontiguousarray(u.T) for u in (*self.sender_utilities, self.receiver_utility))
+
+    @cached_property
+    def _lowest_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rank, pick)`` for `_lowest`: ``rank[a] = actions - a`` as an (actions, 1) column,
+        uint8 below 256 actions, and ``pick[r]`` the action of top rank r, with ``pick[0] = 0``
+        for a column without a True entry."""
+        rank = np.arange(self.actions, 0, -1, dtype=np.uint8 if self.actions < 256 else np.intp)
+        return rank[:, None], np.concatenate(([0], np.arange(self.actions - 1, -1, -1)))
 
     @cached_property
     def _rule_constants(self) -> dict:
@@ -408,14 +455,20 @@ def product_weights(prior: np.ndarray, policies: np.ndarray) -> np.ndarray:
     return q
 
 
-def signal_weights(game: GameInstance, policy: np.ndarray) -> np.ndarray:
-    """Unnormalized posterior weights q[s, w] = prior(w) * prod_j pi_j(s_j | w).
+def _weight_planes(prior: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+    """The joint-signal weights of :func:`product_weights` with the rows innermost.
 
-    Shape (S^n, states); row sums are the joint-signal marginals and the
-    whole array sums to 1.
+    `profiles` is (rows, n, states, signals); returns (states, S^n, rows), each
+    weight the same product as there (the prior, then each policy's factor in
+    order), from one transposed copy of the profiles.
     """
-    check_term_cap(game)
-    return product_weights(game.prior, policy)
+    p = np.ascontiguousarray(profiles.transpose(2, 1, 3, 0))      # (states, n, signals, rows)
+    states, n, _, rows = p.shape
+    w = prior[:, None, None] * p[:, 0]
+    for j in range(1, n):
+        # (states, k, rows) -> (states, k*S, rows), new signal index varying fastest
+        w = (w[:, :, None, :] * p[:, j, None]).reshape(states, -1, rows)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +500,8 @@ def induced_action_map(game: GameInstance, policy, tie: TieRule) -> np.ndarray:
     table = tie.check(game)
     if table is not None:    # a FixedMap's actions do not depend on the profile
         return table.copy()
-    return tie.actions(game, signal_weights(game, policy))[0]
+    check_term_cap(game)
+    return tie.actions(game, _weight_planes(game.prior, policy[None]))[0][:, 0]
 
 
 def ex_ante_utilities(game: GameInstance, policy, tie: TieRule) -> tuple[np.ndarray, float]:
@@ -470,10 +524,10 @@ def ex_ante_utilities(game: GameInstance, policy, tie: TieRule) -> tuple[np.ndar
 # Cells (rows x states x joint signals) per pass of the batched kernel, so a
 # pass's arrays stay cache-sized (256 KB each) for any batch; a game with more
 # cells in one row takes one row per pass.  On a 2-vCPU Xeon (2 MB L2 a core),
-# best of 5: labeling 2,000 synthetic (3,4,3,4) profiles took 6.0-6.9 ms at
-# 2^15, 7.1-7.4 at 2^16 and 9.2-12.4 at 2^18 (2^14: no faster than 2^15), and
-# the eps-ball check on 7-firm quality-ads (1,000 deviations per sender) took
-# 2.8, 2.6 and 4.2 s.
+# with the row-innermost planes: labeling the four `evaluate-batch` families
+# (20,000 synthetic (2,2,2,2) and 2,000 (3,4,3,4) profiles, both tie rules)
+# took 1.06x, 1.08x and 1.34x the time of 2^15 at 2^14, 2^16 and 2^17
+# (geomean of per-family medians, 15 interleaved repeats).
 BATCH_CELLS = 1 << 15
 
 
@@ -513,15 +567,20 @@ def ex_ante_utilities_batch(
 def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, tables) -> np.ndarray:
     """(B, len(tables)): sum over states and live joint signals of q * u[state, action].
 
-    `tables` holds each column's utility u as an (actions, states) array, one
-    contiguous row per action, so the gather at the receiver's actions copies
-    whole rows.  Each column is summed on its own, so a column's value does
-    not depend on which other columns are asked for, nor on the other rows of
-    the pass.
+    The receiver's actions come from (states, S^n, B) weight planes; the weights
+    and actions then go back to (B, S^n, states) and (B, S^n) once, laid out as
+    :func:`product_weights` lays them out, so each column's sum adds in the same
+    order.  `tables` holds each column's utility u as an (actions, states) array,
+    one contiguous row per action, so the gather at the receiver's actions copies
+    whole rows.  Each column is summed on its own, so a column's value does not
+    depend on which other columns are asked for, nor on the other rows of the pass.
     """
-    q = product_weights(game.prior, profiles)                  # (B, S^n, states)
-    actions, live = tie.actions(game, q)
-    q = np.where(live[..., None], q, 0.0)
+    w = _weight_planes(game.prior, profiles)
+    actions, live = tie.actions(game, w)
+    q = np.ascontiguousarray(w.transpose(2, 0, 1)).transpose(0, 2, 1)   # (B, S^n, states), states-major rows
+    if not live.all():
+        q = np.where(live.T[..., None], q, 0.0)
+    actions = np.ascontiguousarray(actions.T)
     out = np.empty((q.shape[0], len(tables)))
     for col, table in enumerate(tables):
         out[:, col] = np.sum(q * table.take(actions, axis=0), axis=(1, 2))   # take: (B, S^n, states)
@@ -542,9 +601,9 @@ def sample_playthrough(game: GameInstance, policy, tie: TieRule, rng) -> Playthr
     gen = as_generator(rng)
     state = int(gen.choice(game.states, p=game.prior))
     signal = tuple(int(gen.choice(game.signals, p=policy[j, state])) for j in range(game.n_senders))
-    # the sampled joint signal's weights, (1, states); its flat index picks a FixedMap entry
-    q = product_weights(game.prior, policy[np.arange(game.n_senders), :, list(signal)][..., None])
-    action = int(tie.actions(game, q, [joint_signal_index(signal, game.signals)])[0][0])
+    # the sampled joint signal's weight planes, (states, 1, 1); its flat index picks a FixedMap entry
+    w = _weight_planes(game.prior, policy[np.arange(game.n_senders), :, list(signal)][None, ..., None])
+    action = int(tie.actions(game, w, [joint_signal_index(signal, game.signals)])[0][0, 0])
     return Playthrough(
         state=state,
         signal=signal,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 
@@ -70,21 +71,34 @@ def write_game(path, game: GameInstance, tie: TieRule | None = None) -> None:
     _dump(path, doc)
 
 
+def _size(path, doc: dict, name: str) -> int:
+    """The file's integer field `name`; an integral float, as JSON may write one, reads as an int."""
+    value = doc[name]
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{path}: {name} must be an integer, got {value!r}")
+    return value
+
+
 def read_game(path) -> tuple[GameInstance, TieRule | None]:
     doc = _load(path)
     if doc.get("format") != GAME_FORMAT:
         raise ValueError(f"{path} is not a {GAME_FORMAT} file")
-    # the stated sizes must fit the arrays: n_senders here, states and actions by the reshape and GameInstance
-    shape = (doc["states"], doc["actions"])
-    utilities = doc["sender_utilities"]
-    if doc["n_senders"] != len(utilities):
-        raise ValueError(f"n_senders is {doc['n_senders']!r}, but the file has {len(utilities)} sender utilities")
-    game = GameInstance(
-        signals=doc["signals"],
-        prior=np.asarray(doc["prior"], dtype=float),
-        receiver_utility=np.asarray(doc["receiver_utility"], dtype=float).reshape(shape),
-        sender_utilities=tuple(np.asarray(u, dtype=float).reshape(shape) for u in utilities),
-    )
+    # the stated sizes must fit the arrays: n_senders, states and actions here, the rest by GameInstance
+    n_senders, states, actions, signals = (_size(path, doc, k) for k in ("n_senders", "states", "actions", "signals"))
+    prior, utilities = doc["prior"], [doc["receiver_utility"], *doc["sender_utilities"]]
+    if n_senders != len(utilities) - 1:
+        raise ValueError(f"n_senders is {n_senders}, but the file has {len(utilities) - 1} sender utilities")
+    for u in utilities:
+        if len(u) != states * actions:
+            # the prior's length is the game's state count, so it tells which size is off
+            name, value = ("states", states) if states != len(prior) else ("actions", actions)
+            raise ValueError(f"{path}: {name} is {value}, but a utility array has {len(u)} entries, "
+                             f"not states x actions = {states} x {actions}")
+    receiver, *senders = (np.asarray(u, dtype=float).reshape(states, actions) for u in utilities)
+    game = GameInstance(signals=signals, prior=np.asarray(prior, dtype=float), receiver_utility=receiver,
+                        sender_utilities=tuple(senders))
     tie = tie_rule_from_dict(doc["tie_rule"]) if "tie_rule" in doc else None
     if tie is not None:
         tie.check(game)
@@ -109,7 +123,10 @@ def read_policies(path) -> np.ndarray:
     doc = _load(path)
     if doc.get("format") != POLICY_FORMAT:
         raise ValueError(f"{path} is not a {POLICY_FORMAT} file")
-    shape = (doc["n_senders"], doc["states"], doc["signals"])
+    shape = tuple(_size(path, doc, name) for name in ("n_senders", "states", "signals"))
+    if len(doc["policies"]) != math.prod(shape):
+        raise ValueError(f"{path}: policies has {len(doc['policies'])} entries, "
+                         f"not n_senders x states x signals = {' x '.join(map(str, shape))}")
     return np.asarray(doc["policies"], dtype=float).reshape(shape)
 
 

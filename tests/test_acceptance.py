@@ -24,7 +24,7 @@ from persuade.game import (
     ex_ante_utilities,
     ex_ante_utilities_fixed_interpretation,
     exact_payoff_variance,
-    signal_weights,
+    product_weights,
     simulate_mean_payoffs,
 )
 from persuade.learning import EgConfig, TrainConfig, find_local_ne, mse, sample_dataset, split_dataset, train
@@ -106,7 +106,7 @@ def test_criterion_3_bayes_and_monte_carlo():
         n = int(rng.integers(1, 4))
         game = random_game(n, int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 5)), rng)
         profile = random_profile(game, rng)
-        q = signal_weights(game, profile)
+        q = product_weights(game.prior, profile)
         assert np.all(np.abs(q.sum(axis=0) - game.prior) < 1e-12)
 
     count = 100_000

@@ -27,7 +27,6 @@ from persuade.game import (
     posterior,
     product_weights,
     sample_playthrough,
-    signal_weights,
     simulate_mean_payoffs,
     validate_joint_policy,
     validate_policy,
@@ -141,9 +140,48 @@ def negative_dust_profiles(game, count, rng):
     return profiles
 
 
+def subnormal_marginal_profiles(game, count, rng):
+    """Dirichlet profiles in which every sender's signal 0 has probability about
+    1e-310^(1/n) in every state, so joint signal 0 has a marginal below 1e-300."""
+    profiles = rng.dirichlet(np.ones(game.signals), size=(count, game.n_senders, game.states))
+    profiles[..., 0] = 10.0 ** (-310 / game.n_senders)
+    profiles[..., -1] += 1.0 - profiles.sum(axis=3)
+    return profiles
+
+
+def tied_counts(game, profiles):
+    """How many actions tie for the receiver's best at each live posterior of `profiles`."""
+    q = product_weights(game.prior, profiles)
+    marg = q.sum(axis=-1)
+    mu = q[marg > 0] / marg[marg > 0][:, None]
+    exp_v = mu @ game.receiver_utility
+    return np.sum(exp_v >= exp_v.max(axis=1, keepdims=True) - persuade.game.TIE_TOL, axis=1)
+
+
+def assert_kernel_matches_oracle(game, profiles, rules):
+    """Batch labels, one-row labels, induced action maps and playthroughs all
+    agree with `reference_batch_pass` and `reference_best_actions` exactly."""
+    everyone = (*game.sender_utilities, game.receiver_utility)
+    for tie in rules:
+        want = reference_batch_pass(game, profiles, tie, everyone)
+        assert np.array_equal(ex_ante_utilities_batch(game, profiles, tie), want[:, :-1])
+        for k, (prof, row) in enumerate(zip(profiles, want)):
+            senders, receiver = ex_ante_utilities(game, prof, tie)
+            assert np.array_equal(senders, row[:-1]) and receiver == row[-1]
+            q = product_weights(game.prior, prof)
+            marg = q.sum(axis=1)
+            mu = np.where(marg[:, None] > 0, q / np.maximum(marg[:, None], 1e-300), 0.0)
+            table = induced_action_map(game, prof, tie)
+            assert np.array_equal(table, reference_best_actions(game, tie, mu))
+            if np.all(prof >= 0):      # a playthrough draws signals from the policies
+                pt = sample_playthrough(game, prof, tie, rng=k)
+                assert pt.action == table[joint_signal_index(pt.signal, game.signals)]
+
+
 class TestActionMajorDecision:
-    """The action-major receiver decision and the kernel built on it equal the
-    posterior-major oracles in conftest exactly: same actions, same labels."""
+    """The receiver decision on (states, posteriors) planes and the row-innermost
+    kernel built on it equal the posterior-major oracles in conftest exactly:
+    same actions, same labels."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 3), states=st.integers(1, 5),
@@ -201,6 +239,15 @@ class TestActionMajorDecision:
             assert np.array_equal(tie.best_actions(g, mu[0]), tie.best_actions(g, mu[:1]))
             assert np.array_equal(tie.best_actions(g, list(mu[0])), tie.best_actions(g, mu[:1]))
 
+    def test_a_posterior_that_ties_no_action_gets_action_0(self):
+        # a NaN posterior ties no action at all, and the pick is then action 0, as argmax gives
+        r = np.random.default_rng(3)
+        g = random_game(2, 3, 2, 4, r)
+        mu = np.vstack([r.dirichlet(np.ones(3), size=3), [np.nan, 0.5, 0.5]])
+        for tie in posterior_rules(g, r):
+            got = tie.best_actions(g, mu)
+            assert np.array_equal(got, reference_best_actions(g, tie, mu)) and got[-1] == 0
+
     def test_game_arrays_are_read_only_copies(self):
         # the per-game constants are derived from these arrays, so a caller's
         # later write must neither reach the game nor be possible through it
@@ -234,13 +281,72 @@ class TestActionMajorDecision:
         monkeypatch.undo()
         assert SF.best_actions(g, mu)[0] == 1
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 3), states=st.integers(1, 9), signals=st.integers(1, 3),
+           actions=st.sampled_from([1, 2, 3, 5, 300]), rows=st.sampled_from([1, 2, 7]),
+           kind=st.sampled_from(["dirichlet", "subnormal", "dust"]))
+    def test_kernel_branches(self, seed, n, states, signals, actions, rows, kind):
+        # one-row and one-action passes, uint8 and intp ranks (300 actions), and
+        # marginals below the 1e-300 clamp, dead or positive
+        r = np.random.default_rng(seed)
+        g = random_game(n, states, signals, actions, r)
+        if kind == "subnormal" and signals > 1:
+            profiles = subnormal_marginal_profiles(g, rows, r)
+            marg = product_weights(g.prior, profiles).sum(axis=-1)
+            assert np.any((marg > 0) & (marg < 1e-300))
+        elif kind == "dust" and signals > 1:
+            profiles = negative_dust_profiles(g, rows, r)
+        else:
+            profiles = r.dirichlet(np.ones(signals), size=(rows, n, states))
+        assert_kernel_matches_oracle(g, profiles, posterior_rules(g, r))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6), states=st.integers(2, 4), actions=st.integers(2, 6))
+    def test_sender_favoring_on_exact_ties(self, seed, states, actions):
+        # duplicated utility columns tie receiver values and sender scores exactly
+        # at every posterior; one-hot rows on some profiles add point-mass
+        # posteriors, where the copies of the receiver's best action tie
+        r = np.random.default_rng(seed)
+        base = random_game(2, states, 3, 2, r)
+        cols = np.r_[0, 1, r.integers(0, 2, size=actions - 2)]
+        g = GameInstance(3, base.prior, base.receiver_utility[:, cols],
+                         tuple(u[:, cols] for u in base.sender_utilities))
+        profiles = r.dirichlet(np.ones(3), size=(6, 2, states))
+        profiles[::2, 0] = np.eye(3)[r.integers(0, 3, size=states)]
+        rules = (SF, SenderFavoring((1.0, -2.0)))
+        assert_kernel_matches_oracle(g, profiles, rules)
+
+    def test_sender_favoring_on_the_two_block_game(self, rng):
+        # the equilibrium profile's posteriors tie several actions; Dirichlet rows tie none,
+        # so the tie tiers run on some posteriors of the pass and not on others
+        g = two_block_game()
+        eq = two_block_equilibrium_policies()
+        profiles = np.stack([eq, *rng.dirichlet(np.ones(4), size=(3, 2, 4)), 0.5 * (eq + random_profile(g, rng))])
+        counts = tied_counts(g, profiles)
+        assert np.any(counts == 1) and np.any(counts > 1)
+        assert_kernel_matches_oracle(g, profiles, (SF, SenderFavoring((2.0, 1.0)), SenderFavoring((1.0, -1.0))))
+
+    def test_overflowing_scores_take_every_tier(self):
+        # action 0 is the receiver's only best at the posterior, but its weighted
+        # score overflows to -inf, so no action leads the score tier, and the
+        # point-mass tier picks the more likely of the states' best actions 1 and 2
+        v = np.array([[0.6, 1.0, 0.0], [0.6, 0.0, 1.0]])
+        g = GameInstance(2, [0.5, 0.5], v, (np.array([[-10.0, 0.0, 0.0]] * 2),))
+        tie = SenderFavoring((1e308,))
+        mu = np.array([[0.5, 0.5], [0.45, 0.55]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert tie.best_actions(g, mu).tolist() == reference_best_actions(g, tie, mu).tolist() == [1, 2]
+            prof = np.full((1, 2, 2), 0.5)
+            assert induced_action_map(g, prof, tie).tolist() == [1, 1]
+            assert_kernel_matches_oracle(g, prof[None], (tie,))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 3), actions=st.integers(1, 4))
     def test_kernel_labels_with_negative_dust(self, seed, n, actions):
         r = np.random.default_rng(seed)
         g = random_game(n, 3, 2, actions, r)
         profiles = negative_dust_profiles(g, 9, r)
-        assert any(np.any(signal_weights(g, p).sum(axis=1) <= 0) for p in profiles)
+        assert any(np.any(product_weights(g.prior, p).sum(axis=1) <= 0) for p in profiles)
         everyone = (*g.sender_utilities, g.receiver_utility)
         for tie in posterior_rules(g, r):
             want = reference_batch_pass(g, profiles, tie, everyone)
@@ -248,7 +354,7 @@ class TestActionMajorDecision:
             for prof, row in zip(profiles, want):
                 senders, receiver = ex_ante_utilities(g, prof, tie)
                 assert np.array_equal(senders, row[:-1]) and receiver == row[-1]
-                q = signal_weights(g, prof)
+                q = product_weights(g.prior, prof)
                 marg = q.sum(axis=1)
                 mu = np.where(marg[:, None] > 0, q / np.maximum(marg[:, None], 1e-300), 0.0)
                 assert np.array_equal(induced_action_map(g, prof, tie), reference_best_actions(g, tie, mu))
@@ -302,7 +408,7 @@ class TestExAnteUtilities:
         # signals are unreachable there
         sparse = np.where(profiles < 0.3, 0.0, profiles)
         profiles[::2] = (sparse / sparse.sum(axis=3, keepdims=True))[::2]
-        assert any(np.any(signal_weights(g, p).sum(axis=1) == 0) for p in profiles)
+        assert any(np.any(product_weights(g.prior, p).sum(axis=1) == 0) for p in profiles)
         # a table that changes when the senders are reordered, so the
         # joint-signal order is checked too
         fixed = FixedMap(tuple(k // 3 % g.actions for k in range(g.n_joint_signals)))
@@ -492,7 +598,7 @@ class TestInvariants:
         r = np.random.default_rng(seed)
         g = random_game(2, int(r.integers(2, 5)), int(r.integers(2, 4)), int(r.integers(2, 5)), r)
         pol = random_profile(g, r)
-        q = signal_weights(g, pol)
+        q = product_weights(g.prior, pol)
         assert np.allclose(q.sum(axis=0), g.prior, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -507,8 +613,8 @@ class TestInvariants:
         u0, _ = ex_ante_utilities(g, pol, LEX)
         u1, _ = ex_ante_utilities(g, permuted, LEX)
         assert np.allclose(u0, u1, atol=1e-12)
-        q0 = signal_weights(g, pol)
-        q1 = signal_weights(g, permuted)
+        q0 = product_weights(g.prior, pol)
+        q1 = product_weights(g.prior, permuted)
         pairs0 = sorted((round(float(m), 12), tuple(np.round(row / m, 10))) for row, m in
                         zip(q0, q0.sum(axis=1)) if m > 0)
         pairs1 = sorted((round(float(m), 12), tuple(np.round(row / m, 10))) for row, m in
@@ -638,6 +744,15 @@ class TestValidation:
             GameInstance(2, [0.5, 0.5], np.eye(2), ())
         with pytest.raises(ValueError, match="signals"):
             GameInstance(0, [0.5, 0.5], np.eye(2), (np.eye(2),))
+
+    @pytest.mark.parametrize("signals", [2.5, 2.0, True, np.True_, "2", None])
+    def test_signals_must_be_an_integer(self, signals):
+        with pytest.raises(ValueError, match="signals must be an integer"):
+            GameInstance(signals, [0.5, 0.5], np.eye(2), (np.eye(2),))
+
+    def test_numpy_integer_signals_read_as_int(self):
+        g = GameInstance(np.int64(3), [0.5, 0.5], np.eye(2), (np.eye(2),))
+        assert g.signals == 3 and type(g.signals) is int
 
     def test_sizes_are_read_from_the_arrays(self):
         g = GameInstance(4, [0.2, 0.3, 0.5], np.zeros((3, 5)), (np.zeros((3, 5)),) * 2)

@@ -191,10 +191,14 @@ class TestCliCommands:
     @pytest.mark.parametrize("sizes, message", [
         ({"n_senders": 3}, "n_senders is 3, but the file has 2 sender utilities"),
         ({"n_senders": 1}, "n_senders is 1, but the file has 2 sender utilities"),
-        ({"states": 3}, "cannot reshape"),
-        ({"actions": 2}, "cannot reshape"),
+        ({"states": 3}, "g.json: states is 3, but a utility array has 6 entries, not states x actions = 3 x 3"),
+        ({"actions": 2}, "g.json: actions is 2, but a utility array has 6 entries, not states x actions = 2 x 2"),
         ({"states": 3, "actions": 2}, "receiver_utility must be (2, actions >= 1)"),
-    ], ids=["more-senders", "fewer-senders", "states", "actions", "states-vs-prior"])
+        ({"signals": 2.5}, "g.json: signals must be an integer, got 2.5"),
+        ({"signals": True}, "g.json: signals must be an integer, got True"),
+        ({"actions": "3"}, "g.json: actions must be an integer, got '3'"),
+    ], ids=["more-senders", "fewer-senders", "states", "actions", "states-vs-prior", "signals-float", "signals-bool",
+            "actions-string"])
     def test_game_file_sizes_must_match_its_arrays(self, tmp_path, capsys, rng, sizes, message):
         # the file of a 2-sender, 2-state, 3-action game, with some stated sizes changed
         game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
@@ -207,6 +211,40 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("sizes, message", [
+        ({"signals": 3}, "p.json: policies has 8 entries, not n_senders x states x signals = 2 x 2 x 3"),
+        ({"n_senders": 1}, "p.json: policies has 8 entries, not n_senders x states x signals = 1 x 2 x 2"),
+        ({"states": 3}, "p.json: policies has 8 entries, not n_senders x states x signals = 2 x 3 x 2"),
+        ({"states": 2.5}, "p.json: states must be an integer, got 2.5"),
+        ({"n_senders": True}, "p.json: n_senders must be an integer, got True"),
+    ], ids=["signals", "n_senders", "states", "states-float", "n_senders-bool"])
+    def test_policy_file_sizes_must_match_its_array(self, tmp_path, capsys, rng, sizes, message):
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        g = random_game(2, 2, 2, 3, rng)
+        write_game(game_path, g)
+        write_policies(pol_path, random_profile(g, rng))
+        pol_path.write_text(json.dumps({**json.loads(pol_path.read_text()), **sizes}))
+        code = run_cli(["exact", "verify", "--game", game_path, "--policy", pol_path, "--out", tmp_path / "r.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_integral_float_sizes_read_as_integers(self, tmp_path, rng):
+        # JSON writers may write a count as 2.0; it reads as the int 2
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        g = random_game(2, 2, 2, 3, rng)
+        pol = random_profile(g, rng)
+        write_game(game_path, g)
+        write_policies(pol_path, pol)
+        for path in (game_path, pol_path):
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps({k: float(v) if type(v) is int else v for k, v in doc.items()}))
+        back, _ = read_game(game_path)
+        assert type(back.signals) is int and (back.n_senders, back.states, back.signals) == (2, 2, 2)
+        assert np.array_equal(back.receiver_utility, g.receiver_utility)
+        assert np.array_equal(read_policies(pol_path), pol)
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

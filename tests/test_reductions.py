@@ -6,7 +6,7 @@ from persuade.game import (
     GameInstance,
     Lexicographic,
     ex_ante_utilities_fixed_interpretation,
-    signal_weights,
+    product_weights,
 )
 from persuade.reductions import (
     BimatrixGame,
@@ -151,7 +151,7 @@ class TestBimatrixReduction:
         game, amap = bimatrix_to_persuasion(bg)
         table = np.asarray(amap.table)
         pol = rng.dirichlet(np.ones(2), size=(2, 2))
-        q = signal_weights(game, pol)
+        q = product_weights(game.prior, pol)
         contribution = q[np.arange(q.shape[0]), 0] * game.sender_utilities[0][0, table]
         assert np.all(contribution == 0.0)
 
