@@ -29,6 +29,7 @@ from .equilibria import (
     REFUTED,
     PreconditionError,
     best_response_exact,
+    check_local_eps,
     full_revelation_profile,
     local_ne_verify,
     verify_nash,
@@ -45,9 +46,9 @@ from .io import (
     write_sidecar,
     load_or_sample_dataset,
 )
-from .learning import EgConfig, TrainConfig, TrainingDiverged, find_local_ne
+from .learning import EgConfig, TrainConfig, TrainingDiverged, find_local_ne, init_surrogate
 from .lp import LpFailure
-from .neural import _architecture, save_params
+from .neural import save_params
 from .reductions import (
     BimatrixGame,
     PublicPersuasionInstance,
@@ -134,9 +135,10 @@ def _generate(kind: str, fields: dict, seed: int):
     return build(*args, seed, **{name: fields.get(name, default) for name, default in defaults.items()})
 
 
-def _common_flags(p, *, tie: bool = False, eps: bool = False):
-    """`--seed` and `--out`; `--tie` and `--eps` only for the commands that read them."""
-    p.add_argument("--seed", type=int, default=None, help="root seed; named sub-streams derive from it")
+def _common_flags(p, *, tie: bool = False, eps: bool = False, seed: bool = False):
+    """`--out`; `--tie`, `--eps` and `--seed` only for the commands that read them."""
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="root seed; named sub-streams derive from it")
     p.add_argument("--out", required=True, help="output file or directory")
     if eps:
         p.add_argument("--eps", type=float, default=None, help="local-equilibrium neighborhood radius")
@@ -162,7 +164,7 @@ def build_parser() -> _Parser:
                 g.add_argument(_flag(name), action="store_true")
             else:
                 g.add_argument(_flag(name), type=type(default), default=default)
-        _common_flags(g, tie=True)
+        _common_flags(g, tie=True, seed=True)
 
     exact = sub.add_parser("exact", help="exact solvers and checks")
     esub = exact.add_subparsers(dest="what", required=True)
@@ -173,18 +175,19 @@ def build_parser() -> _Parser:
     e_ver = esub.add_parser("verify")
     e_ver.add_argument("--game", required=True)
     e_ver.add_argument("--policy", required=True)
-    e_ver.add_argument("--local", action="store_true", help="sampled eps-ball check instead of exact verification")
+    e_ver.add_argument("--local", action="store_true", help="sampled eps-ball check instead of exact verification; "
+                       "--eps and --seed need it")
     e_fr = esub.add_parser("full-reveal")
     e_fr.add_argument("--game", required=True)
     for p, func in ((e_br, cmd_best_response), (e_ver, cmd_verify), (e_fr, cmd_full_reveal)):
         p.set_defaults(func=func)
-        _common_flags(p, tie=True, eps=p is e_ver)
+        _common_flags(p, tie=True, eps=p is e_ver, seed=p is e_ver)
 
     learn = sub.add_parser("learn", help="surrogate training + extra-gradient local-equilibrium search")
     learn.set_defaults(func=cmd_learn)
     learn.add_argument("--game", default=None, help="game file; defaults to the config's game/generator entry")
     learn.add_argument("--config", required=True)
-    _common_flags(learn, tie=True, eps=True)
+    _common_flags(learn, tie=True, eps=True, seed=True)
 
     reduce = sub.add_parser("reduce", help="build persuasion instances from hard source problems")
     rsub = reduce.add_subparsers(dest="kind", required=True)
@@ -223,7 +226,7 @@ def _tie_rule(args, file_tie: TieRule | None = None, config_tie: str | None = No
 def _manifest(args, path=None):
     """Record the command's arguments as given, by default in `<out>.manifest.json`."""
     doc = {k: v for k, v in vars(args).items() if k != "func"}
-    write_manifest(path or f"{args.out}.manifest.json", args.command, doc, args.seed)
+    write_manifest(path or f"{args.out}.manifest.json", args.command, doc, getattr(args, "seed", None))
 
 
 def cmd_gen(args) -> int:
@@ -268,6 +271,8 @@ def cmd_best_response(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not args.local and (args.eps is not None or args.seed is not None):
+        build_parser().error("exact verify reads --eps and --seed only with --local")
     game, file_tie = read_game(args.game)
     tie = _tie_rule(args, file_tie)
     policy = read_policies(args.policy)
@@ -319,6 +324,13 @@ def _integer(value, field: str, least: int) -> int:
     return number
 
 
+def _widths(value, field: str) -> tuple[int, ...]:
+    """A config's layer widths: a list of integers of at least 1."""
+    if not isinstance(value, list):
+        raise SpecError(f"{field} must be a list of integers of at least 1, got {value!r}")
+    return tuple(_integer(width, f"{field}[{i}]", 1) for i, width in enumerate(value))
+
+
 def _real(value, field: str) -> float:
     """A config rate, constant or radius: a finite int or float; never a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
@@ -358,13 +370,16 @@ def cmd_learn(args) -> int:
     eg_cfg = _learn_section(cfg, "eg", EgConfig, args.seed)
     tie = _tie_rule(args, file_tie, cfg.get("tie"))
     eps = args.eps if args.eps is not None else _real(cfg.get("eps", DEFAULT_LOCAL_EPS), "eps")
+    check_local_eps(eps)
     sample_count = _integer(cfg.get("sample_count", 50_000), "sample_count", 1)
     archs = cfg.get("architectures", ["dnl"])
     if not isinstance(archs, list) or not archs or not all(isinstance(a, str) for a in archs):
         raise SpecError(f"architectures must be a non-empty list of architecture names, got {archs!r}")
+    arch_kwargs = {k: _integer(v, k, 1) if k == "lower_layers" else _widths(v, k)
+                   for k, v in cfg.items() if k in ARCH_FIELDS}
     for name in archs:
-        _architecture(name)     # an unknown name fails here, before any sampling or training
-    arch_kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items() if k in ARCH_FIELDS}
+        # each architecture's constructor checks its own shape rules here, before anything is written
+        init_surrogate(game, name, np.random.default_rng(0), **arch_kwargs)
 
     os.makedirs(args.out, exist_ok=True)
     dataset = load_or_sample_dataset(game, sample_count, tie, train_cfg.seed)

@@ -80,11 +80,10 @@ class _PosteriorRule:
     def check(self, game: GameInstance) -> None:
         """Raise ValueError unless the rule fits `game`.  Only a FixedMap returns something: its table."""
 
-    def actions(self, game: GameInstance, w: np.ndarray, joint=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    def actions(self, game: GameInstance, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(actions, live)``, both (S^n, rows), at the joint signals of the (states, S^n, rows)
-        weight planes `w` from :func:`_weight_planes` (`joint` names their flat indices when they
-        are not all of them); `live` marks those of positive probability.  A dead joint signal has
-        the zero posterior, which ties every action, so it gets action 0."""
+        weight planes `w` from :func:`_weight_planes`; `live` marks those of positive probability.
+        A dead joint signal has the zero posterior, which ties every action, so it gets action 0."""
         marg = w.sum(axis=0)        # whole state planes added in state order
         live = marg >= 1e-300
         if live.all():
@@ -248,9 +247,9 @@ class FixedMap:
             raise ValueError("interpretation contains out-of-range actions")
         return self._table
 
-    def actions(self, game: GameInstance, w: np.ndarray, joint=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    def actions(self, game: GameInstance, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         marg = w.sum(axis=0)
-        return np.broadcast_to(self._table[joint][:, None], marg.shape), marg > 0
+        return np.broadcast_to(self._table[:, None], marg.shape), marg > 0
 
     def best_actions(self, game, posteriors):
         raise ValueError("FixedMap interprets joint signals directly; it cannot rank posteriors")
@@ -593,17 +592,20 @@ def ex_ante_utilities_fixed_interpretation(game: GameInstance, policy, interp: F
 
 
 def sample_playthrough(game: GameInstance, policy, tie: TieRule, rng) -> Playthrough:
-    """Simulate one round; deterministic given the generator/seed."""
+    """Simulate one round; deterministic given the generator/seed.
+
+    The receiver's action is the sampled joint signal's entry of
+    :func:`induced_action_map`, so the game must stay within the term cap, as
+    for :func:`simulate_mean_payoffs` and every exact call.
+    """
     from .rng import as_generator
 
     policy = validate_joint_policy(game, policy)
-    tie.check(game)
+    table = induced_action_map(game, policy, tie)
     gen = as_generator(rng)
     state = int(gen.choice(game.states, p=game.prior))
     signal = tuple(int(gen.choice(game.signals, p=policy[j, state])) for j in range(game.n_senders))
-    # the sampled joint signal's weight planes, (states, 1, 1); its flat index picks a FixedMap entry
-    w = _weight_planes(game.prior, policy[np.arange(game.n_senders), :, list(signal)][None, ..., None])
-    action = int(tie.actions(game, w, [joint_signal_index(signal, game.signals)])[0][0, 0])
+    action = int(table[joint_signal_index(signal, game.signals)])
     return Playthrough(
         state=state,
         signal=signal,

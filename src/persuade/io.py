@@ -11,10 +11,8 @@ fit the game is a ValueError.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -22,6 +20,7 @@ import numpy as np
 from . import __version__
 from .game import TIE_RULES, GameInstance, TieRule
 from .equilibria import EquilibriumReport
+from .learning import sample_dataset
 
 GAME_FORMAT = "persuade-game"
 POLICY_FORMAT = "persuade-policy"
@@ -196,39 +195,13 @@ def write_manifest(path, command: str, args: dict, seed: int | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dataset cache (PERSUADE_CACHE)
-
-CACHE_ENV = "PERSUADE_CACHE"
-
-
-def _game_digest(game: GameInstance) -> str:
-    h = hashlib.sha256()
-    h.update(repr((game.n_senders, game.states, game.signals, game.actions)).encode())
-    for arr in (game.prior, game.receiver_utility, *game.sender_utilities):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()[:16]
-
-
-def cached_dataset_path(game: GameInstance, count: int, tie: TieRule, seed: int) -> str | None:
-    """Cache file for this dataset request, or None when caching is off."""
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    tie_tag = json.dumps(tie.to_dict(), sort_keys=True)
-    key = hashlib.sha256(f"{_game_digest(game)}|{count}|{tie_tag}|{seed}".encode()).hexdigest()[:24]
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"dataset-{key}.npz")
+# dataset sampling
 
 
 def load_or_sample_dataset(game: GameInstance, count: int, tie: TieRule, seed: int):
-    """Sample a dataset, reusing the PERSUADE_CACHE copy when present."""
-    from .learning import UtilityDataset, sample_dataset
+    """:func:`learning.sample_dataset`, under the name `persuade learn` calls it by.
 
-    path = cached_dataset_path(game, count, tie, seed)
-    if path and os.path.exists(path):
-        with np.load(path) as z:
-            return UtilityDataset(inputs=z["inputs"], utilities=z["utilities"], game=game)
-    ds = sample_dataset(game, count, tie, seed)
-    if path:
-        np.savez_compressed(path, inputs=ds.inputs, utilities=ds.utilities)
-    return ds
+    The name stays because the benchmark's tracer (`perfbench/bench_trace.py`)
+    wraps it to time the learn command's labeling; it goes when that tracer does.
+    """
+    return sample_dataset(game, count, tie, seed)

@@ -268,6 +268,12 @@ class PipelineResult:
     losses: list = field(repr=False)      # per sender, the per-epoch training losses
 
 
+def init_surrogate(game: GameInstance, arch: str, rng, *, hidden=(64, 64, 64), **arch_kwargs):
+    """A fresh surrogate of one sender's utility: ``init_params(arch, [inputs,
+    *hidden, 1], rng, **arch_kwargs)``, its inputs the flattened joint policy."""
+    return init_params(arch, [game.n_senders * game.states * game.signals, *hidden, 1], rng, **arch_kwargs)
+
+
 def find_local_ne(
     game: GameInstance,
     train_cfg: TrainConfig,
@@ -277,14 +283,13 @@ def find_local_ne(
     dataset: UtilityDataset,
     eps: float = DEFAULT_LOCAL_EPS,
     arch: str = "dnl",
-    hidden=(64, 64, 64),
     **arch_kwargs,
 ) -> PipelineResult:
     """Train one surrogate per sender on `dataset`, restart extra-gradient, verify.
 
-    Each sender's network is ``init_params(arch, [inputs, *hidden, 1], ...,
-    **arch_kwargs)`` from its own ``init:sender:{j}`` stream; the networks
-    train as one stack in one :func:`train` call.  The restarts start from
+    Each sender's network is ``init_surrogate(game, arch, ..., **arch_kwargs)``
+    from its own ``init:sender:{j}`` stream; the networks train as one stack
+    in one :func:`train` call.  The restarts start from
     standard normal logits and ascend together in one :func:`extragradient`
     call, so memory grows with ``eg_cfg.restarts``.
 
@@ -298,9 +303,8 @@ def find_local_ne(
     train_split, val_split = split_dataset(dataset, VAL_FRACTION, train_cfg.seed)
 
     shape = (game.n_senders, game.states, game.signals)
-    dims = [game.n_senders * game.states * game.signals, *hidden, 1]
     stack = stack_params(
-        [init_params(arch, dims, substream(train_cfg.seed, f"init:sender:{j}"), **arch_kwargs)
+        [init_surrogate(game, arch, substream(train_cfg.seed, f"init:sender:{j}"), **arch_kwargs)
          for j in range(game.n_senders)]
     )
     stack, losses = train(stack, train_split, train_cfg)

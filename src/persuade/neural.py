@@ -244,7 +244,8 @@ class DnlParams:
         # the first `lower_layers` hidden layers form the lower stack, the rest are generated
         L = len(dims) - 2
         if not 1 <= lower_layers < L:
-            raise ValueError("need at least one lower layer and two generated linear layers")
+            raise ValueError("dnl needs at least one lower layer and two generated linear layers, so lower_layers "
+                             f"must be at least 1 and below the hidden layer count {L}, got lower_layers {lower_layers}")
         lower_dims = dims[: lower_layers + 1]
         higher_dims = tuple(dims[lower_layers:])
         lower = MlpParams._init(lower_dims, rng)    # final layer of the stack is still ReLU-activated

@@ -25,7 +25,7 @@ def didactic_game(prior=(0.5, 0.5)) -> GameInstance:
     )
 
 
-def two_block_game(signals: int = 4) -> GameInstance:
+def two_block_game() -> GameInstance:
     """Four-state, two-sender game whose receiver utility splits into two 2x2 blocks.
 
     Sender 0 is paid 1 whenever action 0 is taken, sender 1 whenever action
@@ -35,12 +35,10 @@ def two_block_game(signals: int = 4) -> GameInstance:
     outright pays only (0.15, 0.15) - a compact witness that full
     revelation can be dominated and that equilibria need not be unique.
 
-    The equilibrium policies use 3 signals; the default alphabet is 4 so
-    the same instance also supports an optimal-action-revealing profile
-    (3-signal policies embed with a zero column).
+    The equilibrium policies use 3 signals; the alphabet is 4 so the same
+    instance also supports an optimal-action-revealing profile (the
+    3-signal policies embed with a zero column).
     """
-    if signals < 3:
-        raise ValueError("needs at least the 3 signals the reference policies use")
     prior = np.array([0.15, 0.35, 0.15, 0.35])
     V = np.array(
         [
@@ -55,24 +53,22 @@ def two_block_game(signals: int = 4) -> GameInstance:
     u1 = np.zeros((4, 4))
     u1[:, 2] = 1.0
     return GameInstance(
-        signals=signals,
+        signals=4,
         prior=prior,
         receiver_utility=V,
         sender_utilities=(u0, u1),
     )
 
 
-def two_block_equilibrium_policies(signals: int = 4) -> np.ndarray:
-    """The partial-pooling equilibrium profile of :func:`two_block_game`,
-    padded with zero columns up to `signals`."""
-    if signals < 3:
-        raise ValueError("needs at least 3 signals")
-    p0 = np.zeros((4, signals))
+def two_block_equilibrium_policies() -> np.ndarray:
+    """The partial-pooling equilibrium profile of :func:`two_block_game`: 3 signals,
+    padded with a zero column to the game's 4."""
+    p0 = np.zeros((4, 4))
     p0[0, 1] = 1.0
     p0[1, 0], p0[1, 1] = 4 / 7, 3 / 7
     p0[2, 0] = 1.0
     p0[3, 0] = 1.0
-    p1 = np.zeros((4, signals))
+    p1 = np.zeros((4, 4))
     p1[0, 2] = 1.0
     p1[1, 2] = 1.0
     p1[2, 1] = 1.0

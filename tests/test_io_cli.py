@@ -11,7 +11,6 @@ from persuade.cli import EXIT_USAGE, GENERATORS, _tie_rule, build_parser, main
 from persuade.equilibria import EquilibriumReport
 from persuade.game import TIE_RULES, FixedMap, GameInstance, Lexicographic, SenderFavoring
 from persuade.io import (
-    load_or_sample_dataset,
     read_game,
     read_policies,
     read_report,
@@ -297,7 +296,7 @@ class TestCliCommands:
 
     @staticmethod
     def _assert_eps_rejected(tmp_path, capsys, monkeypatch, eps):
-        """`exact verify --local` and `learn` exit 2 on `eps`, before any training."""
+        """`exact verify --local` and `learn` exit 2 on `eps`, before any training or output."""
         import persuade.learning
 
         def no_training(*args, **kwargs):
@@ -314,6 +313,7 @@ class TestCliCommands:
             assert run_cli([*args, "--game", game_path, "--eps", eps]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: eps must be positive and finite") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_nonfinite_eps_is_spec_error(self, tmp_path, capsys, monkeypatch, eps):
@@ -410,18 +410,54 @@ class TestTieRuleChoice:
         assert {path for path, p in commands.items() if _option(p, "eps") is not None} == {
             ("exact", "verify"), ("learn",)}
 
+    def test_seed_only_where_read(self):
+        commands = dict(_commands(build_parser()))
+        assert {path for path, p in commands.items() if _option(p, "seed") is not None} == {
+            ("gen", kind) for kind in GENERATORS} | {("exact", "verify"), ("learn",)}
+
+    @staticmethod
+    def _unseeded_commands(tmp_path):
+        """(argv without --out, output path) of each command that draws no random number."""
+        game_path, pol_path = tmp_path / "ref.json", tmp_path / "pol.json"
+        write_game(game_path, two_block_game(), tie=SenderFavoring())
+        write_policies(pol_path, two_block_equilibrium_policies())
+        pub, bim, results = tmp_path / "pub.json", tmp_path / "bim.json", tmp_path / "results.json"
+        pub.write_text(json.dumps({"k": 2, "prior": [0.4, 0.6], "gaps": [[0.5, -0.5], [-0.25, 0.75]],
+                                   "u_plus": [[0.9, 0.1], [0.3, 0.8]], "u_minus": [[0.2, 0.6], [0.5, 0.25]]}))
+        bim.write_text(json.dumps({"u1": [[1, 0], [0, 1]], "u2": [[0, 1], [1, 1]]}))
+        row = {"arch": "relu", "welfare": 1.0, "validation_mse": 0.1,
+               "dims": {"n_senders": 2, "states": 2, "signals": 2, "actions": 2}}
+        results.write_text(json.dumps({"format": "persuade-results", "game": "", "rows": [row]}))
+        return [
+            (["exact", "best-response", "--game", game_path, "--policy", pol_path, "--sender", 0], tmp_path / "br.json"),
+            (["exact", "full-reveal", "--game", game_path], tmp_path / "fr.json"),
+            (["reduce", "public", "--source", pub], tmp_path / "pub-game.json"),
+            (["reduce", "bimatrix", "--source", bim], tmp_path / "bim-game.json"),
+            (["report", "--glob", results], tmp_path / "agg.csv"),
+        ]
+
     def test_commands_reject_flags_they_do_not_read(self, tmp_path):
-        src = tmp_path / "bim.json"
-        src.write_text(json.dumps({"u1": [[1, 0], [0, 1]], "u2": [[0, 1], [1, 1]]}))
-        out = tmp_path / "g.json"
-        reduce = ["reduce", "bimatrix", "--source", src, "--out", out]
-        for extra in (["--tie", "sender-favoring", "--eps", 3], ["--tie", "lex"], ["--eps", 3]):
+        def assert_usage_error(argv, out):
             with pytest.raises(SystemExit) as exc:
-                run_cli(reduce + extra)
+                run_cli([*argv, "--out", out])
             assert exc.value.code == EXIT_USAGE
-            assert not out.exists()
-        assert run_cli(reduce) == 0
-        assert "tie" not in json.loads((tmp_path / "g.json.manifest.json").read_text())["args"]
+            assert not out.exists() and not out.with_name(out.name + ".manifest.json").exists()
+
+        commands = self._unseeded_commands(tmp_path)
+        reduce, out = commands[3]
+        for extra in (["--tie", "sender-favoring", "--eps", 3], ["--tie", "lex"], ["--eps", 3]):
+            assert_usage_error(reduce + extra, out)
+        for argv, out in commands:
+            assert_usage_error([*argv, "--seed", 1], out)
+        verify = ["exact", "verify", "--game", tmp_path / "ref.json", "--policy", tmp_path / "pol.json"]
+        for extra in (["--eps", 0.01], ["--seed", 1], ["--eps", 0.01, "--seed", 1]):
+            assert_usage_error(verify + extra, tmp_path / "r.json")
+        assert run_cli(verify + ["--local", "--eps", 0.01, "--seed", 1, "--out", tmp_path / "r.json"]) == 0
+        for argv, out in commands:
+            assert run_cli([*argv, "--out", out]) == 0
+            args = json.loads(out.with_name(out.name + ".manifest.json").read_text())["args"]
+            assert "seed" not in args
+            assert ("tie" in args) == (argv[0] == "exact")
 
     def test_precedence(self):
         file_tie = FixedMap((0, 1, 0, 1))
@@ -493,16 +529,30 @@ class TestTieRuleChoice:
         ({"sample_count": 50.7}, "sample_count must be an integer of at least 1, got 50.7"),
         ({"sample_count": True}, "sample_count must be an integer of at least 1, got True"),
         ({"sample_count": 0}, "sample_count must be an integer of at least 1, got 0"),
-        ({"architectures": ["relu"], "hidden": [0, 4]}, "layer widths must be at least 1, got dims [8, 0, 4, 1]"),
+        ({"architectures": ["relu"], "hidden": [0, 4]}, "hidden[0] must be an integer of at least 1, got 0"),
         ({"architectures": ["dnl"], "hidden": [4, 4, 4], "hyper_hidden": [0]},
-         "layer widths must be at least 1, got hyper_hidden [0]"),
+         "hyper_hidden[0] must be an integer of at least 1, got 0"),
         ({"architectures": ["delu"], "hidden": [4], "aux_hidden": [0]},
-         "layer widths must be at least 1, got aux_hidden [0]"),
+         "aux_hidden[0] must be an integer of at least 1, got 0"),
+        ({"hidden": 8}, "hidden must be a list of integers of at least 1, got 8"),
+        ({"hidden": ["8"]}, "hidden[0] must be an integer of at least 1, got '8'"),
+        ({"architectures": ["relu", "dnl"], "hidden": [8]},
+         "lower_layers must be at least 1 and below the hidden layer count 1, got lower_layers 1"),
+        ({"architectures": ["dnl"], "hidden": [4, 4, 4], "lower_layers": 3},
+         "lower_layers must be at least 1 and below the hidden layer count 3, got lower_layers 3"),
+        ({"architectures": ["relu", "dnl"], "hidden": [4, 4, 4], "lower_layers": 1.5},
+         "lower_layers must be an integer of at least 1, got 1.5"),
+        ({"architectures": ["dnl"], "hidden": [4, 4, 4], "lower_layers": True},
+         "lower_layers must be an integer of at least 1, got True"),
+        ({"architectures": ["relu", "delu"], "hidden": []}, "DeLU needs at least one hidden layer"),
         ({"eps": True}, "eps must be a finite number, got True"),
         ({"eps": "0.01"}, "eps must be a finite number, got '0.01'"),
         ({"eps": float("nan")}, "eps must be a finite number, got nan"),
+        ({"eps": 2}, "eps must be positive and finite, at most 1, got 2.0"),
     ], ids=["no-architectures", "architectures-string", "unknown-architecture", "fractional-count", "bool-count", "zero-count",
-            "zero-hidden", "zero-hyper-hidden", "zero-aux-hidden", "bool-eps", "string-eps", "nan-eps"])
+            "zero-hidden", "zero-hyper-hidden", "zero-aux-hidden", "hidden-not-a-list", "string-width",
+            "dnl-one-hidden-layer", "dnl-all-lower", "fractional-lower-layers", "bool-lower-layers", "delu-no-hidden",
+            "bool-eps", "string-eps", "nan-eps", "eps-above-one"])
     def test_bad_learn_config_value_is_spec_error(self, tmp_path, capsys, cfg, message):
         game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
         write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
@@ -511,8 +561,8 @@ class TestTieRuleChoice:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
-        if "layer widths" not in message:       # a config value is checked before any output is written
-            assert not (tmp_path / "run").exists()
+        # every config value, the architectures' shape rules included, is checked before any output is written
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("section, fields, message", [
         ("train", {"epochs": True}, "train.epochs must be an integer of at least 1, got True"),
@@ -545,8 +595,7 @@ class TestTieRuleChoice:
         assert message in err
         assert not (tmp_path / "run").exists()
 
-    def test_integral_float_counts_and_seeds_are_integers(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("PERSUADE_CACHE", raising=False)
+    def test_integral_float_counts_and_seeds_are_integers(self, tmp_path):
         game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
         write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
         runs = []
@@ -560,8 +609,7 @@ class TestTieRuleChoice:
             runs.append((run_dir / "results.json").read_text().replace(str(run_dir), ""))
         assert runs[0] == runs[1]
 
-    def test_integral_float_sample_count_is_a_count(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("PERSUADE_CACHE", raising=False)
+    def test_integral_float_sample_count_is_a_count(self, tmp_path):
         game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
         write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
         runs = []
@@ -621,10 +669,9 @@ class TestLearnAndReport:
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged at epoch ") and err.count("\n") == 1
 
-    def test_learn_writes_loss_curves(self, tmp_path, monkeypatch):
+    def test_learn_writes_loss_curves(self, tmp_path):
         from persuade.learning import EgConfig, TrainConfig, find_local_ne, sample_dataset
 
-        monkeypatch.delenv("PERSUADE_CACHE", raising=False)
         game = synthetic_instance(SyntheticSpec(2, 2, 2, 2, 4))
         game_path = tmp_path / "g.json"
         write_game(game_path, game, tie=Lexicographic())
@@ -721,24 +768,12 @@ class TestLearnAndReport:
         assert run_cli(["report", "--glob", str(tmp_path / "nothing-*.json"),
                         "--out", tmp_path / "agg.csv"]) == 2
 
-    def test_dataset_cache_reuse(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PERSUADE_CACHE", str(tmp_path / "cache"))
-        g = synthetic_instance(SyntheticSpec(2, 2, 2, 2, 9))
-        d1 = load_or_sample_dataset(g, 200, Lexicographic(), seed=1)
-        files = os.listdir(tmp_path / "cache")
-        assert len(files) == 1
-        d2 = load_or_sample_dataset(g, 200, Lexicographic(), seed=1)
-        assert np.array_equal(d1.inputs, d2.inputs)
-        assert np.array_equal(d1.utilities, d2.utilities)
-        assert os.listdir(tmp_path / "cache") == files
-
     @pytest.mark.parametrize("kind, fields", [
         ("synthetic", {"n": 2, "states": 2, "signals": 2, "actions": 2}),
         ("quality-ads", {"firms": 2, "shock_std": 0.5}),
     ])
-    def test_inline_generator_matches_gen_then_learn(self, tmp_path, monkeypatch, kind, fields):
+    def test_inline_generator_matches_gen_then_learn(self, tmp_path, kind, fields):
         # the config's generator entry and the gen flags name the same fields
-        monkeypatch.delenv("PERSUADE_CACHE", raising=False)
         cfg = {
             "architectures": ["relu"],
             "sample_count": 300,
