@@ -36,6 +36,7 @@ from .equilibria import (
 )
 from .game import TIE_RULES, CapError, Lexicographic, TieRule, ex_ante_utilities
 from .io import (
+    _load,
     read_game,
     read_policies,
     report_to_dict,
@@ -355,8 +356,7 @@ def _learn_section(cfg: dict, name: str, config_cls, seed):
 
 
 def cmd_learn(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _load(args.config)
     _reject_unknown(cfg, LEARN_FIELDS, "config")
     game_label = args.game if args.game is not None else cfg.get("game")
     if game_label is not None:
@@ -426,8 +426,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_reduce_public(args) -> int:
-    with open(args.source) as fh:
-        src = json.load(fh)
+    src = _load(args.source)
     pub = PublicPersuasionInstance(
         prior=np.asarray(_require(src, "prior"), dtype=float),
         gaps=np.asarray(_require(src, "gaps"), dtype=float),
@@ -455,8 +454,7 @@ def cmd_reduce_public(args) -> int:
 
 
 def cmd_reduce_bimatrix(args) -> int:
-    with open(args.source) as fh:
-        src = json.load(fh)
+    src = _load(args.source)
     bim = BimatrixGame(u1=np.asarray(_require(src, "u1"), dtype=float), u2=np.asarray(_require(src, "u2"), dtype=float))
     game, amap = bimatrix_to_persuasion(bim)
     write_game(args.out, game, tie=amap)
@@ -480,8 +478,7 @@ def cmd_report(args) -> int:
         raise SpecError(f"no result files match {args.pattern!r}")
     rows = []
     for path in paths:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = _load(path)
         if doc.get("format") != "persuade-results":
             continue
         rows.extend(doc["rows"])

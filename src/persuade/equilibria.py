@@ -33,14 +33,14 @@ from .game import (
     GameInstance,
     TieRule,
     _sum_last,
+    _weight_planes,
     batch_rows,
     check_term_cap,
     ex_ante_utilities,
     ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
     induced_action_map,
-    joint_signals,
-    product_weights,
+    receiver_optima,
     validate_joint_policy,
     validate_policy,
 )
@@ -132,12 +132,12 @@ def _opponent_contexts(game: GameInstance, sender: int, others) -> tuple[list, n
     others = [validate_policy(game, p) for p in others]
     if len(others) != game.n_senders - 1:
         raise ValueError(f"expected {game.n_senders - 1} opponent policies")
-    W = product_weights(game.prior, np.reshape(others, (len(others), game.states, game.signals)))
+    n, S = game.n_senders, game.signals
+    W = _weight_planes(game.prior, np.reshape(others, (1, n - 1, game.states, S)))[:, :, 0].T
     relevant = np.nonzero(W.max(axis=1) > 0)[0]
-    ctx = joint_signals(len(others), game.signals) if others else np.zeros((1, 0), dtype=int)
-    place = game.signals ** np.arange(game.n_senders - 1, -1, -1)
-    joint = (ctx[relevant] @ np.delete(place, sender))[:, None] + place[sender] * np.arange(game.signals)
-    return others, W[relevant], joint
+    # every joint signal's flat index, the sender's own signal on the last axis
+    joint = np.moveaxis(np.arange(S**n).reshape((S,) * n), sender, -1).reshape(-1, S)
+    return others, W[relevant], joint[relevant]
 
 
 def _profile_with(others, sender, pi):
@@ -295,29 +295,21 @@ def _producible_actions(game: GameInstance, weight_row: np.ndarray, tie: TieRule
     The reachable posteriors form the simplex over the face of states with
     positive weight.  An action is producible if it is the strict argmax
     somewhere on that face, or if the tie rule picks it at a tie.  Faces of
-    one or two states are handled exactly; larger faces use a strict-margin
-    LP per action plus tie-rule outcomes at the witness posteriors, a
-    superset that is exact for games without higher-dimensional ties.
+    one or two states are handled exactly: the rule decides at the vertices,
+    the pairwise indifference points and the midpoints between them.  Larger
+    faces use a strict-margin LP per action plus the rule's decisions at the
+    centroid and the witness posteriors, a superset that is exact for games
+    without higher-dimensional ties.  The rule decides at all the probes in
+    one call.
     """
     face = np.nonzero(weight_row > 0)[0]
     V = game.receiver_utility
     out: set[int] = set()
-
-    def probe(q_face):
-        mu = np.zeros(game.states)
-        mu[face] = q_face
-        exp = mu @ V
-        top = np.nonzero(exp >= exp.max() - TIE_TOL)[0]
-        if top.size == 1:
-            out.add(int(top[0]))
-        else:
-            out.add(int(tie.best_actions(game, mu[None, :])[0]))
+    probes = []                                 # points of the face's simplex
 
     if face.size == 1:
-        probe(np.ones(1))
-        return tuple(sorted(out))
-
-    if face.size == 2:
+        probes.append(np.ones(1))
+    elif face.size == 2:
         vA, vB = V[face[0]], V[face[1]]
         points = {0.0, 1.0}
         for a in range(game.actions):
@@ -329,43 +321,42 @@ def _producible_actions(game: GameInstance, weight_row: np.ndarray, tie: TieRule
                     if 0.0 < t < 1.0:
                         points.add(float(t))
         knots = sorted(points)
-        probes = list(knots) + [(knots[i] + knots[i + 1]) / 2 for i in range(len(knots) - 1)]
-        for t in probes:
-            probe(np.array([t, 1.0 - t]))
-        return tuple(sorted(out))
-
-    # face of 3+ states: strict-margin LP per action
-    k = face.size
-    Vf = V[face]
-    centroid = np.full(k, 1.0 / k)
-    probe(centroid)
-    for a in range(game.actions):
-        diffs = Vf[:, a][:, None] - Vf          # (k, actions)
-        cols = [b for b in range(game.actions) if np.max(np.abs(diffs[:, b])) > 1e-14]
-        if not cols:
-            probe(centroid)
-            continue
-        # max delta  s.t.  q in simplex(face), diffs[:, b] @ q >= delta
-        c = np.zeros(k + 1)
-        c[-1] = 1.0
-        A_ub = np.zeros((len(cols) + 1, k + 1))
-        for r, b in enumerate(cols):
-            A_ub[r, :k] = -diffs[:, b]
-            A_ub[r, -1] = 1.0
-        A_ub[-1, -1] = 1.0                      # delta bounded to keep the LP finite
-        b_ub = np.zeros(len(cols) + 1)
-        b_ub[-1] = 2.0 * np.max(np.abs(Vf)) + 1.0
-        A_eq = np.zeros((1, k + 1))
-        A_eq[0, :k] = 1.0
-        stack = lpmod.LpStack(c=c[None], A_ub=A_ub[None], b_ub=b_ub[None], A_eq=A_eq[None], b_eq=np.ones((1, 1)))
-        res = lpmod.solve_lp(stack)
-        if res.status != lpmod.OPTIMAL:
-            continue
-        delta = res.value
-        if delta > TIE_TOL:
-            out.add(a)
-        elif delta >= -TIE_TOL:
-            probe(res.x[:k])
+        for t in knots + [(knots[i] + knots[i + 1]) / 2 for i in range(len(knots) - 1)]:
+            probes.append(np.array([t, 1.0 - t]))
+    else:                                       # strict-margin LP per action
+        k = face.size
+        Vf = V[face]
+        centroid = np.full(k, 1.0 / k)
+        probes.append(centroid)
+        for a in range(game.actions):
+            diffs = Vf[:, a][:, None] - Vf          # (k, actions)
+            cols = [b for b in range(game.actions) if np.max(np.abs(diffs[:, b])) > 1e-14]
+            if not cols:
+                continue                            # `a` ties everywhere: the centroid probe decides
+            # max delta  s.t.  q in simplex(face), diffs[:, b] @ q >= delta
+            c = np.zeros(k + 1)
+            c[-1] = 1.0
+            A_ub = np.zeros((len(cols) + 1, k + 1))
+            for r, b in enumerate(cols):
+                A_ub[r, :k] = -diffs[:, b]
+                A_ub[r, -1] = 1.0
+            A_ub[-1, -1] = 1.0                      # delta bounded to keep the LP finite
+            b_ub = np.zeros(len(cols) + 1)
+            b_ub[-1] = 2.0 * np.max(np.abs(Vf)) + 1.0
+            A_eq = np.zeros((1, k + 1))
+            A_eq[0, :k] = 1.0
+            stack = lpmod.LpStack(c=c[None], A_ub=A_ub[None], b_ub=b_ub[None], A_eq=A_eq[None], b_eq=np.ones((1, 1)))
+            res = lpmod.solve_lp(stack)
+            if res.status != lpmod.OPTIMAL:
+                continue
+            delta = res.value
+            if delta > TIE_TOL:
+                out.add(a)
+            elif delta >= -TIE_TOL:
+                probes.append(res.x[:k])
+    mu = np.zeros((len(probes), game.states))
+    mu[:, face] = probes
+    out.update(tie.best_actions(game, mu).tolist())
     return tuple(sorted(out))
 
 
@@ -419,8 +410,7 @@ def best_response_exact(
     others, W, joint = _opponent_contexts(game, sender, others)
 
     def true_utility(pi):
-        prof = _profile_with(others, sender, pi)
-        return float(ex_ante_utilities(game, prof, tie)[0][sender]), prof
+        return float(ex_ante_utilities(game, _profile_with(others, sender, pi), tie)[0][sender])
 
     cands = [_producible_actions(game, row, tie) for row in W]
     n_combos = math.prod(len(c) for c in cands)
@@ -431,13 +421,11 @@ def best_response_exact(
 
     best_value = -np.inf
     best_policy = None
-    best_table = None
+    best_table = None       # the winner's map when the strict branch built it, else None
     best_strict = None
     if incumbent is not None:
-        inc = validate_policy(game, incumbent)
-        val, prof = true_utility(inc)
-        best_value, best_policy = val, inc
-        best_table = induced_action_map(game, prof, tie)
+        best_policy = validate_policy(game, incumbent)
+        best_value = true_utility(best_policy)
 
     # best-first over a cheap IC-free bound so most LPs are skipped; when no
     # subset's bound can beat the incumbent, not even liveness is needed
@@ -517,15 +505,17 @@ def best_response_exact(
             if slack.status == lpmod.OPTIMAL:
                 cands_to_try.append(ic.policy(slack.x, len(assignment)))
             for cand in cands_to_try:
-                val, prof = true_utility(cand)
+                val = true_utility(cand)
                 if val > best_value:
                     best_value = val
                     best_policy = cand
-                    best_table = induced_action_map(game, prof, tie)
+                    best_table = None
                     best_strict = None
 
     if best_policy is None:
         raise RuntimeError("no feasible action map found; every valid policy induces one")
+    if best_table is None:
+        best_table = induced_action_map(game, _profile_with(others, sender, best_policy), tie)
     return BestResponseResult(
         policy=best_policy,
         utility=float(best_value),
@@ -619,15 +609,12 @@ def full_revelation_profile(game: GameInstance) -> tuple[np.ndarray, RevelationC
     Each used action gets one codeword; every state's senders jointly send
     the codeword of its optimal action.
     """
-    V = game.receiver_utility
-    f = np.zeros(game.states, dtype=int)
-    for w in range(game.states):
-        top = np.nonzero(V[w] >= V[w].max() - TIE_TOL)[0]
-        if top.size != 1:
-            raise PreconditionError(
-                f"state {w} has {top.size} receiver-optimal actions; a unique optimum is required"
-            )
-        f[w] = int(top[0])
+    optima = receiver_optima(game)
+    counts = optima.sum(axis=1)
+    if np.any(counts != 1):
+        w = int(np.argmax(counts != 1))
+        raise PreconditionError(f"state {w} has {counts[w]} receiver-optimal actions; a unique optimum is required")
+    f = optima.argmax(axis=1)
     used = sorted(set(int(a) for a in f))
     capacity = game.signals ** (game.n_senders - 1)
     if capacity > 10**7:
@@ -669,8 +656,9 @@ DEFAULT_LOCAL_EPS = 0.005
 
 def local_ne_sample_count(game: GameInstance) -> int:
     """Deviation sample budget per sender, `LOCAL_SAMPLES_PER_DIM` per unit of
-    (n-1)(states-1)(signals-1)(actions-1), at most `LOCAL_SAMPLE_CAP`."""
-    size = (game.n_senders - 1) * (game.states - 1) * (game.signals - 1) * (game.actions - 1)
+    max(n-1, 1)(states-1)(signals-1)(actions-1), at most `LOCAL_SAMPLE_CAP`.  A
+    one-sender game counts as two senders, so its deviations are sampled too."""
+    size = max(game.n_senders - 1, 1) * (game.states - 1) * (game.signals - 1) * (game.actions - 1)
     return min(LOCAL_SAMPLE_CAP, LOCAL_SAMPLES_PER_DIM * size)
 
 
@@ -716,6 +704,8 @@ def local_ne_verify(
     each.  The report carries the largest gain over all senders and
     deviations; the profile is refuted when it exceeds `IMPROVE_TOL`, and
     the witness is the first deviation (senders in turn) that reaches it.
+    `samples`, when given, replaces the budget of :func:`local_ne_sample_count`
+    and must be at least 1.
 
     Each sender's deviations are drawn and scored in blocks of one pass of
     the batched kernel, so memory does not grow with K.  A kernel row does
@@ -726,6 +716,8 @@ def local_ne_verify(
     scoring the deviations one at a time would, for any block size.
     """
     check_local_eps(eps)
+    if samples is not None and not samples >= 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     policy = validate_joint_policy(game, policy)
     K = local_ne_sample_count(game) if samples is None else int(samples)
     base = ex_ante_utilities(game, policy, tie)[0]

@@ -22,11 +22,12 @@ values, tie masks and tie-break scores (actions, M) planes.  So every numpy
 call runs over whole planes, not over the few states of one posterior.  The
 lowest-index pick is a max over rank-weighted planes, and the
 sender-favoring tiers run only on the posteriors that do not tie exactly
-one action.  Each weight is the product `product_weights` forms, in the
-same order, and each later step is the same exact operation, so the labels
-equal those of the posterior-major oracle bit for bit; the weights and
-actions go back to (rows, S^n, states) once per pass, so that the utility
-sums add in their usual order.  Per-game constants (utilities as contiguous
+one action.  Each weight is the prior times each sender's policy entry,
+multiplied in sender order, and each later step is the same exact
+operation as in a posterior-major evaluation, so the labels equal those of
+the posterior-major oracle bit for bit; the weights and actions go back to
+(rows, S^n, states), states-major, once per pass, so that the utility sums
+add in their usual order.  Per-game constants (utilities as contiguous
 (actions, states) tables, the rank planes, the sender-favoring rule's
 weighted utility and point-mass table) are built on first use and then
 kept; a game's arrays are read-only copies, so the constants cannot go
@@ -184,8 +185,7 @@ class SenderFavoring(_PosteriorRule):
             self.check(game)
             w = self.weights if self.weights is not None else (1.0,) * game.n_senders
             weighted = sum(float(wj) * uj for wj, uj in zip(w, game.sender_utilities))
-            v = game.receiver_utility
-            point_mass = (v >= v.max(axis=1, keepdims=True) - TIE_TOL).astype(float)
+            point_mass = receiver_optima(game).astype(float)
             bound = game.states * float(np.max(np.abs(weighted), initial=1.0))
             got = game._rule_constants[key] = (weighted, point_mass, bound)
         return got
@@ -438,33 +438,19 @@ def check_term_cap(game: GameInstance) -> None:
         raise CapError(f"exact enumeration needs {terms} terms, above the cap of {DEFAULT_TERM_CAP}")
 
 
-def product_weights(prior: np.ndarray, policies: np.ndarray) -> np.ndarray:
-    """Kronecker product of a prior with the policies on axis -3.
-
-    `policies` is (..., m, states, signals); returns (..., S^m, states) with
-    q[..., s, w] = prior(w) * prod_j policies[..., j, w, s_j] and joint
-    signals in flat order (policy 0 most significant).
-    """
-    *lead, m, states, _ = policies.shape
-    q = np.array(prior[None, :])
-    for j in range(m):
-        pj = policies[..., j, None, :, :].swapaxes(-1, -2)        # (..., 1, S, states)
-        # (..., k, states) -> (..., k*S, states), new signal index varying fastest
-        q = (q[..., :, None, :] * pj).reshape(*lead, -1, states)
-    return q
-
-
 def _weight_planes(prior: np.ndarray, profiles: np.ndarray) -> np.ndarray:
-    """The joint-signal weights of :func:`product_weights` with the rows innermost.
+    """The joint-signal weights of each profile, with the rows innermost.
 
-    `profiles` is (rows, n, states, signals); returns (states, S^n, rows), each
-    weight the same product as there (the prior, then each policy's factor in
-    order), from one transposed copy of the profiles.
+    `profiles` is (rows, n, states, signals); returns (states, S^n, rows) with
+    ``w[x, s, r] = prior(x) * prod_j profiles[r, j, x, s_j]``, the prior times
+    each policy's factor in sender order, and joint signals in flat order
+    (sender 0 most significant).  With no senders (n = 0) it is the prior on
+    its one joint signal, as (states, 1, 1).
     """
     p = np.ascontiguousarray(profiles.transpose(2, 1, 3, 0))      # (states, n, signals, rows)
     states, n, _, rows = p.shape
-    w = prior[:, None, None] * p[:, 0]
-    for j in range(1, n):
+    w = prior[:, None, None]
+    for j in range(n):
         # (states, k, rows) -> (states, k*S, rows), new signal index varying fastest
         w = (w[:, :, None, :] * p[:, j, None]).reshape(states, -1, rows)
     return w
@@ -472,6 +458,13 @@ def _weight_planes(prior: np.ndarray, profiles: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # operations
+
+
+def receiver_optima(game: GameInstance) -> np.ndarray:
+    """(states, actions) bool: the actions within `TIE_TOL` of the receiver's best at the
+    point-mass belief on each state."""
+    v = game.receiver_utility
+    return v >= v.max(axis=1, keepdims=True) - TIE_TOL
 
 
 def posterior(game: GameInstance, policy, signal) -> Posterior:
@@ -567,10 +560,12 @@ def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, tables) 
     """(B, len(tables)): sum over states and live joint signals of q * u[state, action].
 
     The receiver's actions come from (states, S^n, B) weight planes; the weights
-    and actions then go back to (B, S^n, states) and (B, S^n) once, laid out as
-    :func:`product_weights` lays them out, so each column's sum adds in the same
-    order.  `tables` holds each column's utility u as an (actions, states) array,
-    one contiguous row per action, so the gather at the receiver's actions copies
+    and actions then go back to (B, S^n, states) and (B, S^n) once, the weights
+    states-major within each row (each state's S^n weights contiguous), the
+    layout a sender-by-sender product over (rows, S^n, states) leaves, so each
+    column's sum adds in the same order as a posterior-major evaluation.
+    `tables` holds each column's utility u as an (actions, states) array, one
+    contiguous row per action, so the gather at the receiver's actions copies
     whole rows.  Each column is summed on its own, so a column's value does not
     depend on which other columns are asked for, nor on the other rows of the pass.
     """

@@ -34,8 +34,12 @@ def _dump(path, doc) -> None:
 
 
 def _load(path) -> dict:
+    """The JSON object in the file at `path`; any other top-level value is a ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object at the top level, got {type(doc).__name__}")
+    return doc
 
 
 # ---------------------------------------------------------------------------

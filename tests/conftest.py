@@ -33,7 +33,6 @@ from persuade.game import (
     joint_signal_index,
     joint_signals,
     posterior,
-    product_weights,
     validate_joint_policy,
     validate_policy,
 )
@@ -72,6 +71,23 @@ def unique_optimum_game(seed, n_choices=(2, 3), dim_cap=4, scale=1.0) -> GameIns
         used = len(set(int(a) for a in V.argmax(axis=1)))
         if signals ** (n - 1) >= used:
             return g
+
+
+def product_weights(prior: np.ndarray, policies: np.ndarray) -> np.ndarray:
+    """Kronecker product of a prior with the policies on axis -3: the oracle
+    for the kernel's joint-signal weights.
+
+    `policies` is (..., m, states, signals); returns (..., S^m, states) with
+    q[..., s, w] = prior(w) * prod_j policies[..., j, w, s_j] and joint
+    signals in flat order (policy 0 most significant).
+    """
+    *lead, m, states, _ = policies.shape
+    q = np.array(prior[None, :])
+    for j in range(m):
+        pj = policies[..., j, None, :, :].swapaxes(-1, -2)        # (..., 1, S, states)
+        # (..., k, states) -> (..., k*S, states), new signal index varying fastest
+        q = (q[..., :, None, :] * pj).reshape(*lead, -1, states)
+    return q
 
 
 def reference_ex_ante(game: GameInstance, policy, tie):

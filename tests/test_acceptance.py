@@ -24,7 +24,6 @@ from persuade.game import (
     ex_ante_utilities,
     ex_ante_utilities_fixed_interpretation,
     exact_payoff_variance,
-    product_weights,
     simulate_mean_payoffs,
 )
 from persuade.learning import EgConfig, TrainConfig, find_local_ne, mse, sample_dataset, split_dataset, train
@@ -46,6 +45,7 @@ from persuade.scenarios import SyntheticSpec, synthetic_instance
 from conftest import (
     enumerate_basic_optima,
     grid_best_response,
+    product_weights,
     random_game,
     random_profile,
     support_enumeration_2x2,

@@ -32,6 +32,8 @@ from persuade.game import (
     ex_ante_utilities,
     ex_ante_utilities_fixed_interpretation,
     induced_action_map,
+    joint_signal_index,
+    joint_signals,
 )
 from persuade.reference import didactic_game, two_block_equilibrium_policies, two_block_game
 from persuade.reductions import BimatrixGame, bimatrix_to_persuasion
@@ -41,8 +43,10 @@ from persuade.scenarios import SyntheticSpec, product_ads_instance, quality_ads_
 from conftest import (
     grid_best_response,
     lp_arrays,
+    product_weights,
     random_game,
     random_profile,
+    reference_best_actions,
     reference_best_response_exact,
     reference_best_response_fixed_interpretation,
     reference_ic_lp,
@@ -409,6 +413,93 @@ class TestBestResponseMatchesSequentialReference:
         assert past_the_break > 0
 
 
+class TestOpponentContexts:
+    """`W` and `joint` against the Kronecker-product oracle and joint-signal tuples."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("dead", [False, True], ids=["all-live", "dead-contexts"])
+    def test_matches_kronecker_oracle(self, n, dead):
+        rng = substream(n, "opponent-contexts")
+        for _ in range(3):
+            g = random_game(n, 3, 3, 2, rng)
+            prof = random_profile(g, rng)
+            if dead:    # no sender ever sends signal 1, so every context naming it has weight 0
+                prof[:, :, 1] = 0.0
+                prof /= prof.sum(axis=2, keepdims=True)
+            for sender in range(n):
+                others = [prof[k] for k in range(n) if k != sender]
+                _, W, joint = _opponent_contexts(g, sender, others)
+                want = product_weights(g.prior, np.reshape(others, (n - 1, g.states, g.signals)))
+                ctx = joint_signals(n - 1, g.signals) if n > 1 else np.zeros((1, 0), dtype=int)
+                keep = want.max(axis=1) > 0
+                assert keep.all() != (dead and n > 1)
+                want_joint = [[joint_signal_index((*c[:sender], s, *c[sender:]), g.signals) for s in range(g.signals)]
+                              for c in ctx[keep]]
+                assert W.shape == want[keep].shape and W.tobytes() == np.ascontiguousarray(want[keep]).tobytes()
+                assert np.array_equal(joint, np.array(want_joint, dtype=int).reshape(-1, g.signals))
+
+
+def _grid(k: int, steps: int) -> np.ndarray:
+    """Every point of the k-simplex whose coordinates are multiples of 1/steps."""
+    pts = [c for c in itertools.product(range(steps + 1), repeat=k - 1) if sum(c) <= steps]
+    return np.array([[*c, steps - sum(c)] for c in pts], dtype=float) / steps
+
+
+class TestProducibleActions:
+    """`_producible_actions` against the rule's own picks over the face, found
+    without it: on a grid over the face, and at the pairwise indifference
+    points of a two-state face."""
+
+    @staticmethod
+    def _cases(rng):
+        """Random small games, with real or small-integer utilities (the latter tie a lot),
+        each with weight rows on faces of one, two and three states."""
+        for trial in range(80):
+            states, actions = int(rng.integers(3, 5)), int(rng.integers(2, 6))
+            if trial % 2:
+                g = GameInstance(2, rng.dirichlet(np.ones(states)), rng.integers(-2, 3, (states, actions)),
+                                 tuple(rng.integers(-2, 3, (states, actions)) for _ in range(2)))
+            else:
+                g = random_game(2, states, 2, actions, rng)
+            for size in (1, 2, 3):
+                face = np.sort(rng.choice(states, size=size, replace=False))
+                row = np.zeros(states)
+                row[face] = rng.uniform(0.1, 1.0, size)
+                yield g, face, row
+
+    @staticmethod
+    def _picks(g, tie, face, points) -> set:
+        mu = np.zeros((len(points), g.states))
+        mu[:, face] = points
+        return set(reference_best_actions(g, tie, mu).tolist())
+
+    @pytest.mark.parametrize("tie", [LEX, SF], ids=["lex", "sf"])
+    def test_every_pick_on_the_face_is_returned(self, tie):
+        rng = substream(1, "producible-actions:grid")
+        for g, face, row in self._cases(rng):
+            got = _producible_actions(g, row, tie)
+            assert list(got) == sorted(set(got))
+            steps = {1: 1, 2: 2000, 3: 60}[face.size]
+            assert self._picks(g, tie, face, _grid(face.size, steps)) <= set(got)
+
+    @pytest.mark.parametrize("tie", [LEX, SF], ids=["lex", "sf"])
+    def test_every_action_returned_on_a_small_face_is_picked(self, tie):
+        rng = substream(2, "producible-actions:tight")
+        for g, face, row in self._cases(rng):
+            if face.size == 3:
+                continue
+            points = list(_grid(face.size, {1: 1, 2: 2000}[face.size]))
+            if face.size == 2:
+                vA, vB = g.receiver_utility[face[0]], g.receiver_utility[face[1]]
+                for a, b in itertools.combinations(range(g.actions), 2):
+                    # t vA + (1 - t) vB ties a and b: t (dA - dB) = -dB
+                    dA, dB = vA[a] - vA[b], vB[a] - vB[b]
+                    t = -dB / (dA - dB) if dA != dB else -1.0
+                    if 0.0 <= t <= 1.0:
+                        points.append(np.array([t, 1.0 - t]))
+            assert set(_producible_actions(g, row, tie)) <= self._picks(g, tie, face, np.array(points))
+
+
 class TestBestResponseFixedInterpretation:
     def test_indifferent_receiver_always_feasible(self, rng):
         bg = BimatrixGame(u1=rng.integers(0, 2, (2, 2)), u2=rng.integers(0, 2, (2, 2)))
@@ -545,6 +636,15 @@ class TestLocalVerify:
         assert local_ne_sample_count(g) == 1000
         g = random_game(2, 4, 4, 4, np.random.default_rng(0))
         assert local_ne_sample_count(g) == 10000
+
+    def test_one_sender_game_samples_as_two_senders(self):
+        g = synthetic_instance(SyntheticSpec(1, 3, 2, 3, 19))
+        assert local_ne_sample_count(g) == local_ne_sample_count(synthetic_instance(SyntheticSpec(2, 3, 2, 3, 19)))
+
+    @pytest.mark.parametrize("samples", [0, -5, 0.5])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            local_ne_verify(didactic_game(), np.full((2, 2, 2), 0.5), LEX, eps=0.01, seed=0, samples=samples)
 
     def test_exact_ne_is_locally_stable(self):
         g = two_block_game()

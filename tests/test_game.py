@@ -25,7 +25,6 @@ from persuade.game import (
     joint_signal_index,
     joint_signals,
     posterior,
-    product_weights,
     sample_playthrough,
     simulate_mean_payoffs,
     validate_joint_policy,
@@ -33,7 +32,14 @@ from persuade.game import (
 )
 from persuade.reference import didactic_game, two_block_equilibrium_policies, two_block_game
 
-from conftest import random_game, random_profile, reference_batch_pass, reference_best_actions, reference_ex_ante
+from conftest import (
+    product_weights,
+    random_game,
+    random_profile,
+    reference_batch_pass,
+    reference_best_actions,
+    reference_ex_ante,
+)
 
 SF = SenderFavoring()
 LEX = Lexicographic()

@@ -254,6 +254,34 @@ class TestCliCommands:
         assert run_cli(["exact", "verify", "--game", tmp_path / "absent.json",
                         "--policy", tmp_path / "nope.json", "--out", tmp_path / "r.json"]) == 3
 
+    def test_local_verify_samples_one_sender_games(self, tmp_path):
+        # a one-sender game's eps-ball check draws deviations, and here one gains
+        game_path, pol_path, out = tmp_path / "g.json", tmp_path / "p.json", tmp_path / "r.json"
+        write_game(game_path, synthetic_instance(SyntheticSpec(1, 3, 2, 3, 19)))
+        write_policies(pol_path, np.random.default_rng(19).dirichlet(np.ones(2), size=(1, 3)))
+        assert run_cli(["exact", "verify", "--local", "--game", game_path, "--policy", pol_path, "--out", out]) == 10
+        doc = json.loads(out.read_text())
+        assert (doc["verdict"], doc["samples"]) == ("refuted", 4000) and doc["max_improvement"] > 0.1
+
+    @pytest.mark.parametrize("kind", ["game", "policy", "results", "config", "public", "bimatrix"])
+    def test_non_object_json_is_spec_error(self, tmp_path, capsys, kind):
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        write_game(game_path, two_block_game(), tie=SenderFavoring())
+        write_policies(pol_path, two_block_equilibrium_policies())
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text("[]")
+        out = tmp_path / "out"
+        argv = {
+            "game": ["exact", "verify", "--game", bad, "--policy", pol_path, "--out", out],
+            "policy": ["exact", "verify", "--game", game_path, "--policy", bad, "--out", out],
+            "results": ["report", "--glob", bad, "--out", out],
+            "config": ["learn", "--game", game_path, "--config", bad, "--out", out],
+            "public": ["reduce", "public", "--source", bad, "--out", out],
+            "bimatrix": ["reduce", "bimatrix", "--source", bad, "--out", out],
+        }[kind]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: expected a JSON object at the top level, got list\n"
+
     def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import persuade.cli
         import persuade.equilibria

@@ -6,7 +6,6 @@ from persuade.game import (
     GameInstance,
     Lexicographic,
     ex_ante_utilities_fixed_interpretation,
-    product_weights,
 )
 from persuade.reductions import (
     BimatrixGame,
@@ -18,6 +17,8 @@ from persuade.reductions import (
     reduced_action_values,
     reduced_action_values_closed_form,
 )
+
+from conftest import product_weights
 
 LEX = Lexicographic()
 
