@@ -136,10 +136,22 @@ def _generate(kind: str, fields: dict, seed: int):
     return build(*args, seed, **{name: fields.get(name, default) for name, default in defaults.items()})
 
 
+def _seed(text: str) -> int:
+    """`--seed`'s type: a non-negative integer, so a bad seed is a usage error naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _common_flags(p, *, tie: bool = False, eps: bool = False, seed: bool = False):
     """`--out`; `--tie`, `--eps` and `--seed` only for the commands that read them."""
     if seed:
-        p.add_argument("--seed", type=int, default=None, help="root seed; named sub-streams derive from it")
+        p.add_argument("--seed", type=_seed, default=None, help="root seed, a non-negative integer; "
+                       "named sub-streams derive from it")
     p.add_argument("--out", required=True, help="output file or directory")
     if eps:
         p.add_argument("--eps", type=float, default=None, help="local-equilibrium neighborhood radius")

@@ -32,12 +32,13 @@ from .game import (
     FixedMap,
     GameInstance,
     TieRule,
+    _column_sum,
+    _decision_pass,
     _sum_last,
     _weight_planes,
     batch_rows,
     check_term_cap,
     ex_ante_utilities,
-    ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
     induced_action_map,
     receiver_optima,
@@ -668,13 +669,23 @@ def perturb_policy(policy: np.ndarray, eps: float, rng) -> np.ndarray:
     `policy` may carry leading axes: a (K, states, signals) stack draws its
     K perturbations in one call, with the same numbers as K calls on the
     (states, signals) slices in turn.  A row clamped to all zeros becomes
-    uniform.
+    uniform.  The renormalization can move an entry by more than eps, so a
+    deviation may leave the sup-norm box of radius eps around `policy`
+    (it stays on the simplex): for the row [0.34, 0.33, 0.33] at eps 0.05
+    an entry moves by up to about 0.07.
     """
-    p = np.clip(policy + rng.uniform(-eps, eps, size=policy.shape), 0.0, 1.0)
+    return _clamp_to_simplex(policy + rng.uniform(-eps, eps, size=policy.shape))
+
+
+def _clamp_to_simplex(p: np.ndarray) -> np.ndarray:
+    """`perturb_policy`'s elementwise arithmetic on the perturbed rows `p` (last axis the
+    signals), which it overwrites: clamp into [0, 1], make a row clamped to all zeros
+    uniform, renormalize."""
+    np.clip(p, 0.0, 1.0, out=p)
     sums = _sum_last(p)
     bad = sums <= 1e-12
-    if np.any(bad):
-        p[bad] = 1.0 / policy.shape[-1]
+    if bad.any():
+        p[bad] = 1.0 / p.shape[-1]
         sums = _sum_last(p)
     return p / sums[..., None]
 
@@ -699,43 +710,74 @@ def local_ne_verify(
 ) -> EquilibriumReport:
     """Sampled check that no sender can gain inside an eps-ball of deviations.
 
-    Draws K deviations per sender in the infinity-ball (clamped back onto
-    the simplex rows) and scores the deviator's true ex-ante utility for
-    each.  The report carries the largest gain over all senders and
-    deviations; the profile is refuted when it exceeds `IMPROVE_TOL`, and
-    the witness is the first deviation (senders in turn) that reaches it.
-    `samples`, when given, replaces the budget of :func:`local_ne_sample_count`
-    and must be at least 1.
+    Draws K deviations per sender with :func:`perturb_policy`'s arithmetic
+    (sender j's from ``substream(seed, f"deviation:{j}")``), so each lies on
+    the simplex rows but, after renormalization, possibly outside the
+    sup-norm box of radius eps, and scores the deviator's true ex-ante
+    utility for each.  The report carries the largest gain over all senders
+    and deviations; the profile is refuted when it exceeds `IMPROVE_TOL`,
+    and the witness is the first deviation (senders in turn) that reaches
+    it.  `samples`, when given, replaces the budget of
+    :func:`local_ne_sample_count` and must be an integer of at least 1.
 
-    Each sender's deviations are drawn and scored in blocks of one pass of
-    the batched kernel, so memory does not grow with K.  A kernel row does
-    not depend on the pass it runs in, and :func:`ex_ante_utilities` is a
-    one-row pass, so each block's gains are the single-profile gains bit
-    for bit.  Taking the block's first largest gain, and replacing the
-    witness only on a strictly larger one, therefore reports exactly what
-    scoring the deviations one at a time would, for any block size.
+    One call scores one sequence of kernel rows: n base rows (row j scores
+    sender j at the unchanged profile), then sender 0's K deviations, then
+    sender 1's, and so on.  The sequence is cut into passes of
+    :func:`batch_rows` rows, so memory does not grow with K or n; each pass
+    makes one receiver decision, and each run of its rows that belongs to
+    one sender is summed against that sender's utility alone.  A kernel row
+    does not depend on the pass it runs in, so every base utility and gain
+    equals the single-profile evaluation's bit for bit, wherever the pass
+    boundaries fall (even inside the base rows).  Taking each run's first
+    largest gain, and replacing the witness only on a strictly larger one,
+    therefore reports exactly what scoring the deviations one at a time
+    would.
     """
     check_local_eps(eps)
-    if samples is not None and not samples >= 1:
+    if samples is None:
+        K = local_ne_sample_count(game)
+    elif not samples >= 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    elif isinstance(samples, (bool, np.bool_)) or not float(samples).is_integer():
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    else:
+        K = int(samples)
     policy = validate_joint_policy(game, policy)
-    K = local_ne_sample_count(game) if samples is None else int(samples)
-    base = ex_ante_utilities(game, policy, tie)[0]
-    step = batch_rows(game)
+    check_term_cap(game)
+    tie.check(game)
+    n = game.n_senders
+    rngs = [substream(seed, f"deviation:{j}") for j in range(n)]
+    base = np.empty(n)
     worst_gap = 0.0
     witness = None
-    for j in range(game.n_senders):
-        rng = substream(seed, f"deviation:{j}")
-        for start in range(0, K, step):
-            m = min(step, K - start)
-            devs = perturb_policy(np.broadcast_to(policy[j], (m, *policy[j].shape)), eps, rng)
-            profiles = np.broadcast_to(policy, (m, *policy.shape)).copy()
-            profiles[:, j] = devs
-            gaps = ex_ante_utilities_batch(game, profiles, tie, senders=(j,))[:, 0] - base[j]
-            k = int(np.argmax(gaps))
+    total, step = n + n * K, batch_rows(game)
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        # (sender j, first, end) of the pass's runs of deviation rows, counted from `start`;
+        # sender j's deviations are rows n + jK to n + (j+1)K - 1 of the sequence
+        runs = [(j, max(start, n + j * K) - start, min(stop, n + (j + 1) * K) - start)
+                for j in range(max(start - n, 0) // K, (stop - n - 1) // K + 1)]
+        # the pass's profiles as a view of planes in the kernel's row-innermost layout,
+        # so `_weight_planes` reads them without a transposed copy
+        planes = np.empty((game.states, n, game.signals, stop - start))
+        planes[...] = policy.transpose(1, 0, 2)[..., None]
+        profiles = planes.transpose(3, 1, 0, 2)
+        if runs:
+            # each run's uniforms from its sender's stream, in order; one clamp and renormalization
+            devs = _clamp_to_simplex(np.concatenate(
+                [policy[j] + rngs[j].uniform(-eps, eps, size=(b - a, *policy.shape[1:])) for j, a, b in runs]))
+            for j, a, b in runs:
+                profiles[a:b, j] = devs[a - runs[0][1] : b - runs[0][1]]
+        q, actions = _decision_pass(game, profiles, tie)
+        for r in range(start, min(stop, n)):   # base row r scores sender r
+            i = r - start
+            base[r] = _column_sum(q[i : i + 1], actions[i : i + 1], game._tables[r])[0]
+        for j, a, b in runs:
+            gaps = _column_sum(q[a:b], actions[a:b], game._tables[j]) - base[j]
+            k = int(gaps.argmax())
             if gaps[k] > max(IMPROVE_TOL, worst_gap):
                 worst_gap = float(gaps[k])
-                witness = (j, devs[k].copy())
+                witness = (j, profiles[a + k, j].copy())
 
     if witness is None:
         return EquilibriumReport(

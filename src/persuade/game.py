@@ -13,9 +13,11 @@ Joint signals are tuples ``(s_1, ..., s_n)`` of per-sender signal indices
 and are flattened to a single index with sender 0 most significant:
 ``index = s_1 * S^(n-1) + ... + s_n``.
 
-One batched kernel (`_batch_pass`) evaluates single profiles and datasets
-alike.  The pass's rows are its innermost, contiguous axis: from one
-transposed copy of the profiles it builds the joint-signal weights as
+One batched kernel evaluates single profiles, datasets and the eps-ball
+check alike: a pass's decision step (`_decision_pass`) and its per-utility
+sums (`_column_sum`).  The pass's rows are its innermost, contiguous axis:
+from the profiles transposed once (no copy when they are already laid out
+that way) it builds the joint-signal weights as
 (states, S^n, rows) planes, the marginals as (S^n, rows) planes and the
 posteriors as (states, M) planes, and the receiver decision makes expected
 values, tie masks and tie-break scores (actions, M) planes.  So every numpy
@@ -331,7 +333,7 @@ class GameInstance:
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
         """Each sender's utility, then the receiver's, as an (actions, states) array with one
-        contiguous row per action for `_batch_pass` to gather."""
+        contiguous row per action for `_column_sum` to gather."""
         return tuple(np.ascontiguousarray(u.T) for u in (*self.sender_utilities, self.receiver_utility))
 
     @cached_property
@@ -445,7 +447,8 @@ def _weight_planes(prior: np.ndarray, profiles: np.ndarray) -> np.ndarray:
     ``w[x, s, r] = prior(x) * prod_j profiles[r, j, x, s_j]``, the prior times
     each policy's factor in sender order, and joint signals in flat order
     (sender 0 most significant).  With no senders (n = 0) it is the prior on
-    its one joint signal, as (states, 1, 1).
+    its one joint signal, as (states, 1, 1).  Profiles that are a transposed view of
+    contiguous (states, n, signals, rows) planes are read without a copy.
     """
     p = np.ascontiguousarray(profiles.transpose(2, 1, 3, 0))      # (states, n, signals, rows)
     states, n, _, rows = p.shape
@@ -524,7 +527,8 @@ BATCH_CELLS = 1 << 15
 
 
 def batch_rows(game: GameInstance) -> int:
-    """Profiles per pass of :func:`ex_ante_utilities_batch` on this game (at least one)."""
+    """Rows per kernel pass on this game (at least one), in :func:`ex_ante_utilities_batch` and
+    the eps-ball check's pass sequence."""
     return max(1, BATCH_CELLS // (game.states * game.n_joint_signals))
 
 
@@ -557,28 +561,39 @@ def ex_ante_utilities_batch(
 
 
 def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, tables) -> np.ndarray:
-    """(B, len(tables)): sum over states and live joint signals of q * u[state, action].
+    """(B, len(tables)): one :func:`_column_sum` per table after one :func:`_decision_pass`.
+    Each column is summed on its own, so a column's value does not depend on which other
+    columns are asked for, nor on the other rows of the pass."""
+    q, actions = _decision_pass(game, profiles, tie)
+    out = np.empty((q.shape[0], len(tables)))
+    for col, table in enumerate(tables):
+        out[:, col] = _column_sum(q, actions, table)
+    return out
 
-    The receiver's actions come from (states, S^n, B) weight planes; the weights
-    and actions then go back to (B, S^n, states) and (B, S^n) once, the weights
-    states-major within each row (each state's S^n weights contiguous), the
-    layout a sender-by-sender product over (rows, S^n, states) leaves, so each
-    column's sum adds in the same order as a posterior-major evaluation.
-    `tables` holds each column's utility u as an (actions, states) array, one
-    contiguous row per action, so the gather at the receiver's actions copies
-    whole rows.  Each column is summed on its own, so a column's value does not
-    depend on which other columns are asked for, nor on the other rows of the pass.
+
+def _decision_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule) -> tuple[np.ndarray, np.ndarray]:
+    """``(q, actions)`` for the (B, n, states, signals) `profiles`: the weights q as
+    (B, S^n, states), zero at dead joint signals, and the receiver's actions as (B, S^n).
+
+    The actions come from (states, S^n, B) weight planes; the weights and actions then go
+    back to (B, S^n, states) and (B, S^n) once, the weights states-major within each row
+    (each state's S^n weights contiguous), the layout a sender-by-sender product over
+    (rows, S^n, states) leaves, so each column's sum adds in the same order as a
+    posterior-major evaluation.  A row's q and actions do not depend on the other rows.
     """
     w = _weight_planes(game.prior, profiles)
     actions, live = tie.actions(game, w)
     q = np.ascontiguousarray(w.transpose(2, 0, 1)).transpose(0, 2, 1)   # (B, S^n, states), states-major rows
     if not live.all():
         q = np.where(live.T[..., None], q, 0.0)
-    actions = np.ascontiguousarray(actions.T)
-    out = np.empty((q.shape[0], len(tables)))
-    for col, table in enumerate(tables):
-        out[:, col] = np.sum(q * table.take(actions, axis=0), axis=(1, 2))   # take: (B, S^n, states)
-    return out
+    return q, np.ascontiguousarray(actions.T)
+
+
+def _column_sum(q: np.ndarray, actions: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(B,): the sum over states and joint signals of q * u[state, action], for rows of a
+    :func:`_decision_pass`.  `table` holds u as an (actions, states) array, one contiguous
+    row per action, so the gather at the receiver's actions copies whole rows."""
+    return np.add.reduce(q * table.take(actions, axis=0), axis=(1, 2))   # = np.sum; take: (B, S^n, states)
 
 
 def ex_ante_utilities_fixed_interpretation(game: GameInstance, policy, interp: FixedMap) -> np.ndarray:

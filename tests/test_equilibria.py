@@ -646,6 +646,19 @@ class TestLocalVerify:
         with pytest.raises(ValueError, match="samples must be at least 1"):
             local_ne_verify(didactic_game(), np.full((2, 2, 2), 0.5), LEX, eps=0.01, seed=0, samples=samples)
 
+    @pytest.mark.parametrize("samples", [2.5, True, np.bool_(True), np.float64(7.5), math.inf])
+    def test_fractional_or_bool_samples_rejected(self, samples):
+        # 2.5 drew 2 deviations per sender and reported 2; True drew 1
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            local_ne_verify(didactic_game(), np.full((2, 2, 2), 0.5), LEX, eps=0.01, seed=0, samples=samples)
+
+    @pytest.mark.parametrize("samples", [np.int64(7), np.int32(7), 7.0, np.float64(7.0)])
+    def test_integral_samples_accepted(self, samples):
+        pol = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9]]])
+        got = local_ne_verify(didactic_game(), pol, LEX, eps=0.01, seed=0, samples=samples)
+        assert type(got.samples) is int
+        assert_same_report(got, local_ne_verify(didactic_game(), pol, LEX, eps=0.01, seed=0, samples=7))
+
     def test_exact_ne_is_locally_stable(self):
         g = two_block_game()
         prof, _ = full_revelation_profile(g)
@@ -694,6 +707,21 @@ class TestLocalVerify:
         a = local_ne_verify(g, pol, LEX, eps=0.01, seed=42, samples=50)
         b = local_ne_verify(g, pol, LEX, eps=0.01, seed=42, samples=50)
         assert a.verdict == b.verdict and a.max_improvement == b.max_improvement
+
+
+def record_passes(monkeypatch) -> list:
+    """Patch the eps-ball check's kernel pass to record its row counts; returns the record."""
+    import persuade.equilibria
+
+    seen = []
+    decide = persuade.equilibria._decision_pass
+
+    def recording(game, profiles, tie):
+        seen.append(len(profiles))
+        return decide(game, profiles, tie)
+
+    monkeypatch.setattr(persuade.equilibria, "_decision_pass", recording)
+    return seen
 
 
 def assert_same_report(got, want):
@@ -775,9 +803,9 @@ class TestLocalVerifyMatchesPerDeviationLoop:
             assert_same_report(got, reference_local_ne_verify(g, pol, tie, 0.6, 4, samples=300))
 
     def test_blocks_of_any_size_give_the_same_report(self, monkeypatch):
-        # deviations are drawn and scored one kernel pass at a time; the
-        # block size must not change the report, and no kernel call may
-        # take more rows than one pass
+        # the base rows and the deviations are scored one kernel pass at a
+        # time; the pass size must not change the report, and no pass may
+        # take more rows than `batch_rows`
         import persuade.equilibria
         import persuade.game
 
@@ -786,14 +814,8 @@ class TestLocalVerifyMatchesPerDeviationLoop:
         profiles = [random_profile(g, rng) for _ in range(3)]
         whole = [local_ne_verify(g, prof, SF, 0.05, 6, samples=150) for prof in profiles]
         assert any(r.verdict == REFUTED for r in whole)
-        seen = []
-
-        def recording_batch(game, profs, *args, **kwargs):
-            seen.append(len(profs))
-            return persuade.game.ex_ante_utilities_batch(game, profs, *args, **kwargs)
-
-        monkeypatch.setattr(persuade.equilibria, "ex_ante_utilities_batch", recording_batch)
-        # blocks of 16 rows, of 5 rows, and of 1 row (a row holds more cells than a pass)
+        seen = record_passes(monkeypatch)
+        # passes of 16 rows, of 5 rows, and of 1 row (a row holds more cells than a pass)
         per_row = g.states * g.n_joint_signals
         for rows, cells in ((16, 16 * per_row), (5, 5 * per_row + per_row // 2), (1, 1)):
             monkeypatch.setattr(persuade.game, "BATCH_CELLS", cells)
@@ -805,9 +827,58 @@ class TestLocalVerifyMatchesPerDeviationLoop:
         for prof, ref in zip(profiles, whole):
             assert_same_report(ref, reference_local_ne_verify(g, prof, SF, 0.05, 6, samples=150))
 
+    @pytest.mark.parametrize("rows", [2, 1])
+    def test_pass_seams_of_the_row_sequence(self, rows, monkeypatch):
+        # 3 senders and 6 deviations each make 21 rows: the base rows 0-2, then
+        # sender j's deviations at rows 3 + 6j ... 8 + 6j.  In passes of 2 rows
+        # the base rows span two passes, pass (2, 3) holds the last base row and
+        # sender 0's first deviation, and passes (8, 9) and (14, 15) hold the
+        # seams between senders.
+        import persuade.game
+
+        g = synthetic_instance(SyntheticSpec(3, 3, 2, 3, 6))
+        monkeypatch.setattr(persuade.game, "BATCH_CELLS", rows * g.states * g.n_joint_signals)
+        assert persuade.game.batch_rows(g) == rows
+        seen = record_passes(monkeypatch)
+        rng = substream(9, "local-seams")
+        witnesses = set()
+        for tie in (LEX, SF):
+            for _ in range(3):
+                # sharpened toward a deterministic profile, where small deviations gain
+                prof = random_profile(g, rng) ** 8
+                prof /= prof.sum(axis=2, keepdims=True)
+                seed = int(rng.integers(2**31))
+                seen.clear()
+                got = local_ne_verify(g, prof, tie, 0.05, seed, samples=6)
+                assert seen == [rows] * (21 // rows) + [21 % rows] * (21 % rows > 0)
+                assert_same_report(got, reference_local_ne_verify(g, prof, tie, 0.05, seed, samples=6))
+                witnesses.add(got.witness_sender)
+        assert witnesses == {0, 1, 2}
+
+    @pytest.mark.parametrize("tie", [LEX, SF], ids=["lex", "sf"])
+    def test_one_sender_game(self, tie, monkeypatch):
+        # the profile that a zero deviation budget once passed as epsilon_local
+        g = synthetic_instance(SyntheticSpec(1, 3, 2, 3, 19))
+        prof = np.random.default_rng(19).dirichlet(np.ones(2), size=(1, 3))
+        seen = record_passes(monkeypatch)
+        for eps, samples in ((0.005, 400), (0.05, 100)):
+            got = local_ne_verify(g, prof, tie, eps, 19, samples=samples)
+            assert_same_report(got, reference_local_ne_verify(g, prof, tie, eps, 19, samples=samples))
+        assert seen and max(seen) <= persuade.game.batch_rows(g)
+
+    def test_seven_firm_quality_ads(self, monkeypatch):
+        # 2 rows a pass and 7 senders: the base rows alone span four passes
+        g = quality_ads_instance(7, 1)
+        assert persuade.game.batch_rows(g) == 2
+        seen = record_passes(monkeypatch)
+        prof = random_profile(g, substream(10, "local-seven-firms"))
+        got = local_ne_verify(g, prof, LEX, 0.05, 3, samples=3)
+        assert seen == [2] * 14
+        assert_same_report(got, reference_local_ne_verify(g, prof, LEX, 0.05, 3, samples=3))
+
     def test_deviations_are_scored_only_in_kernel_passes(self, monkeypatch):
-        # the base profile is the one single-profile evaluation; a refuting
-        # deviation is not scored again outside its kernel pass
+        # the base profile and every deviation, a refuting one included, are
+        # rows of the pass sequence; no single-profile evaluation is made
         import persuade.equilibria
 
         calls = []
@@ -820,7 +891,7 @@ class TestLocalVerifyMatchesPerDeviationLoop:
         g = synthetic_instance(SyntheticSpec(2, 4, 3, 4, 1))
         prof = random_profile(g, np.random.default_rng(12))
         assert local_ne_verify(g, prof, SF, 0.05, 6, samples=150).verdict == REFUTED
-        assert len(calls) == 1
+        assert calls == []
 
     def test_stacked_perturbation_draws_the_same_deviations(self):
         g = synthetic_instance(SyntheticSpec(2, 4, 3, 4, 1))

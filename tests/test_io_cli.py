@@ -343,6 +343,27 @@ class TestCliCommands:
             assert err.startswith("error: eps must be positive and finite") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["gen", "verify", "learn"])
+    @pytest.mark.parametrize("seed", ["-3", "-1", "2.5", "seven"])
+    def test_bad_seed_is_usage_error_naming_the_flag(self, tmp_path, capsys, command, seed):
+        # a negative seed used to reach numpy ("expected non-negative integer", exit 2)
+        # or to be blamed on `train.seed`, a config field the user never wrote
+        game_path, pol_path, cfg = tmp_path / "g.json", tmp_path / "p.json", tmp_path / "cfg.json"
+        write_game(game_path, two_block_game(), tie=SenderFavoring())
+        write_policies(pol_path, two_block_equilibrium_policies())
+        cfg.write_text(json.dumps({"sample_count": 100, "train": {"epochs": 1}, "eg": {"steps": 1}}))
+        out = tmp_path / "out"
+        argv = {
+            "gen": ["gen", "synthetic", "--n", 2, "--states", 2, "--signals", 2, "--actions", 2],
+            "verify": ["exact", "verify", "--local", "--game", game_path, "--policy", pol_path],
+            "learn": ["learn", "--game", game_path, "--config", cfg],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--seed", seed, "--out", out])
+        assert exc.value.code == EXIT_USAGE
+        assert f"error: argument --seed: must be a non-negative integer, got '{seed}'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "g.json", "p.json"]
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_nonfinite_eps_is_spec_error(self, tmp_path, capsys, monkeypatch, eps):
         self._assert_eps_rejected(tmp_path, capsys, monkeypatch, eps)
