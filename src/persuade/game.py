@@ -27,9 +27,10 @@ sender-favoring tiers run only on the posteriors that do not tie exactly
 one action.  Each weight is the prior times each sender's policy entry,
 multiplied in sender order, and each later step is the same exact
 operation as in a posterior-major evaluation, so the labels equal those of
-the posterior-major oracle bit for bit; the weights and actions go back to
-(rows, S^n, states), states-major, once per pass, so that the utility sums
-add in their usual order.  Per-game constants (utilities as contiguous
+the posterior-major oracle bit for bit.  The weights and actions go back to
+C-order (rows, S^n, states) and (rows, S^n) once per pass; each utility's
+products are then contiguous, one run of S^n * states per row, added in
+numpy's order by `_sum_last`.  Per-game constants (utilities as contiguous
 (actions, states) tables, the rank planes, the sender-favoring rule's
 weighted utility and point-mass table) are built on first use and then
 kept; a game's arrays are read-only copies, so the constants cannot go
@@ -120,16 +121,26 @@ def _lowest(game: GameInstance, mask: np.ndarray) -> np.ndarray:
 
 
 def _sum_last(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1)`` bit for bit, without numpy's slow reduction loop over a short axis:
-    below 8 entries, whole-array adds of the last axis' slices in numpy's order, from +0.0 (from 8
-    on numpy adds pairwise).  Where NaNs of both signs meet, the sign bit of a NaN sum may differ,
-    as it does between numpy's own loops."""
+    """``a.sum(axis=-1)`` bit for bit, without numpy's slow reduction loop over many short rows.
+
+    Below 8 entries: whole-array adds of the last axis' slices in numpy's order, from +0.0.
+    From 8 to 15 entries on a C-contiguous `a`, whose rows numpy sums pairwise: the first 8 as
+    ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``, the rest in turn, then ``+ 0.0``.  One row, any
+    other length and any other layout keep numpy's own sum (for one row its loop runs once).
+    Where NaNs of both signs meet, the sign bit of a NaN sum may differ, as it does between
+    numpy's own loops."""
     n = a.shape[-1]
-    if not 0 < n < 8:
-        return a.sum(axis=-1)
-    total = a[..., 0] + 0.0
-    for k in range(1, n):
+    if a.size == n or not (0 < n < 8 or (n < 16 and a.flags.c_contiguous)):
+        return np.add.reduce(a, axis=-1)
+    if n < 8:
+        total = a[..., 0] + 0.0
+        for k in range(1, n):
+            total += a[..., k]
+        return total
+    total = ((a[..., 0] + a[..., 1]) + (a[..., 2] + a[..., 3])) + ((a[..., 4] + a[..., 5]) + (a[..., 6] + a[..., 7]))
+    for k in range(8, n):
         total += a[..., k]
+    total += 0.0
     return total
 
 
@@ -519,10 +530,12 @@ def ex_ante_utilities(game: GameInstance, policy, tie: TieRule) -> tuple[np.ndar
 # Cells (rows x states x joint signals) per pass of the batched kernel, so a
 # pass's arrays stay cache-sized (256 KB each) for any batch; a game with more
 # cells in one row takes one row per pass.  On a 2-vCPU Xeon (2 MB L2 a core),
-# with the row-innermost planes: labeling the four `evaluate-batch` families
-# (20,000 synthetic (2,2,2,2) and 2,000 (3,4,3,4) profiles, both tie rules)
-# took 1.06x, 1.08x and 1.34x the time of 2^15 at 2^14, 2^16 and 2^17
-# (geomean of per-family medians, 15 interleaved repeats).
+# with the row-innermost planes and the C-order weights: labeling the four
+# `evaluate-batch` families (20,000 synthetic (2,2,2,2) and 2,000 (3,4,3,4)
+# profiles, both tie rules) took 0.82-0.88x (2,2,2,2) and 1.01-1.10x (3,4,3,4)
+# the time of 2^15 at 2^14, and 1.02-1.15x at 2^16; the eps-ball check on
+# 3-firm quality-ads took 1.22-1.26x at 2^14 (per-family medians, 15
+# interleaved repeats, two runs).  No size wins on every family.
 BATCH_CELLS = 1 << 15
 
 
@@ -542,16 +555,27 @@ def ex_ante_utilities_batch(
     """Per-sender ex-ante utilities for a batch of joint policies.
 
     `profiles` is (B, n, states, signals); returns (B, n), or (B, len(senders))
-    with the columns of just the listed senders.  Same exact sum as
-    :func:`ex_ante_utilities`, vectorized across the batch and run in passes
-    of :func:`batch_rows` profiles.
+    with the columns of just the listed senders, each in ``range(n)``.  Same
+    exact sum as :func:`ex_ante_utilities`, vectorized across the batch and
+    run in passes of :func:`batch_rows` profiles.  Only the shape is checked,
+    not the entries: a joint signal whose marginal is NaN counts as dead and
+    adds 0.0, so an all-NaN row labels as 0.0.
     """
     profiles = np.asarray(profiles, dtype=float)
+    want = (game.n_senders, game.states, game.signals)
+    if profiles.ndim != 4 or profiles.shape[1:] != want:
+        raise ValueError(
+            f"profiles must be (rows, n_senders, states, signals) = (rows, {', '.join(map(str, want))}), "
+            f"got {profiles.shape}"
+        )
     check_term_cap(game)
     tie.check(game)
     tables = game._tables[: game.n_senders]
     if senders is not None:
-        tables = [tables[int(j)] for j in senders]
+        senders = [int(j) for j in senders]
+        if not all(0 <= j < game.n_senders for j in senders):
+            raise ValueError(f"senders must lie in range({game.n_senders}), got {senders}")
+        tables = [tables[j] for j in senders]
     B = profiles.shape[0]
     step = batch_rows(game)
     out = np.empty((B, len(tables)))
@@ -572,28 +596,30 @@ def _batch_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule, tables) 
 
 
 def _decision_pass(game: GameInstance, profiles: np.ndarray, tie: TieRule) -> tuple[np.ndarray, np.ndarray]:
-    """``(q, actions)`` for the (B, n, states, signals) `profiles`: the weights q as
-    (B, S^n, states), zero at dead joint signals, and the receiver's actions as (B, S^n).
+    """``(q, actions)`` for the (B, n, states, signals) `profiles`: the weights q as a C-order
+    (B, S^n, states) array, zero at dead joint signals, and the receiver's actions as (B, S^n).
 
     The actions come from (states, S^n, B) weight planes; the weights and actions then go
-    back to (B, S^n, states) and (B, S^n) once, the weights states-major within each row
-    (each state's S^n weights contiguous), the layout a sender-by-sender product over
-    (rows, S^n, states) leaves, so each column's sum adds in the same order as a
-    posterior-major evaluation.  A row's q and actions do not depend on the other rows.
+    back to (B, S^n, states) and (B, S^n) in one copy each, so `_column_sum`'s product reads
+    two contiguous operands and each row's products lie in one contiguous run, joint signal
+    by joint signal, the order a posterior-major evaluation sums them in.  A row's q and
+    actions do not depend on the other rows.
     """
     w = _weight_planes(game.prior, profiles)
     actions, live = tie.actions(game, w)
-    q = np.ascontiguousarray(w.transpose(2, 0, 1)).transpose(0, 2, 1)   # (B, S^n, states), states-major rows
+    q = np.ascontiguousarray(w.transpose(2, 1, 0))
     if not live.all():
-        q = np.where(live.T[..., None], q, 0.0)
+        q[~live.T] = 0.0
     return q, np.ascontiguousarray(actions.T)
 
 
 def _column_sum(q: np.ndarray, actions: np.ndarray, table: np.ndarray) -> np.ndarray:
     """(B,): the sum over states and joint signals of q * u[state, action], for rows of a
     :func:`_decision_pass`.  `table` holds u as an (actions, states) array, one contiguous
-    row per action, so the gather at the receiver's actions copies whole rows."""
-    return np.add.reduce(q * table.take(actions, axis=0), axis=(1, 2))   # = np.sum; take: (B, S^n, states)
+    row per action, so the gather at the receiver's actions copies whole rows; each row's
+    S^n * states products are added by :func:`_sum_last`, as ``np.sum`` over (1, 2) adds them."""
+    rows, joint, states = q.shape
+    return _sum_last((q * table.take(actions, axis=0)).reshape(rows, joint * states))
 
 
 def ex_ante_utilities_fixed_interpretation(game: GameInstance, policy, interp: FixedMap) -> np.ndarray:

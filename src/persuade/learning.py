@@ -94,7 +94,7 @@ def sample_dataset(game: GameInstance, count: int, tie: TieRule, seed: int) -> U
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = substream(seed, "dataset")
-    draws = rng.exponential(1.0, size=(count, game.n_senders, game.states, game.signals))
+    draws = rng.standard_exponential(size=(count, game.n_senders, game.states, game.signals))
     draws /= _sum_last(draws)[..., None]
     labels = ex_ante_utilities_batch(game, draws, tie)
     return UtilityDataset(inputs=draws.reshape(count, -1), utilities=labels, game=game)

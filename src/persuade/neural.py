@@ -452,7 +452,7 @@ def save_params(path, params) -> None:
         "params": flatten_params(params).tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_params(path):

@@ -131,15 +131,18 @@ def reference_best_actions(game: GameInstance, tie, posteriors) -> np.ndarray:
 
 
 def reference_batch_pass(game: GameInstance, profiles, tie, utilities) -> np.ndarray:
-    """Posterior-major oracle for one pass of the batched kernel under a
-    posterior rule: (B, len(utilities)), the receiver's actions from
-    `reference_best_actions` and each (states, actions) utility gathered
-    through its transpose."""
+    """Posterior-major oracle for one pass of the batched kernel:
+    (B, len(utilities)), the receiver's actions from `reference_best_actions`
+    (a FixedMap's table) and each (states, actions) utility gathered through
+    its transpose."""
     q = product_weights(game.prior, np.asarray(profiles, dtype=float))   # (B, S^n, states)
     marg = q.sum(axis=-1)
     live = marg > 0
-    mu = np.where(live[..., None], q / np.maximum(marg[..., None], 1e-300), 0.0)
-    actions = reference_best_actions(game, tie, mu.reshape(-1, game.states)).reshape(marg.shape)
+    if isinstance(tie, FixedMap):
+        actions = np.broadcast_to(np.asarray(tie.table), marg.shape)
+    else:
+        mu = np.where(live[..., None], q / np.maximum(marg[..., None], 1e-300), 0.0)
+        actions = reference_best_actions(game, tie, mu.reshape(-1, game.states)).reshape(marg.shape)
     q = np.where(live[..., None], q, 0.0)
     out = np.empty((q.shape[0], len(utilities)))
     for col, u in enumerate(utilities):

@@ -437,6 +437,58 @@ class TestExAnteUtilities:
                 assert np.allclose(senders, want_senders, atol=1e-12)
                 assert receiver == pytest.approx(want_receiver, abs=1e-12)
 
+    def test_batch_checks_shape_and_senders(self, rng):
+        g = random_game(2, 2, 2, 2, rng)
+        expected = re.escape("(rows, n_senders, states, signals) = (rows, 2, 2, 2)")
+        # three signals, three senders, one profile without its row axis
+        for bad in (np.full((3, 2, 2, 3), 1 / 3), np.full((3, 3, 2, 2), 0.5), np.full((2, 2, 2), 0.5)):
+            with pytest.raises(ValueError, match=expected):
+                ex_ante_utilities_batch(g, bad, LEX)
+        profiles = np.full((3, 2, 2, 2), 0.5)
+        for senders in ((-1,), (2,), (0, -2)):
+            with pytest.raises(ValueError, match=re.escape("senders must lie in range(2)")):
+                ex_ante_utilities_batch(g, profiles, LEX, senders=senders)
+        whole = ex_ante_utilities_batch(g, profiles, LEX)
+        assert np.array_equal(ex_ante_utilities_batch(g, profiles, LEX, senders=(1, 1)), whole[:, [1, 1]])
+        # the entries are not checked: an all-NaN row labels as 0.0
+        assert ex_ante_utilities_batch(g, np.full((1, 2, 2, 2), np.nan), LEX).tolist() == [[0.0, 0.0]]
+
+    def test_passes_over_every_sum_path(self, rng, monkeypatch):
+        # rows of 4 (summed slice by slice), 8 and 12 (added pairwise by `_sum_last`) and
+        # 108 products (numpy's own sum), in passes of 3 rows and a last pass of one row
+        # (numpy's own sum), with dead joint signals, under both posterior rules and a
+        # FixedMap: bit for bit against the oracle
+        sum_last = persuade.game._sum_last
+        seen = []
+
+        def recording(a):
+            seen.append((a.shape[-1], a.flags.c_contiguous))
+            return sum_last(a)
+
+        monkeypatch.setattr(persuade.game, "_sum_last", recording)
+        for n, states, signals in ((1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 4, 3)):
+            g = random_game(n, states, signals, 3, rng)
+            per_row = g.states * g.n_joint_signals
+            monkeypatch.setattr(persuade.game, "BATCH_CELLS", 3 * per_row)
+            profiles = np.stack([random_profile(g, rng) for _ in range(10)])
+            # every other profile never sends sender 0's signal 0 or its other small entries
+            sparse = np.where(profiles < 0.3, 0.0, profiles)
+            sparse[:, 0, :, 0] = 0.0
+            sparse[:, 0, :, 1] += sparse[:, 0].sum(axis=2) == 0
+            profiles[::2] = (sparse / sparse.sum(axis=3, keepdims=True))[::2]
+            dead = [np.any(product_weights(g.prior, p).sum(axis=1) == 0) for p in profiles]
+            assert dead == [True, False] * 5
+            everyone = (*g.sender_utilities, g.receiver_utility)
+            fixed = FixedMap(tuple(k // 2 % g.actions for k in range(g.n_joint_signals)))
+            for tie in (*posterior_rules(g, rng), fixed):
+                want = reference_batch_pass(g, profiles, tie, everyone)
+                seen.clear()
+                assert np.array_equal(ex_ante_utilities_batch(g, profiles, tie), want[:, :-1])
+                assert seen == [(per_row, True)] * (4 * n)    # passes of 3, 3, 3 and 1 rows
+                for prof, row in zip(profiles, want):
+                    senders, receiver = ex_ante_utilities(g, prof, tie)
+                    assert np.array_equal(senders, row[:-1]) and receiver == row[-1]
+
     def test_a_row_larger_than_a_pass_runs_alone(self, rng):
         # a game with more states x joint signals than `BATCH_CELLS` still takes one row per pass
         signals = math.isqrt(persuade.game.BATCH_CELLS // 64) + 1
@@ -468,7 +520,10 @@ class TestSumLast:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_matches_numpy_bitwise(self, rng):
-        for n in range(1, 13):
+        # numpy adds a C-contiguous array's rows pairwise from 8 entries on, and the
+        # other layouts' strided rows one entry at a time, so each layout is checked
+        # on both sides of the 8-15 entries that `_sum_last` adds pairwise itself
+        for n in range(1, 21):
             for _ in range(10):
                 a = rng.normal(size=(40, 3, n)) * 10.0 ** rng.uniform(-300, 300, (40, 3, n))
                 special = rng.random(a.shape) < 0.3
@@ -476,11 +531,13 @@ class TestSumLast:
                 self.assert_bitwise(a)
                 self.assert_bitwise(np.asfortranarray(a))
                 self.assert_bitwise(a[::-2, :, ::-1])
+                self.assert_bitwise(a[::2])                  # contiguous rows, strided between them
                 self.assert_bitwise(np.moveaxis(a, 0, -1))   # a 40-long strided axis
+                self.assert_bitwise(np.moveaxis(np.moveaxis(a, -1, 0).copy(), 0, -1))   # an n-long one
                 self.assert_bitwise(np.repeat(a, 2, axis=-1)[..., ::2])
 
     def test_signed_zeros(self):
-        for n in range(1, 13):
+        for n in range(1, 21):
             self.assert_bitwise(np.full((2, n), -0.0))
             self.assert_bitwise(np.where(np.arange(n) % 2 == 0, -0.0, 0.0)[None, :])
 

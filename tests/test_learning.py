@@ -44,13 +44,14 @@ class TestDataset:
             assert np.allclose(oracle, ds.utilities[:40], atol=1e-12)
 
     def test_rows_are_normalized_draws(self, rng):
-        # every row is its substream's exponential draws over `np.sum` of them,
-        # bit for bit, for signal counts on both sides of numpy's 8-entry
-        # pairwise-sum threshold
-        for signals in range(2, 10):
-            g = random_game(2, 3, signals, 2, rng)
-            ds = sample_dataset(g, 40, LEX, seed=signals)
-            draws = substream(signals, "dataset").exponential(1.0, size=(40, 2, 3, signals))
+        # every row is its substream's `exponential(1.0, size)` draws over `np.sum` of
+        # them, bit for bit, for signal counts on both sides of numpy's 8-entry
+        # pairwise-sum threshold, and at the sizes of the benchmark's labeling ops
+        cases = [(random_game(2, 3, signals, 2, rng), 40) for signals in range(2, 10)]
+        cases += [(random_game(2, 2, 2, 2, rng), 20_000), (random_game(3, 4, 3, 4, rng), 2_000)]
+        for seed, (g, count) in enumerate(cases):
+            ds = sample_dataset(g, count, LEX, seed=seed)
+            draws = substream(seed, "dataset").exponential(1.0, size=(count, g.n_senders, g.states, g.signals))
             want = draws / np.sum(draws, axis=3, keepdims=True)
             assert np.array_equal(ds.policies().view(np.uint64), want.view(np.uint64))
 

@@ -37,6 +37,12 @@ def test_evaluate_local_smoke_run(trace):
 
 
 @pytest.mark.parametrize("trace", [0, 1])
+def test_evaluate_batch_smoke_run(trace):
+    # every op's check compares sampled label rows with a fresh exact evaluation
+    smoke_run("evaluate-batch", trace)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
 def test_learn_smoke_run(trace):
     # every op's check re-evaluates each results.json row against the true game
     smoke_run("learn", trace)
