@@ -36,6 +36,7 @@ from .equilibria import (
 )
 from .game import TIE_RULES, CapError, Lexicographic, TieRule, ex_ante_utilities
 from .io import (
+    _dump,
     _load,
     read_game,
     read_policies,
@@ -273,8 +274,7 @@ def cmd_best_response(args) -> int:
         "policy": br.policy.ravel().tolist() if br.feasible else None,
         "action_map": br.action_map.tolist(),
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+    _dump(args.out, doc)
     _manifest(args)
     if br.feasible:
         print(f"best response for sender {args.sender}: utility {br.utility:.12g}")

@@ -32,7 +32,7 @@ C-order (rows, S^n, states) and (rows, S^n) once per pass; each utility's
 products are then contiguous, one run of S^n * states per row, added in
 numpy's order by `_sum_last`.  Per-game constants (utilities as contiguous
 (actions, states) tables, the rank planes, the sender-favoring rule's
-weighted utility and point-mass table) are built on first use and then
+summed utility and point-mass table) are built on first use and then
 kept; a game's arrays are read-only copies, so the constants cannot go
 stale.
 
@@ -41,7 +41,6 @@ stale.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -159,55 +158,35 @@ class Lexicographic(_PosteriorRule):
 class SenderFavoring(_PosteriorRule):
     """Among receiver-optimal actions, favor the senders.
 
-    Tied actions are scored by the weighted sum of expected sender
-    utilities under the posterior (default weights 1).  Actions still tied
-    on that score are ranked by the posterior probability that they are
-    ex-post optimal for the receiver; the final fallback is the lowest
-    index.  The secondary rank is what makes the rule total on games whose
-    senders care about disjoint actions.
+    Tied actions are scored by the sum of expected sender utilities under
+    the posterior.  Actions still tied on that score are ranked by the
+    posterior probability that they are ex-post optimal for the receiver;
+    the final fallback is the lowest index.  The secondary rank is what
+    makes the rule total on games whose senders care about disjoint actions.
     """
 
-    weights: tuple[float, ...] | None = None
     kind: ClassVar[str] = "sender_favoring"
     flag: ClassVar[str] = "sender-favoring"
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind} if self.weights is None else {"kind": self.kind, "weights": list(self.weights)}
-
-    @classmethod
-    def from_dict(cls, doc: dict):
-        w = doc.get("weights")
-        # an int is checked for size before anything converts it to float
-        finite = lambda x: (type(x) is float and math.isfinite(x)) or (type(x) is int and abs(x) < 2**1023)
-        if w is not None and not (isinstance(w, list) and all(finite(x) for x in w)):
-            raise ValueError(f"tie_rule.weights must be a list of finite numbers, got {w!r}")
-        return cls(weights=None if w is None else tuple(w))
-
-    def check(self, game: GameInstance) -> None:
-        if self.weights is not None and len(self.weights) != game.n_senders:
-            raise ValueError("need one weight per sender")
-
     def _constants(self, game: GameInstance) -> tuple[np.ndarray, np.ndarray, float]:
-        """``(weighted, point_mass, bound)``, computed once per game, rule and `TIE_TOL`: the
-        weighted sum of the sender utilities and 1.0 where an action is receiver-optimal at the
-        point-mass belief on a state, both (states, actions), and ``states * max(1, |weighted|)``,
-        which bounds the tiers' values per unit of the largest |posterior entry|."""
+        """``(total, point_mass, bound)``, computed once per game and `TIE_TOL`: the sum of the
+        sender utilities and 1.0 where an action is receiver-optimal at the point-mass belief on
+        a state, both (states, actions), and ``states * max(1, |total|)``, which bounds the
+        tiers' values per unit of the largest |posterior entry|."""
         key = (self, TIE_TOL)
         got = game._rule_constants.get(key)
         if got is None:
-            self.check(game)
-            w = self.weights if self.weights is not None else (1.0,) * game.n_senders
-            weighted = sum(float(wj) * uj for wj, uj in zip(w, game.sender_utilities))
+            total = sum(game.sender_utilities)
             point_mass = receiver_optima(game).astype(float)
-            bound = game.states * float(np.max(np.abs(weighted), initial=1.0))
-            got = game._rule_constants[key] = (weighted, point_mass, bound)
+            bound = game.states * float(np.max(np.abs(total), initial=1.0))
+            got = game._rule_constants[key] = (total, point_mass, bound)
         return got
 
     def _break_ties(self, game, mu, tied):
-        weighted, point_mass, bound = self._constants(game)
+        total, point_mass, bound = self._constants(game)
 
         def leaders(mu, tied):      # the tied actions that lead the score tier, then the point-mass tier
-            score = np.where(tied, weighted.T @ mu, -np.inf)
+            score = np.where(tied, total.T @ mu, -np.inf)
             best = score >= np.maximum.reduce(score) - TIE_TOL
             mass = np.where(best, point_mass.T @ mu, -np.inf)
             return mass >= np.maximum.reduce(mass) - TIE_TOL

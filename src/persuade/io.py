@@ -5,12 +5,13 @@ round-tripping repr), so values written by the generators read back
 bit-identically.  Matrices are stored as row-major flat lists next to
 their dimensions.
 A game file's optional `tie_rule` object is read by the class that
-`game.TIE_RULES` maps its `kind` to; a rule that is malformed or does not
-fit the game is a ValueError.
+`game.TIE_RULES` maps its `kind` to; a rule that is malformed, holds a key
+its kind does not take, or does not fit the game is a ValueError.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -47,11 +48,16 @@ def _load(path) -> dict:
 
 
 def tie_rule_from_dict(doc: dict) -> TieRule:
-    """The rule of a game file's `tie_rule` object, read by the class its kind names."""
+    """The rule of a game file's `tie_rule` object, read by the class its kind names; a key
+    other than `kind` and the class's fields is an error."""
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in TIE_RULES:
         raise ValueError(f"unknown tie rule kind {kind!r}; expected one of {', '.join(TIE_RULES)}")
-    return TIE_RULES[kind].from_dict(doc)
+    rule = TIE_RULES[kind]
+    unknown = sorted(set(doc) - {"kind", *(f.name for f in dataclasses.fields(rule))})
+    if unknown:
+        raise ValueError(f"unknown {kind} tie_rule field: {', '.join(unknown)}")
+    return rule.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -153,26 +159,8 @@ def report_to_dict(report: EquilibriumReport) -> dict:
     return doc
 
 
-def report_from_dict(doc: dict) -> EquilibriumReport:
-    if doc.get("format") != REPORT_FORMAT:
-        raise ValueError(f"not a {REPORT_FORMAT} document")
-    return EquilibriumReport(
-        verdict=doc["verdict"],
-        utilities=np.asarray(doc["utilities"], dtype=float),
-        max_improvement=doc["max_improvement"],
-        witness_sender=doc["witness_sender"],
-        witness_policy=None if doc["witness_policy"] is None else np.asarray(doc["witness_policy"], dtype=float),
-        samples=doc["samples"],
-        eps=doc["eps"],
-    )
-
-
 def write_report(path, report: EquilibriumReport) -> None:
     _dump(path, report_to_dict(report))
-
-
-def read_report(path) -> EquilibriumReport:
-    return report_from_dict(_load(path))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ alone.  All restarts ascend together as one (restarts, n, states, signals)
 logit array, so each half-step is one `backward` call on the stack, and
 their true utilities come from one `ex_ante_utilities_batch` call.
 
-`VAL_FRACTION` (held out for the validation MSE) and `MSE_CHUNK` (rows per
-:func:`mse` pass) are module constants, read when a function runs.
+`VAL_FRACTION` (held out for the validation MSE), `MSE_CHUNK` (rows per
+:func:`mse` pass) and Adam's `BETA1`, `BETA2` and `EPS_ADAM` (used by
+:func:`train`) are module constants, read when a function runs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .rng import substream
 DIVERGENCE_GUARD = 1e6
 VAL_FRACTION = 0.1
 MSE_CHUNK = 8192
+BETA1 = 0.9
+BETA2 = 0.999
+EPS_ADAM = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -45,16 +49,11 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or not self.learning_rate > 0:
             raise ValueError("epochs, batch size, and learning rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps_adam > 0):
-            raise ValueError("bad Adam constants")
 
 
 @dataclass
@@ -173,13 +172,13 @@ def train(stack, dataset: UtilityDataset, cfg: TrainConfig):
             epoch_sq += ((step.output - yb) ** 2).reshape(n, -1).sum(axis=-1)
             grad = flatten_params(step.params)
             t += 1
-            m *= cfg.beta1
-            m += (1 - cfg.beta1) * grad
-            v *= cfg.beta2
-            v += (1 - cfg.beta2) * grad**2
-            m_hat = m / (1 - cfg.beta1**t)
-            v_hat = v / (1 - cfg.beta2**t)
-            flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
+            m *= BETA1
+            m += (1 - BETA1) * grad
+            v *= BETA2
+            v += (1 - BETA2) * grad**2
+            m_hat = m / (1 - BETA1**t)
+            v_hat = v / (1 - BETA2**t)
+            flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS_ADAM)
         loss = epoch_sq / len(dataset)
         for curve, value in zip(losses, loss.tolist()):
             curve.append(value)

@@ -14,14 +14,18 @@ Every LP gets exactly the arithmetic it would get alone: the stacked
 reduced-cost product runs one BLAS gemv per LP, and each pivot updates only
 that LP's rows with a nonzero pivot-column entry.  So a result does not
 depend on the other LPs in its stack, and :func:`solve_lp` is the one-LP
-case.  A stack holds at most `MAX_STACK` LPs and `STACK_BYTES` of tableau;
-on a longer input, an LP that finishes hands its place to the next waiting
-one.  (Fewer LPs or bytes ran slower on the exact best responses measured,
-more ran no faster; 1 MB of tableaus plus the pivot's work buffer of the
-same size fill a 2 MB L2 cache.)  The last LP left running finishes with
-one LP's plain indexing (:func:`_pivot_one`), which took about half the
-time of the stacked loop on one-LP calls; both loops take their steps from
-the one Bland rule (:func:`_entering`, :func:`_leaving`).
+case.  The tableau carries an artificial column only for each equality row
+and each inequality row that some LP of the stack negates (b < 0): every
+IC, cone and margin LP has b_ub >= 0, so its tableau is the constraint,
+slack and equality-artificial columns alone (see :func:`_layout`).  A stack
+holds at most `MAX_STACK` LPs and `STACK_BYTES` of tableau, counted at that
+width; on a longer input, an LP that finishes hands its place to the next
+waiting one.  (Fewer LPs or bytes ran slower on the exact best responses
+measured, more ran no faster; 1 MB of tableaus plus the pivot's work
+buffer of the same size fill a 2 MB L2 cache.)  The last LP left running
+finishes with one LP's plain indexing (:func:`_pivot_one`), which took
+about half the time of the stacked loop on one-LP calls; both loops take
+their steps from the one Bland rule (:func:`_entering`, :func:`_leaving`).
 """
 
 from __future__ import annotations
@@ -130,43 +134,53 @@ def _pivot_one(tab, bas, row, col):
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(n, m_ub, m_eq):
-    """What a starting tableau takes from the LP shape alone (read-only).
+def _layout(n, m_ub, m_eq, flipped):
+    """What a starting tableau takes from the LP shape and the inequality
+    rows `flipped`, those that some LP of the stack negates (read-only).
 
-    Standard form rows are [A_ub | I_slack | I_art] and [A_eq | 0 | I_art].
-    A row with a negative rhs is negated left of the artificials and its
-    artificial starts the basis (`first_basis`); every other inequality row
-    starts with its slack column, a unit vector, so no pivot is needed
-    (`slack_basis`).  Phase 1 maximizes -sum(artificials).
+    Standard form rows are [A_ub | I_slack | art] and [A_eq | 0 | art], with
+    an artificial column for each row in `flipped` and each equality row, in
+    row order.  A row with a negative rhs is negated left of the artificials
+    and its artificial starts the basis (`first_basis`); every other
+    inequality row starts with its slack column, a unit vector, so no pivot
+    is needed (`slack_basis`).  Phase 1 maximizes -sum(artificials).  An
+    unflipped inequality row gets no artificial: its column would equal the
+    row's slack column through every pivot and price 1 lower in phase 1 (0
+    in phase 2), so Bland's rule would never let it enter.
     """
     m = m_ub + m_eq
+    art_rows = np.concatenate([np.asarray(flipped, dtype=int), np.arange(m_ub, m)])
     art_start = n + m_ub
-    template = np.zeros((m, art_start + m + 1))
+    n_total = art_start + art_rows.size
+    template = np.zeros((m, n_total + 1))
     template[:m_ub, n:art_start] = np.eye(m_ub)
-    template[:, art_start:-1] = np.eye(m)
-    first_basis = np.arange(art_start, art_start + m)
-    slack_basis = first_basis.copy()
-    slack_basis[:m_ub] = np.arange(n, art_start)
-    phase1_cost = np.zeros(art_start + m)
+    template[art_rows, np.arange(art_start, n_total)] = 1.0
+    slack_basis = np.concatenate([np.arange(n, art_start), np.arange(n_total - m_eq, n_total)])
+    first_basis = slack_basis.copy()
+    first_basis[art_rows] = np.arange(art_start, n_total)
+    phase1_cost = np.zeros(n_total)
     phase1_cost[art_start:] = -1.0
     for arr in (template, first_basis, slack_basis, phase1_cost):
         arr.flags.writeable = False
     return template, first_basis, slack_basis, phase1_cost
 
 
-def _lockstep(lps: LpStack, max_pivots, slots: int) -> list:
-    """Two-phase Bland simplex over the LPs of `lps`, at most `slots` of them
-    running at a time: an LP that finishes hands its slot to the next one."""
+def _lockstep(lps: LpStack, max_pivots) -> list:
+    """Two-phase Bland simplex over the LPs of `lps`, at most `MAX_STACK` of
+    them and `STACK_BYTES` of tableau (at least one LP) running at a time:
+    an LP that finishes hands its slot to the next one."""
     c, A_ub, b_ub, A_eq, b_eq = lps.c, lps.A_ub, lps.b_ub, lps.A_eq, lps.b_eq
     K, n = c.shape
     m_ub, m_eq = A_ub.shape[1], A_eq.shape[1]
     m = m_ub + m_eq
     art_start = n + m_ub
-    n_total = art_start + m
-    template, first_basis, slack_basis, phase1_cost = _layout(n, m_ub, m_eq)
+    negative = b_ub < 0
+    flipped = tuple(np.flatnonzero(np.logical_or.reduce(negative)).tolist()) if negative.any() else ()
+    template, first_basis, slack_basis, phase1_cost = _layout(n, m_ub, m_eq, flipped)
+    n_total = template.shape[1] - 1
     caps = np.broadcast_to(np.asarray(max_pivots, dtype=int), (K,))
 
-    S = min(slots, K)
+    S = min(K, max(1, min(MAX_STACK, STACK_BYTES // max(template.nbytes, 1))))
     T = np.empty((S, m, n_total + 1))
     basis = np.empty((S, m), dtype=int)
     cost = np.empty((S, n_total))
@@ -320,9 +334,7 @@ def solve_lps(lps: LpStack, max_pivots=MAX_PIVOTS) -> list:
         )
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("linear program entries must be finite")
-    m = m_ub + m_eq
-    tableau_bytes = 8 * m * (n + m_ub + m + 1)
-    return _lockstep(lps, max_pivots, max(1, min(MAX_STACK, STACK_BYTES // max(tableau_bytes, 1))))
+    return _lockstep(lps, max_pivots)
 
 
 def solve_lp(lp: LpStack, max_pivots: int = MAX_PIVOTS) -> LpResult:

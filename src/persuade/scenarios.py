@@ -58,6 +58,13 @@ def synthetic_instance(spec: SyntheticSpec) -> GameInstance:
     )
 
 
+def _shocks(rng, shock_std, n: int) -> np.ndarray:
+    """n frozen Normal(0, shock_std) shocks; zeros when `shock_std` is 0."""
+    if not 0 <= shock_std < np.inf:
+        raise ValueError(f"shock_std must be a finite number of at least 0, got {shock_std!r}")
+    return rng.normal(0.0, shock_std, size=n) if shock_std > 0 else np.zeros(n)
+
+
 def quality_ads_instance(n: int, seed: int, *, signals: int = 2, shock_std: float = 1.0) -> GameInstance:
     """n firms advertise product quality +-5 to one consumer.
 
@@ -71,7 +78,7 @@ def quality_ads_instance(n: int, seed: int, *, signals: int = 2, shock_std: floa
     if 2**n > STATE_CAP:
         raise CapError(f"2^{n} states exceed the cap of {STATE_CAP}")
     rng = substream(seed, "quality_ads")
-    shocks = rng.normal(0.0, shock_std, size=n) if shock_std > 0 else np.zeros(n)
+    shocks = _shocks(rng, shock_std, n)
     qualities = list(itertools.product((-5.0, 5.0), repeat=n))
     states = len(qualities)
     V = np.zeros((states, n + 1))
@@ -113,7 +120,7 @@ def product_ads_instance(
     rng = substream(seed, "product_ads")
     prices = rng.integers(1, 11, size=n)
     alphabets = [np.sort(rng.choice(np.arange(-8, 13), size=quality_levels, replace=False)) for _ in range(n)]
-    shocks = rng.normal(0.0, shock_std, size=n) if shock_std > 0 else np.zeros(n)
+    shocks = _shocks(rng, shock_std, n)
     combos = list(itertools.product(*[range(quality_levels)] * n))
     states = len(combos)
     V = np.zeros((states, n + 1))

@@ -36,7 +36,7 @@ from persuade.game import (
     validate_joint_policy,
     validate_policy,
 )
-from persuade.learning import EgConfig, TrainConfig, UtilityDataset, softmax_rows
+from persuade.learning import BETA1, BETA2, EPS_ADAM, EgConfig, TrainConfig, UtilityDataset, softmax_rows
 from persuade.neural import MlpParams, backward, flatten_params, forward, unflatten_params
 from persuade.rng import substream
 
@@ -118,10 +118,7 @@ def reference_best_actions(game: GameInstance, tie, posteriors) -> np.ndarray:
     tied = exp_v >= exp_v.max(axis=1, keepdims=True) - TIE_TOL
     if isinstance(tie, Lexicographic):
         return np.argmax(tied, axis=1)
-    tie.check(game)
-    w = tie.weights if tie.weights is not None else (1.0,) * game.n_senders
-    weighted = sum(float(wj) * uj for wj, uj in zip(w, game.sender_utilities))
-    score = np.where(tied, mu @ weighted, -np.inf)
+    score = np.where(tied, mu @ sum(game.sender_utilities), -np.inf)
     best = score >= score.max(axis=1, keepdims=True) - TIE_TOL
     v = game.receiver_utility    # the actions optimal at each point-mass belief
     mass = mu @ (v >= v.max(axis=1, keepdims=True) - TIE_TOL).astype(float)
@@ -175,11 +172,11 @@ def reference_train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender
             upstream = 2.0 * err / err.size
             grad = flatten_params(backward(current, xb, upstream).params)
             t += 1
-            m = cfg.beta1 * m + (1 - cfg.beta1) * grad
-            v = cfg.beta2 * v + (1 - cfg.beta2) * grad**2
-            m_hat = m / (1 - cfg.beta1**t)
-            v_hat = v / (1 - cfg.beta2**t)
-            flat = flat - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
+            m = BETA1 * m + (1 - BETA1) * grad
+            v = BETA2 * v + (1 - BETA2) * grad**2
+            m_hat = m / (1 - BETA1**t)
+            v_hat = v / (1 - BETA2**t)
+            flat = flat - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS_ADAM)
         losses.append(epoch_sq / y.size)
     return unflatten_params(params, flat), losses
 

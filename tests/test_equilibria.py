@@ -8,6 +8,7 @@ import pytest
 import persuade.equilibria
 from persuade import lp as lpmod
 from persuade.equilibria import (
+    DEFAULT_NASH_TOL,
     EPSILON_LOCAL,
     EXACT,
     REFUTED,
@@ -559,6 +560,20 @@ class TestVerifyNash:
         prof[rep.witness_sender] = rep.witness_policy
         gained = ex_ante_utilities(g, prof, SF)[0][rep.witness_sender]
         assert gained - rep.utilities[rep.witness_sender] == pytest.approx(rep.max_improvement, abs=1e-9)
+
+    @pytest.mark.xfail(raises=lpmod.LpFailure, strict=True,
+                       reason="a face LP fails certification (inequality violated beyond certified tolerance)")
+    def test_dirichlet_profile_on_the_two_block_game_is_refuted(self):
+        # the eps-ball check refutes this profile, so an exact check must too, with a real witness
+        g = two_block_game()
+        pol = np.random.default_rng(5).dirichlet(np.ones(4), size=(2, 4))
+        assert local_ne_verify(g, pol, SF, 0.05, 0).verdict == REFUTED
+        rep = verify_nash(g, pol, SF)
+        assert rep.verdict == REFUTED
+        prof = pol.copy()
+        prof[rep.witness_sender] = rep.witness_policy
+        gained = ex_ante_utilities(g, prof, SF)[0][rep.witness_sender]
+        assert gained - ex_ante_utilities(g, pol, SF)[0][rep.witness_sender] > DEFAULT_NASH_TOL
 
     def test_fixed_map_route(self, rng):
         bg = BimatrixGame(u1=np.eye(2), u2=np.eye(2))

@@ -120,13 +120,11 @@ class TestReceiverBestActions:
             FixedMap(table=(0, 0, 0, 0)).best_actions(g, np.array([[1.0, 0.0]]))
 
 
-def posterior_rules(game, rng):
-    """Both posterior rules, sender-favoring also with explicit weights (signs mixed)."""
-    return LEX, SF, SenderFavoring(tuple(float(w) for w in rng.normal(0.0, 2.0, game.n_senders)))
+POSTERIOR_RULES = (LEX, SF)
 
 
-def assert_same_actions(game, posteriors, rng):
-    for tie in posterior_rules(game, rng):
+def assert_same_actions(game, posteriors):
+    for tie in POSTERIOR_RULES:
         got = tie.best_actions(game, posteriors)
         want = reference_best_actions(game, tie, posteriors)
         assert got.dtype == want.dtype and np.array_equal(got, want), tie
@@ -195,7 +193,7 @@ class TestActionMajorDecision:
     def test_random_posteriors(self, seed, n, states, actions, rows):
         r = np.random.default_rng(seed)
         g = random_game(n, states, 2, actions, r)
-        assert_same_actions(g, r.dirichlet(np.ones(states), size=rows), r)
+        assert_same_actions(g, r.dirichlet(np.ones(states), size=rows))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), states=st.integers(1, 4), actions=st.integers(2, 6))
@@ -208,7 +206,7 @@ class TestActionMajorDecision:
         g = GameInstance(2, base.prior, base.receiver_utility[:, cols],
                          tuple(u[:, cols] for u in base.sender_utilities))
         mu = np.vstack([np.eye(states), r.dirichlet(np.ones(states), size=20)])
-        assert_same_actions(g, mu, r)
+        assert_same_actions(g, mu)
 
     @settings(max_examples=60, deadline=None)
     @given(top=st.floats(-1e3, 1e3), ulps=st.sampled_from([-1, 0, 1]), tier=st.sampled_from(["value", "score", "mass"]))
@@ -231,17 +229,16 @@ class TestActionMajorDecision:
             assert np.array_equal(got, reference_best_actions(g, tie, mu))
             assert got[0] == (0 if ulps >= 0 else 1)
 
-    def test_one_posterior_one_action_and_weights(self):
+    def test_one_posterior_and_one_action(self):
         r = np.random.default_rng(5)
         g = random_game(3, 4, 2, 1, r)
-        assert_same_actions(g, r.dirichlet(np.ones(4), size=7), r)
+        assert_same_actions(g, r.dirichlet(np.ones(4), size=7))
         g = random_game(3, 4, 2, 5, r)
         for k in range(20):
-            assert_same_actions(g, r.dirichlet(np.ones(4))[None], r)
-        weighted = SenderFavoring((1.0, -2.0, 0.5))
+            assert_same_actions(g, r.dirichlet(np.ones(4))[None])
         mu = r.dirichlet(np.ones(4), size=30)
-        assert np.array_equal(weighted.best_actions(g, mu), reference_best_actions(g, weighted, mu))
-        for tie in (LEX, SF, weighted):    # one posterior given as a plain row
+        assert_same_actions(g, mu)
+        for tie in POSTERIOR_RULES:    # one posterior given as a plain row
             assert np.array_equal(tie.best_actions(g, mu[0]), tie.best_actions(g, mu[:1]))
             assert np.array_equal(tie.best_actions(g, list(mu[0])), tie.best_actions(g, mu[:1]))
 
@@ -250,7 +247,7 @@ class TestActionMajorDecision:
         r = np.random.default_rng(3)
         g = random_game(2, 3, 2, 4, r)
         mu = np.vstack([r.dirichlet(np.ones(3), size=3), [np.nan, 0.5, 0.5]])
-        for tie in posterior_rules(g, r):
+        for tie in POSTERIOR_RULES:
             got = tie.best_actions(g, mu)
             assert np.array_equal(got, reference_best_actions(g, tie, mu)) and got[-1] == 0
 
@@ -304,7 +301,7 @@ class TestActionMajorDecision:
             profiles = negative_dust_profiles(g, rows, r)
         else:
             profiles = r.dirichlet(np.ones(signals), size=(rows, n, states))
-        assert_kernel_matches_oracle(g, profiles, posterior_rules(g, r))
+        assert_kernel_matches_oracle(g, profiles, POSTERIOR_RULES)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), states=st.integers(2, 4), actions=st.integers(2, 6))
@@ -319,8 +316,7 @@ class TestActionMajorDecision:
                          tuple(u[:, cols] for u in base.sender_utilities))
         profiles = r.dirichlet(np.ones(3), size=(6, 2, states))
         profiles[::2, 0] = np.eye(3)[r.integers(0, 3, size=states)]
-        rules = (SF, SenderFavoring((1.0, -2.0)))
-        assert_kernel_matches_oracle(g, profiles, rules)
+        assert_kernel_matches_oracle(g, profiles, (SF,))
 
     def test_sender_favoring_on_the_two_block_game(self, rng):
         # the equilibrium profile's posteriors tie several actions; Dirichlet rows tie none,
@@ -330,21 +326,22 @@ class TestActionMajorDecision:
         profiles = np.stack([eq, *rng.dirichlet(np.ones(4), size=(3, 2, 4)), 0.5 * (eq + random_profile(g, rng))])
         counts = tied_counts(g, profiles)
         assert np.any(counts == 1) and np.any(counts > 1)
-        assert_kernel_matches_oracle(g, profiles, (SF, SenderFavoring((2.0, 1.0)), SenderFavoring((1.0, -1.0))))
+        assert_kernel_matches_oracle(g, profiles, (SF,))
 
     def test_overflowing_scores_take_every_tier(self):
-        # action 0 is the receiver's only best at the posterior, but its weighted
-        # score overflows to -inf, so no action leads the score tier, and the
-        # point-mass tier picks the more likely of the states' best actions 1 and 2
+        # action 0 is the receiver's only best at the posterior, but the senders'
+        # summed utility for it overflows to -inf, and so does its score: no action
+        # leads the score tier, and the point-mass tier picks the more likely of the
+        # states' best actions 1 and 2
         v = np.array([[0.6, 1.0, 0.0], [0.6, 0.0, 1.0]])
-        g = GameInstance(2, [0.5, 0.5], v, (np.array([[-10.0, 0.0, 0.0]] * 2),))
-        tie = SenderFavoring((1e308,))
+        u = np.array([[-1e308, 0.0, 0.0]] * 2)
+        g = GameInstance(2, [0.5, 0.5], v, (u, u))
         mu = np.array([[0.5, 0.5], [0.45, 0.55]])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert tie.best_actions(g, mu).tolist() == reference_best_actions(g, tie, mu).tolist() == [1, 2]
-            prof = np.full((1, 2, 2), 0.5)
-            assert induced_action_map(g, prof, tie).tolist() == [1, 1]
-            assert_kernel_matches_oracle(g, prof[None], (tie,))
+            assert SF.best_actions(g, mu).tolist() == reference_best_actions(g, SF, mu).tolist() == [1, 2]
+            prof = np.full((2, 2, 2), 0.5)
+            assert induced_action_map(g, prof, SF).tolist() == [1, 1, 1, 1]
+            assert_kernel_matches_oracle(g, prof[None], (SF,))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 3), actions=st.integers(1, 4))
@@ -354,7 +351,7 @@ class TestActionMajorDecision:
         profiles = negative_dust_profiles(g, 9, r)
         assert any(np.any(product_weights(g.prior, p).sum(axis=1) <= 0) for p in profiles)
         everyone = (*g.sender_utilities, g.receiver_utility)
-        for tie in posterior_rules(g, r):
+        for tie in POSTERIOR_RULES:
             want = reference_batch_pass(g, profiles, tie, everyone)
             assert np.array_equal(ex_ante_utilities_batch(g, profiles, tie), want[:, :-1])
             for prof, row in zip(profiles, want):
@@ -480,7 +477,7 @@ class TestExAnteUtilities:
             assert dead == [True, False] * 5
             everyone = (*g.sender_utilities, g.receiver_utility)
             fixed = FixedMap(tuple(k // 2 % g.actions for k in range(g.n_joint_signals)))
-            for tie in (*posterior_rules(g, rng), fixed):
+            for tie in (*POSTERIOR_RULES, fixed):
                 want = reference_batch_pass(g, profiles, tie, everyone)
                 seen.clear()
                 assert np.array_equal(ex_ante_utilities_batch(g, profiles, tie), want[:, :-1])

@@ -13,7 +13,6 @@ from persuade.game import TIE_RULES, FixedMap, GameInstance, Lexicographic, Send
 from persuade.io import (
     read_game,
     read_policies,
-    read_report,
     tie_rule_from_dict,
     write_game,
     write_policies,
@@ -33,13 +32,13 @@ class TestRoundTrips:
     def test_game_file_exact(self, tmp_path, rng):
         g = random_game(2, 3, 4, 3, rng)
         path = tmp_path / "g.json"
-        write_game(path, g, tie=SenderFavoring(weights=(1.0, 2.0)))
+        write_game(path, g, tie=SenderFavoring())
         back, tie = read_game(path)
         assert np.array_equal(back.prior, g.prior)
         assert np.array_equal(back.receiver_utility, g.receiver_utility)
         for a, b in zip(back.sender_utilities, g.sender_utilities):
             assert np.array_equal(a, b)
-        assert tie == SenderFavoring(weights=(1.0, 2.0))
+        assert tie == SenderFavoring()
 
     def test_policy_file_exact(self, tmp_path, rng):
         pol = rng.dirichlet(np.ones(3), size=(2, 4))
@@ -48,7 +47,7 @@ class TestRoundTrips:
         assert np.array_equal(read_policies(path), pol)
 
     def test_tie_rules(self, tmp_path, rng):
-        rules = (Lexicographic(), SenderFavoring(), SenderFavoring(weights=(0.5, 2.0)), FixedMap((0, 1, 2, 3)))
+        rules = (Lexicographic(), SenderFavoring(), FixedMap((0, 1, 2, 3)))
         assert {type(tie) for tie in rules} == set(TIE_RULES.values())
         g = random_game(2, 3, 2, 4, rng)   # 4 joint signals, 4 actions
         for k, tie in enumerate(rules):
@@ -73,11 +72,10 @@ class TestRoundTrips:
         )
         path = tmp_path / "r.json"
         write_report(path, rep)
-        back = read_report(path)
-        assert back.verdict == rep.verdict
-        assert np.array_equal(back.utilities, rep.utilities)
-        assert back.witness_sender == 1
-        assert np.array_equal(back.witness_policy, rep.witness_policy)
+        assert json.loads(path.read_text()) == {
+            "format": "persuade-report", "verdict": "refuted", "utilities": [0.1, 0.2], "max_improvement": 0.05,
+            "samples": 100, "eps": 0.01, "witness_sender": 1, "witness_policy": [[0.5, 0.5], [0.5, 0.5]],
+        }
 
     def test_text_is_stable_across_writes(self, tmp_path):
         g = synthetic_instance(SyntheticSpec(2, 3, 2, 3, 11))
@@ -111,9 +109,9 @@ class TestCliCommands:
                         "--out", tmp_path / "r1.json"]) == 0
         assert run_cli(["exact", "verify", "--game", game_path, "--policy", bad_path,
                         "--out", tmp_path / "r2.json"]) == 10
-        rep = read_report(tmp_path / "r1.json")
-        assert rep.verdict == "exact"
-        assert np.allclose(rep.utilities, [0.3, 0.3], atol=1e-9)
+        rep = json.loads((tmp_path / "r1.json").read_text())
+        assert rep["verdict"] == "exact"
+        assert np.allclose(rep["utilities"], [0.3, 0.3], atol=1e-9)
 
     def test_full_reveal_precondition_exit(self, tmp_path):
         V = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -396,12 +394,21 @@ class TestCliCommands:
         ({"kind": "lottery"}, "unknown generator kind"),
         ({"kind": "quality-ads", "signals": 2}, "missing config field: firms"),
         ({"n": 2}, "missing config field: kind"),
+        ({"kind": "quality-ads", "firms": 2, "shock_std": float("nan")}, "shock_std must be a finite number"),
+        ({"kind": "product-ads", "firms": 2, "shock_std": -2}, "shock_std must be a finite number"),
     ])
     def test_bad_inline_generator_is_spec_error(self, tmp_path, capsys, spec, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"generator": spec, "train": {"epochs": 1}, "eg": {"steps": 1}}))
         assert run_cli(["learn", "--config", cfg, "--out", tmp_path / "run"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, value", [("quality-ads", "nan"), ("product-ads", "-2"), ("quality-ads", "inf")])
+    def test_gen_rejects_a_bad_shock_std(self, tmp_path, capsys, kind, value):
+        out = tmp_path / "g.json"
+        assert run_cli(["gen", kind, "--firms", 2, "--shock-std", value, "--out", out]) == 2
+        assert "shock_std must be a finite number of at least 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_console_script_installed(self):
         out = subprocess.run([sys.executable, "-m", "persuade.cli", "--version"],
@@ -523,9 +530,9 @@ class TestTieRuleChoice:
         write_policies(pol_path, two_block_equilibrium_policies())
         verify = ["exact", "verify", "--game", game_path, "--policy", pol_path]
         assert run_cli(verify + ["--tie", "sender-favoring", "--out", tmp_path / "sf.json"]) == 0
-        rep = read_report(tmp_path / "sf.json")
-        assert rep.verdict == "exact"
-        assert np.allclose(rep.utilities, [0.3, 0.3], atol=1e-9)
+        rep = json.loads((tmp_path / "sf.json").read_text())
+        assert rep["verdict"] == "exact"
+        assert np.allclose(rep["utilities"], [0.3, 0.3], atol=1e-9)
         assert run_cli(verify + ["--out", tmp_path / "file.json"]) == 10
         assert run_cli(verify + ["--tie", "lex", "--out", tmp_path / "lex.json"]) == 10
 
@@ -541,12 +548,15 @@ class TestTieRuleChoice:
         ({"kind": "fixed_map", "table": [10**30, 0, 0, 0]}, "tie_rule.table"),
         ({"kind": "fixed_map", "table": [10**309, 0, 0, 0]}, "tie_rule.table"),
         ({"kind": "fixed_map", "table": [0, 1, 2]}, "interpretation covers 3 joint signals"),
-        ({"kind": "sender_favoring", "weights": [float("nan"), 1.0]}, "tie_rule.weights"),
-        ({"kind": "sender_favoring", "weights": [10**400, 1.0]}, "tie_rule.weights"),
-        ({"kind": "sender_favoring", "weights": [1.0]}, "one weight per sender"),
+        # sender-favoring takes no weights: a weighted rule is refused, never read as unweighted
+        ({"kind": "sender_favoring", "weights": [float("nan"), 1.0]}, "unknown sender_favoring tie_rule field: weights"),
+        ({"kind": "sender_favoring", "weights": [10**400, 1.0]}, "unknown sender_favoring tie_rule field: weights"),
+        ({"kind": "sender_favoring", "weights": [1.0]}, "unknown sender_favoring tie_rule field: weights"),
+        ({"kind": "lexicographic", "table": [0, 1, 2, 3]}, "unknown lexicographic tie_rule field: table"),
+        ({"kind": "fixed_map", "table": [0, 1, 2, 3], "weights": [1.0, 1.0]}, "unknown fixed_map tie_rule field: weights"),
         ({"kind": "sender-favoring"}, "unknown tie rule kind"),
     ], ids=["fractional-table", "huge-entry", "float-overflowing-entry", "short-table", "nan-weight",
-            "float-overflowing-weight", "one-weight", "flag-as-kind"])
+            "float-overflowing-weight", "one-weight", "lex-with-table", "fixed-map-with-weights", "flag-as-kind"])
     def test_malformed_rule_in_game_file_is_spec_error(self, tmp_path, capsys, rng, rule, message):
         game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
         g = random_game(2, 2, 2, 4, rng)
@@ -624,14 +634,16 @@ class TestTieRuleChoice:
         ("train", {"epoch": 1}, "unknown train field: epoch"),
         ("eg", {"step": 1}, "unknown eg field: step"),
         ("train", {"learning_rate": True}, "train.learning_rate must be a finite number, got True"),
-        ("train", {"eps_adam": True}, "train.eps_adam must be a finite number, got True"),
+        ("train", {"eps_adam": True}, "unknown train field: eps_adam"),
         ("eg", {"learning_rate": True}, "eg.learning_rate must be a finite number, got True"),
         ("train", {"learning_rate": "0.01"}, "train.learning_rate must be a finite number, got '0.01'"),
         ("eg", {"learning_rate": "0.1"}, "eg.learning_rate must be a finite number, got '0.1'"),
-        ("train", {"beta1": float("inf")}, "train.beta1 must be a finite number, got inf"),
+        # Adam's constants are module constants of `learning`, not config fields
+        ("train", {"beta1": float("inf")}, "unknown train field: beta1"),
+        ("train", {"beta2": 0.999}, "unknown train field: beta2"),
     ], ids=["bool-epochs", "bool-restarts", "fractional-train-seed", "fractional-eg-seed", "zero-batch",
             "fractional-steps", "string-epochs", "train-typo", "eg-typo", "bool-train-rate", "bool-adam-eps",
-            "bool-eg-rate", "string-train-rate", "string-eg-rate", "inf-beta1"])
+            "bool-eg-rate", "string-train-rate", "string-eg-rate", "inf-beta1", "default-beta2"])
     def test_bad_train_or_eg_field_is_spec_error(self, tmp_path, capsys, section, fields, message):
         game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
         write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))

@@ -163,6 +163,13 @@ class TestRideHailing:
 
 
 class TestGeneratorContracts:
+    @pytest.mark.parametrize("make", [quality_ads_instance, product_ads_instance])
+    def test_shock_std_is_finite_and_non_negative(self, make):
+        for bad in (np.nan, -2.0, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="shock_std"):
+                make(2, seed=1, shock_std=bad)
+        assert make(2, seed=1, shock_std=0.0).meta["shocks"] == [0.0, 0.0]
+
     def test_all_generators_yield_valid_instances(self):
         games = [
             synthetic_instance(SyntheticSpec(2, 3, 3, 3, 1)),
