@@ -207,9 +207,6 @@ def build_parser() -> _Parser:
     rsub = reduce.add_subparsers(dest="kind", required=True)
     r_pub = rsub.add_parser("public")
     r_pub.add_argument("--source", required=True, help="public-persuasion JSON (k, prior, gaps, u_plus, u_minus)")
-    r_pub.add_argument("--C", type=float, default=None)
-    r_pub.add_argument("--N", type=float, default=None)
-    r_pub.add_argument("--M", type=float, default=None)
     r_bim = rsub.add_parser("bimatrix")
     r_bim.add_argument("--source", required=True, help="bimatrix JSON (u1, u2 as nested 0/1 lists)")
     for p, func in ((r_pub, cmd_reduce_public), (r_bim, cmd_reduce_bimatrix)):
@@ -387,6 +384,8 @@ def cmd_learn(args) -> int:
     archs = cfg.get("architectures", ["dnl"])
     if not isinstance(archs, list) or not archs or not all(isinstance(a, str) for a in archs):
         raise SpecError(f"architectures must be a non-empty list of architecture names, got {archs!r}")
+    if len(set(archs)) < len(archs):
+        raise SpecError(f"architectures must name each architecture once, got {archs!r}")
     arch_kwargs = {k: _integer(v, k, 1) if k == "lower_layers" else _widths(v, k)
                    for k, v in cfg.items() if k in ARCH_FIELDS}
     for name in archs:
@@ -447,12 +446,7 @@ def cmd_reduce_public(args) -> int:
     )
     if _require(src, "k") != pub.k:
         raise SpecError(f"k is {src['k']!r}, but gaps has {pub.k} rows")
-    if args.C is not None or args.N is not None or args.M is not None:
-        if None in (args.C, args.N, args.M):
-            raise SpecError("give all of --C/--N/--M or none")
-        params = ReductionParams(C=args.C, N=args.N, M=args.M)
-    else:
-        params = ReductionParams.defaults(pub.k)
+    params = ReductionParams.defaults(pub.k)
     game, pi2 = public_to_best_response(pub, params)
     write_game(args.out, game)
     write_policies(f"{args.out}.opponent-policy.json", pi2[None, :, :])

@@ -300,8 +300,8 @@ def _producible_actions(game: GameInstance, weight_row: np.ndarray, tie: TieRule
     the pairwise indifference points and the midpoints between them.  Larger
     faces use a strict-margin LP per action plus the rule's decisions at the
     centroid and the witness posteriors, a superset that is exact for games
-    without higher-dimensional ties.  The rule decides at all the probes in
-    one call.
+    without higher-dimensional ties; an action whose LP fails is kept.  The
+    rule decides at all the probes in one call.
     """
     face = np.nonzero(weight_row > 0)[0]
     V = game.receiver_utility
@@ -347,9 +347,13 @@ def _producible_actions(game: GameInstance, weight_row: np.ndarray, tie: TieRule
             A_eq = np.zeros((1, k + 1))
             A_eq[0, :k] = 1.0
             stack = lpmod.LpStack(c=c[None], A_ub=A_ub[None], b_ub=b_ub[None], A_eq=A_eq[None], b_eq=np.ones((1, 1)))
-            res = lpmod.solve_lp(stack)
-            if res.status != lpmod.OPTIMAL:
+            try:
+                res = lpmod.solve_lp(stack)
+            except lpmod.LpFailure:
+                out.add(a)                          # a superset of candidates costs LPs, never an answer
                 continue
+            if res.status != lpmod.OPTIMAL:
+                continue                            # infeasible: never weakly optimal on the face
             delta = res.value
             if delta > TIE_TOL:
                 out.add(a)

@@ -41,7 +41,6 @@ stale.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -98,10 +97,10 @@ class _PosteriorRule:
 
     def best_actions(self, game: GameInstance, posteriors: np.ndarray) -> np.ndarray:
         """Receiver-optimal action (within `TIE_TOL` of the best) for each row of the (M, states)
-        normalized `posteriors`, tie-broken by the rule."""
+        normalized `posteriors`, tie-broken by the rule; a single posterior is a batch of one row."""
         mu = np.asarray(posteriors, dtype=float)
-        if mu.ndim < 2:
-            mu = mu.reshape(1, -1)
+        if mu.ndim != 2:
+            raise ValueError(f"posteriors must be an (M, states) batch, got shape {mu.shape}")
         return self._decide(game, np.ascontiguousarray(mu.T))
 
     def _decide(self, game: GameInstance, mu: np.ndarray) -> np.ndarray:
@@ -345,16 +344,12 @@ class Posterior:
     """Posterior belief over states, together with the inducing signal's probability.
 
     A joint signal that cannot occur under the policy gets ``marginal == 0``
-    and an all-zero ``mu``; such posteriors are flagged rather than raised
-    because they contribute nothing to any exact sum.
+    and an all-zero ``mu`` rather than an error, because it contributes
+    nothing to any exact sum.
     """
 
     mu: np.ndarray
     marginal: float
-
-    @property
-    def is_null(self) -> bool:
-        return self.marginal <= 0.0
 
 
 @dataclass(frozen=True)
@@ -524,20 +519,13 @@ def batch_rows(game: GameInstance) -> int:
     return max(1, BATCH_CELLS // (game.states * game.n_joint_signals))
 
 
-def ex_ante_utilities_batch(
-    game: GameInstance,
-    profiles: np.ndarray,
-    tie: TieRule,
-    *,
-    senders: Sequence[int] | None = None,
-) -> np.ndarray:
+def ex_ante_utilities_batch(game: GameInstance, profiles: np.ndarray, tie: TieRule) -> np.ndarray:
     """Per-sender ex-ante utilities for a batch of joint policies.
 
-    `profiles` is (B, n, states, signals); returns (B, n), or (B, len(senders))
-    with the columns of just the listed senders, each in ``range(n)``.  Same
-    exact sum as :func:`ex_ante_utilities`, vectorized across the batch and
-    run in passes of :func:`batch_rows` profiles.  Only the shape is checked,
-    not the entries: a joint signal whose marginal is NaN counts as dead and
+    `profiles` is (B, n, states, signals); returns (B, n).  Same exact sum
+    as :func:`ex_ante_utilities`, vectorized across the batch and run in
+    passes of :func:`batch_rows` profiles.  Only the shape is checked, not
+    the entries: a joint signal whose marginal is NaN counts as dead and
     adds 0.0, so an all-NaN row labels as 0.0.
     """
     profiles = np.asarray(profiles, dtype=float)
@@ -550,11 +538,6 @@ def ex_ante_utilities_batch(
     check_term_cap(game)
     tie.check(game)
     tables = game._tables[: game.n_senders]
-    if senders is not None:
-        senders = [int(j) for j in senders]
-        if not all(0 <= j < game.n_senders for j in senders):
-            raise ValueError(f"senders must lie in range({game.n_senders}), got {senders}")
-        tables = [tables[j] for j in senders]
     B = profiles.shape[0]
     step = batch_rows(game)
     out = np.empty((B, len(tables)))

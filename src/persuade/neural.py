@@ -24,10 +24,11 @@ widths of the DeLU and DNL side networks.  Anything with the `_run` and
 
 A pre-activation of exactly zero counts as active (bit 1); gradients treat
 the activation pattern as locally constant, i.e. they are the gradients of
-the piece containing the input.  All forward/backward functions accept a
-single vector or a batch (leading axis).  `backward` also returns the
-network output, and takes the upstream gradient either as an array or as
-a function of that output, so a training step needs one forward pass.
+the piece containing the input.  `forward`, `forward_with_pattern` and
+`backward` take a ``(rows, inputs)`` batch; a single input is a batch of
+one row.  `backward` also returns the network output, and takes the
+upstream gradient as a function of that output, so a training step needs
+one forward pass.
 
 A *stack* of n networks of one architecture and shape is the same
 container with a leading axis on every parameter array: weights
@@ -53,11 +54,12 @@ import numpy as np
 # shared primitives
 
 
-def _as_batch(x):
+def _batch_input(x):
+    """`x` as a float (rows, inputs) array; any other number of axes is an error."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+    if x.ndim != 2:
+        raise ValueError(f"network input must be a (rows, inputs) batch, got shape {x.shape}")
+    return x
 
 
 def _stack_forward(params: MlpParams, x, relu_last: bool):
@@ -356,39 +358,31 @@ class Gradients:
 
 
 def forward_with_pattern(params, x):
-    """(output, activation pattern) of any architecture: the pattern covers
-    all hidden units of a ReLU net and the hidden or lower stack of a DeLU or
-    DNL net.  Only here is the pattern formed from the pass's
-    pre-activations: a training step never reads it."""
-    xb, single = _as_batch(x)
-    out, gates, _ = params._run(xb)
+    """(output, activation pattern) of any architecture at the (rows, inputs) batch `x`: the
+    pattern covers all hidden units of a ReLU net and the hidden or lower stack of a DeLU or
+    DNL net, one row per input row.  Only here is the pattern formed from the pass's
+    pre-activations: `forward` and a training step never read it."""
+    out, gates, _ = params._run(_batch_input(x))
     pattern = _pattern(gates) if gates else np.zeros((*out.shape[:-1], 0))
-    return (out[..., 0, :], pattern[..., 0, :]) if single else (out, pattern)
+    return out, pattern
 
 
 def forward(params, x):
-    """Output of any architecture."""
-    return forward_with_pattern(params, x)[0]
+    """Output of any architecture at the (rows, inputs) batch `x`."""
+    return params._run(_batch_input(x))[0]
 
 
 def backward(params, x, upstream, *, input_grad: bool = True) -> Gradients:
-    """Exact reverse-mode gradients; the activation pattern is held fixed.
+    """Exact reverse-mode gradients at the (rows, inputs) batch `x`; the activation pattern
+    is held fixed.
 
-    `upstream` is d(loss)/d(output), either as an array shaped like the
-    output or as a function ``output -> d(loss)/d(output)``; the second form
-    lets a training step take its prediction and its gradient from one
-    forward pass.  The output is returned as ``Gradients.output``.  With
-    ``input_grad=False`` the input gradient is not computed (training
-    discards it).
+    `upstream` is a function ``output -> d(loss)/d(output)``, so a training step takes its
+    prediction and its gradient from one forward pass.  The output is returned as
+    ``Gradients.output``.  With ``input_grad=False`` the input gradient is not computed
+    (training discards it).
     """
-    xb, single = _as_batch(x)
-    out, _, cache = params._run(xb)
-    if callable(upstream):
-        upstream = upstream(out[..., 0, :] if single else out)
-    upstream = np.asarray(upstream, dtype=float)
-    grads, d_in = params._grads(cache, upstream[..., None, :] if single else upstream, input_grad)
-    if single:
-        return Gradients(params=grads, input=None if d_in is None else d_in[..., 0, :], output=out[..., 0, :])
+    out, _, cache = params._run(_batch_input(x))
+    grads, d_in = params._grads(cache, np.asarray(upstream(out), dtype=float), input_grad)
     return Gradients(params=grads, input=d_in, output=out)
 
 

@@ -108,13 +108,15 @@ def product_ads_instance(
     """n firms sell products with public integer prices and private quality.
 
     Prices are uniform integers in [1, 10]; each firm's quality alphabet is
-    `quality_levels` distinct uniform integers from [-8, 12], and states are
-    the joint quality vectors.  The consumer nets quality minus price plus
-    a frozen shock when buying, 0 otherwise; a firm earns its price when
-    bought from and -1 otherwise.
+    `quality_levels` distinct uniform integers from [-8, 12] (so at most
+    21), and states are the joint quality vectors.  The consumer nets
+    quality minus price plus a frozen shock when buying, 0 otherwise; a
+    firm earns its price when bought from and -1 otherwise.
     """
     if n < 1:
         raise ValueError("need at least one firm")
+    if not 1 <= quality_levels <= 21:
+        raise ValueError(f"quality_levels must be an integer from 1 to 21, got {quality_levels!r}")
     if quality_levels**n > STATE_CAP:
         raise CapError(f"{quality_levels}^{n} states exceed the cap of {STATE_CAP}")
     rng = substream(seed, "product_ads")
@@ -170,6 +172,8 @@ def ride_hailing_instance(
     """
     if m < 1 or n < 1:
         raise ValueError("both platforms need at least one order")
+    if cost_levels < 1:
+        raise ValueError(f"cost_levels must be an integer of at least 1, got {cost_levels!r}")
     total = m + n
     if cost_levels**total > STATE_CAP:
         raise CapError(f"{cost_levels}^{total} states exceed the cap of {STATE_CAP}")

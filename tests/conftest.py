@@ -100,7 +100,7 @@ def reference_ex_ante(game: GameInstance, policy, tie):
     receiver = 0.0
     for k, signal in enumerate(joint_signals(game.n_senders, game.signals)):
         post = posterior(game, policy, signal)
-        if post.is_null:
+        if post.marginal <= 0.0:
             continue
         a = tie.table[k] if isinstance(tie, FixedMap) else int(tie.best_actions(game, post.mu[None, :])[0])
         weights = post.marginal * post.mu
@@ -166,11 +166,11 @@ def reference_train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender
             idx = perm[start : start + cfg.batch_size]
             xb, yb = X[idx], y[idx]
             current = unflatten_params(params, flat)
-            pred = np.atleast_2d(forward(current, xb))
+            pred = forward(current, xb)
             err = pred - yb
             epoch_sq += float(np.sum(err**2))
             upstream = 2.0 * err / err.size
-            grad = flatten_params(backward(current, xb, upstream).params)
+            grad = flatten_params(backward(current, xb, lambda out: upstream).params)
             t += 1
             m = BETA1 * m + (1 - BETA1) * grad
             v = BETA2 * v + (1 - BETA2) * grad**2
@@ -185,7 +185,7 @@ def reference_extragradient(nets, init_logits, cfg: EgConfig) -> np.ndarray:
     """Per-restart, single-row oracle for `extragradient`: each
     (n, states, signals) restart of the (R, n, states, signals) logits ascends
     on its own, and each sender's input gradient is one `backward` call on
-    the flat joint policy as a single vector."""
+    the flat joint policy as a batch of one row."""
     out = []
     for logits in np.array(init_logits, dtype=float):
         n, states, signals = logits.shape
@@ -194,7 +194,7 @@ def reference_extragradient(nets, init_logits, cfg: EgConfig) -> np.ndarray:
             policies = softmax_rows(logits)
             d = np.zeros_like(logits)
             for j, net in enumerate(nets):
-                g = backward(net, policies.reshape(-1), np.ones(1)).input.reshape(n, states, signals)[j]
+                g = backward(net, policies.reshape(1, -1), np.ones_like).input.reshape(n, states, signals)[j]
                 d[j] = policies[j] * (g - np.sum(g * policies[j], axis=1, keepdims=True))
             return d
 

@@ -197,10 +197,10 @@ def test_criterion_6_gradient_suite():
         params = init_params(arch, dims, substream(61, arch), **kwargs)
         for point in range(100):
             x = stable_point(params, 4, rng, margin=2e-4)
-            grads = backward(params, x, np.ones(1))
+            grads = backward(params, x[None], np.ones_like)
             num_p, num_x = fd_gradients(params, x, h=1e-5)
             assert rel_err(flatten_params(grads.params), num_p).max() < 1e-4, f"{arch} parameters"
-            assert rel_err(grads.input, num_x).max() < 1e-4, f"{arch} inputs"
+            assert rel_err(grads.input[0], num_x).max() < 1e-4, f"{arch} inputs"
 
 
 @criterion(7, budget=900.0)

@@ -500,6 +500,28 @@ class TestProducibleActions:
                         points.append(np.array([t, 1.0 - t]))
             assert set(_producible_actions(g, row, tie)) <= self._picks(g, tie, face, np.array(points))
 
+    @pytest.mark.parametrize("tie", [LEX, SF], ids=["lex", "sf"])
+    def test_an_action_whose_lp_fails_is_kept(self, tie, monkeypatch):
+        # a superset of candidate actions costs LPs but never an answer, so a strict-margin LP
+        # that raises keeps its action instead of failing the best response
+        def fail(stack):
+            raise lpmod.LpFailure("forced failure")
+
+        rng = substream(3, "producible-actions:failing-lp")
+        for trial in range(40):
+            states, actions = int(rng.integers(3, 6)), int(rng.integers(2, 6))
+            g = random_game(2, states, 2, actions, rng) if trial % 2 else GameInstance(
+                2, rng.dirichlet(np.ones(states)), rng.integers(-2, 3, (states, actions)),
+                tuple(rng.integers(-2, 3, (states, actions)) for _ in range(2)))
+            row = np.zeros(states)
+            face = rng.choice(states, size=int(rng.integers(3, states + 1)), replace=False)
+            row[face] = rng.uniform(0.1, 1.0, face.size)
+            want = set(_producible_actions(g, row, tie))
+            with monkeypatch.context() as m:
+                m.setattr(lpmod, "solve_lp", fail)
+                got = _producible_actions(g, row, tie)
+            assert list(got) == sorted(set(got)) and want <= set(got)
+
 
 class TestBestResponseFixedInterpretation:
     def test_indifferent_receiver_always_feasible(self, rng):

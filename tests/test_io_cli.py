@@ -18,6 +18,7 @@ from persuade.io import (
     write_policies,
     write_report,
 )
+from persuade.reductions import ReductionParams
 from persuade.reference import two_block_game, two_block_equilibrium_policies
 from persuade.scenarios import SyntheticSpec, synthetic_instance
 
@@ -396,6 +397,8 @@ class TestCliCommands:
         ({"n": 2}, "missing config field: kind"),
         ({"kind": "quality-ads", "firms": 2, "shock_std": float("nan")}, "shock_std must be a finite number"),
         ({"kind": "product-ads", "firms": 2, "shock_std": -2}, "shock_std must be a finite number"),
+        ({"kind": "ride-hailing", "m": 1, "n": 1, "cost_levels": 0}, "cost_levels must be an integer of at least 1"),
+        ({"kind": "product-ads", "firms": 1, "quality_levels": 22}, "quality_levels must be an integer from 1 to 21"),
     ])
     def test_bad_inline_generator_is_spec_error(self, tmp_path, capsys, spec, message):
         cfg = tmp_path / "cfg.json"
@@ -408,6 +411,20 @@ class TestCliCommands:
         out = tmp_path / "g.json"
         assert run_cli(["gen", kind, "--firms", 2, "--shock-std", value, "--out", out]) == 2
         assert "shock_std must be a finite number of at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flags, message", [
+        ("ride-hailing", ["--m", 1, "--n", 1, "--cost-levels", 0], "cost_levels must be an integer of at least 1, got 0"),
+        ("ride-hailing", ["--m", 1, "--n", 1, "--cost-levels", -1], "cost_levels must be an integer of at least 1, got -1"),
+        ("product-ads", ["--firms", 1, "--quality-levels", 0], "quality_levels must be an integer from 1 to 21, got 0"),
+        ("product-ads", ["--firms", 1, "--quality-levels", -2], "quality_levels must be an integer from 1 to 21, got -2"),
+        ("product-ads", ["--firms", 1, "--quality-levels", 22], "quality_levels must be an integer from 1 to 21, got 22"),
+    ])
+    def test_gen_rejects_a_bad_size_field(self, tmp_path, capsys, kind, flags, message):
+        out = tmp_path / "g.json"
+        assert run_cli(["gen", kind, *flags, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     def test_console_script_installed(self):
@@ -585,6 +602,8 @@ class TestTieRuleChoice:
         ({"architectures": []}, "architectures must be a non-empty list of architecture names"),
         ({"architectures": "dnl"}, "architectures must be a non-empty list of architecture names"),
         ({"architectures": ["relu", "dnn"]}, "unknown architecture 'dnn'; expected relu, delu, or dnl"),
+        # a repeated name would train twice, overwrite its files and count twice in `report`
+        ({"architectures": ["relu", "dnl", "relu"]}, "architectures must name each architecture once, got ['relu', 'dnl', 'relu']"),
         ({"sample_count": 50.7}, "sample_count must be an integer of at least 1, got 50.7"),
         ({"sample_count": True}, "sample_count must be an integer of at least 1, got True"),
         ({"sample_count": 0}, "sample_count must be an integer of at least 1, got 0"),
@@ -608,7 +627,7 @@ class TestTieRuleChoice:
         ({"eps": "0.01"}, "eps must be a finite number, got '0.01'"),
         ({"eps": float("nan")}, "eps must be a finite number, got nan"),
         ({"eps": 2}, "eps must be positive and finite, at most 1, got 2.0"),
-    ], ids=["no-architectures", "architectures-string", "unknown-architecture", "fractional-count", "bool-count", "zero-count",
+    ], ids=["no-architectures", "architectures-string", "unknown-architecture", "repeated-architecture", "fractional-count", "bool-count", "zero-count",
             "zero-hidden", "zero-hyper-hidden", "zero-aux-hidden", "hidden-not-a-list", "string-width",
             "dnl-one-hidden-layer", "dnl-all-lower", "fractional-lower-layers", "bool-lower-layers", "delu-no-hidden",
             "bool-eps", "string-eps", "nan-eps", "eps-above-one"])
@@ -795,6 +814,23 @@ class TestLearnAndReport:
         assert run_cli(["reduce", "public", "--source", src, "--out", tmp_path / "bad.json"]) == 2
         assert "k is 3, but gaps has 2 rows" in capsys.readouterr().err
         assert not (tmp_path / "bad.json").exists()
+
+    def test_reduce_public_uses_the_default_params(self, tmp_path):
+        doc = {"k": 2, "prior": [0.4, 0.6], "gaps": [[0.5, -0.5], [-0.25, 0.75]],
+               "u_plus": [[0.9, 0.1], [0.3, 0.8]], "u_minus": [[0.2, 0.6], [0.5, 0.25]]}
+        src, out = tmp_path / "pub.json", tmp_path / "pub-game.json"
+        src.write_text(json.dumps(doc))
+        for flag in ("--C", "--N", "--M"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["reduce", "public", "--source", src, flag, 2.0, "--out", out])
+            assert exc.value.code == EXIT_USAGE
+            assert not out.exists()
+        assert run_cli(["reduce", "public", "--source", src, "--out", out]) == 0
+        want = ReductionParams.defaults(2)
+        sidecar = json.loads(out.with_name(out.name + ".sidecar.json").read_text())
+        assert sidecar["params"] == {"C": want.C, "N": want.N, "M": want.M}
+        assert set(json.loads(out.with_name(out.name + ".manifest.json").read_text())["args"]) == {
+            "command", "kind", "source", "out"}
 
     def test_reduce_rejects_non_binary_matrix(self, tmp_path):
         src = tmp_path / "bad.json"

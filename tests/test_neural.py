@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,12 @@ def pattern_margin(params, x):
     return min(vals) if vals else np.inf
 
 
+def one(params, x):
+    """(output, activation pattern) at the single input `x`, run as a batch of one row."""
+    out, pattern = forward_with_pattern(params, x[None])
+    return out[0], pattern[0]
+
+
 def backbone(p: DeluParams, bias=0.0) -> MlpParams:
     """The ReLU net of a DeLU's hidden stack and head with a constant output bias."""
     return MlpParams(p.hidden.weights + [p.head], p.hidden.biases + [np.full(p.head.shape[0], bias)])
@@ -59,13 +66,14 @@ def fd_gradients(params, x, h=1e-5):
         fp, fm = flat.copy(), flat.copy()
         fp[i] += h
         fm[i] -= h
-        gp[i] = (forward(unflatten_params(params, fp), x).sum() - forward(unflatten_params(params, fm), x).sum()) / (2 * h)
+        gp[i] = (forward(unflatten_params(params, fp), x[None]).sum()
+                 - forward(unflatten_params(params, fm), x[None]).sum()) / (2 * h)
     gx = np.zeros_like(x)
     for i in range(x.size):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        gx[i] = (forward(params, xp).sum() - forward(params, xm).sum()) / (2 * h)
+        gx[i] = (forward(params, xp[None]).sum() - forward(params, xm[None]).sum()) / (2 * h)
     return gp, gx
 
 
@@ -73,64 +81,67 @@ def rel_err(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
+NETS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: init_params("relu", [5, 8, 8, 2], rng),
+        lambda rng: init_params("delu", [5, 8, 8, 2], rng, aux_hidden=(6,)),
+        lambda rng: init_params("dnl", [5, 8, 8, 8, 2], rng, hyper_hidden=(6, 6)),
+    ],
+    ids=["relu", "delu", "dnl"],
+)
+
+
 class TestForwardRelu:
     def test_all_zero_params(self):
         p = MlpParams([np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)])
-        y, r = forward_with_pattern(p, np.array([1.0, -2.0, 3.0]))
+        y, r = one(p, np.array([1.0, -2.0, 3.0]))
         assert np.all(y == 0.0)
         assert np.all(r == 1.0)          # zero pre-activation counts as active
 
     def test_single_layer_identity_is_linear(self):
         p = MlpParams([np.eye(3)], [np.zeros(3)])
         x = np.array([0.5, -0.25, 0.0])
-        y, r = forward_with_pattern(p, x)
+        y, r = one(p, x)
         assert np.array_equal(y, x)      # output layer has no activation
         assert r.size == 0
 
     def test_relu_applied_between_layers(self):
         p = MlpParams([np.eye(3), np.eye(3)], [np.zeros(3), np.zeros(3)])
         x = np.array([0.5, -0.25, 1.0])
-        y, _ = forward_with_pattern(p, x)
+        y, _ = one(p, x)
         assert np.array_equal(y, np.maximum(x, 0.0))
 
     def test_linear_piece_identity(self, rng):
         p = init_params("relu", [5, 12, 12, 3], rng)
         for _ in range(20):
             x = rng.normal(size=5)
-            y, r = forward_with_pattern(p, x)
+            y, r = one(p, x)
             M, z = linear_piece(p, r)
             assert np.allclose(M @ x + z, y, atol=1e-10)
 
 
 class TestGradients:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda rng: init_params("relu", [5, 8, 8, 2], rng),
-            lambda rng: init_params("delu", [5, 8, 8, 2], rng, aux_hidden=(6,)),
-            lambda rng: init_params("dnl", [5, 8, 8, 8, 2], rng, hyper_hidden=(6, 6)),
-        ],
-        ids=["relu", "delu", "dnl"],
-    )
+    @NETS
     def test_against_central_differences(self, make, rng):
         params = make(rng)
         for _ in range(4):
             x = stable_point(params, 5, rng, margin=1e-3)
-            g = backward(params, x, np.ones(2))
+            g = backward(params, x[None], np.ones_like)
             gp, gx = fd_gradients(params, x)
             assert rel_err(flatten_params(g.params), gp).max() < 1e-4
-            assert rel_err(g.input, gx).max() < 1e-4
+            assert rel_err(g.input[0], gx).max() < 1e-4
 
     def test_linear_net_input_gradient_is_w_transpose(self, rng):
         W = rng.normal(size=(3, 4))
         p = MlpParams([W], [rng.normal(size=3)])
         up = rng.normal(size=3)
-        g = backward(p, rng.normal(size=4), up)
-        assert np.allclose(g.input, W.T @ up, atol=1e-14)
+        g = backward(p, rng.normal(size=(1, 4)), lambda out: up[None])
+        assert np.allclose(g.input[0], W.T @ up, atol=1e-14)
 
     def test_zero_upstream_zero_gradients(self, rng):
         p = init_params("dnl", [4, 6, 6, 1], rng, hyper_hidden=(5,))
-        g = backward(p, rng.normal(size=4), np.zeros(1))
+        g = backward(p, rng.normal(size=(1, 4)), np.zeros_like)
         assert np.all(flatten_params(g.params) == 0.0)
         assert np.all(g.input == 0.0)
 
@@ -138,41 +149,38 @@ class TestGradients:
         p = init_params("relu", [4, 6, 1], rng)
         X = rng.normal(size=(5, 4))
         up = rng.normal(size=(5, 1))
-        total = backward(p, X, up)
+        total = backward(p, X, lambda out: up)
         acc = np.zeros_like(flatten_params(p))
         for i in range(5):
-            acc += flatten_params(backward(p, X[i], up[i]).params)
+            acc += flatten_params(backward(p, X[i : i + 1], lambda out: up[i : i + 1]).params)
         assert np.allclose(flatten_params(total.params), acc, atol=1e-12)
 
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda rng: init_params("relu", [5, 8, 8, 2], rng),
-            lambda rng: init_params("delu", [5, 8, 8, 2], rng, aux_hidden=(6,)),
-            lambda rng: init_params("dnl", [5, 8, 8, 8, 2], rng, hyper_hidden=(6, 6)),
-        ],
-        ids=["relu", "delu", "dnl"],
-    )
-    def test_upstream_array_or_function_of_output(self, make, rng):
+    @NETS
+    def test_upstream_is_a_function_of_the_output(self, make, rng):
         params = make(rng)
-        for x in (rng.normal(size=5), rng.normal(size=(7, 5))):
-            up = rng.normal(size=(2,) if x.ndim == 1 else (7, 2))
-            given = backward(params, x, up)
+        for x in (rng.normal(size=(1, 5)), rng.normal(size=(7, 5))):
+            up = rng.normal(size=(len(x), 2))
             seen = []
-            computed = backward(params, x, lambda out: seen.append(out) or up)
-            assert np.array_equal(seen[0], forward(params, x))
-            for g in (given, computed):
-                assert np.array_equal(g.output, forward(params, x))
-                assert g.input.shape == x.shape
-            assert np.array_equal(flatten_params(given.params), flatten_params(computed.params))
-            assert np.array_equal(given.input, computed.input)
+            g = backward(params, x, lambda out: seen.append(out) or up)
+            assert len(seen) == 1 and np.array_equal(seen[0], forward(params, x))
+            assert np.array_equal(g.output, forward(params, x))
+            assert g.input.shape == x.shape
+
+    @NETS
+    def test_input_must_be_a_batch(self, make, rng):
+        params = make(rng)
+        for x in (rng.normal(size=5), rng.normal(size=(2, 3, 5))):
+            for call in (lambda: forward(params, x), lambda: forward_with_pattern(params, x),
+                         lambda: backward(params, x, np.ones_like)):
+                with pytest.raises(ValueError, match=r"\(rows, inputs\) batch, got shape " + re.escape(str(x.shape))):
+                    call()
 
     def test_array_upstream_unchanged(self, rng):
         # a linear layer's gradients in closed form: d/dW = up^T x, d/db = sum(up), d/dx = up W
         W, b = rng.normal(size=(3, 4)), rng.normal(size=3)
         X, up = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
-        g = backward(MlpParams([W], [b]), X, up)
+        g = backward(MlpParams([W], [b]), X, lambda out: up)
         assert np.array_equal(g.params.weights[0], up.T @ X)
         assert np.array_equal(g.params.biases[0], up.sum(axis=0))
         assert np.array_equal(g.input, up @ W)
@@ -202,12 +210,12 @@ class TestDelu:
             kept = neural.param_arrays(bb)[:-1] + neural.param_arrays(aux)
             assert np.array_equal(flatten_params(p), np.concatenate([a.ravel() for a in kept]))
             data = np.random.default_rng(1000 + seed)
-            for x in (data.normal(size=(128, dims[0])), data.normal(size=dims[0])):
+            for x in (data.normal(size=(128, dims[0])), data.normal(size=(1, dims[0]))):
                 up = data.normal(size=x.shape[:-1] + (dims[-1],))
                 o, r = forward_with_pattern(bb, x)
                 y = o - bb.biases[-1] + forward_with_pattern(aux, r)[0]
                 assert np.array_equal(forward(p, x), y)
-                g, g_bb, g_aux = backward(p, x, up), backward(bb, x, up), backward(aux, r, up)
+                g, g_bb, g_aux = (backward(net, z, lambda out: up) for net, z in ((p, x), (bb, x), (aux, r)))
                 assert np.array_equal(g.output, y)
                 assert np.array_equal(g.input, g_bb.input)
                 expected = neural.param_arrays(g_bb.params)[:-1] + neural.param_arrays(g_aux.params)
@@ -234,7 +242,7 @@ class TestDelu:
                 pats.append(tuple((np.concatenate([h.ravel() for h in pres]) >= 0).tolist()))
             if len(set(pats)) != 1:
                 continue
-            ys = [float(forward(p, q)[0]) for q in pts]
+            ys = [float(forward(p, q[None])[0, 0]) for q in pts]
             assert ys[1] == pytest.approx((ys[0] + ys[2]) / 2, abs=1e-9)
             break
         else:
@@ -247,24 +255,24 @@ class TestDelu:
         bb = backbone(p)
         for _ in range(200):
             a, b = rng.normal(size=3), rng.normal(size=3)
-            _, ra = forward_with_pattern(bb, a)
-            _, rb = forward_with_pattern(bb, b)
+            _, ra = one(bb, a)
+            _, rb = one(bb, b)
             if not np.array_equal(ra, rb):
                 break
         lo, hi = a, b
         for _ in range(80):
             mid = (lo + hi) / 2
-            _, rm = forward_with_pattern(bb, mid)
+            _, rm = one(bb, mid)
             if np.array_equal(rm, ra):
                 lo = mid
             else:
                 hi = mid
-        _, r_lo = forward_with_pattern(bb, lo)
-        _, r_hi = forward_with_pattern(bb, hi)
+        _, r_lo = one(bb, lo)
+        _, r_hi = one(bb, hi)
         aux_lo, _, _ = _stack_forward(p.aux, r_lo[None], relu_last=False)
         aux_hi, _, _ = _stack_forward(p.aux, r_hi[None], relu_last=False)
-        jump = float(forward(p, hi)[0]) - float(forward(p, lo)[0])
-        backbone_change = float((forward_with_pattern(bb, hi)[0] - forward_with_pattern(bb, lo)[0])[0])
+        jump = float(forward(p, hi[None])[0, 0]) - float(forward(p, lo[None])[0, 0])
+        backbone_change = float((one(bb, hi)[0] - one(bb, lo)[0])[0])
         assert jump == pytest.approx(float((aux_hi - aux_lo)[0, 0]) + backbone_change, abs=1e-9)
 
 
@@ -290,8 +298,8 @@ class TestDnl:
         # stay strictly inside the piece
         step = 0.4 * pattern_margin(p, x) / 10.0
         y = x + step * rng.normal(size=4) / 10
-        _, rx = forward_with_pattern(p, x)
-        _, ry = forward_with_pattern(p, y)
+        _, rx = one(p, x)
+        _, ry = one(p, y)
         if np.array_equal(rx, ry):
             fx, _, _ = _stack_forward(p.hyper, rx[None], relu_last=False)
             fy, _, _ = _stack_forward(p.hyper, ry[None], relu_last=False)
@@ -304,18 +312,18 @@ class TestDnl:
         rng = np.random.default_rng(7)
         p = init_params("dnl", [8, 64, 64, 64, 1], rng, hyper_hidden=(32, 32))
         a, b = rng.normal(size=8), rng.normal(size=8)
-        _, ra = forward_with_pattern(p, a)
-        _, rb = forward_with_pattern(p, b)
+        _, ra = one(p, a)
+        _, rb = one(p, b)
         assert not np.array_equal(ra, rb)
         lo, hi = a, b
         for _ in range(80):
             mid = (lo + hi) / 2
-            _, rm = forward_with_pattern(p, mid)
+            _, rm = one(p, mid)
             if np.array_equal(rm, ra):
                 lo = mid
             else:
                 hi = mid
-        gap = abs(float(forward_with_pattern(p, hi)[0][0]) - float(forward_with_pattern(p, lo)[0][0]))
+        gap = abs(float(one(p, hi)[0][0]) - float(one(p, lo)[0][0]))
         assert np.linalg.norm(hi - lo) < 1e-9
         assert gap > 1e-4
 
@@ -355,10 +363,10 @@ class TestPatternStability:
             # crude input-to-preactivation gain bound keeps the probe safe
             gain = max(np.abs(w).sum() for w in p.weights) ** 2
             delta = min(margin / (2 * gain), margin / 2)
-            _, r0 = forward_with_pattern(p, x)
+            _, r0 = one(p, x)
             for _ in range(5):
                 d = rng.uniform(-delta, delta, size=5)
-                _, r1 = forward_with_pattern(p, x + d)
+                _, r1 = one(p, x + d)
                 assert np.array_equal(r0, r1)
 
 
@@ -368,14 +376,14 @@ class TestPiecewiseLinearity:
         done = 0
         for _ in range(500):
             x, y = rng.normal(size=4), rng.normal(size=4)
-            fx, rx = forward_with_pattern(p, x)
-            fy, ry = forward_with_pattern(p, y)
+            fx, rx = one(p, x)
+            fy, ry = one(p, y)
             if not np.array_equal(rx, ry):
                 continue
             ok = True
             for lam in (0.25, 0.5, 0.75):
                 z = lam * x + (1 - lam) * y
-                fz, rz = forward_with_pattern(p, z)
+                fz, rz = one(p, z)
                 if not np.array_equal(rz, rx):
                     ok = False
                     break
@@ -386,17 +394,6 @@ class TestPiecewiseLinearity:
         assert done >= 3
 
 
-NETS = pytest.mark.parametrize(
-    "make",
-    [
-        lambda rng: init_params("relu", [5, 8, 8, 2], rng),
-        lambda rng: init_params("delu", [5, 8, 8, 2], rng, aux_hidden=(6,)),
-        lambda rng: init_params("dnl", [5, 8, 8, 8, 2], rng, hyper_hidden=(6, 6)),
-    ],
-    ids=["relu", "delu", "dnl"],
-)
-
-
 class TestStacks:
     """A stack computes, slice by slice, what each of its networks computes alone."""
 
@@ -404,14 +401,14 @@ class TestStacks:
     def test_slices_bit_identical_to_each_network(self, make, rng):
         nets = [make(rng) for _ in range(3)]
         stack = stack_params(nets)
-        for x in (rng.normal(size=5), rng.normal(size=(7, 5))):
+        for x in (rng.normal(size=(1, 5)), rng.normal(size=(7, 5))):
             up = rng.normal(size=(3, *forward(nets[0], x).shape))
             out, pattern = forward_with_pattern(stack, x)
-            g = backward(stack, x, up)
+            g = backward(stack, x, lambda out: up)
             assert out.shape == up.shape
             for j, net in enumerate(nets):
                 o, r = forward_with_pattern(net, x)
-                gj = backward(net, x, up[j])
+                gj = backward(net, x, lambda out: up[j])
                 assert np.array_equal(out[j], o) and np.array_equal(pattern[j], r)
                 assert np.array_equal(g.output[j], gj.output)
                 assert np.array_equal(g.input[j], gj.input)
@@ -422,8 +419,8 @@ class TestStacks:
     def test_input_gradient_skipped_on_request(self, make, rng):
         params = make(rng)
         X, up = rng.normal(size=(7, 5)), rng.normal(size=(7, 2))
-        full = backward(params, X, up)
-        lean = backward(params, X, up, input_grad=False)
+        full = backward(params, X, lambda out: up)
+        lean = backward(params, X, lambda out: up, input_grad=False)
         assert lean.input is None
         assert np.array_equal(lean.output, full.output)
         assert np.array_equal(flatten_params(lean.params), flatten_params(full.params))

@@ -170,6 +170,19 @@ class TestGeneratorContracts:
                 make(2, seed=1, shock_std=bad)
         assert make(2, seed=1, shock_std=0.0).meta["shocks"] == [0.0, 0.0]
 
+    def test_size_fields_name_the_field(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="cost_levels must be an integer of at least 1"):
+                ride_hailing_instance(1, 1, seed=0, cost_levels=bad)
+        # the quality alphabet draws without replacement from the 21 integers in [-8, 12]
+        for bad in (0, -2, 22):
+            with pytest.raises(ValueError, match="quality_levels must be an integer from 1 to 21"):
+                product_ads_instance(1, seed=0, quality_levels=bad)
+        assert ride_hailing_instance(1, 1, seed=0, cost_levels=1).states == 1
+        for levels in (1, 21):
+            g = product_ads_instance(1, seed=0, quality_levels=levels)
+            assert g.states == levels and len(set(g.meta["alphabets"][0])) == levels
+
     def test_all_generators_yield_valid_instances(self):
         games = [
             synthetic_instance(SyntheticSpec(2, 3, 3, 3, 1)),
