@@ -11,7 +11,6 @@ from .game import (
     FixedMap,
     GameInstance,
     Lexicographic,
-    Playthrough,
     Posterior,
     SenderFavoring,
     ex_ante_utilities,
@@ -20,7 +19,6 @@ from .game import (
     induced_action_map,
     joint_signals,
     posterior,
-    sample_playthrough,
     validate_joint_policy,
     validate_policy,
 )

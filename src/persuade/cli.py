@@ -184,7 +184,8 @@ def build_parser() -> _Parser:
     esub = exact.add_subparsers(dest="what", required=True)
     e_br = esub.add_parser("best-response")
     e_br.add_argument("--game", required=True)
-    e_br.add_argument("--policy", required=True, help="joint policy file (the responder's row is ignored)")
+    e_br.add_argument("--policy", required=True, help="joint policy file; the responder's row is the incumbent, "
+                      "returned unless another policy earns more")
     e_br.add_argument("--sender", type=int, required=True)
     e_ver = esub.add_parser("verify")
     e_ver.add_argument("--game", required=True)
@@ -348,6 +349,27 @@ def _real(value, field: str) -> float:
     return float(value)
 
 
+def _generator_fields(kind: str, spec: dict) -> dict:
+    """A learn config's `generator` entry with each field of its kind typed as `gen` types
+    the flag: `seed` an integer of at least 0, a size or integer option an integer of at
+    least 1, a float option a finite number, a switch `true` or `false`.  Other keys are
+    left to `_generate` to reject."""
+    _, required, defaults = GENERATORS.get(kind, (None, (), {}))
+    fields = dict(spec)
+    for name in ("seed", *required, *defaults):
+        if name not in fields:
+            continue
+        value, where, default = fields[name], f"generator.{name}", defaults.get(name, 0)
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise SpecError(f"{where} must be true or false, got {value!r}")
+        elif isinstance(default, float):
+            fields[name] = _real(value, where)
+        else:
+            fields[name] = _integer(value, where, 0 if name == "seed" else 1)
+    return fields
+
+
 def _learn_section(cfg: dict, name: str, config_cls, seed):
     """The `train` or `eg` section as `config_cls`: only its fields, the seed replaced by
     `--seed` when given, each float field a finite number and each int field an integer,
@@ -373,7 +395,8 @@ def cmd_learn(args) -> int:
     else:
         spec = _require(cfg, "generator")
         kind = _require(spec, "kind")
-        game = _generate(kind, spec, spec.get("seed", 0 if args.seed is None else args.seed))
+        fields = _generator_fields(kind, spec)
+        game = _generate(kind, fields, fields.get("seed", 0 if args.seed is None else args.seed))
         file_tie, game_label = None, f"generator:{kind}"
     train_cfg = _learn_section(cfg, "train", TrainConfig, args.seed)
     eg_cfg = _learn_section(cfg, "eg", EgConfig, args.seed)

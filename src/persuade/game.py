@@ -6,8 +6,8 @@ signaling policy (states x signals).  The receiver sees the joint signal,
 forms the Bayes posterior, and takes an expected-utility-maximizing
 action, with a deterministic tie-breaking rule (under a :class:`FixedMap`
 it reads a committed joint-signal -> action table instead).  Everything
-here is an exact sum over states and joint signals; nothing is sampled
-except :func:`sample_playthrough`.
+here is an exact sum over states and joint signals; the one sampler is
+:func:`simulate_mean_payoffs`, a Monte-Carlo cross-check of those sums.
 
 Joint signals are tuples ``(s_1, ..., s_n)`` of per-sender signal indices
 and are flattened to a single index with sender 0 most significant:
@@ -352,17 +352,6 @@ class Posterior:
     marginal: float
 
 
-@dataclass(frozen=True)
-class Playthrough:
-    """One simulated round: state, joint signal, receiver action, payoffs."""
-
-    state: int
-    signal: tuple[int, ...]
-    action: int
-    receiver_payoff: float
-    sender_payoffs: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # policies and joint signals
 
@@ -409,14 +398,6 @@ def joint_signals(n_senders: int, n_signals: int) -> np.ndarray:
     """All joint signals as an (S^n, n) int array in flat-index order."""
     grids = np.meshgrid(*[np.arange(n_signals)] * n_senders, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def joint_signal_index(signal, n_signals: int) -> int:
-    """Flat index of a joint signal tuple (sender 0 most significant)."""
-    idx = 0
-    for s in signal:
-        idx = idx * n_signals + int(s)
-    return idx
 
 
 def check_term_cap(game: GameInstance) -> None:
@@ -589,38 +570,19 @@ def ex_ante_utilities_fixed_interpretation(game: GameInstance, policy, interp: F
     return ex_ante_utilities(game, policy, interp)[0]
 
 
-def sample_playthrough(game: GameInstance, policy, tie: TieRule, rng) -> Playthrough:
-    """Simulate one round; deterministic given the generator/seed.
+def simulate_mean_payoffs(
+    game: GameInstance, policy, tie: TieRule, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Monte-Carlo mean of per-sender payoffs over `count` rounds drawn from `rng`.
 
-    The receiver's action is the sampled joint signal's entry of
-    :func:`induced_action_map`, so the game must stay within the term cap, as
-    for :func:`simulate_mean_payoffs` and every exact call.
+    Each round draws a state from the prior and one signal per sender from
+    its policy row; the receiver plays that joint signal's entry of
+    :func:`induced_action_map`, so the game must stay within the term cap,
+    as for every exact call.
     """
-    from .rng import as_generator
-
     policy = validate_joint_policy(game, policy)
-    table = induced_action_map(game, policy, tie)
-    gen = as_generator(rng)
-    state = int(gen.choice(game.states, p=game.prior))
-    signal = tuple(int(gen.choice(game.signals, p=policy[j, state])) for j in range(game.n_senders))
-    action = int(table[joint_signal_index(signal, game.signals)])
-    return Playthrough(
-        state=state,
-        signal=signal,
-        action=action,
-        receiver_payoff=float(game.receiver_utility[state, action]),
-        sender_payoffs=np.array([u[state, action] for u in game.sender_utilities]),
-    )
-
-
-def simulate_mean_payoffs(game: GameInstance, policy, tie: TieRule, count: int, rng) -> np.ndarray:
-    """Monte-Carlo mean of per-sender payoffs over `count` rounds (vectorized)."""
-    from .rng import as_generator
-
-    policy = validate_joint_policy(game, policy)
-    gen = as_generator(rng)
-    states = gen.choice(game.states, size=count, p=game.prior)
-    u = gen.random(size=(count, game.n_senders))
+    states = rng.choice(game.states, size=count, p=game.prior)
+    u = rng.random(size=(count, game.n_senders))
     sig_flat = np.zeros(count, dtype=int)
     for j in range(game.n_senders):
         cdf = np.cumsum(policy[j], axis=1)[states]          # (count, S)

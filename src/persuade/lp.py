@@ -337,12 +337,12 @@ def solve_lps(lps: LpStack, max_pivots=MAX_PIVOTS) -> list:
     return _lockstep(lps, max_pivots)
 
 
-def solve_lp(lp: LpStack, max_pivots: int = MAX_PIVOTS) -> LpResult:
-    """Two-phase simplex of the one LP in the stack `lp`.  Infeasible iff
-    the phase-1 optimum exceeds 1e-9."""
+def solve_lp(lp: LpStack) -> LpResult:
+    """Two-phase simplex of the one LP in the stack `lp`, with the pivot
+    budget `MAX_PIVOTS`.  Infeasible iff the phase-1 optimum exceeds 1e-9."""
     if len(lp) != 1:
         raise ValueError(f"solve_lp solves one LP; the stack holds {len(lp)} (use solve_lps)")
-    (res,) = solve_lps(lp, max_pivots)
+    (res,) = solve_lps(lp, MAX_PIVOTS)
     if isinstance(res, LpFailure):
         raise res
     return res

@@ -7,7 +7,7 @@ import numpy as np
 from .game import GameInstance
 
 
-def didactic_game(prior=(0.5, 0.5)) -> GameInstance:
+def didactic_game() -> GameInstance:
     """Two senders, two states/signals/actions; the receiver wants to match the state.
 
     Sender utilities conflict with the receiver's in state 1, which makes the
@@ -16,7 +16,7 @@ def didactic_game(prior=(0.5, 0.5)) -> GameInstance:
     """
     return GameInstance(
         signals=2,
-        prior=np.asarray(prior, dtype=float),
+        prior=np.array([0.5, 0.5]),
         receiver_utility=np.array([[1.0, 0.0], [0.0, 1.0]]),
         sender_utilities=(
             np.array([[1.0, 1.0], [-1.0, 3.0]]),

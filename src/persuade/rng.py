@@ -12,15 +12,8 @@ import hashlib
 import numpy as np
 
 
-def substream(seed: int, name: str = "") -> np.random.Generator:
+def substream(seed: int, name: str) -> np.random.Generator:
     """Generator for the stream `name` derived from the root `seed`."""
     digest = hashlib.blake2b(name.encode("utf-8"), digest_size=16).digest()
     words = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=words))
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept either a seed or an already-built Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(int(rng))

@@ -30,7 +30,6 @@ from persuade.game import (
     ex_ante_utilities_batch,
     ex_ante_utilities_fixed_interpretation,
     induced_action_map,
-    joint_signal_index,
     joint_signals,
     posterior,
     validate_joint_policy,
@@ -71,6 +70,14 @@ def unique_optimum_game(seed, n_choices=(2, 3), dim_cap=4, scale=1.0) -> GameIns
         used = len(set(int(a) for a in V.argmax(axis=1)))
         if signals ** (n - 1) >= used:
             return g
+
+
+def joint_signal_index(signal, n_signals: int) -> int:
+    """Flat index of a joint signal tuple (sender 0 most significant)."""
+    idx = 0
+    for s in signal:
+        idx = idx * n_signals + int(s)
+    return idx
 
 
 def product_weights(prior: np.ndarray, policies: np.ndarray) -> np.ndarray:

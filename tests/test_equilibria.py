@@ -33,7 +33,6 @@ from persuade.game import (
     ex_ante_utilities,
     ex_ante_utilities_fixed_interpretation,
     induced_action_map,
-    joint_signal_index,
     joint_signals,
 )
 from persuade.reference import didactic_game, two_block_equilibrium_policies, two_block_game
@@ -43,6 +42,7 @@ from persuade.scenarios import SyntheticSpec, product_ads_instance, quality_ads_
 
 from conftest import (
     grid_best_response,
+    joint_signal_index,
     lp_arrays,
     product_weights,
     random_game,

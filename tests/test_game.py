@@ -22,10 +22,8 @@ from persuade.game import (
     ex_ante_utilities_fixed_interpretation,
     exact_payoff_variance,
     induced_action_map,
-    joint_signal_index,
     joint_signals,
     posterior,
-    sample_playthrough,
     simulate_mean_payoffs,
     validate_joint_policy,
     validate_policy,
@@ -33,6 +31,7 @@ from persuade.game import (
 from persuade.reference import didactic_game, two_block_equilibrium_policies, two_block_game
 
 from conftest import (
+    joint_signal_index,
     product_weights,
     random_game,
     random_profile,
@@ -163,13 +162,13 @@ def tied_counts(game, profiles):
 
 
 def assert_kernel_matches_oracle(game, profiles, rules):
-    """Batch labels, one-row labels, induced action maps and playthroughs all
-    agree with `reference_batch_pass` and `reference_best_actions` exactly."""
+    """Batch labels, one-row labels and induced action maps all agree with
+    `reference_batch_pass` and `reference_best_actions` exactly."""
     everyone = (*game.sender_utilities, game.receiver_utility)
     for tie in rules:
         want = reference_batch_pass(game, profiles, tie, everyone)
         assert np.array_equal(ex_ante_utilities_batch(game, profiles, tie), want[:, :-1])
-        for k, (prof, row) in enumerate(zip(profiles, want)):
+        for prof, row in zip(profiles, want):
             senders, receiver = ex_ante_utilities(game, prof, tie)
             assert np.array_equal(senders, row[:-1]) and receiver == row[-1]
             q = product_weights(game.prior, prof)
@@ -177,9 +176,6 @@ def assert_kernel_matches_oracle(game, profiles, rules):
             mu = np.where(marg[:, None] > 0, q / np.maximum(marg[:, None], 1e-300), 0.0)
             table = induced_action_map(game, prof, tie)
             assert np.array_equal(table, reference_best_actions(game, tie, mu))
-            if np.all(prof >= 0):      # a playthrough draws signals from the policies
-                pt = sample_playthrough(game, prof, tie, rng=k)
-                assert pt.action == table[joint_signal_index(pt.signal, game.signals)]
 
 
 class TestActionMajorDecision:
@@ -587,28 +583,13 @@ class TestFixedInterpretation:
             best_response_fixed_interpretation(g, 0, [pol[1]], FixedMap(table))
         with pytest.raises(ValueError, match="interpretation"):
             verify_nash(g, pol, FixedMap(table))
-        with pytest.raises(ValueError, match="interpretation"):
-            sample_playthrough(g, pol, FixedMap(table), rng=0)
 
 
 class TestSampling:
-    def test_deterministic_game_unique_playthrough(self):
-        g = GameInstance(2, [1.0, 0.0], np.eye(2), (np.eye(2), np.eye(2)))
-        pt = sample_playthrough(g, one_hot_profile(g), LEX, rng=123)
-        assert pt.state == 0 and pt.signal == (0, 0) and pt.action == 0
-
-    def test_same_seed_identical(self):
-        g = two_block_game()
-        pol = two_block_equilibrium_policies()
-        a = sample_playthrough(g, pol, SF, rng=999)
-        b = sample_playthrough(g, pol, SF, rng=999)
-        assert (a.state, a.signal, a.action, a.receiver_payoff) == (b.state, b.signal, b.action, b.receiver_payoff)
-        assert np.array_equal(a.sender_payoffs, b.sender_payoffs)
-
     def test_monte_carlo_near_exact_reference(self):
         g = two_block_game()
         pol = two_block_equilibrium_policies()
-        means = simulate_mean_payoffs(g, pol, SF, 100_000, rng=7)
+        means = simulate_mean_payoffs(g, pol, SF, 100_000, rng=np.random.default_rng(7))
         assert np.all(np.abs(means - 0.3) < 0.01)
 
     def test_monte_carlo_within_3_sigma(self, rng):

@@ -136,6 +136,26 @@ class TestCliCommands:
         lib = best_response_exact(g, 0, [pol[1]], SenderFavoring(), incumbent=pol[0])
         assert doc["utility"] == pytest.approx(lib.utility, abs=1e-12)
 
+    def test_best_response_policy_row_is_the_incumbent(self, tmp_path):
+        # an equilibrium row earns the best utility, 0.3, so it comes back as it was; from a
+        # uniform row the search finds another policy of the same utility
+        game_path, out = tmp_path / "g.json", tmp_path / "br.json"
+        write_game(game_path, two_block_game(), tie=SenderFavoring())
+        eq = two_block_equilibrium_policies()
+        uniform = eq.copy()
+        uniform[0] = 0.25
+        policies = []
+        for name, pol in (("eq", eq), ("uniform", uniform)):
+            pol_path = tmp_path / f"{name}.json"
+            write_policies(pol_path, pol)
+            assert run_cli(["exact", "best-response", "--game", game_path, "--policy", pol_path,
+                            "--sender", 0, "--out", out]) == 0
+            doc = json.loads(out.read_text())
+            assert doc["utility"] == pytest.approx(0.3, abs=1e-12)
+            policies.append(np.reshape(doc["policy"], eq[0].shape))
+        assert np.array_equal(policies[0], eq[0])
+        assert not np.allclose(policies[1], eq[0]) and not np.allclose(policies[1], uniform[0])
+
     def test_best_response_on_reduced_bimatrix_game(self, tmp_path):
         from persuade.equilibria import best_response_fixed_interpretation
 
@@ -281,6 +301,16 @@ class TestCliCommands:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f"error: {bad}: expected a JSON object at the top level, got list\n"
 
+    def test_game_and_policy_files_are_not_interchangeable(self, tmp_path, capsys):
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        write_game(game_path, two_block_game(), tie=SenderFavoring())
+        write_policies(pol_path, two_block_equilibrium_policies())
+        for game, policy, message in ((pol_path, pol_path, f"{pol_path} is not a persuade-game file"),
+                                      (game_path, game_path, f"{game_path} is not a persuade-policy file")):
+            assert run_cli(["exact", "verify", "--game", game, "--policy", policy, "--out", tmp_path / "r.json"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import persuade.cli
         import persuade.equilibria
@@ -399,6 +429,17 @@ class TestCliCommands:
         ({"kind": "product-ads", "firms": 2, "shock_std": -2}, "shock_std must be a finite number"),
         ({"kind": "ride-hailing", "m": 1, "n": 1, "cost_levels": 0}, "cost_levels must be an integer of at least 1"),
         ({"kind": "product-ads", "firms": 1, "quality_levels": 22}, "quality_levels must be an integer from 1 to 21"),
+        # each field is typed as `gen` types its flag, and the error names it
+        ({"kind": "synthetic", "n": 2, "states": 2, "signals": 2, "actions": 2, "seed": 1.5},
+         "generator.seed must be an integer of at least 0, got 1.5"),
+        ({"kind": "synthetic", "n": 2, "states": 2, "signals": 2, "actions": 2, "seed": True},
+         "generator.seed must be an integer of at least 0, got True"),
+        ({"kind": "product-ads", "firms": 1, "quality_levels": 2.5},
+         "generator.quality_levels must be an integer of at least 1, got 2.5"),
+        ({"kind": "ride-hailing", "m": 1, "n": 1, "cost_levels": True},
+         "generator.cost_levels must be an integer of at least 1, got True"),
+        ({"kind": "quality-ads", "firms": 1, "shock_std": "1"}, "generator.shock_std must be a finite number, got '1'"),
+        ({"kind": "ride-hailing", "m": 1, "n": 1, "payment_based": 1}, "generator.payment_based must be true or false, got 1"),
     ])
     def test_bad_inline_generator_is_spec_error(self, tmp_path, capsys, spec, message):
         cfg = tmp_path / "cfg.json"
@@ -627,10 +668,11 @@ class TestTieRuleChoice:
         ({"eps": "0.01"}, "eps must be a finite number, got '0.01'"),
         ({"eps": float("nan")}, "eps must be a finite number, got nan"),
         ({"eps": 2}, "eps must be positive and finite, at most 1, got 2.0"),
+        ({"tie": "bogus"}, "unknown tie rule 'bogus'; expected one of lex, sender-favoring"),
     ], ids=["no-architectures", "architectures-string", "unknown-architecture", "repeated-architecture", "fractional-count", "bool-count", "zero-count",
             "zero-hidden", "zero-hyper-hidden", "zero-aux-hidden", "hidden-not-a-list", "string-width",
             "dnl-one-hidden-layer", "dnl-all-lower", "fractional-lower-layers", "bool-lower-layers", "delu-no-hidden",
-            "bool-eps", "string-eps", "nan-eps", "eps-above-one"])
+            "bool-eps", "string-eps", "nan-eps", "eps-above-one", "unknown-tie"])
     def test_bad_learn_config_value_is_spec_error(self, tmp_path, capsys, cfg, message):
         game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
         write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
@@ -699,6 +741,32 @@ class TestTieRuleChoice:
             cfg_path.write_text(json.dumps(cfg))
             run_dir = tmp_path / f"run-{count!r}"
             assert run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", run_dir]) == 0
+            runs.append((run_dir / "results.json").read_text().replace(str(run_dir), ""))
+        assert runs[0] == runs[1]
+
+    def test_integral_float_generator_fields_are_integers(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        runs = []
+        for number in (int, float):
+            spec = {"kind": "synthetic", "n": 2, "states": number(2), "signals": 2, "actions": 2, "seed": number(3)}
+            cfg_path.write_text(json.dumps({"generator": spec, "architectures": ["relu"], "hidden": [4],
+                                            "sample_count": 60, "train": {"epochs": 1, "seed": 1},
+                                            "eg": {"steps": 1, "restarts": 1, "seed": 2}}))
+            run_dir = tmp_path / f"run-{number.__name__}"
+            assert run_cli(["learn", "--config", cfg_path, "--out", run_dir]) == 0
+            runs.append((run_dir / "results.json").read_text().replace(str(run_dir), ""))
+        assert runs[0] == runs[1]
+
+    def test_seed_flag_sets_both_section_seeds(self, tmp_path):
+        game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
+        write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
+        runs = []
+        for seeds, flag in (((1, 2), ["--seed", 9]), ((9, 9), [])):
+            cfg_path.write_text(json.dumps({"architectures": ["relu"], "hidden": [4], "sample_count": 60,
+                                            "train": {"epochs": 2, "seed": seeds[0]},
+                                            "eg": {"steps": 2, "restarts": 2, "seed": seeds[1]}}))
+            run_dir = tmp_path / f"run-{len(flag)}"
+            assert run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", run_dir, *flag]) == 0
             runs.append((run_dir / "results.json").read_text().replace(str(run_dir), ""))
         assert runs[0] == runs[1]
 
@@ -861,9 +929,38 @@ class TestLearnAndReport:
         assert wf_mean == pytest.approx(2.0)
         assert wf_ci == pytest.approx(1.96 * np.std(welfares, ddof=1) / np.sqrt(3))
 
+    def test_report_writes_one_csv_per_axis(self, tmp_path):
+        shapes = [((2, 2, 2, 2), "relu"), ((2, 3, 2, 2), "relu"), ((2, 3, 2, 2), "dnl"), ((2, 3, 3, 4), "relu")]
+        rows = [{"arch": arch, "welfare": 1.0, "validation_mse": 0.1,
+                 "dims": dict(zip(("n_senders", "states", "signals", "actions"), dims))} for dims, arch in shapes]
+        src, agg = tmp_path / "results.json", tmp_path / "agg.csv"
+        src.write_text(json.dumps({"format": "persuade-results", "game": "", "rows": rows}))
+        assert run_cli(["report", "--glob", src, "--out", agg]) == 0
+        stats = "arch,count,mse_mean,mse_ci95,welfare_mean,welfare_ci95"
+        # groups: (states, arch) 2-relu, 3-relu, 3-dnl; (signals, arch) 2-relu, 2-dnl, 3-relu;
+        # (actions, arch) 2-relu, 2-dnl, 4-relu
+        for path, head, groups in ((agg, "n_senders,states,signals,actions", 4),
+                                   (tmp_path / "agg.csv.by-states.csv", "states", 3),
+                                   (tmp_path / "agg.csv.by-signals.csv", "signals", 3),
+                                   (tmp_path / "agg.csv.by-actions.csv", "actions", 3)):
+            lines = path.read_text().splitlines()
+            assert lines[0] == f"{head},{stats}" and len(lines) == 1 + groups
+        counts = [line.split(",")[2] for line in (tmp_path / "agg.csv.by-states.csv").read_text().splitlines()[1:]]
+        assert counts == ["1", "1", "2"]     # sorted by (states, arch): 2-relu, 3-dnl, 3-relu
+
     def test_empty_report_glob_is_spec_error(self, tmp_path):
         assert run_cli(["report", "--glob", str(tmp_path / "nothing-*.json"),
                         "--out", tmp_path / "agg.csv"]) == 2
+
+    @pytest.mark.parametrize("doc", [{"format": "persuade-results", "game": "", "rows": []},
+                                     {"format": "persuade-policy", "rows": [{"arch": "relu"}]}],
+                             ids=["no-rows", "other-format"])
+    def test_report_without_result_rows_is_spec_error(self, tmp_path, capsys, doc):
+        src, agg = tmp_path / "results.json", tmp_path / "agg.csv"
+        src.write_text(json.dumps(doc))
+        assert run_cli(["report", "--glob", src, "--out", agg]) == 2
+        assert capsys.readouterr().err == "error: matched files contain no result rows\n"
+        assert not agg.exists()
 
     @pytest.mark.parametrize("kind, fields", [
         ("synthetic", {"n": 2, "states": 2, "signals": 2, "actions": 2}),

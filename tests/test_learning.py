@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -389,7 +391,7 @@ class TestPipeline:
         # the documented search protocol (300 restarts, eps 0.005, welfare-max
         # selection) produces at least one candidate the true-utility check
         # certifies; uses an off-knife-edge prior so locally-flat candidates exist
-        g = didactic_game(prior=(0.45, 0.55))
+        g = dataclasses.replace(didactic_game(), prior=np.array([0.45, 0.55]))
         res = find_local_ne(
             g,
             TrainConfig(epochs=10, batch_size=128, learning_rate=0.01, seed=771),

@@ -95,10 +95,11 @@ class TestDegeneracy:
         assert res.status == OPTIMAL
         assert res.value == pytest.approx(0.0, abs=1e-9)
 
-    def test_pivot_cap_raises(self):
+    def test_pivot_cap_raises(self, monkeypatch):
         lp = one_lp([1.0], [[1.0]], [1.0])
-        with pytest.raises(LpFailure):
-            solve_lp(lp, max_pivots=0)
+        monkeypatch.setattr(lpmod, "MAX_PIVOTS", 0)
+        with pytest.raises(LpFailure, match="pivot"):
+            solve_lp(lp)
 
 
 def _entry(res):
@@ -108,9 +109,9 @@ def _entry(res):
     return (res.status, None if res.x is None else res.x.tobytes(), res.value)
 
 
-def _outcome(solve, lp, max_pivots):
+def _outcome(solve, lp, *max_pivots):
     try:
-        return _entry(solve(lp, max_pivots))
+        return _entry(solve(lp, *max_pivots))
     except LpFailure as exc:
         return _entry(exc)
 
@@ -136,10 +137,11 @@ class TestMatchesReference:
                          np.concatenate([b, [1.0]]), np.ones((1, n)), [1.0]), 10**6   # degenerate
             yield lp, int(rng.integers(0, 4))                              # pivot-capped
 
-    def test_random_lps(self, rng):
+    def test_random_lps(self, rng, monkeypatch):
         statuses = set()
         for lp, cap in self.cases(rng):
-            got = _outcome(solve_lp, lp, cap)
+            monkeypatch.setattr(lpmod, "MAX_PIVOTS", cap)
+            got = _outcome(solve_lp, lp)
             assert got == _outcome(reference_solve_lp, lp, cap)
             statuses.add(got[0])
         assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED, "failure"}
@@ -166,7 +168,7 @@ class TestMatchesReference:
         for lp, res in seen:
             want = _outcome(reference_solve_lp, lp, MAX_PIVOTS)
             assert _entry(res) == want
-            assert _outcome(solve_lp, lp, MAX_PIVOTS) == want
+            assert _outcome(solve_lp, lp) == want
 
 
 def mixed_stack(rng, n, m_ub):
@@ -248,12 +250,12 @@ class TestSolveLpsMatchesReference:
         want = [_outcome(reference_solve_lp, lp, MAX_PIVOTS) for lp in lps]
         assert {w[0] for w in want} == {OPTIMAL, UNBOUNDED}
         assert [_entry(res) for res in solve_lps(stack_lps(lps))] == want
-        assert [_outcome(solve_lp, lp, MAX_PIVOTS) for lp in lps] == want
+        assert [_outcome(solve_lp, lp) for lp in lps] == want
 
     def test_solve_lp_takes_a_stack_of_one(self, rng):
         lps = mixed_stack(rng, 3, 4)
         for lp in lps:
-            assert _outcome(solve_lp, lp, MAX_PIVOTS) == _outcome(reference_solve_lp, lp, MAX_PIVOTS)
+            assert _outcome(solve_lp, lp) == _outcome(reference_solve_lp, lp, MAX_PIVOTS)
         with pytest.raises(ValueError, match="the stack holds 2"):
             solve_lp(stack_lps(lps[:2]))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from persuade.equilibria import PreconditionError, full_revelation_profile
-from persuade.game import CapError, Lexicographic, sample_playthrough
+from persuade.game import CapError
 from persuade.scenarios import (
     SyntheticSpec,
     product_ads_instance,
@@ -10,8 +10,6 @@ from persuade.scenarios import (
     ride_hailing_instance,
     synthetic_instance,
 )
-
-LEX = Lexicographic()
 
 
 class TestSynthetic:
@@ -133,15 +131,13 @@ class TestRideHailing:
         row = g.receiver_utility[worst_state]
         assert row.argmax() == g.actions - 1
 
-    def test_platform_earns_nothing_on_rival_pickups(self, rng):
-        g = ride_hailing_instance(2, 2, seed=3)
-        pol = rng.dirichlet(np.ones(g.signals), size=(2, g.states))
-        for k in range(1000):
-            pt = sample_playthrough(g, pol, LEX, rng=np.random.default_rng(k))
-            if 2 <= pt.action < 4:                  # rival's orders
-                assert pt.sender_payoffs[0] == 0.0
-            if pt.action < 2:
-                assert pt.sender_payoffs[1] == 0.0
+    def test_platform_earns_nothing_on_rival_pickups(self):
+        # actions 0..m-1 pick platform 0's orders, m..m+n-1 platform 1's, m+n none
+        for m, n, seed in ((2, 2, 3), (1, 3, 8), (3, 1, 9)):
+            for payment_based in (False, True):
+                u1, u2 = ride_hailing_instance(m, n, seed=seed, payment_based=payment_based).sender_utilities
+                assert np.all(u1[:, :m] > 0.0) and np.all(u1[:, m:] == 0.0)
+                assert np.all(u2[:, :m] == 0.0) and np.all(u2[:, m : m + n] > 0.0) and np.all(u2[:, m + n] == 0.0)
 
     def test_margin_paid_only_on_own_pickup(self):
         g = ride_hailing_instance(2, 3, seed=11)
