@@ -37,7 +37,6 @@ from .equilibria import (
 from .reductions import (
     BimatrixGame,
     PublicPersuasionInstance,
-    ReductionParams,
     bimatrix_to_persuasion,
     pub_sender_utility,
     public_to_best_response,
@@ -50,7 +49,6 @@ from .neural import (
     backward,
     forward,
     forward_with_pattern,
-    load_params,
     save_params,
     stack_params,
     unstack_params,

@@ -37,7 +37,9 @@ from .equilibria import (
 from .game import TIE_RULES, CapError, Lexicographic, TieRule, ex_ante_utilities
 from .io import (
     _dump,
+    _field,
     _load,
+    _typed,
     read_game,
     read_policies,
     report_to_dict,
@@ -54,7 +56,6 @@ from .neural import save_params
 from .reductions import (
     BimatrixGame,
     PublicPersuasionInstance,
-    ReductionParams,
     bimatrix_to_persuasion,
     public_to_best_response,
 )
@@ -88,6 +89,14 @@ def _require(doc: dict, field: str):
     if field not in doc:
         raise SpecError(f"missing config field: {field}")
     return doc[field]
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """The learn config's section `name`, which must be a JSON object."""
+    doc = _require(cfg, name)
+    if not isinstance(doc, dict):
+        raise SpecError(f"{name} must be a JSON object, got {doc!r}")
+    return doc
 
 
 # Generator kind -> (builder, required int fields, optional fields with
@@ -374,7 +383,7 @@ def _learn_section(cfg: dict, name: str, config_cls, seed):
     """The `train` or `eg` section as `config_cls`: only its fields, the seed replaced by
     `--seed` when given, each float field a finite number and each int field an integer,
     at least 1 for a count and at least 0 for the seed."""
-    doc = dict(_require(cfg, name))
+    doc = dict(_section(cfg, name))
     defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
     _reject_unknown(doc, defaults, name)
     if seed is not None:
@@ -391,9 +400,12 @@ def cmd_learn(args) -> int:
     _reject_unknown(cfg, LEARN_FIELDS, "config")
     game_label = args.game if args.game is not None else cfg.get("game")
     if game_label is not None:
+        if not isinstance(game_label, str):
+            # `open` would take an integer (or a bool) as a file descriptor
+            raise SpecError(f"game must be a game file path, got {game_label!r}")
         game, file_tie = read_game(game_label)
     else:
-        spec = _require(cfg, "generator")
+        spec = _section(cfg, "generator")
         kind = _require(spec, "kind")
         fields = _generator_fields(kind, spec)
         game = _generate(kind, fields, fields.get("seed", 0 if args.seed is None else args.seed))
@@ -469,13 +481,12 @@ def cmd_reduce_public(args) -> int:
     )
     if _require(src, "k") != pub.k:
         raise SpecError(f"k is {src['k']!r}, but gaps has {pub.k} rows")
-    params = ReductionParams.defaults(pub.k)
-    game, pi2 = public_to_best_response(pub, params)
+    game, pi2 = public_to_best_response(pub)
     write_game(args.out, game)
     write_policies(f"{args.out}.opponent-policy.json", pi2[None, :, :])
     write_sidecar(
         f"{args.out}.sidecar.json",
-        {"source": args.source, "source_doc": src, "params": {"C": params.C, "N": params.N, "M": params.M}},
+        {"source": args.source, "source_doc": src, "params": game.meta["params"]},
     )
     _manifest(args)
     print(f"wrote reduction: {game.states} states, {game.actions} actions, alphabet {game.signals}")
@@ -510,7 +521,15 @@ def cmd_report(args) -> int:
         doc = _load(path)
         if doc.get("format") != "persuade-results":
             continue
-        rows.extend(doc["rows"])
+        for i, row in enumerate(_field(path, doc, "rows", list)):
+            # each row holds what the CSVs group and average
+            where = f"rows[{i}]."
+            dims = _field(path, _typed(path, row, f"rows[{i}]", dict), "dims", dict, where)
+            for name in ("arch", "validation_mse", "welfare"):
+                _field(path, row, name, where=where)
+            for d in DIMS:
+                _field(path, dims, d, where=f"{where}dims.")
+            rows.append(row)
     if not rows:
         raise SpecError("matched files contain no result rows")
 

@@ -35,12 +35,36 @@ def _dump(path, doc) -> None:
 
 
 def _load(path) -> dict:
-    """The JSON object in the file at `path`; any other top-level value is a ValueError."""
+    """The JSON object in the file at `path`; text that is not JSON, or any other top-level
+    value, is a ValueError naming the file."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object at the top level, got {type(doc).__name__}")
     return doc
+
+
+_JSON_KINDS = {list: "a list", dict: "an object"}
+
+
+def _typed(path, value, name: str, kind: type):
+    """`value`, the field `name` of the file at `path`, if it is a `kind` (list or dict);
+    else a ValueError naming the file and the field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{path}: {name} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _field(path, doc: dict, name: str, kind: type | None = None, where: str = ""):
+    """Field `name` of the object `doc` read from `path`, typed by `_typed` if `kind` is
+    given; `where` is the object's place in the file (``rows[0].``).  A missing field is a
+    ValueError naming the file and the field."""
+    if name not in doc:
+        raise ValueError(f"{path}: missing field {where}{name}")
+    return doc[name] if kind is None else _typed(path, doc[name], where + name, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +106,7 @@ def write_game(path, game: GameInstance, tie: TieRule | None = None) -> None:
 
 def _size(path, doc: dict, name: str) -> int:
     """The file's integer field `name`; an integral float, as JSON may write one, reads as an int."""
-    value = doc[name]
+    value = _field(path, doc, name)
     if type(value) is float and value.is_integer():
         value = int(value)
     if type(value) is not int:
@@ -96,9 +120,12 @@ def read_game(path) -> tuple[GameInstance, TieRule | None]:
         raise ValueError(f"{path} is not a {GAME_FORMAT} file")
     # the stated sizes must fit the arrays: n_senders, states and actions here, the rest by GameInstance
     n_senders, states, actions, signals = (_size(path, doc, k) for k in ("n_senders", "states", "actions", "signals"))
-    prior, utilities = doc["prior"], [doc["receiver_utility"], *doc["sender_utilities"]]
+    prior = _field(path, doc, "prior", list)
+    utilities = [_field(path, doc, "receiver_utility", list),
+                 *(_typed(path, u, f"sender_utilities[{i}]", list)
+                   for i, u in enumerate(_field(path, doc, "sender_utilities", list)))]
     if n_senders != len(utilities) - 1:
-        raise ValueError(f"n_senders is {n_senders}, but the file has {len(utilities) - 1} sender utilities")
+        raise ValueError(f"{path}: n_senders is {n_senders}, but the file has {len(utilities) - 1} sender utilities")
     for u in utilities:
         if len(u) != states * actions:
             # the prior's length is the game's state count, so it tells which size is off
@@ -133,10 +160,11 @@ def read_policies(path) -> np.ndarray:
     if doc.get("format") != POLICY_FORMAT:
         raise ValueError(f"{path} is not a {POLICY_FORMAT} file")
     shape = tuple(_size(path, doc, name) for name in ("n_senders", "states", "signals"))
-    if len(doc["policies"]) != math.prod(shape):
-        raise ValueError(f"{path}: policies has {len(doc['policies'])} entries, "
+    policies = _field(path, doc, "policies", list)
+    if len(policies) != math.prod(shape):
+        raise ValueError(f"{path}: policies has {len(policies)} entries, "
                          f"not n_senders x states x signals = {' x '.join(map(str, shape))}")
-    return np.asarray(doc["policies"], dtype=float).reshape(shape)
+    return np.asarray(policies, dtype=float).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ alone.  All restarts ascend together as one (restarts, n, states, signals)
 logit array, so each half-step is one `backward` call on the stack, and
 their true utilities come from one `ex_ante_utilities_batch` call.
 
-`VAL_FRACTION` (held out for the validation MSE), `MSE_CHUNK` (rows per
-:func:`mse` pass) and Adam's `BETA1`, `BETA2` and `EPS_ADAM` (used by
-:func:`train`) are module constants, read when a function runs.
+`VAL_FRACTION` (held out for the validation MSE by :func:`split_dataset`),
+`MSE_CHUNK` (rows per :func:`mse` pass) and Adam's `BETA1`, `BETA2` and
+`EPS_ADAM` (used by :func:`train`) are module constants, read when a
+function runs.
 """
 
 from __future__ import annotations
@@ -99,10 +100,10 @@ def sample_dataset(game: GameInstance, count: int, tie: TieRule, seed: int) -> U
     return UtilityDataset(inputs=draws.reshape(count, -1), utilities=labels, game=game)
 
 
-def split_dataset(dataset: UtilityDataset, val_fraction: float, seed: int):
-    """Deterministic train/validation split; returns (train, val) datasets."""
+def split_dataset(dataset: UtilityDataset, seed: int):
+    """Deterministic train/validation split, `VAL_FRACTION` held out; returns (train, val) datasets."""
     m = len(dataset)
-    n_val = int(round(m * val_fraction))
+    n_val = int(round(m * VAL_FRACTION))
     perm = substream(seed, "split").permutation(m)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     mk = lambda idx: UtilityDataset(
@@ -299,7 +300,7 @@ def find_local_ne(
     ``verified=False`` and its refuting report.
     """
     check_local_eps(eps)
-    train_split, val_split = split_dataset(dataset, VAL_FRACTION, train_cfg.seed)
+    train_split, val_split = split_dataset(dataset, train_cfg.seed)
 
     shape = (game.n_senders, game.states, game.signals)
     stack = stack_params(

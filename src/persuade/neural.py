@@ -14,13 +14,14 @@ Three architectures, each a parameter container named by its ``arch``:
 
 Each container class is the one place that knows its architecture: how
 it is initialised, its arrays in flat order, how it is rebuilt from views
-of a flat buffer, its checkpoint spec, and its forward pass, which returns
-the output, the pre-activations whose signs are the activation pattern,
-and what its backward pass needs.  `forward`, `forward_with_pattern` and
-`backward` all run that one pass.  `init_params` is the one constructor:
-it finds the class by its name, as checkpoints do, and holds the default
-widths of the DeLU and DNL side networks.  Anything with the `_run` and
-`_grads` methods is a network to `backward`.
+of a flat buffer, the layer dims its checkpoint records, and its forward
+pass, which returns the output, the pre-activations whose signs are the
+activation pattern, and what its backward pass needs.  `forward`,
+`forward_with_pattern` and `backward` all run that one pass.
+`init_params` is the one constructor: it finds the class by its name and
+holds the default widths of the DeLU and DNL side networks.  Anything
+with the `_run` and `_grads` methods is a network to `backward`.
+`save_params` writes checkpoints; the package reads none.
 
 A pre-activation of exactly zero counts as active (bit 1); gradients treat
 the activation pattern as locally constant, i.e. they are the gradients of
@@ -102,13 +103,6 @@ def _pattern(pres):
     return (np.concatenate(pres, axis=-1) >= 0.0).astype(float)
 
 
-def _zeros_mlp(dims) -> MlpParams:
-    return MlpParams(
-        [np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])],
-        [np.zeros(o) for o in dims[1:]],
-    )
-
-
 def _init_layer(n_out, n_in, rng):
     bound = np.sqrt(1.0 / n_in)
     return rng.uniform(-bound, bound, size=(n_out, n_in)), rng.uniform(-bound, bound, size=n_out)
@@ -139,10 +133,6 @@ class MlpParams:
             ws.append(w)
             bs.append(b)
         return MlpParams(ws, bs)
-
-    @staticmethod
-    def _template(spec):
-        return _zeros_mlp(spec["dims"])
 
     def _spec(self):
         return {"dims": self.dims}
@@ -194,11 +184,6 @@ class DeluParams:
         hidden = MlpParams(backbone.weights[:-1], backbone.biases[:-1])
         aux = MlpParams._init([sum(dims[1:-1]), *aux_hidden, dims[-1]], rng)
         return DeluParams(hidden, backbone.weights[-1], aux)
-
-    @staticmethod
-    def _template(spec):
-        dims = spec["dims"]
-        return DeluParams(_zeros_mlp(dims[:-1]), np.zeros((dims[-1], dims[-2])), _zeros_mlp(spec["aux_dims"]))
 
     def _spec(self):
         return {"dims": self.dims, "aux_dims": self.aux.dims}
@@ -255,10 +240,6 @@ class DnlParams:
         n_flat = sum(a * b + a for a, b in zip(higher_dims[1:], higher_dims[:-1]))
         hyper = MlpParams._init([n_bits, *hyper_hidden, n_flat], rng)
         return DnlParams(lower, hyper, higher_dims)
-
-    @staticmethod
-    def _template(spec):
-        return DnlParams(_zeros_mlp(spec["lower_dims"]), _zeros_mlp(spec["hyper_dims"]), tuple(spec["higher_dims"]))
 
     def _spec(self):
         return {"lower_dims": self.lower.dims, "hyper_dims": self.hyper.dims, "higher_dims": list(self.higher_dims)}
@@ -323,12 +304,6 @@ def _split_flat(flat, higher_dims):
 _ARCHITECTURES = {cls.arch: cls for cls in (MlpParams, DeluParams, DnlParams)}
 
 
-def _architecture(name):
-    if name not in _ARCHITECTURES:
-        raise ValueError(f"unknown architecture {name!r}; expected relu, delu, or dnl")
-    return _ARCHITECTURES[name]
-
-
 def init_params(arch: str, dims, rng, *, lower_layers=1, hyper_hidden=(32, 32), aux_hidden=(32, 32)):
     """Fresh parameters of the architecture named `arch`.
 
@@ -341,7 +316,9 @@ def init_params(arch: str, dims, rng, *, lower_layers=1, hyper_hidden=(32, 32), 
     for name, widths in (("dims", dims), ("hyper_hidden", hyper_hidden), ("aux_hidden", aux_hidden)):
         if any(w < 1 for w in widths):
             raise ValueError(f"layer widths must be at least 1, got {name} {list(widths)}")
-    return _architecture(arch)._init(
+    if arch not in _ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}; expected relu, delu, or dnl")
+    return _ARCHITECTURES[arch]._init(
         dims, rng, lower_layers=lower_layers, hyper_hidden=hyper_hidden, aux_hidden=aux_hidden
     )
 
@@ -426,11 +403,6 @@ def _param_views(template, flat: np.ndarray):
     return template._rebuild(flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends))
 
 
-def unflatten_params(template, flat) -> object:
-    """Parameters shaped like `template`, holding a copy of `flat`."""
-    return _param_views(template, np.array(flat, dtype=float).ravel())
-
-
 CHECKPOINT_FORMAT = "persuade-checkpoint"
 CHECKPOINT_VERSION = 2
 
@@ -448,15 +420,3 @@ def save_params(path, params) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(doc))
 
-
-def load_params(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"{CHECKPOINT_FORMAT} version {doc.get('version')!r} found, version {CHECKPOINT_VERSION} expected"
-        )
-    template = _architecture(doc.get("arch"))._template(doc)
-    return unflatten_params(template, np.asarray(doc["params"], dtype=float))

@@ -64,28 +64,6 @@ class PublicPersuasionInstance:
 
 
 @dataclass(frozen=True)
-class ReductionParams:
-    """Scaling constants of the enlarged game: penalties C (sender) and
-    M, N (receiver)."""
-
-    C: float
-    N: float
-    M: float
-
-    def __post_init__(self):
-        if self.C <= 0 or self.N <= 1:
-            raise ValueError("need C > 0 and N > 1")
-        if self.M < self.N / (self.N - 1):
-            raise ValueError("need M >= N / (N - 1)")
-
-    @classmethod
-    def defaults(cls, k: int) -> "ReductionParams":
-        """Constants that make the reduction's error terms vanish at size k."""
-        n = float(k) ** 4
-        return cls(C=float(k) ** 5, N=n, M=n / (n - 1.0))
-
-
-@dataclass(frozen=True)
 class BimatrixGame:
     """Two-player game with 0/1 utility matrices of equal shape (m x m)."""
 
@@ -110,9 +88,14 @@ class BimatrixGame:
 # public persuasion -> two-sender best response
 
 
-def public_to_best_response(
-    pub: PublicPersuasionInstance, params: ReductionParams
-) -> tuple[GameInstance, np.ndarray]:
+def _constants(k: int) -> tuple[float, float, float]:
+    """The construction's penalties at k receivers, (C, N, M) = (k^5, k^4, N/(N-1)):
+    C for the sender, N and M for the receiver; they make its error terms vanish."""
+    n = float(k) ** 4
+    return float(k) ** 5, n, n / (n - 1.0)
+
+
+def public_to_best_response(pub: PublicPersuasionInstance) -> tuple[GameInstance, np.ndarray]:
     """The enlarged two-sender game plus the fixed second-sender policy.
 
     k extra states are appended after the original ones, each with prior
@@ -123,6 +106,7 @@ def public_to_best_response(
     alphabet is k for both senders.
     """
     k, m0 = pub.k, pub.states
+    C, N, M = _constants(k)
     states = m0 + k
     actions = 2 * k + 1
     prior = np.concatenate([pub.prior / 2.0, np.full(k, 1.0 / (2 * k))])
@@ -134,14 +118,14 @@ def public_to_best_response(
         V[:m0, 2 * j + 1] = 0.0
         u1[:m0, 2 * j] = pub.u_plus[j]
         u1[:m0, 2 * j + 1] = pub.u_minus[j]
-    V[:m0, 2 * k] = params.N                   # a_inf is tempting on original states
+    V[:m0, 2 * k] = N                          # a_inf is tempting on original states
     for j in range(k):
         w = m0 + j
-        V[w, : 2 * k] = -params.M              # and ruinous anywhere but a_{j+-} ...
+        V[w, : 2 * k] = -M                     # and ruinous anywhere but a_{j+-} ...
         V[w, 2 * j] = 0.0
         V[w, 2 * j + 1] = 0.0
-        V[w, 2 * k] = -params.N                # ... on the matching extra state
-    u1[:, 2 * k] = -params.C                   # the responder dreads a_inf everywhere
+        V[w, 2 * k] = -N                       # ... on the matching extra state
+    u1[:, 2 * k] = -C                          # the responder dreads a_inf everywhere
 
     game = GameInstance(
         signals=k,
@@ -152,7 +136,7 @@ def public_to_best_response(
             "reduction": "public_persuasion",
             "k": k,
             "source_states": m0,
-            "params": {"C": params.C, "N": params.N, "M": params.M},
+            "params": {"C": C, "N": N, "M": M},
         },
     )
     pi2 = np.zeros((states, k))
@@ -171,9 +155,7 @@ def reduced_action_values(
     return (x * pi2[:, t_j]) @ game.receiver_utility
 
 
-def reduced_action_values_closed_form(
-    pub: PublicPersuasionInstance, params: ReductionParams, x: np.ndarray, t_j: int
-) -> np.ndarray:
+def reduced_action_values_closed_form(pub: PublicPersuasionInstance, x: np.ndarray, t_j: int) -> np.ndarray:
     """The same vector from the construction's closed forms.
 
     With S = (1/k) sum_{w original} x(w):  a_{j+} scores S-weighted gap_j;
@@ -181,6 +163,7 @@ def reduced_action_values_closed_form(
     scores N*(S - x(extra_j)).
     """
     k, m0 = pub.k, pub.states
+    _, N, M = _constants(k)
     x = np.asarray(x, dtype=float)
     xo = x[:m0]
     x_bar_j = x[m0 + t_j]
@@ -191,9 +174,9 @@ def reduced_action_values_closed_form(
             out[2 * ell] = gap_term
             out[2 * ell + 1] = 0.0
         else:
-            out[2 * ell] = gap_term - x_bar_j * params.M
-            out[2 * ell + 1] = -x_bar_j * params.M
-    out[2 * k] = params.N * (xo.sum() / k - x_bar_j)
+            out[2 * ell] = gap_term - x_bar_j * M
+            out[2 * ell + 1] = -x_bar_j * M
+    out[2 * k] = N * (xo.sum() / k - x_bar_j)
     return out
 
 

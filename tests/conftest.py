@@ -36,7 +36,7 @@ from persuade.game import (
     validate_policy,
 )
 from persuade.learning import BETA1, BETA2, EPS_ADAM, EgConfig, TrainConfig, UtilityDataset, softmax_rows
-from persuade.neural import MlpParams, backward, flatten_params, forward, unflatten_params
+from persuade.neural import MlpParams, _param_views, backward, flatten_params, forward
 from persuade.rng import substream
 
 
@@ -172,7 +172,7 @@ def reference_train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender
         for start in range(0, len(dataset), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             xb, yb = X[idx], y[idx]
-            current = unflatten_params(params, flat)
+            current = _param_views(params, flat.copy())
             pred = forward(current, xb)
             err = pred - yb
             epoch_sq += float(np.sum(err**2))
@@ -185,7 +185,7 @@ def reference_train(params, dataset: UtilityDataset, cfg: TrainConfig, *, sender
             v_hat = v / (1 - BETA2**t)
             flat = flat - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS_ADAM)
         losses.append(epoch_sq / y.size)
-    return unflatten_params(params, flat), losses
+    return _param_views(params, flat.copy()), losses
 
 
 def reference_extragradient(nets, init_logits, cfg: EgConfig) -> np.ndarray:

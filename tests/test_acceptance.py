@@ -32,7 +32,6 @@ from persuade.neural import backward, flatten_params, init_params, stack_params
 from persuade.reductions import (
     BimatrixGame,
     PublicPersuasionInstance,
-    ReductionParams,
     bimatrix_to_persuasion,
     public_to_best_response,
     reduced_action_values,
@@ -142,14 +141,13 @@ def test_criterion_5_reduction_identities():
         u_plus=rng.uniform(0, 1, (3, 4)),
         u_minus=rng.uniform(0, 1, (3, 4)),
     )
-    params = ReductionParams.defaults(3)
-    game, pi2 = public_to_best_response(pub, params)
+    game, pi2 = public_to_best_response(pub)
     assert game.receiver_utility.shape == (pub.states + pub.k, 2 * pub.k + 1)
     for _ in range(100):
         x = rng.dirichlet(np.ones(game.states))
         t_j = int(rng.integers(pub.k))
         direct = reduced_action_values(game, pi2, x, t_j)
-        closed = reduced_action_values_closed_form(pub, params, x, t_j)
+        closed = reduced_action_values_closed_form(pub, x, t_j)
         assert np.all(np.abs(direct - closed) < 1e-12)
 
     bg = BimatrixGame(u1=rng.integers(0, 2, (3, 3)), u2=rng.integers(0, 2, (3, 3)))
@@ -207,7 +205,7 @@ def test_criterion_6_gradient_suite():
 def test_criterion_7_expressivity_ordering():
     game = didactic_game()
     dataset = sample_dataset(game, 50_000, LEX, seed=101)
-    train_split, val_split = split_dataset(dataset, 0.1, seed=101)
+    train_split, val_split = split_dataset(dataset, seed=101)
     cfg = TrainConfig(epochs=50, batch_size=512, learning_rate=0.01, seed=202)
     held_out = {}
     for arch in ("relu", "delu", "dnl"):

@@ -18,7 +18,6 @@ from persuade.io import (
     write_policies,
     write_report,
 )
-from persuade.reductions import ReductionParams
 from persuade.reference import two_block_game, two_block_equilibrium_policies
 from persuade.scenarios import SyntheticSpec, synthetic_instance
 
@@ -288,7 +287,6 @@ class TestCliCommands:
         write_game(game_path, two_block_game(), tie=SenderFavoring())
         write_policies(pol_path, two_block_equilibrium_policies())
         bad = tmp_path / f"{kind}.json"
-        bad.write_text("[]")
         out = tmp_path / "out"
         argv = {
             "game": ["exact", "verify", "--game", bad, "--policy", pol_path, "--out", out],
@@ -298,8 +296,38 @@ class TestCliCommands:
             "public": ["reduce", "public", "--source", bad, "--out", out],
             "bimatrix": ["reduce", "bimatrix", "--source", bad, "--out", out],
         }[kind]
-        assert run_cli(argv) == 2
-        assert capsys.readouterr().err == f"error: {bad}: expected a JSON object at the top level, got list\n"
+        # text that is not JSON names the file too, which `report --glob` over many files needs
+        for text, message in (("[]", "expected a JSON object at the top level, got list"),
+                              ('{"format": "persuade-game", }', "not valid JSON: Expecting property name enclosed "
+                               "in double quotes: line 1 column 29 (char 28)")):
+            bad.write_text(text)
+            assert run_cli(argv) == 2
+            assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("game", lambda d: d.pop("prior"), "missing field prior"),
+        ("game", lambda d: d.pop("receiver_utility"), "missing field receiver_utility"),
+        ("game", lambda d: d.pop("states"), "missing field states"),
+        ("game", lambda d: d.update(sender_utilities=5), "sender_utilities must be a list, got 5"),
+        ("game", lambda d: d.update(sender_utilities=[d["receiver_utility"], 5]),
+         "sender_utilities[1] must be a list, got 5"),
+        ("game", lambda d: d.update(prior=0.5), "prior must be a list, got 0.5"),
+        ("policy", lambda d: d.pop("policies"), "missing field policies"),
+        ("policy", lambda d: d.update(policies=1.0), "policies must be a list, got 1.0"),
+    ], ids=["no-prior", "no-receiver-utility", "no-states", "int-sender-utilities", "int-sender-utility",
+            "float-prior", "no-policies", "float-policies"])
+    def test_input_file_errors_name_the_file_and_field(self, tmp_path, capsys, kind, edit, message):
+        game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
+        write_game(game_path, two_block_game(), tie=SenderFavoring())
+        write_policies(pol_path, two_block_equilibrium_policies())
+        bad = {"game": game_path, "policy": pol_path}[kind]
+        doc = json.loads(bad.read_text())
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["exact", "verify", "--game", game_path, "--policy", pol_path, "--out", tmp_path / "r.json"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_game_and_policy_files_are_not_interchangeable(self, tmp_path, capsys):
         game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
@@ -717,6 +745,35 @@ class TestTieRuleChoice:
         assert message in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("game", [0, 5, True, 2.0], ids=["zero", "five", "true", "float"])
+    def test_config_game_must_be_a_path(self, tmp_path, capsys, monkeypatch, game):
+        # `open` takes an integer or a bool as a file descriptor: 0 would read the game from stdin
+        import persuade.cli
+        monkeypatch.setattr(persuade.cli, "read_game", lambda path: pytest.fail(f"read_game({path!r})"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"game": game, "train": {"epochs": 1}, "eg": {"steps": 1, "restarts": 1}}))
+        assert run_cli(["learn", "--config", cfg_path, "--out", tmp_path / "run"]) == 2
+        assert capsys.readouterr().err == f"error: game must be a game file path, got {game!r}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section, value", [
+        ("train", [["epochs", 1]]),
+        ("train", 5),
+        ("eg", [["steps", 1], ["restarts", 1]]),
+        ("eg", "steps"),
+        ("generator", 5),
+        ("generator", ["kind"]),
+    ], ids=["train-pairs", "train-int", "eg-pairs", "eg-string", "generator-int", "generator-list"])
+    def test_config_sections_must_be_objects(self, tmp_path, capsys, section, value):
+        cfg = {"generator": {"kind": "synthetic", "n": 2, "states": 2, "signals": 2, "actions": 2},
+               "sample_count": 50, "train": {"epochs": 1}, "eg": {"steps": 1, "restarts": 1}}
+        cfg[section] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["learn", "--config", cfg_path, "--out", tmp_path / "run"]) == 2
+        assert capsys.readouterr().err == f"error: {section} must be a JSON object, got {value!r}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_integral_float_counts_and_seeds_are_integers(self, tmp_path):
         game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
         write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)))
@@ -894,9 +951,8 @@ class TestLearnAndReport:
             assert exc.value.code == EXIT_USAGE
             assert not out.exists()
         assert run_cli(["reduce", "public", "--source", src, "--out", out]) == 0
-        want = ReductionParams.defaults(2)
         sidecar = json.loads(out.with_name(out.name + ".sidecar.json").read_text())
-        assert sidecar["params"] == {"C": want.C, "N": want.N, "M": want.M}
+        assert sidecar["params"] == {"C": 2.0**5, "N": 2.0**4, "M": 2.0**4 / (2.0**4 - 1)}
         assert set(json.loads(out.with_name(out.name + ".manifest.json").read_text())["args"]) == {
             "command", "kind", "source", "out"}
 
@@ -960,6 +1016,26 @@ class TestLearnAndReport:
         src.write_text(json.dumps(doc))
         assert run_cli(["report", "--glob", src, "--out", agg]) == 2
         assert capsys.readouterr().err == "error: matched files contain no result rows\n"
+        assert not agg.exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        (None, "missing field rows"),
+        ({"arch": "relu"}, "rows must be a list, got {'arch': 'relu'}"),
+        (["relu"], "rows[0] must be an object, got 'relu'"),
+        ([{"arch": "relu", "welfare": 1.0, "validation_mse": 0.1}], "missing field rows[0].dims"),
+        ([{"arch": "relu", "welfare": 1.0, "dims": {}}], "missing field rows[0].validation_mse"),
+        ([{"arch": "relu", "welfare": 1.0, "validation_mse": 0.1, "dims": [2, 2, 2, 2]}],
+         "rows[0].dims must be an object, got [2, 2, 2, 2]"),
+        ([{"arch": "relu", "welfare": 1.0, "validation_mse": 0.1,
+           "dims": {"n_senders": 2, "states": 2, "signals": 2}}], "missing field rows[0].dims.actions"),
+    ], ids=["no-rows", "rows-object", "row-string", "row-without-dims", "row-without-mse", "dims-list",
+            "dims-without-actions"])
+    def test_malformed_result_rows_name_the_file_and_field(self, tmp_path, capsys, rows, message):
+        src, agg = tmp_path / "results.json", tmp_path / "agg.csv"
+        doc = {"format": "persuade-results", "game": ""}
+        src.write_text(json.dumps(doc if rows is None else {**doc, "rows": rows}))
+        assert run_cli(["report", "--glob", src, "--out", agg]) == 2
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
         assert not agg.exists()
 
     @pytest.mark.parametrize("kind, fields", [

@@ -70,7 +70,7 @@ class TestDataset:
 
     def test_split_partitions(self):
         ds = sample_dataset(didactic_game(), 1000, LEX, seed=4)
-        tr, val = split_dataset(ds, 0.1, seed=4)
+        tr, val = split_dataset(ds, seed=4)
         assert len(tr) == 900 and len(val) == 100
 
 

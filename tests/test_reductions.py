@@ -10,7 +10,6 @@ from persuade.game import (
 from persuade.reductions import (
     BimatrixGame,
     PublicPersuasionInstance,
-    ReductionParams,
     bimatrix_to_persuasion,
     pub_sender_utility,
     public_to_best_response,
@@ -35,7 +34,7 @@ def random_pub(k, states, rng):
 class TestPublicReduction:
     def test_dimensions(self, rng):
         pub = random_pub(3, 3, rng)
-        game, pi2 = public_to_best_response(pub, ReductionParams.defaults(3))
+        game, pi2 = public_to_best_response(pub)
         assert game.states == 6 and game.actions == 7 and game.signals == 3
         assert game.receiver_utility.shape == (6, 7)
         assert pi2.shape == (6, 3)
@@ -43,26 +42,27 @@ class TestPublicReduction:
 
     def test_closed_forms_on_random_beliefs(self, rng):
         pub = random_pub(3, 4, rng)
-        params = ReductionParams.defaults(3)
-        game, pi2 = public_to_best_response(pub, params)
+        game, pi2 = public_to_best_response(pub)
         for _ in range(100):
             x = rng.dirichlet(np.ones(game.states))
             tj = int(rng.integers(pub.k))
             direct = reduced_action_values(game, pi2, x, tj)
-            closed = reduced_action_values_closed_form(pub, params, x, tj)
+            closed = reduced_action_values_closed_form(pub, x, tj)
             assert np.allclose(direct, closed, atol=1e-12)
             assert direct[2 * tj + 1] == 0.0      # the matched minus-action scores exactly zero
 
-    def test_default_constants(self):
-        p = ReductionParams.defaults(4)
-        assert p.C == 4**5 and p.N == 4**4
-        assert p.M == pytest.approx(p.N / (p.N - 1))
-        with pytest.raises(ValueError):
-            ReductionParams(C=1.0, N=10.0, M=1.0)
+    def test_default_constants(self, rng):
+        # C = k^5, N = k^4 and M = N / (N - 1), recorded in the game and carried by its utilities
+        for k in (2, 3, 4):
+            game, _ = public_to_best_response(random_pub(k, 3, rng))
+            n = float(k**4)
+            assert game.meta["params"] == {"C": float(k**5), "N": n, "M": n / (n - 1)}
+            assert np.all(game.receiver_utility[:3, -1] == n)
+            assert np.all(game.sender_utilities[0][:, -1] == -float(k**5))
 
     def test_prior_split(self, rng):
         pub = random_pub(2, 3, rng)
-        game, _ = public_to_best_response(pub, ReductionParams.defaults(2))
+        game, _ = public_to_best_response(pub)
         assert np.allclose(game.prior[:3], pub.prior / 2)
         assert np.allclose(game.prior[3:], 1 / 4)
 
