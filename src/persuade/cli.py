@@ -27,18 +27,22 @@ from . import __version__
 from .equilibria import (
     DEFAULT_LOCAL_EPS,
     REFUTED,
-    PreconditionError,
     best_response_exact,
     check_local_eps,
     full_revelation_profile,
     local_ne_verify,
     verify_nash,
 )
-from .game import TIE_RULES, CapError, Lexicographic, TieRule, ex_ante_utilities
+from .game import TIE_RULES, Lexicographic, TieRule, ex_ante_utilities
 from .io import (
+    _choice,
     _dump,
     _field,
+    _integer,
     _load,
+    _numbers,
+    _real,
+    _reject_unknown,
     _typed,
     read_game,
     read_policies,
@@ -81,24 +85,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class SpecError(ValueError):
-    pass
-
-
-def _require(doc: dict, field: str):
-    if field not in doc:
-        raise SpecError(f"missing config field: {field}")
-    return doc[field]
-
-
-def _section(cfg: dict, name: str) -> dict:
-    """The learn config's section `name`, which must be a JSON object."""
-    doc = _require(cfg, name)
-    if not isinstance(doc, dict):
-        raise SpecError(f"{name} must be a JSON object, got {doc!r}")
-    return doc
-
-
 # Generator kind -> (builder, required int fields, optional fields with
 # their defaults); the builder takes the required fields and the seed
 # positionally, then the optional ones by keyword.  `gen <kind>` takes each
@@ -129,21 +115,12 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _reject_unknown(doc: dict, known, where: str) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise SpecError(f"unknown {where} field: {', '.join(unknown)}")
-
-
 def _generate(kind: str, fields: dict, seed: int):
-    """Build a game of a registered kind from its fields; missing optional fields take their
-    defaults, and a field the kind does not take (besides `kind` and `seed`) is an error."""
-    if kind not in GENERATORS:
-        raise SpecError(f"unknown generator kind {kind!r}")
+    """Build a game of a registered kind from its typed fields; missing optional fields take
+    their defaults."""
     build, required, defaults = GENERATORS[kind]
-    _reject_unknown(fields, ("kind", "seed", *required, *defaults), f"{kind} generator")
-    args = [_require(fields, name) for name in required]
-    return build(*args, seed, **{name: fields.get(name, default) for name, default in defaults.items()})
+    return build(*(fields[name] for name in required), seed,
+                 **{name: fields.get(name, default) for name, default in defaults.items()})
 
 
 def _seed(text: str) -> int:
@@ -235,12 +212,11 @@ def build_parser() -> _Parser:
 
 
 def _tie_rule(args, file_tie: TieRule | None = None, config_tie: str | None = None) -> TieRule:
-    """`--tie`, else the learn config's `"tie"`, else the game file's rule, else lexicographic."""
+    """`--tie`, else the learn config's `"tie"` (a flag name), else the game file's rule, else
+    lexicographic."""
     flag = args.tie if args.tie is not None else config_tie
     if flag is None:
         return file_tie if file_tie is not None else Lexicographic()
-    if flag not in TIE_FLAGS:
-        raise SpecError(f"unknown tie rule {flag!r}; expected one of {', '.join(TIE_FLAGS)}")
     return TIE_FLAGS[flag]()
 
 
@@ -267,9 +243,9 @@ def cmd_best_response(args) -> int:
     tie = _tie_rule(args, file_tie)
     policy = read_policies(args.policy)
     if len(policy) != game.n_senders:
-        raise SpecError(f"policy file has {len(policy)} senders, the game has {game.n_senders}")
+        raise ValueError(f"policy file has {len(policy)} senders, the game has {game.n_senders}")
     if not 0 <= args.sender < game.n_senders:
-        raise SpecError(f"sender {args.sender} out of range")
+        raise ValueError(f"sender {args.sender} out of range")
     others = [policy[k] for k in range(game.n_senders) if k != args.sender]
     br = best_response_exact(game, args.sender, others, tie, incumbent=policy[args.sender])
     doc = {
@@ -336,92 +312,64 @@ ARCH_FIELDS = ("hidden", "lower_layers", "hyper_hidden", "aux_hidden")
 LEARN_FIELDS = ("game", "generator", "train", "eg", "tie", "eps", "sample_count", "architectures", *ARCH_FIELDS)
 
 
-def _integer(value, field: str, least: int) -> int:
-    """A config count or seed: an int, or a float with an integral value; never a bool."""
-    number = int(value) if isinstance(value, float) and value.is_integer() else value
-    if not isinstance(number, int) or isinstance(number, bool) or number < least:
-        raise SpecError(f"{field} must be an integer of at least {least}, got {value!r}")
-    return number
+def _generator(path, cfg: dict, seed: int):
+    """The game of a learn config's `generator` entry, and its kind.  Fields are typed as `gen`
+    types its flags: `seed` an integer of at least 0 (else `seed`), a size or integer option an
+    integer of at least 1, a float option a finite number, a switch `true` or `false`."""
+    spec = _field(path, cfg, "generator", dict)
+    kind = _choice(path, _field(path, spec, "kind", where="generator."), "generator.kind", GENERATORS)
+    _, required, defaults = GENERATORS[kind]
+    _reject_unknown(path, spec, ("kind", "seed", *required, *defaults), "generator.")
+    fields, present = {}, [name for name in ("seed", *defaults) if name in spec]
+    for name in (*required, *present):
+        value, where, default = _field(path, spec, name, where="generator."), f"generator.{name}", defaults.get(name, 0)
+        fields[name] = (_typed(path, value, where, bool) if isinstance(default, bool)
+                        else _real(path, value, where) if isinstance(default, float)
+                        else _integer(path, value, where, 0 if name == "seed" else 1))
+    return _generate(kind, fields, fields.get("seed", seed)), kind
 
 
-def _widths(value, field: str) -> tuple[int, ...]:
-    """A config's layer widths: a list of integers of at least 1."""
-    if not isinstance(value, list):
-        raise SpecError(f"{field} must be a list of integers of at least 1, got {value!r}")
-    return tuple(_integer(width, f"{field}[{i}]", 1) for i, width in enumerate(value))
-
-
-def _real(value, field: str) -> float:
-    """A config rate, constant or radius: a finite int or float; never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise SpecError(f"{field} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _generator_fields(kind: str, spec: dict) -> dict:
-    """A learn config's `generator` entry with each field of its kind typed as `gen` types
-    the flag: `seed` an integer of at least 0, a size or integer option an integer of at
-    least 1, a float option a finite number, a switch `true` or `false`.  Other keys are
-    left to `_generate` to reject."""
-    _, required, defaults = GENERATORS.get(kind, (None, (), {}))
-    fields = dict(spec)
-    for name in ("seed", *required, *defaults):
-        if name not in fields:
-            continue
-        value, where, default = fields[name], f"generator.{name}", defaults.get(name, 0)
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise SpecError(f"{where} must be true or false, got {value!r}")
-        elif isinstance(default, float):
-            fields[name] = _real(value, where)
-        else:
-            fields[name] = _integer(value, where, 0 if name == "seed" else 1)
-    return fields
-
-
-def _learn_section(cfg: dict, name: str, config_cls, seed):
+def _learn_section(path, cfg: dict, name: str, config_cls, seed):
     """The `train` or `eg` section as `config_cls`: only its fields, the seed replaced by
     `--seed` when given, each float field a finite number and each int field an integer,
     at least 1 for a count and at least 0 for the seed."""
-    doc = dict(_section(cfg, name))
+    doc = dict(_field(path, cfg, name, dict))
     defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
-    _reject_unknown(doc, defaults, name)
+    _reject_unknown(path, doc, defaults, f"{name}.")
     if seed is not None:
         doc["seed"] = seed
     for key, value in doc.items():
         where = f"{name}.{key}"
         is_real = isinstance(defaults[key], float)
-        doc[key] = _real(value, where) if is_real else _integer(value, where, 0 if key == "seed" else 1)
+        doc[key] = _real(path, value, where) if is_real else _integer(path, value, where, 0 if key == "seed" else 1)
     return config_cls(**doc)
 
 
 def cmd_learn(args) -> int:
-    cfg = _load(args.config)
-    _reject_unknown(cfg, LEARN_FIELDS, "config")
+    path = args.config
+    cfg = _load(path)
+    _reject_unknown(path, cfg, LEARN_FIELDS, "")
     game_label = args.game if args.game is not None else cfg.get("game")
     if game_label is not None:
-        if not isinstance(game_label, str):
-            # `open` would take an integer (or a bool) as a file descriptor
-            raise SpecError(f"game must be a game file path, got {game_label!r}")
-        game, file_tie = read_game(game_label)
+        # a string: `open` would take an integer (or a bool) as a file descriptor
+        game, file_tie = read_game(_typed(path, game_label, "game", str))
     else:
-        spec = _section(cfg, "generator")
-        kind = _require(spec, "kind")
-        fields = _generator_fields(kind, spec)
-        game = _generate(kind, fields, fields.get("seed", 0 if args.seed is None else args.seed))
+        game, kind = _generator(path, cfg, 0 if args.seed is None else args.seed)
         file_tie, game_label = None, f"generator:{kind}"
-    train_cfg = _learn_section(cfg, "train", TrainConfig, args.seed)
-    eg_cfg = _learn_section(cfg, "eg", EgConfig, args.seed)
-    tie = _tie_rule(args, file_tie, cfg.get("tie"))
-    eps = args.eps if args.eps is not None else _real(cfg.get("eps", DEFAULT_LOCAL_EPS), "eps")
+    train_cfg = _learn_section(path, cfg, "train", TrainConfig, args.seed)
+    eg_cfg = _learn_section(path, cfg, "eg", EgConfig, args.seed)
+    tie = _tie_rule(args, file_tie, _choice(path, cfg["tie"], "tie", TIE_FLAGS) if "tie" in cfg else None)
+    eps = args.eps if args.eps is not None else _real(path, cfg.get("eps", DEFAULT_LOCAL_EPS), "eps")
     check_local_eps(eps)
-    sample_count = _integer(cfg.get("sample_count", 50_000), "sample_count", 1)
+    sample_count = _integer(path, cfg.get("sample_count", 50_000), "sample_count", 1)
     archs = cfg.get("architectures", ["dnl"])
     if not isinstance(archs, list) or not archs or not all(isinstance(a, str) for a in archs):
-        raise SpecError(f"architectures must be a non-empty list of architecture names, got {archs!r}")
+        raise ValueError(f"{path}: architectures must be a non-empty list of architecture names, got {archs!r}")
     if len(set(archs)) < len(archs):
-        raise SpecError(f"architectures must name each architecture once, got {archs!r}")
-    arch_kwargs = {k: _integer(v, k, 1) if k == "lower_layers" else _widths(v, k)
+        raise ValueError(f"{path}: architectures must name each architecture once, got {archs!r}")
+    # `lower_layers` is a count, the others are lists of layer widths
+    arch_kwargs = {k: _integer(path, v, k, 1) if k == "lower_layers"
+                   else tuple(_integer(path, w, f"{k}[{i}]", 1) for i, w in enumerate(_typed(path, v, k, list)))
                    for k, v in cfg.items() if k in ARCH_FIELDS}
     for name in archs:
         # each architecture's constructor checks its own shape rules here, before anything is written
@@ -472,15 +420,14 @@ def cmd_learn(args) -> int:
 
 
 def cmd_reduce_public(args) -> int:
-    src = _load(args.source)
-    pub = PublicPersuasionInstance(
-        prior=np.asarray(_require(src, "prior"), dtype=float),
-        gaps=np.asarray(_require(src, "gaps"), dtype=float),
-        u_plus=np.asarray(_require(src, "u_plus"), dtype=float),
-        u_minus=np.asarray(_require(src, "u_minus"), dtype=float),
-    )
-    if _require(src, "k") != pub.k:
-        raise SpecError(f"k is {src['k']!r}, but gaps has {pub.k} rows")
+    path = args.source
+    src = _load(path)
+    # the reduction's penalty M = N / (N - 1) with N = k^4 needs k >= 2
+    k = _integer(path, _field(path, src, "k"), "k", 2)
+    pub = PublicPersuasionInstance(**{name: _numbers(path, _field(path, src, name), name)
+                                      for name in ("prior", "gaps", "u_plus", "u_minus")})
+    if k != pub.k:
+        raise ValueError(f"{path}: k is {k}, but gaps has {pub.k} rows")
     game, pi2 = public_to_best_response(pub)
     write_game(args.out, game)
     write_policies(f"{args.out}.opponent-policy.json", pi2[None, :, :])
@@ -494,8 +441,9 @@ def cmd_reduce_public(args) -> int:
 
 
 def cmd_reduce_bimatrix(args) -> int:
-    src = _load(args.source)
-    bim = BimatrixGame(u1=np.asarray(_require(src, "u1"), dtype=float), u2=np.asarray(_require(src, "u2"), dtype=float))
+    path = args.source
+    src = _load(path)
+    bim = BimatrixGame(**{name: _numbers(path, _field(path, src, name), name) for name in ("u1", "u2")})
     game, amap = bimatrix_to_persuasion(bim)
     write_game(args.out, game, tie=amap)
     write_sidecar(f"{args.out}.sidecar.json", {"source": args.source, "source_doc": src})
@@ -515,7 +463,7 @@ def _ci95(values) -> tuple[float, float]:
 def cmd_report(args) -> int:
     paths = sorted(globmod.glob(args.pattern))
     if not paths:
-        raise SpecError(f"no result files match {args.pattern!r}")
+        raise ValueError(f"no result files match {args.pattern!r}")
     rows = []
     for path in paths:
         doc = _load(path)
@@ -525,13 +473,14 @@ def cmd_report(args) -> int:
             # each row holds what the CSVs group and average
             where = f"rows[{i}]."
             dims = _field(path, _typed(path, row, f"rows[{i}]", dict), "dims", dict, where)
-            for name in ("arch", "validation_mse", "welfare"):
-                _field(path, row, name, where=where)
+            _field(path, row, "arch", str, where)
+            for name in ("validation_mse", "welfare"):
+                _real(path, _field(path, row, name, where=where), where + name)
             for d in DIMS:
-                _field(path, dims, d, where=f"{where}dims.")
+                _integer(path, _field(path, dims, d, where=f"{where}dims."), f"{where}dims.{d}", 1)
             rows.append(row)
     if not rows:
-        raise SpecError("matched files contain no result rows")
+        raise ValueError("matched files contain no result rows")
 
     def write_groups(path, dims):
         """One CSV row per (dims..., arch) group."""
@@ -560,7 +509,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except (SpecError, PreconditionError, CapError, TrainingDiverged, ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TrainingDiverged, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except OSError as exc:

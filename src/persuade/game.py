@@ -75,10 +75,6 @@ class _PosteriorRule:
     def to_dict(self) -> dict:
         return {"kind": self.kind}
 
-    @classmethod
-    def from_dict(cls, doc: dict):
-        return cls()
-
     def check(self, game: GameInstance) -> None:
         """Raise ValueError unless the rule fits `game`.  Only a FixedMap returns something: its table."""
 
@@ -221,14 +217,6 @@ class FixedMap:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "table": list(self.table)}
-
-    @classmethod
-    def from_dict(cls, doc: dict):
-        t = doc.get("table")
-        ok = isinstance(t, list) and all(type(a) in (int, float) and abs(a) < 2**62 for a in t)
-        if not ok or not all(float(a).is_integer() for a in t):
-            raise ValueError("tie_rule.table must be a list of integer actions")
-        return cls(table=tuple(int(a) for a in t))
 
     def check(self, game: GameInstance) -> np.ndarray:
         """The read-only table, after checking that it names one in-range action per joint signal."""

@@ -90,7 +90,9 @@ class BimatrixGame:
 
 def _constants(k: int) -> tuple[float, float, float]:
     """The construction's penalties at k receivers, (C, N, M) = (k^5, k^4, N/(N-1)):
-    C for the sender, N and M for the receiver; they make its error terms vanish."""
+    C for the sender, N and M for the receiver; they make its error terms vanish.  M needs k >= 2."""
+    if k < 2:
+        raise ValueError(f"the public reduction needs k >= 2 receivers, got k = {k}")
     n = float(k) ** 4
     return float(k) ** 5, n, n / (n - 1.0)
 

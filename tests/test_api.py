@@ -1,5 +1,6 @@
-"""Every name the package exports is used by the package or the benchmark, or is a named
-test oracle: library API that only tests call is deleted, not kept "just in case"."""
+"""Every name the package exports, and every other public top-level function and class of its
+modules, is used by the package or the benchmark, or is a named test oracle: library API that
+only tests call is deleted, not kept "just in case"."""
 
 import ast
 import glob
@@ -8,12 +9,16 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "persuade")
 
-# exported names that only tests call, each kept as the oracle or reference it is
+# public names that only tests call, each kept as the oracle or reference it is
 ORACLES = {
     "posterior": "the one-joint-signal Bayes update the reference kernel and the game tests read",
     "pub_sender_utility": "the public-persuasion objective an exact best response is checked against",
     "forward_with_pattern": "the activation pattern the gradient and piece tests read",
     "didactic_game": "the hand-sized game of the learning tests and acceptance criterion 7",
+    "simulate_mean_payoffs": "the Monte-Carlo sampler the exact utilities are checked against (criterion 3)",
+    "exact_payoff_variance": "the exact per-draw variance that sizes criterion 3's Monte-Carlo tolerance",
+    "reduced_action_values": "the reduced game's receiver values, read off its utilities (criterion 5)",
+    "reduced_action_values_closed_form": "the construction's closed forms those values must equal (criterion 5)",
 }
 
 
@@ -26,6 +31,12 @@ def exported_names():
     return {alias.asname or alias.name
             for node in ast.walk(_tree(os.path.join(PACKAGE, "__init__.py")))
             if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def public_definitions():
+    """Every top-level function and class of the package's modules whose name has no leading underscore."""
+    return {node.name for path in glob.glob(os.path.join(PACKAGE, "*.py")) for node in _tree(path).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
 
 
 def referenced_names():
@@ -48,13 +59,13 @@ def referenced_names():
 
 
 def test_every_export_is_used_or_an_oracle():
-    exported = exported_names()
-    assert "__version__" not in exported and len(exported) > 40
-    unused = sorted(exported - referenced_names() - set(ORACLES))
-    assert unused == [], f"exported but used only by tests: {unused}"
+    exported, defined = exported_names(), public_definitions()
+    assert "__version__" not in exported and len(exported) > 40 and exported <= defined
+    unused = sorted(defined - referenced_names() - set(ORACLES))
+    assert unused == [], f"public but used only by tests: {unused}"
 
 
 def test_oracles_are_exported_and_unused_by_the_package():
-    # an oracle that the package starts to use, or stops exporting, leaves this list
-    assert set(ORACLES) <= exported_names()
+    # an oracle that the package starts to use, or stops defining, leaves this list
+    assert set(ORACLES) <= public_definitions()
     assert set(ORACLES).isdisjoint(referenced_names())

@@ -52,7 +52,7 @@ class TestRoundTrips:
         g = random_game(2, 3, 2, 4, rng)   # 4 joint signals, 4 actions
         for k, tie in enumerate(rules):
             assert TIE_RULES[tie.kind] is type(tie)
-            assert tie_rule_from_dict(tie.to_dict()) == tie
+            assert tie_rule_from_dict("g.json", tie.to_dict()) == tie
             first, second = tmp_path / f"{k}-first.json", tmp_path / f"{k}-second.json"
             write_game(first, g, tie=tie)
             back, back_tie = read_game(first)
@@ -211,9 +211,9 @@ class TestCliCommands:
         ({"states": 3}, "g.json: states is 3, but a utility array has 6 entries, not states x actions = 3 x 3"),
         ({"actions": 2}, "g.json: actions is 2, but a utility array has 6 entries, not states x actions = 2 x 2"),
         ({"states": 3, "actions": 2}, "receiver_utility must be (2, actions >= 1)"),
-        ({"signals": 2.5}, "g.json: signals must be an integer, got 2.5"),
-        ({"signals": True}, "g.json: signals must be an integer, got True"),
-        ({"actions": "3"}, "g.json: actions must be an integer, got '3'"),
+        ({"signals": 2.5}, "g.json: signals must be an integer of at least 1, got 2.5"),
+        ({"signals": True}, "g.json: signals must be an integer of at least 1, got True"),
+        ({"actions": "3"}, "g.json: actions must be an integer of at least 1, got '3'"),
     ], ids=["more-senders", "fewer-senders", "states", "actions", "states-vs-prior", "signals-float", "signals-bool",
             "actions-string"])
     def test_game_file_sizes_must_match_its_arrays(self, tmp_path, capsys, rng, sizes, message):
@@ -233,8 +233,8 @@ class TestCliCommands:
         ({"signals": 3}, "p.json: policies has 8 entries, not n_senders x states x signals = 2 x 2 x 3"),
         ({"n_senders": 1}, "p.json: policies has 8 entries, not n_senders x states x signals = 1 x 2 x 2"),
         ({"states": 3}, "p.json: policies has 8 entries, not n_senders x states x signals = 2 x 3 x 2"),
-        ({"states": 2.5}, "p.json: states must be an integer, got 2.5"),
-        ({"n_senders": True}, "p.json: n_senders must be an integer, got True"),
+        ({"states": 2.5}, "p.json: states must be an integer of at least 1, got 2.5"),
+        ({"n_senders": True}, "p.json: n_senders must be an integer of at least 1, got True"),
     ], ids=["signals", "n_senders", "states", "states-float", "n_senders-bool"])
     def test_policy_file_sizes_must_match_its_array(self, tmp_path, capsys, rng, sizes, message):
         game_path, pol_path = tmp_path / "g.json", tmp_path / "p.json"
@@ -450,9 +450,9 @@ class TestCliCommands:
         assert "above the cap" in errors[0]
 
     @pytest.mark.parametrize("spec, message", [
-        ({"kind": "lottery"}, "unknown generator kind"),
-        ({"kind": "quality-ads", "signals": 2}, "missing config field: firms"),
-        ({"n": 2}, "missing config field: kind"),
+        ({"kind": "lottery"}, "generator.kind must be one of synthetic, quality-ads, product-ads, ride-hailing, got 'lottery'"),
+        ({"kind": "quality-ads", "signals": 2}, "missing field generator.firms"),
+        ({"n": 2}, "missing field generator.kind"),
         ({"kind": "quality-ads", "firms": 2, "shock_std": float("nan")}, "shock_std must be a finite number"),
         ({"kind": "product-ads", "firms": 2, "shock_std": -2}, "shock_std must be a finite number"),
         ({"kind": "ride-hailing", "m": 1, "n": 1, "cost_levels": 0}, "cost_levels must be an integer of at least 1"),
@@ -635,12 +635,13 @@ class TestTieRuleChoice:
         ({"kind": "fixed_map", "table": [10**309, 0, 0, 0]}, "tie_rule.table"),
         ({"kind": "fixed_map", "table": [0, 1, 2]}, "interpretation covers 3 joint signals"),
         # sender-favoring takes no weights: a weighted rule is refused, never read as unweighted
-        ({"kind": "sender_favoring", "weights": [float("nan"), 1.0]}, "unknown sender_favoring tie_rule field: weights"),
-        ({"kind": "sender_favoring", "weights": [10**400, 1.0]}, "unknown sender_favoring tie_rule field: weights"),
-        ({"kind": "sender_favoring", "weights": [1.0]}, "unknown sender_favoring tie_rule field: weights"),
-        ({"kind": "lexicographic", "table": [0, 1, 2, 3]}, "unknown lexicographic tie_rule field: table"),
-        ({"kind": "fixed_map", "table": [0, 1, 2, 3], "weights": [1.0, 1.0]}, "unknown fixed_map tie_rule field: weights"),
-        ({"kind": "sender-favoring"}, "unknown tie rule kind"),
+        ({"kind": "sender_favoring", "weights": [float("nan"), 1.0]}, "unknown field tie_rule.weights"),
+        ({"kind": "sender_favoring", "weights": [10**400, 1.0]}, "unknown field tie_rule.weights"),
+        ({"kind": "sender_favoring", "weights": [1.0]}, "unknown field tie_rule.weights"),
+        ({"kind": "lexicographic", "table": [0, 1, 2, 3]}, "unknown field tie_rule.table"),
+        ({"kind": "fixed_map", "table": [0, 1, 2, 3], "weights": [1.0, 1.0]}, "unknown field tie_rule.weights"),
+        ({"kind": "sender-favoring"},
+         "tie_rule.kind must be one of lexicographic, sender_favoring, fixed_map, got 'sender-favoring'"),
     ], ids=["fractional-table", "huge-entry", "float-overflowing-entry", "short-table", "nan-weight",
             "float-overflowing-weight", "one-weight", "lex-with-table", "fixed-map-with-weights", "flag-as-kind"])
     def test_malformed_rule_in_game_file_is_spec_error(self, tmp_path, capsys, rng, rule, message):
@@ -654,9 +655,9 @@ class TestTieRuleChoice:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg, name", [
-        ({"aux_hiden": [3], "architectures": ["delu"], "sample_count": 200}, "unknown config field: aux_hiden"),
+        ({"aux_hiden": [3], "architectures": ["delu"], "sample_count": 200}, "unknown field aux_hiden"),
         ({"generator": {"kind": "quality-ads", "firms": 2, "shock": 1.0}},
-         "unknown quality-ads generator field: shock"),
+         "unknown field generator.shock"),
     ], ids=["top-level", "generator"])
     def test_unknown_learn_config_field_is_spec_error(self, tmp_path, capsys, cfg, name):
         game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
@@ -681,7 +682,7 @@ class TestTieRuleChoice:
          "hyper_hidden[0] must be an integer of at least 1, got 0"),
         ({"architectures": ["delu"], "hidden": [4], "aux_hidden": [0]},
          "aux_hidden[0] must be an integer of at least 1, got 0"),
-        ({"hidden": 8}, "hidden must be a list of integers of at least 1, got 8"),
+        ({"hidden": 8}, "hidden must be a list, got 8"),
         ({"hidden": ["8"]}, "hidden[0] must be an integer of at least 1, got '8'"),
         ({"architectures": ["relu", "dnl"], "hidden": [8]},
          "lower_layers must be at least 1 and below the hidden layer count 1, got lower_layers 1"),
@@ -696,7 +697,7 @@ class TestTieRuleChoice:
         ({"eps": "0.01"}, "eps must be a finite number, got '0.01'"),
         ({"eps": float("nan")}, "eps must be a finite number, got nan"),
         ({"eps": 2}, "eps must be positive and finite, at most 1, got 2.0"),
-        ({"tie": "bogus"}, "unknown tie rule 'bogus'; expected one of lex, sender-favoring"),
+        ({"tie": "bogus"}, "tie must be one of lex, sender-favoring, got 'bogus'"),
     ], ids=["no-architectures", "architectures-string", "unknown-architecture", "repeated-architecture", "fractional-count", "bool-count", "zero-count",
             "zero-hidden", "zero-hyper-hidden", "zero-aux-hidden", "hidden-not-a-list", "string-width",
             "dnl-one-hidden-layer", "dnl-all-lower", "fractional-lower-layers", "bool-lower-layers", "delu-no-hidden",
@@ -720,16 +721,16 @@ class TestTieRuleChoice:
         ("train", {"batch_size": 0}, "train.batch_size must be an integer of at least 1, got 0"),
         ("eg", {"steps": 2.5}, "eg.steps must be an integer of at least 1, got 2.5"),
         ("train", {"epochs": "3"}, "train.epochs must be an integer of at least 1, got '3'"),
-        ("train", {"epoch": 1}, "unknown train field: epoch"),
-        ("eg", {"step": 1}, "unknown eg field: step"),
+        ("train", {"epoch": 1}, "unknown field train.epoch"),
+        ("eg", {"step": 1}, "unknown field eg.step"),
         ("train", {"learning_rate": True}, "train.learning_rate must be a finite number, got True"),
-        ("train", {"eps_adam": True}, "unknown train field: eps_adam"),
+        ("train", {"eps_adam": True}, "unknown field train.eps_adam"),
         ("eg", {"learning_rate": True}, "eg.learning_rate must be a finite number, got True"),
         ("train", {"learning_rate": "0.01"}, "train.learning_rate must be a finite number, got '0.01'"),
         ("eg", {"learning_rate": "0.1"}, "eg.learning_rate must be a finite number, got '0.1'"),
         # Adam's constants are module constants of `learning`, not config fields
-        ("train", {"beta1": float("inf")}, "unknown train field: beta1"),
-        ("train", {"beta2": 0.999}, "unknown train field: beta2"),
+        ("train", {"beta1": float("inf")}, "unknown field train.beta1"),
+        ("train", {"beta2": 0.999}, "unknown field train.beta2"),
     ], ids=["bool-epochs", "bool-restarts", "fractional-train-seed", "fractional-eg-seed", "zero-batch",
             "fractional-steps", "string-epochs", "train-typo", "eg-typo", "bool-train-rate", "bool-adam-eps",
             "bool-eg-rate", "string-train-rate", "string-eg-rate", "inf-beta1", "default-beta2"])
@@ -753,7 +754,7 @@ class TestTieRuleChoice:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"game": game, "train": {"epochs": 1}, "eg": {"steps": 1, "restarts": 1}}))
         assert run_cli(["learn", "--config", cfg_path, "--out", tmp_path / "run"]) == 2
-        assert capsys.readouterr().err == f"error: game must be a game file path, got {game!r}\n"
+        assert capsys.readouterr().err == f"error: {cfg_path}: game must be a string, got {game!r}\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("section, value", [
@@ -771,7 +772,7 @@ class TestTieRuleChoice:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["learn", "--config", cfg_path, "--out", tmp_path / "run"]) == 2
-        assert capsys.readouterr().err == f"error: {section} must be a JSON object, got {value!r}\n"
+        assert capsys.readouterr().err == f"error: {cfg_path}: {section} must be an object, got {value!r}\n"
         assert not (tmp_path / "run").exists()
 
     def test_integral_float_counts_and_seeds_are_integers(self, tmp_path):
@@ -1068,3 +1069,122 @@ class TestLearnAndReport:
         paths = ("policy", "restarts_csv")
         assert [{k: v for k, v in row.items() if k not in paths} for row in a["rows"]] == \
             [{k: v for k, v in row.items() if k not in paths} for row in b["rows"]]
+
+
+def _generator_config(spec):
+    """A learn-config edit: drop the game file, build the game from the `generator` entry `spec`."""
+    return lambda d: (d.pop("game"), d.update(generator=spec))
+
+
+# (reader, edit of its valid file, the error after "error: <file>: "): for every reader each kind
+# of error that applies to it, a missing field, a wrong type, an entry that is not a number and
+# an unknown key; game, policy, results and reduce-source files may hold keys the reader skips
+READER_ERRORS = [
+    ("game", lambda d: d.pop("prior"), "missing field prior"),
+    ("game", lambda d: d.update(sender_utilities=5), "sender_utilities must be a list, got 5"),
+    ("game", lambda d: d.update(states="4"), "states must be an integer of at least 1, got '4'"),
+    ("game", lambda d: d.update(prior=["a", 0.5, 0.25, 0.25]), "prior[0] must be a number, got 'a'"),
+    ("game", lambda d: d.update(prior=[True, False, False, False]), "prior[0] must be a number, got True"),
+    ("game", lambda d: d["sender_utilities"][1].__setitem__(2, None), "sender_utilities[1][2] must be a number, got None"),
+    ("policy", lambda d: d.pop("policies"), "missing field policies"),
+    ("policy", lambda d: d.update(policies={"a": 1}), "policies must be a list, got {'a': 1}"),
+    ("policy", lambda d: d.update(n_senders=2.5), "n_senders must be an integer of at least 1, got 2.5"),
+    ("policy", lambda d: d["policies"].__setitem__(3, "0.5"), "policies[3] must be a number, got '0.5'"),
+    ("policy", lambda d: d["policies"].__setitem__(0, False), "policies[0] must be a number, got False"),
+    ("results", lambda d: d.pop("rows"), "missing field rows"),
+    ("results", lambda d: d["rows"][0].pop("dims"), "missing field rows[0].dims"),
+    ("results", lambda d: d.update(rows="x"), "rows must be a list, got 'x'"),
+    ("results", lambda d: d["rows"][0].update(arch=5), "rows[0].arch must be a string, got 5"),
+    ("results", lambda d: d["rows"][0].update(welfare="1.0"), "rows[0].welfare must be a finite number, got '1.0'"),
+    ("results", lambda d: d["rows"][0]["dims"].update(states=2.5),
+     "rows[0].dims.states must be an integer of at least 1, got 2.5"),
+    ("config", lambda d: d.update(aux_hiden=[3]), "unknown field aux_hiden"),
+    ("config", lambda d: d.update(game=5), "game must be a string, got 5"),
+    ("config", lambda d: d.update(eps="0.01"), "eps must be a finite number, got '0.01'"),
+    ("config", lambda d: d.update(sample_count=True), "sample_count must be an integer of at least 1, got True"),
+    ("config", lambda d: d.update(hidden=["8"]), "hidden[0] must be an integer of at least 1, got '8'"),
+    ("config", lambda d: d.update(hidden=8), "hidden must be a list, got 8"),
+    ("config", lambda d: d.pop("train"), "missing field train"),
+    ("config", lambda d: d.update(train=5), "train must be an object, got 5"),
+    ("config", lambda d: d["train"].update(learning_rate="0.01"), "train.learning_rate must be a finite number, got '0.01'"),
+    ("config", lambda d: d["train"].update(epoch=1), "unknown field train.epoch"),
+    ("config", lambda d: d.pop("eg"), "missing field eg"),
+    ("config", lambda d: d.update(eg=[["steps", 1]]), "eg must be an object, got [['steps', 1]]"),
+    ("config", lambda d: d["eg"].update(restarts="2"), "eg.restarts must be an integer of at least 1, got '2'"),
+    ("config", lambda d: d["eg"].update(step=1), "unknown field eg.step"),
+    ("config", _generator_config(5), "generator must be an object, got 5"),
+    ("config", _generator_config({"n": 2}), "missing field generator.kind"),
+    ("config", _generator_config({"kind": []}), "generator.kind must be a string, got []"),
+    ("config", _generator_config({"kind": "lottery"}),
+     "generator.kind must be one of synthetic, quality-ads, product-ads, ride-hailing, got 'lottery'"),
+    ("config", _generator_config({"kind": "quality-ads", "signals": 2}), "missing field generator.firms"),
+    ("config", _generator_config({"kind": "quality-ads", "firms": 2, "shock_std": "1"}),
+     "generator.shock_std must be a finite number, got '1'"),
+    ("config", _generator_config({"kind": "quality-ads", "firms": 2, "shock": 1.0}), "unknown field generator.shock"),
+    ("config", lambda d: d.update(tie=[]), "tie must be a string, got []"),
+    ("config", lambda d: d.update(tie="bogus"), "tie must be one of lex, sender-favoring, got 'bogus'"),
+    ("config", lambda d: d.update(architectures="relu"),
+     "architectures must be a non-empty list of architecture names, got 'relu'"),
+    ("config", lambda d: d.update(architectures=[5]), "architectures must be a non-empty list of architecture names, got [5]"),
+    ("public", lambda d: d.pop("prior"), "missing field prior"),
+    ("public", lambda d: d.pop("k"), "missing field k"),
+    ("public", lambda d: d.update(k="2"), "k must be an integer of at least 2, got '2'"),
+    ("public", lambda d: d.update(prior="ab"), "prior must be a list, got 'ab'"),
+    ("public", lambda d: d.update(gaps=[[0.5, "a"], [-0.25, 0.75]]), "gaps[0][1] must be a number, got 'a'"),
+    ("public", lambda d: d.update(u_plus=[[True, 0.1], [0.3, 0.8]]), "u_plus[0][0] must be a number, got True"),
+    ("public", lambda d: d.update(gaps=[[0.5, -0.5], [-0.25]]),
+     "gaps must be a list of numbers or of lists nested to one shape, got [[0.5, -0.5], [-0.25]]"),
+    ("bimatrix", lambda d: d.pop("u1"), "missing field u1"),
+    ("bimatrix", lambda d: d.update(u1="ab"), "u1 must be a list, got 'ab'"),
+    ("bimatrix", lambda d: d.update(u1=[[1, 0], [0]]), "u1 must be a list of numbers or of lists nested to one shape, got [[1, 0], [0]]"),
+    ("bimatrix", lambda d: d.update(u2=[[0, 1], [1, None]]), "u2[1][1] must be a number, got None"),
+    ("tie_rule", lambda d: d.update(tie_rule=5), "tie_rule must be an object, got 5"),
+    ("tie_rule", lambda d: d.update(tie_rule={}), "missing field tie_rule.kind"),
+    ("tie_rule", lambda d: d.update(tie_rule={"kind": []}), "tie_rule.kind must be a string, got []"),
+    ("tie_rule", lambda d: d.update(tie_rule={"kind": "fixed_map"}), "missing field tie_rule.table"),
+    ("tie_rule", lambda d: d.update(tie_rule={"kind": "fixed_map", "table": ["a", 1]}), "tie_rule.table[0] must be a number, got 'a'"),
+    ("tie_rule", lambda d: d.update(tie_rule={"kind": "sender_favoring", "weights": [1.0]}), "unknown field tie_rule.weights"),
+]
+
+
+@pytest.mark.parametrize("reader, edit, message", READER_ERRORS,
+                         ids=[f"{reader}-{i}" for i, (reader, _, _) in enumerate(READER_ERRORS)])
+def test_every_reader_names_the_file_and_the_field(tmp_path, capsys, reader, edit, message):
+    paths = {name: tmp_path / f"{name}.json" for name in ("game", "policy", "results", "config", "public", "bimatrix")}
+    write_game(paths["game"], two_block_game(), tie=SenderFavoring())
+    write_policies(paths["policy"], two_block_equilibrium_policies())
+    row = {"arch": "relu", "welfare": 1.0, "validation_mse": 0.1,
+           "dims": {"n_senders": 2, "states": 2, "signals": 2, "actions": 2}}
+    paths["results"].write_text(json.dumps({"format": "persuade-results", "game": "", "rows": [row]}))
+    paths["config"].write_text(json.dumps({"game": str(paths["game"]), "sample_count": 50, "architectures": ["relu"],
+                                           "hidden": [4], "train": {"epochs": 1}, "eg": {"steps": 1, "restarts": 1}}))
+    paths["public"].write_text(json.dumps({"k": 2, "prior": [0.4, 0.6], "gaps": [[0.5, -0.5], [-0.25, 0.75]],
+                                           "u_plus": [[0.9, 0.1], [0.3, 0.8]], "u_minus": [[0.2, 0.6], [0.5, 0.25]]}))
+    paths["bimatrix"].write_text(json.dumps({"u1": [[1, 0], [0, 1]], "u2": [[0, 1], [1, 1]]}))
+    out = tmp_path / "out"
+    argv = {
+        "game": ["exact", "verify", "--game", paths["game"], "--policy", paths["policy"]],
+        "policy": ["exact", "verify", "--game", paths["game"], "--policy", paths["policy"]],
+        "tie_rule": ["exact", "verify", "--game", paths["game"], "--policy", paths["policy"]],
+        "results": ["report", "--glob", paths["results"]],
+        "config": ["learn", "--config", paths["config"]],
+        "public": ["reduce", "public", "--source", paths["public"]],
+        "bimatrix": ["reduce", "bimatrix", "--source", paths["bimatrix"]],
+    }[reader]
+    bad = paths["game" if reader == "tie_rule" else reader]
+    doc = json.loads(bad.read_text())
+    edit(doc)
+    bad.write_text(json.dumps(doc))
+    assert run_cli([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
+
+
+def test_reduce_public_needs_two_receivers(tmp_path, capsys):
+    # M = N / (N - 1) with N = k^4 divides by zero at k = 1
+    src, out = tmp_path / "pub.json", tmp_path / "pub-game.json"
+    src.write_text(json.dumps({"k": 1, "prior": [0.4, 0.6], "gaps": [[0.5, -0.5]], "u_plus": [[0.9, 0.1]],
+                               "u_minus": [[0.2, 0.6]]}))
+    assert run_cli(["reduce", "public", "--source", src, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {src}: k must be an integer of at least 2, got 1\n"
+    assert not out.exists()

@@ -60,6 +60,14 @@ class TestPublicReduction:
             assert np.all(game.receiver_utility[:3, -1] == n)
             assert np.all(game.sender_utilities[0][:, -1] == -float(k**5))
 
+    def test_one_receiver_is_refused(self, rng):
+        # the receiver's penalty M = N / (N - 1) needs N = k^4 above 1; the instance itself is valid
+        pub = random_pub(1, 2, rng)
+        with pytest.raises(ValueError, match=r"needs k >= 2 receivers, got k = 1"):
+            public_to_best_response(pub)
+        with pytest.raises(ValueError, match=r"needs k >= 2 receivers, got k = 1"):
+            reduced_action_values_closed_form(pub, np.full(3, 1 / 3), 0)
+
     def test_prior_split(self, rng):
         pub = random_pub(2, 3, rng)
         game, _ = public_to_best_response(pub)
