@@ -40,6 +40,7 @@ from .io import (
     _field,
     _integer,
     _load,
+    _naming,
     _numbers,
     _real,
     _reject_unknown,
@@ -134,16 +135,14 @@ def _seed(text: str) -> int:
     return value
 
 
-def _common_flags(p, *, tie: bool = False, eps: bool = False, seed: bool = False):
-    """`--out`; `--tie`, `--eps` and `--seed` only for the commands that read them."""
+def _common_flags(p, *, tie: bool = False, seed: bool = False):
+    """`--out`; `--tie` and `--seed` only for the commands that read them."""
     if seed:
         p.add_argument("--seed", type=_seed, default=None, help="root seed, a non-negative integer; "
                        "named sub-streams derive from it")
     p.add_argument("--out", required=True, help="output file or directory")
-    if eps:
-        p.add_argument("--eps", type=float, default=None, help="local-equilibrium neighborhood radius")
     if tie:
-        p.add_argument("--tie", choices=list(TIE_FLAGS), help="receiver tie rule; beats the config's and the game file's")
+        p.add_argument("--tie", choices=list(TIE_FLAGS), help="receiver tie rule; beats the game file's")
 
 
 @functools.cache    # built once per process: each parse_args call returns a new namespace
@@ -178,17 +177,18 @@ def build_parser() -> _Parser:
     e_ver.add_argument("--policy", required=True)
     e_ver.add_argument("--local", action="store_true", help="sampled eps-ball check instead of exact verification; "
                        "--eps and --seed need it")
+    e_ver.add_argument("--eps", type=float, default=None, help="local-equilibrium neighborhood radius")
     e_fr = esub.add_parser("full-reveal")
     e_fr.add_argument("--game", required=True)
     for p, func in ((e_br, cmd_best_response), (e_ver, cmd_verify), (e_fr, cmd_full_reveal)):
         p.set_defaults(func=func)
-        _common_flags(p, tie=True, eps=p is e_ver, seed=p is e_ver)
+        _common_flags(p, tie=True, seed=p is e_ver)
 
     learn = sub.add_parser("learn", help="surrogate training + extra-gradient local-equilibrium search")
     learn.set_defaults(func=cmd_learn)
-    learn.add_argument("--game", default=None, help="game file; defaults to the config's game/generator entry")
-    learn.add_argument("--config", required=True)
-    _common_flags(learn, tie=True, eps=True, seed=True)
+    learn.add_argument("--game", default=None, help="game file, else the config's generator entry builds the game")
+    learn.add_argument("--config", required=True, help="learn config: everything else the run reads")
+    _common_flags(learn, seed=True)
 
     reduce = sub.add_parser("reduce", help="build persuasion instances from hard source problems")
     rsub = reduce.add_subparsers(dest="kind", required=True)
@@ -211,13 +211,23 @@ def build_parser() -> _Parser:
 # command bodies
 
 
-def _tie_rule(args, file_tie: TieRule | None = None, config_tie: str | None = None) -> TieRule:
-    """`--tie`, else the learn config's `"tie"` (a flag name), else the game file's rule, else
-    lexicographic."""
-    flag = args.tie if args.tie is not None else config_tie
+def _tie_rule(flag: str | None, file_tie: TieRule | None = None) -> TieRule:
+    """The rule `flag` names (`--tie`, or a learn config's `"tie"`), else the game file's rule,
+    else lexicographic."""
     if flag is None:
         return file_tie if file_tie is not None else Lexicographic()
     return TIE_FLAGS[flag]()
+
+
+def _read_profile(path, game) -> np.ndarray:
+    """The policy file at `path`, which must hold one (states x signals) policy per sender of
+    `game`; a size that differs is a ValueError naming the file and the size."""
+    policy = read_policies(path)
+    for name, have, need in zip(("n_senders", "states", "signals"), policy.shape,
+                                (game.n_senders, game.states, game.signals)):
+        if have != need:
+            raise ValueError(f"{path}: {name} is {have}, but the game has {need}")
+    return policy
 
 
 def _manifest(args, path=None):
@@ -230,7 +240,7 @@ def cmd_gen(args) -> int:
     _, required, defaults = GENERATORS[args.kind]
     fields = {k: v for k, v in vars(args).items() if k in (*required, *defaults)}
     game = _generate(args.kind, fields, 0 if args.seed is None else args.seed)
-    write_game(args.out, game, tie=_tie_rule(args))
+    write_game(args.out, game, tie=_tie_rule(args.tie))
     write_sidecar(f"{args.out}.sidecar.json", game.meta or {})
     _manifest(args)
     print(f"wrote {args.out}: {game.n_senders} senders, {game.states} states, "
@@ -240,10 +250,8 @@ def cmd_gen(args) -> int:
 
 def cmd_best_response(args) -> int:
     game, file_tie = read_game(args.game)
-    tie = _tie_rule(args, file_tie)
-    policy = read_policies(args.policy)
-    if len(policy) != game.n_senders:
-        raise ValueError(f"policy file has {len(policy)} senders, the game has {game.n_senders}")
+    tie = _tie_rule(args.tie, file_tie)
+    policy = _read_profile(args.policy, game)
     if not 0 <= args.sender < game.n_senders:
         raise ValueError(f"sender {args.sender} out of range")
     others = [policy[k] for k in range(game.n_senders) if k != args.sender]
@@ -270,8 +278,8 @@ def cmd_verify(args) -> int:
     if not args.local and (args.eps is not None or args.seed is not None):
         build_parser().error("exact verify reads --eps and --seed only with --local")
     game, file_tie = read_game(args.game)
-    tie = _tie_rule(args, file_tie)
-    policy = read_policies(args.policy)
+    tie = _tie_rule(args.tie, file_tie)
+    policy = _read_profile(args.policy, game)
     if args.local:
         eps = DEFAULT_LOCAL_EPS if args.eps is None else args.eps
         report = local_ne_verify(game, policy, tie, eps, 0 if args.seed is None else args.seed)
@@ -285,7 +293,7 @@ def cmd_verify(args) -> int:
 
 def cmd_full_reveal(args) -> int:
     game, file_tie = read_game(args.game)
-    tie = _tie_rule(args, file_tie)
+    tie = _tie_rule(args.tie, file_tie)
     profile, cert = full_revelation_profile(game)
     write_policies(args.out, profile)
     write_sidecar(
@@ -309,7 +317,7 @@ def cmd_full_reveal(args) -> int:
 DIMS = ("n_senders", "states", "signals", "actions")
 # the fields a learn config may hold; the surrogate widths go to `find_local_ne`
 ARCH_FIELDS = ("hidden", "lower_layers", "hyper_hidden", "aux_hidden")
-LEARN_FIELDS = ("game", "generator", "train", "eg", "tie", "eps", "sample_count", "architectures", *ARCH_FIELDS)
+LEARN_FIELDS = ("generator", "train", "eg", "tie", "eps", "sample_count", "architectures", *ARCH_FIELDS)
 
 
 def _generator(path, cfg: dict, seed: int):
@@ -326,7 +334,8 @@ def _generator(path, cfg: dict, seed: int):
         fields[name] = (_typed(path, value, where, bool) if isinstance(default, bool)
                         else _real(path, value, where) if isinstance(default, float)
                         else _integer(path, value, where, 0 if name == "seed" else 1))
-    return _generate(kind, fields, fields.get("seed", seed)), kind
+    with _naming(path):
+        return _generate(kind, fields, fields.get("seed", seed)), kind
 
 
 def _learn_section(path, cfg: dict, name: str, config_cls, seed):
@@ -342,25 +351,29 @@ def _learn_section(path, cfg: dict, name: str, config_cls, seed):
         where = f"{name}.{key}"
         is_real = isinstance(defaults[key], float)
         doc[key] = _real(path, value, where) if is_real else _integer(path, value, where, 0 if key == "seed" else 1)
-    return config_cls(**doc)
+    with _naming(path):
+        return config_cls(**doc)
 
 
 def cmd_learn(args) -> int:
     path = args.config
     cfg = _load(path)
     _reject_unknown(path, cfg, LEARN_FIELDS, "")
-    game_label = args.game if args.game is not None else cfg.get("game")
-    if game_label is not None:
-        # a string: `open` would take an integer (or a bool) as a file descriptor
-        game, file_tie = read_game(_typed(path, game_label, "game", str))
-    else:
+    # the game comes from exactly one of `--game` and the config's `generator`
+    if args.game is None:
         game, kind = _generator(path, cfg, 0 if args.seed is None else args.seed)
         file_tie, game_label = None, f"generator:{kind}"
+    elif "generator" in cfg:
+        raise ValueError(f"{path}: generator builds a game, but --game names one; give only one of them")
+    else:
+        game, file_tie = read_game(args.game)
+        game_label = args.game
     train_cfg = _learn_section(path, cfg, "train", TrainConfig, args.seed)
     eg_cfg = _learn_section(path, cfg, "eg", EgConfig, args.seed)
-    tie = _tie_rule(args, file_tie, _choice(path, cfg["tie"], "tie", TIE_FLAGS) if "tie" in cfg else None)
-    eps = args.eps if args.eps is not None else _real(path, cfg.get("eps", DEFAULT_LOCAL_EPS), "eps")
-    check_local_eps(eps)
+    tie = _tie_rule(_choice(path, cfg["tie"], "tie", TIE_FLAGS) if "tie" in cfg else None, file_tie)
+    eps = _real(path, cfg.get("eps", DEFAULT_LOCAL_EPS), "eps")
+    with _naming(path):
+        check_local_eps(eps)
     sample_count = _integer(path, cfg.get("sample_count", 50_000), "sample_count", 1)
     archs = cfg.get("architectures", ["dnl"])
     if not isinstance(archs, list) or not archs or not all(isinstance(a, str) for a in archs):
@@ -371,9 +384,10 @@ def cmd_learn(args) -> int:
     arch_kwargs = {k: _integer(path, v, k, 1) if k == "lower_layers"
                    else tuple(_integer(path, w, f"{k}[{i}]", 1) for i, w in enumerate(_typed(path, v, k, list)))
                    for k, v in cfg.items() if k in ARCH_FIELDS}
-    for name in archs:
-        # each architecture's constructor checks its own shape rules here, before anything is written
-        init_surrogate(game, name, np.random.default_rng(0), **arch_kwargs)
+    # each architecture's constructor checks its own shape rules here, before anything is written
+    with _naming(path):
+        for name in archs:
+            init_surrogate(game, name, np.random.default_rng(0), **arch_kwargs)
 
     os.makedirs(args.out, exist_ok=True)
     dataset = load_or_sample_dataset(game, sample_count, tie, train_cfg.seed)
@@ -424,8 +438,9 @@ def cmd_reduce_public(args) -> int:
     src = _load(path)
     # the reduction's penalty M = N / (N - 1) with N = k^4 needs k >= 2
     k = _integer(path, _field(path, src, "k"), "k", 2)
-    pub = PublicPersuasionInstance(**{name: _numbers(path, _field(path, src, name), name)
-                                      for name in ("prior", "gaps", "u_plus", "u_minus")})
+    arrays = {name: _numbers(path, _field(path, src, name), name) for name in ("prior", "gaps", "u_plus", "u_minus")}
+    with _naming(path):
+        pub = PublicPersuasionInstance(**arrays)
     if k != pub.k:
         raise ValueError(f"{path}: k is {k}, but gaps has {pub.k} rows")
     game, pi2 = public_to_best_response(pub)
@@ -443,7 +458,9 @@ def cmd_reduce_public(args) -> int:
 def cmd_reduce_bimatrix(args) -> int:
     path = args.source
     src = _load(path)
-    bim = BimatrixGame(**{name: _numbers(path, _field(path, src, name), name) for name in ("u1", "u2")})
+    arrays = {name: _numbers(path, _field(path, src, name), name) for name in ("u1", "u2")}
+    with _naming(path):
+        bim = BimatrixGame(**arrays)
     game, amap = bimatrix_to_persuasion(bim)
     write_game(args.out, game, tie=amap)
     write_sidecar(f"{args.out}.sidecar.json", {"source": args.source, "source_doc": src})

@@ -15,6 +15,7 @@ its kind does not take, or does not fit the game is a ValueError.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -133,6 +134,16 @@ def _leaves(value: list, where: str):
             yield f"{where}[{i}]", x
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix a ValueError raised inside, where the model's own checks (which know values, not
+    files) refuse the values read from the file at `path`, with that path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # tie rules
 
@@ -193,10 +204,11 @@ def read_game(path) -> tuple[GameInstance, TieRule | None]:
             raise ValueError(f"{path}: {name} is {value}, but a utility array has {len(u)} entries, "
                              f"not states x actions = {states} x {actions}")
     receiver, *senders = (u.reshape(states, actions) for u in utilities)
-    game = GameInstance(signals=signals, prior=prior, receiver_utility=receiver, sender_utilities=tuple(senders))
     tie = tie_rule_from_dict(path, doc["tie_rule"]) if "tie_rule" in doc else None
-    if tie is not None:
-        tie.check(game)
+    with _naming(path):
+        game = GameInstance(signals=signals, prior=prior, receiver_utility=receiver, sender_utilities=tuple(senders))
+        if tie is not None:
+            tie.check(game)
     return game, tie
 
 

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -19,7 +20,13 @@ from persuade.io import (
     write_report,
 )
 from persuade.reference import two_block_game, two_block_equilibrium_policies
-from persuade.scenarios import SyntheticSpec, synthetic_instance
+from persuade.scenarios import (
+    SyntheticSpec,
+    product_ads_instance,
+    quality_ads_instance,
+    ride_hailing_instance,
+    synthetic_instance,
+)
 
 from conftest import random_game, random_profile
 
@@ -203,7 +210,25 @@ class TestCliCommands:
         write_policies(pol_path, np.concatenate([pol, pol[:1]]))
         assert run_cli(["exact", "best-response", "--game", game_path, "--policy", pol_path,
                         "--sender", 2, "--out", tmp_path / "br.json"]) == 2
-        assert "policy file has 3 senders, the game has 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {pol_path}: n_senders is 3, but the game has 2\n"
+
+    @pytest.mark.parametrize("size", ["n_senders", "states", "signals"])
+    @pytest.mark.parametrize("command", ["best-response", "verify", "local"])
+    def test_policy_file_must_fit_the_game(self, tmp_path, capsys, command, size):
+        # one fit check for every command that reads a profile against a game: a size of the
+        # policy file that is one more than the game's exits 2 naming the file and the size
+        game_path, pol_path, out = tmp_path / "g.json", tmp_path / "p.json", tmp_path / "r.json"
+        write_game(game_path, two_block_game())
+        pol = two_block_equilibrium_policies()
+        grown = {"n_senders": (1, 0, 0), "states": (0, 1, 0), "signals": (0, 0, 1)}[size]
+        pol = np.pad(pol, [(0, k) for k in grown], constant_values=0.0)
+        write_policies(pol_path, pol)
+        argv = {"best-response": ["exact", "best-response", "--sender", 0],
+                "verify": ["exact", "verify"], "local": ["exact", "verify", "--local"]}[command]
+        assert run_cli([*argv, "--game", game_path, "--policy", pol_path, "--out", out]) == 2
+        need = {"n_senders": 2, "states": 4, "signals": 4}[size]
+        assert capsys.readouterr().err == f"error: {pol_path}: {size} is {need + 1}, but the game has {need}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("sizes, message", [
         ({"n_senders": 3}, "n_senders is 3, but the file has 2 sender utilities"),
@@ -381,7 +406,8 @@ class TestCliCommands:
 
     @staticmethod
     def _assert_eps_rejected(tmp_path, capsys, monkeypatch, eps):
-        """`exact verify --local` and `learn` exit 2 on `eps`, before any training or output."""
+        """`exact verify --local --eps` and a learn config's `eps` exit 2 on `eps`, before any
+        training or output; the config's error names the config."""
         import persuade.learning
 
         def no_training(*args, **kwargs):
@@ -392,12 +418,13 @@ class TestCliCommands:
         write_game(game_path, two_block_game(), tie=SenderFavoring())
         write_policies(pol_path, two_block_equilibrium_policies())
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sample_count": 100, "train": {"epochs": 1}, "eg": {"steps": 1}}))
-        for args in (["exact", "verify", "--local", "--policy", pol_path, "--out", tmp_path / "r.json"],
-                     ["learn", "--config", cfg, "--out", tmp_path / "run"]):
-            assert run_cli([*args, "--game", game_path, "--eps", eps]) == 2
+        cfg.write_text(json.dumps({"sample_count": 100, "eps": float(eps), "train": {"epochs": 1}, "eg": {"steps": 1}}))
+        verify = ["exact", "verify", "--local", "--policy", pol_path, "--eps", eps, "--out", tmp_path / "r.json"]
+        for args, start in ((verify, "error: eps must be positive and finite"),
+                            (["learn", "--config", cfg, "--out", tmp_path / "run"], f"error: {cfg}: eps must be ")):
+            assert run_cli([*args, "--game", game_path]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: eps must be positive and finite") and err.count("\n") == 1
+            assert err.startswith(start) and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["gen", "verify", "learn"])
@@ -537,20 +564,38 @@ class TestTieRuleChoice:
         flags = [rule.flag for rule in TIE_RULES.values() if rule.flag is not None]
         commands = dict(_commands(build_parser()))
         with_tie = {path for path, p in commands.items() if _option(p, "tie") is not None}
-        # the commands that read a tie rule: every gen kind, every exact subcommand and learn
+        # the commands that take --tie: every gen kind and every exact subcommand; learn reads
+        # its config's "tie"
         assert with_tie == {("gen", kind) for kind in GENERATORS} | {
-            ("exact", what) for what in ("best-response", "verify", "full-reveal")} | {("learn",)}
+            ("exact", what) for what in ("best-response", "verify", "full-reveal")}
         for path in with_tie:
             action = _option(commands[path], "tie")
             assert list(action.choices) == flags
             assert action.default is None
         for flag in flags:
-            assert _tie_rule(argparse.Namespace(tie=flag)).flag == flag
+            assert _tie_rule(flag).flag == flag
 
     def test_eps_only_where_read(self):
+        # learn reads its config's "eps"
         commands = dict(_commands(build_parser()))
-        assert {path for path, p in commands.items() if _option(p, "eps") is not None} == {
-            ("exact", "verify"), ("learn",)}
+        assert {path for path, p in commands.items() if _option(p, "eps") is not None} == {("exact", "verify")}
+
+    def test_learn_takes_files_and_a_seed(self):
+        # every other learn setting is a config field
+        learn = dict(_commands(build_parser()))[("learn",)]
+        assert {s for a in learn._actions for s in a.option_strings} == {"-h", "--help", "--game", "--config",
+                                                                         "--seed", "--out"}
+
+    @pytest.mark.parametrize("flag", [["--tie", "lex"], ["--eps", "0.01"]], ids=["tie", "eps"])
+    def test_learn_rejects_tie_and_eps_flags(self, tmp_path, capsys, flag):
+        game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
+        write_game(game_path, two_block_game())
+        cfg_path.write_text(json.dumps({"train": {"epochs": 1}, "eg": {"steps": 1}}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["learn", "--game", game_path, "--config", cfg_path, *flag, "--out", tmp_path / "run"])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_seed_only_where_read(self):
         commands = dict(_commands(build_parser()))
@@ -603,10 +648,35 @@ class TestTieRuleChoice:
 
     def test_precedence(self):
         file_tie = FixedMap((0, 1, 0, 1))
-        assert _tie_rule(argparse.Namespace(tie="lex"), file_tie, "sender-favoring") == Lexicographic()
-        assert _tie_rule(argparse.Namespace(tie=None), file_tie, "sender-favoring") == SenderFavoring()
-        assert _tie_rule(argparse.Namespace(tie=None), file_tie, None) == file_tie
-        assert _tie_rule(argparse.Namespace(tie=None), None, None) == Lexicographic()
+        assert _tie_rule("lex", file_tie) == Lexicographic()
+        assert _tie_rule("sender-favoring", file_tie) == SenderFavoring()
+        assert _tie_rule(None, file_tie) == file_tie
+        assert _tie_rule(None) == Lexicographic()
+
+    @pytest.mark.parametrize("config_tie, file_tie, want", [
+        ("lex", SenderFavoring(), Lexicographic()),
+        (None, SenderFavoring(), SenderFavoring()),
+        ("sender-favoring", None, SenderFavoring()),
+        (None, None, Lexicographic()),
+    ], ids=["config-beats-file", "file", "config", "lex"])
+    def test_learn_tie_is_the_configs_else_the_game_files(self, tmp_path, monkeypatch, config_tie, file_tie, want):
+        # the rule reaches the dataset labeling; the run stops there, so nothing is trained
+        import persuade.cli
+
+        class Labeled(Exception):
+            pass
+
+        def stop(game, count, tie, seed):
+            raise Labeled(tie)
+
+        monkeypatch.setattr(persuade.cli, "load_or_sample_dataset", stop)
+        game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
+        write_game(game_path, synthetic_instance(SyntheticSpec(2, 2, 2, 2, 1)), tie=file_tie)
+        cfg = {"train": {"epochs": 1}, "eg": {"steps": 1}, **({} if config_tie is None else {"tie": config_tie})}
+        cfg_path.write_text(json.dumps(cfg))
+        with pytest.raises(Labeled) as exc:
+            run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", tmp_path / "run"])
+        assert exc.value.args[0] == want
 
     def test_flag_beats_the_rule_in_the_game_file(self, tmp_path):
         # the reference profile is an equilibrium under the sender-favoring
@@ -746,15 +816,41 @@ class TestTieRuleChoice:
         assert message in err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("game", [0, 5, True, 2.0], ids=["zero", "five", "true", "float"])
-    def test_config_game_must_be_a_path(self, tmp_path, capsys, monkeypatch, game):
-        # `open` takes an integer or a bool as a file descriptor: 0 would read the game from stdin
+    @pytest.mark.parametrize("game", [0, 5, True, 2.0, "g.json"], ids=["zero", "five", "true", "float", "path"])
+    def test_config_game_is_an_unknown_field(self, tmp_path, capsys, monkeypatch, game):
+        # the game file is `--game` alone; nothing is opened, not even stdin for a 0, and a game
+        # path no longer hides a generator that is never read (such a config used to train on it)
         import persuade.cli
         monkeypatch.setattr(persuade.cli, "read_game", lambda path: pytest.fail(f"read_game({path!r})"))
+        write_game(tmp_path / "g.json", two_block_game())
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"game": game, "train": {"epochs": 1}, "eg": {"steps": 1, "restarts": 1}}))
+        cfg_path.write_text(json.dumps({"game": game, "generator": {"kind": "bogus", "zzz": 1},
+                                        "train": {"epochs": 1}, "eg": {"steps": 1, "restarts": 1}}))
+        for flag in ([], ["--game", tmp_path / "g.json"]):
+            assert run_cli(["learn", *flag, "--config", cfg_path, "--out", tmp_path / "run"]) == 2
+            assert capsys.readouterr().err == f"error: {cfg_path}: unknown field game\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("spec", [{"kind": "synthetic", "n": 2, "states": 2, "signals": 2, "actions": 2},
+                                      {"kind": "bogus", "zzz": 1}], ids=["valid", "bogus"])
+    def test_game_flag_and_generator_are_refused_together(self, tmp_path, capsys, monkeypatch, spec):
+        # the game comes from one place: a generator given with --game is an error, never ignored
+        import persuade.cli
+        monkeypatch.setattr(persuade.cli, "read_game", lambda path: pytest.fail(f"read_game({path!r})"))
+        game_path, cfg_path = tmp_path / "g.json", tmp_path / "cfg.json"
+        write_game(game_path, two_block_game())
+        cfg_path.write_text(json.dumps({"generator": spec, "train": {"epochs": 1}, "eg": {"steps": 1}}))
+        run_dir = tmp_path / "run"
+        assert run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", run_dir]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg_path}: generator builds a game, but --game names one; "
+                                           "give only one of them\n")
+        assert not run_dir.exists()
+
+    def test_learn_needs_a_game(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"train": {"epochs": 1}, "eg": {"steps": 1}}))
         assert run_cli(["learn", "--config", cfg_path, "--out", tmp_path / "run"]) == 2
-        assert capsys.readouterr().err == f"error: {cfg_path}: game must be a string, got {game!r}\n"
+        assert capsys.readouterr().err == f"error: {cfg_path}: missing field generator\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("section, value", [
@@ -839,12 +935,12 @@ class TestLearnAndReport:
             "train": {"epochs": 2, "batch_size": 128, "seed": 5},
             "eg": {"steps": 5, "restarts": 3, "seed": 6},
             "hidden": [10],
+            "eps": 0.01,
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         run_dir = tmp_path / "run"
-        assert run_cli(["learn", "--game", game_path, "--config", cfg_path,
-                        "--out", run_dir, "--eps", 0.01]) == 0
+        assert run_cli(["learn", "--game", game_path, "--config", cfg_path, "--out", run_dir]) == 0
         results = json.loads((run_dir / "results.json").read_text())
         row = results["rows"][0]
         assert row["eps"] == 0.01
@@ -927,7 +1023,7 @@ class TestLearnAndReport:
         assert rows["dnl"]["welfare"] >= rows["delu"]["welfare"] - 1e-12
         assert rows["dnl"]["validation_mse"] < min(rows["relu"]["validation_mse"],
                                                    rows["delu"]["validation_mse"])
-        assert all(r["eps"] == 0.005 for r in rows.values())    # flag default
+        assert all(r["eps"] == 0.005 for r in rows.values())    # the config's default
 
     def test_reduce_public_k_must_match_gaps(self, tmp_path, capsys):
         doc = {"k": 2, "prior": [0.4, 0.6], "gaps": [[0.5, -0.5], [-0.25, 0.75]],
@@ -1072,8 +1168,8 @@ class TestLearnAndReport:
 
 
 def _generator_config(spec):
-    """A learn-config edit: drop the game file, build the game from the `generator` entry `spec`."""
-    return lambda d: (d.pop("game"), d.update(generator=spec))
+    """A learn-config edit: build the game from the `generator` entry `spec`, not `--game`."""
+    return lambda d: d.update(generator=spec)
 
 
 # (reader, edit of its valid file, the error after "error: <file>: "): for every reader each kind
@@ -1099,7 +1195,7 @@ READER_ERRORS = [
     ("results", lambda d: d["rows"][0]["dims"].update(states=2.5),
      "rows[0].dims.states must be an integer of at least 1, got 2.5"),
     ("config", lambda d: d.update(aux_hiden=[3]), "unknown field aux_hiden"),
-    ("config", lambda d: d.update(game=5), "game must be a string, got 5"),
+    ("config", lambda d: d.update(game=5), "unknown field game"),
     ("config", lambda d: d.update(eps="0.01"), "eps must be a finite number, got '0.01'"),
     ("config", lambda d: d.update(sample_count=True), "sample_count must be an integer of at least 1, got True"),
     ("config", lambda d: d.update(hidden=["8"]), "hidden[0] must be an integer of at least 1, got '8'"),
@@ -1147,16 +1243,34 @@ READER_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("reader, edit, message", READER_ERRORS,
-                         ids=[f"{reader}-{i}" for i, (reader, _, _) in enumerate(READER_ERRORS)])
-def test_every_reader_names_the_file_and_the_field(tmp_path, capsys, reader, edit, message):
+# (file, edit, the error after "error: <file>: "): values each reader accepts but the object
+# built from them refuses, whose message the model's check writes without the file
+MODEL_ERRORS = [
+    ("game", lambda d: d.update(prior=[0.4, 0.4, 0.3, 0.3]), "prior must be nonnegative and sum to 1 within 1e-12"),
+    ("tie_rule", lambda d: d.update(tie_rule={"kind": "fixed_map", "table": [0, 1, 2]}),
+     "interpretation covers 3 joint signals, need 16"),
+    ("public", lambda d: d.update(gaps=[[0.5, -0.5, 0.0], [-0.25, 0.75, 0.0]]),
+     "gaps must be (k, states)"),
+    ("bimatrix", lambda d: d.update(u1=[[0.5, 0], [0, 1]]), "utilities must be 0/1"),
+    ("config", lambda d: d.update(architectures=["relu", "dnn"]),
+     "unknown architecture 'dnn'; expected relu, delu, or dnl"),
+    ("config", lambda d: d["train"].update(learning_rate=-1), "epochs, batch size, and learning rate must be positive"),
+    ("config", lambda d: d.update(eps=2), "eps must be positive and finite, at most 1, got 2.0"),
+    ("config", _generator_config({"kind": "product-ads", "firms": 1, "quality_levels": 22}),
+     "quality_levels must be an integer from 1 to 21, got 22"),
+]
+
+
+def _run_on_a_bad_file(tmp_path, reader, edit):
+    """Run the command that reads `reader`'s file, valid but for `edit`; check that it exits 2
+    and writes nothing, and return the file's path."""
     paths = {name: tmp_path / f"{name}.json" for name in ("game", "policy", "results", "config", "public", "bimatrix")}
     write_game(paths["game"], two_block_game(), tie=SenderFavoring())
     write_policies(paths["policy"], two_block_equilibrium_policies())
     row = {"arch": "relu", "welfare": 1.0, "validation_mse": 0.1,
            "dims": {"n_senders": 2, "states": 2, "signals": 2, "actions": 2}}
     paths["results"].write_text(json.dumps({"format": "persuade-results", "game": "", "rows": [row]}))
-    paths["config"].write_text(json.dumps({"game": str(paths["game"]), "sample_count": 50, "architectures": ["relu"],
+    paths["config"].write_text(json.dumps({"sample_count": 50, "architectures": ["relu"],
                                            "hidden": [4], "train": {"epochs": 1}, "eg": {"steps": 1, "restarts": 1}}))
     paths["public"].write_text(json.dumps({"k": 2, "prior": [0.4, 0.6], "gaps": [[0.5, -0.5], [-0.25, 0.75]],
                                            "u_plus": [[0.9, 0.1], [0.3, 0.8]], "u_minus": [[0.2, 0.6], [0.5, 0.25]]}))
@@ -1175,9 +1289,35 @@ def test_every_reader_names_the_file_and_the_field(tmp_path, capsys, reader, edi
     doc = json.loads(bad.read_text())
     edit(doc)
     bad.write_text(json.dumps(doc))
+    if reader == "config" and "generator" not in doc:
+        argv += ["--game", paths["game"]]
     assert run_cli([*argv, "--out", out]) == 2
-    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not out.exists()
+    return bad
+
+
+@pytest.mark.parametrize("reader, edit, message", READER_ERRORS,
+                         ids=[f"{reader}-{i}" for i, (reader, _, _) in enumerate(READER_ERRORS)])
+def test_every_reader_names_the_file_and_the_field(tmp_path, capsys, reader, edit, message):
+    bad = _run_on_a_bad_file(tmp_path, reader, edit)
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("reader, edit, message", MODEL_ERRORS,
+                         ids=[f"{reader}-{i}" for i, (reader, _, _) in enumerate(MODEL_ERRORS)])
+def test_model_checks_name_the_file(tmp_path, capsys, reader, edit, message):
+    bad = _run_on_a_bad_file(tmp_path, reader, edit)
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("kind, build", [("quality-ads", quality_ads_instance), ("product-ads", product_ads_instance),
+                                         ("ride-hailing", ride_hailing_instance)])
+def test_generator_registry_repeats_the_builders_defaults(kind, build):
+    # `gen` and a learn config's `generator` read the registry's copy of each keyword default,
+    # its type included (`gen` types each flag by its default)
+    defaults = {p.name: p.default for p in inspect.signature(build).parameters.values() if p.kind is p.KEYWORD_ONLY}
+    assert {name: (type(v), v) for name, v in GENERATORS[kind][2].items()} == {
+        name: (type(v), v) for name, v in defaults.items()}
 
 
 def test_reduce_public_needs_two_receivers(tmp_path, capsys):
